@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from corpus_select import KMeansConfig, compact_targets, relevance_single
+from corpus_select import FusionWeights, KMeansConfig, compact_targets, relevance_fused
 from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 
 rng = np.random.default_rng(33)
@@ -41,11 +41,12 @@ print(f"compacted {row['rows_before']} -> {row['rows_after']} rows "
 cent = compacted.datasets[0].views["v"]
 print(f"centroids are unit vectors: mean norm {np.linalg.norm(cent, axis=1).mean():.6f}\n")
 
+one_view = FusionWeights({"v": 1.0})
 t0 = time.perf_counter()
-full_scores = relevance_single(candidates, target_rows)
+full_scores = relevance_fused({"v": candidates}, {"v": target_rows}, one_view)
 t_full = time.perf_counter() - t0
 t0 = time.perf_counter()
-compact_scores = relevance_single(candidates, cent)
+compact_scores = relevance_fused({"v": candidates}, {"v": cent}, one_view)
 t_compact = time.perf_counter() - t0
 
 diff = np.abs(full_scores - compact_scores)

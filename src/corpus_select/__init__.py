@@ -35,11 +35,8 @@ from corpus_select.compaction import Clustering, KMeansConfig, compact_targets, 
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
-    cosine,
-    diversity_penalty,
     relevance_fused,
     relevance_multi_dataset,
-    relevance_single,
 )
 from corpus_select.selection import (
     Pick,
@@ -79,8 +76,6 @@ __all__ = [
     "audit_cosine_preservation",
     "batched_mmr",
     "compact_targets",
-    "cosine",
-    "diversity_penalty",
     "duration_baseline",
     "fit_predict",
     "greedy_mmr_exact",
@@ -97,7 +92,6 @@ __all__ = [
     "random_baseline",
     "relevance_fused",
     "relevance_multi_dataset",
-    "relevance_single",
     "save_manifest",
     "save_targets",
     "save_view",

@@ -204,11 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", metavar="DIR", help="output targets directory")
-    p.add_argument(
-        "--medoids",
-        action="store_true",
-        help="reserved: represent targets by nearest real rows instead of centroids",
-    )
     add_replay(p)
 
     p = sub.add_parser("select", help="select a duration-budgeted subset")
@@ -281,8 +276,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
             "seed": args.seed,
         }
     if sc == "compact-targets":
-        if args.medoids:
-            raise UsageError("argument --medoids is reserved and not implemented")
         return {
             "targets": _require(args.targets, "--targets"),
             "k": args.k,
@@ -438,18 +431,17 @@ def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
             batch_size=config["batch"],
             weights=weights,
             aggregation=AggregationMode.from_name(config["aggregate"]),
-            seed=config["seed"],
         )
         result = batched_mmr(
-            corpus, corpus.view_matrices, targets, cfg, threads=config["threads"]
+            corpus.durations, corpus.view_matrices, targets, cfg, threads=config["threads"]
         )
     elif method == "random":
-        result = random_baseline(corpus, config["alpha"], config["seed"])
+        result = random_baseline(corpus.durations, config["alpha"], config["seed"])
     else:
         target_durations = load_target_durations(config["targets"])
         inputs.append(Path(config["targets"]))
         result = duration_baseline(
-            corpus, target_durations, config["alpha"], config["seed"], bins=config["bins"]
+            corpus.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
         )
     t2 = time.perf_counter()
 

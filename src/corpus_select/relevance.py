@@ -5,7 +5,9 @@ similarity to any target row. With several embedding views the per-view
 maxima are combined by a weighted sum (late fusion); with several target
 datasets the fused scores are aggregated by max or mean. The diversity
 penalty is the mirror image: each view's maximum similarity to the
-already-selected set, fused with the same weights.
+already-selected set, fused with the same weights. One kernel,
+`max_similarity`, scores both, and `FusionWeights.fuse` is the only
+place views are combined.
 
 Rows are assumed unit-L2 (or zero), so cosine is a plain dot product and
 a zero row scores 0 against everything. Kernels compute in float64 over
@@ -20,17 +22,11 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from corpus_select.errors import (
-    DimensionMismatch,
-    EmptySelection,
-    EmptyTargets,
-    EmptyTargetSet,
-    MissingView,
-)
+from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView
 from corpus_select.store import EmbeddingView, TargetSet
 
 _CAND_BLOCK = 16384
@@ -84,20 +80,21 @@ class FusionWeights:
     def names(self) -> list[str]:
         return list(self.weights)
 
+    def fuse(self, score: Callable[[str], np.ndarray]) -> np.ndarray:
+        """Weighted sum of `score(name)` over views of nonzero weight, clipped to [-1, 1].
+
+        Views are visited in weight order and zero-weight views are never
+        scored, so every caller sums the same terms in the same order.
+        """
+        total = 0.0
+        for name, w in self.weights.items():
+            if w != 0.0:
+                total = total + w * score(name)
+        return np.clip(total, -1.0, 1.0)
+
 
 def _as_matrix(view) -> np.ndarray:
     return view.rows if isinstance(view, EmbeddingView) else np.asarray(view)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit (or zero) vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vectors have dims {a.shape[0]} and {b.shape[0]}")
-    if not a.any() or not b.any():
-        return 0.0
-    return float(np.clip(a @ b, -1.0, 1.0))
 
 
 def max_similarity(
@@ -105,11 +102,12 @@ def max_similarity(
     targets: np.ndarray,
     *,
     threads: int = 1,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-candidate maximum dot product against the target rows.
 
-    Returns a float64 vector of length N, clipped to [-1, 1].
+    Returns a float64 vector of length N, clipped to [-1, 1]. This is the
+    only similarity kernel: relevance, the selector's running max and the
+    exact-greedy oracle all score through it.
     """
     cands = _as_matrix(candidates)
     tgts = _as_matrix(targets)
@@ -120,7 +118,7 @@ def max_similarity(
             f"candidates have {cands.shape[1]} dims, targets {tgts.shape[1]}"
         )
     n = cands.shape[0]
-    result = out if out is not None else np.empty(n, dtype=np.float64)
+    result = np.empty(n, dtype=np.float64)
     tgt64 = tgts.astype(np.float64, copy=False)
 
     def _block(lo: int) -> None:
@@ -155,31 +153,7 @@ def update_running_max(
     Used by the batched selector to extend each candidate's maximum
     similarity to the selected set one committed batch at a time.
     """
-    batch64 = batch.astype(np.float64, copy=False)
-    n = rows.shape[0]
-
-    def _block(lo: int) -> None:
-        hi = min(lo + _CAND_BLOCK, n)
-        sims = rows[lo:hi].astype(np.float64, copy=False) @ batch64.T
-        np.maximum(running[lo:hi], np.clip(sims.max(axis=1), -1.0, 1.0), out=running[lo:hi])
-
-    starts = range(0, n, _CAND_BLOCK)
-    if threads > 1 and n > _CAND_BLOCK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_block, starts))
-    else:
-        for lo in starts:
-            _block(lo)
-
-
-def relevance_single(
-    view: EmbeddingView | np.ndarray,
-    targets: np.ndarray,
-    *,
-    threads: int = 1,
-) -> np.ndarray:
-    """Relevance of each candidate: max cosine to any target row."""
-    return max_similarity(view, targets, threads=threads)
+    np.maximum(running, max_similarity(rows, batch, threads=threads), out=running)
 
 
 def _check_views(
@@ -203,21 +177,17 @@ def relevance_fused(
 ) -> np.ndarray:
     """Weighted sum over views of per-view max cosine to the targets."""
     _check_views(views, targets, weights)
-    names = weights.names
-    n = _as_matrix(views[names[0]]).shape[0]
-    total = np.zeros(n, dtype=np.float64)
-    for name in names:
-        w = weights.weights[name]
-        if w == 0.0:
-            continue
+    n = _as_matrix(views[weights.names[0]]).shape[0]
+
+    def score(name: str) -> np.ndarray:
         mat = _as_matrix(views[name])
         if mat.shape[0] != n:
             raise DimensionMismatch(
                 f"view {name!r} has {mat.shape[0]} rows, expected {n}"
             )
-        total += w * max_similarity(mat, targets[name], threads=threads)
-    np.clip(total, -1.0, 1.0, out=total)
-    return total
+        return max_similarity(mat, targets[name], threads=threads)
+
+    return weights.fuse(score)
 
 
 def relevance_multi_dataset(
@@ -231,9 +201,9 @@ def relevance_multi_dataset(
     """Aggregate fused relevance over target datasets by max or mean.
 
     Max mode takes each view's maximum similarity across every dataset's
-    rows before fusing, which is identical to fused relevance over the
-    union of all target rows: a candidate scores by its best match
-    anywhere. Mean mode averages the per-dataset fused scores (the
+    rows before fusing, which equals fused relevance over the union of
+    all target rows up to BLAS rounding: a candidate scores by its best
+    match anywhere. Mean mode averages the per-dataset fused scores (the
     weighted sum distributes over the average, so fusing before or after
     the mean is the same), favoring candidates useful across domains.
     Mean never exceeds max for any candidate.
@@ -243,47 +213,16 @@ def relevance_multi_dataset(
     for ds in targets.datasets:
         _check_views(views, ds.views, weights)
     if mode is AggregationMode.MAX:
-        names = weights.names
-        n = _as_matrix(views[names[0]]).shape[0]
-        total = np.zeros(n, dtype=np.float64)
-        for name in names:
-            w = weights.weights[name]
-            if w == 0.0:
-                continue
-            best = np.maximum.reduce(
+        return weights.fuse(
+            lambda name: np.maximum.reduce(
                 [
                     max_similarity(_as_matrix(views[name]), ds.views[name], threads=threads)
                     for ds in targets.datasets
                 ]
             )
-            total += w * best
-        np.clip(total, -1.0, 1.0, out=total)
-        return total
+        )
     per_dataset = [
         relevance_fused(views, ds.views, weights, threads=threads)
         for ds in targets.datasets
     ]
     return np.mean(per_dataset, axis=0)
-
-
-def diversity_penalty(
-    candidate: int,
-    selected: Sequence[int],
-    views: Mapping[str, EmbeddingView | np.ndarray],
-    weights: FusionWeights,
-) -> float:
-    """Fused max similarity of one candidate to the already-selected set."""
-    selected = list(selected)
-    if not selected:
-        raise EmptySelection("diversity penalty needs a nonempty selected set")
-    value = 0.0
-    for name in weights.names:
-        w = weights.weights[name]
-        if w == 0.0:
-            continue
-        if name not in views:
-            raise MissingView(f"candidates are missing weighted view {name!r}")
-        mat = _as_matrix(views[name])
-        sims = max_similarity(mat[[candidate]], mat[selected])
-        value += w * float(sims[0])
-    return float(np.clip(value, -1.0, 1.0))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from corpus_select.relevance import (
     update_running_max,
 )
 from corpus_select.rng import generator
-from corpus_select.store import CorpusManifest, TargetSet
+from corpus_select.store import TargetSet
 
 
 @dataclass
@@ -50,8 +50,8 @@ class SelectionConfig:
 
     lam trades relevance (1.0) against diversity (0.0); alpha is the
     subset fraction of total duration; rho the prefilter fraction; weights
-    default to uniform over the views in play. The seed only feeds the
-    baselines: MMR selection itself has no randomness.
+    default to uniform over the views in play. There is no seed: MMR
+    selection has no randomness.
     """
 
     alpha: float
@@ -60,7 +60,6 @@ class SelectionConfig:
     batch_size: int = 1024
     weights: FusionWeights | None = None
     aggregation: AggregationMode = AggregationMode.MAX
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -102,16 +101,6 @@ class SelectionResult:
         return len(self.picks)
 
 
-def _durations(manifest) -> np.ndarray:
-    if isinstance(manifest, CorpusManifest):
-        return manifest.durations
-    if hasattr(manifest, "__iter__") and not isinstance(manifest, np.ndarray):
-        first = next(iter(manifest), None)
-        if hasattr(first, "duration_s"):
-            return np.array([r.duration_s for r in manifest], dtype=np.float64)
-    return np.asarray(manifest, dtype=np.float64)
-
-
 def _resolve_weights(weights: FusionWeights | None, view_names) -> FusionWeights:
     if weights is not None:
         return weights
@@ -138,7 +127,7 @@ def greedy_mmr_exact(
     Stops once cumulative duration reaches alpha * total duration.
     """
     r = np.asarray(relevance, dtype=np.float64)
-    d = _durations(durations)
+    d = np.asarray(durations, dtype=np.float64)
     n = r.shape[0]
     if n == 0:
         raise EmptyCorpus("no candidates to select from")
@@ -164,12 +153,7 @@ def greedy_mmr_exact(
         if remaining.size == 0:
             exhausted = True
             break
-        v = np.zeros(remaining.size, dtype=np.float64)
-        for name, w in weights.weights.items():
-            if w == 0.0:
-                continue
-            v += w * max_similarity(mats[name][remaining], mats[name][selected])
-        np.clip(v, -1.0, 1.0, out=v)
+        v = weights.fuse(lambda name: max_similarity(mats[name][remaining], mats[name][selected]))
         m = cfg.lam * r[remaining] - (1.0 - cfg.lam) * v
         local = np.lexsort((remaining, -m))[0]
         idx = int(remaining[local])
@@ -184,7 +168,7 @@ def greedy_mmr_exact(
 
 
 def batched_mmr(
-    manifest,
+    durations: np.ndarray,
     views: Mapping[str, np.ndarray],
     targets: TargetSet,
     cfg: SelectionConfig,
@@ -199,7 +183,7 @@ def batched_mmr(
     batch folds into. The seed pick counts toward the budget before the
     first round's budget test.
     """
-    d = _durations(manifest)
+    d = np.asarray(durations, dtype=np.float64)
     n = d.shape[0]
     if n == 0:
         raise EmptyCorpus("no candidates to select from")
@@ -207,7 +191,7 @@ def batched_mmr(
     mats = {name: _as_matrix(views[name]) for name in weights.names}
     for name, mat in mats.items():
         if mat.shape[0] != n:
-            raise ValueError(f"view {name!r} has {mat.shape[0]} rows, manifest {n}")
+            raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
 
     budget = cfg.alpha * float(d.sum())
     r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation, threads=threads)
@@ -234,14 +218,8 @@ def batched_mmr(
     committed[seed_pos] = True
 
     # per-view running max similarity to the committed set
-    vmax = {
-        name: np.clip(
-            rows @ rows[seed_pos].astype(np.float64), -1.0, 1.0
-        )
-        for name, rows in pool_rows.items()
-    }
+    vmax = {name: max_similarity(rows, rows[[seed_pos]]) for name, rows in pool_rows.items()}
 
-    w_arr = weights.weights
     rounds = 0
     exhausted = False
     while total < budget:
@@ -250,12 +228,7 @@ def batched_mmr(
             exhausted = True
             break
         rounds += 1
-        v = np.zeros(pool_size, dtype=np.float64)
-        for name, w in w_arr.items():
-            if w == 0.0:
-                continue
-            v += w * vmax[name]
-        np.clip(v, -1.0, 1.0, out=v)
+        v = weights.fuse(vmax.__getitem__)
         m = cfg.lam * r_pool - (1.0 - cfg.lam) * v
 
         sub = np.lexsort((pool[remaining], -m[remaining]))[: cfg.batch_size]
@@ -273,11 +246,11 @@ def batched_mmr(
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
 
 
-def random_baseline(manifest, alpha: float, seed: int) -> SelectionResult:
+def random_baseline(durations: np.ndarray, alpha: float, seed: int) -> SelectionResult:
     """Seeded uniform shuffle, taking the prefix that fills the budget."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    d = _durations(manifest)
+    d = np.asarray(durations, dtype=np.float64)
     n = d.shape[0]
     if n == 0:
         raise EmptyCorpus("no candidates to select from")
@@ -295,7 +268,7 @@ def random_baseline(manifest, alpha: float, seed: int) -> SelectionResult:
 
 
 def duration_baseline(
-    manifest,
+    durations: np.ndarray,
     target_durations: Sequence[float] | np.ndarray,
     alpha: float,
     seed: int,
@@ -314,7 +287,7 @@ def duration_baseline(
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    d = _durations(manifest)
+    d = np.asarray(durations, dtype=np.float64)
     n = d.shape[0]
     if n == 0:
         raise EmptyCorpus("no candidates to select from")

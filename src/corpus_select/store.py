@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -192,20 +192,14 @@ class TargetSet:
     def __len__(self) -> int:
         return len(self.datasets)
 
-    def view_names(self) -> list[str]:
-        names: list[str] = []
-        for ds in self.datasets:
-            for name in ds.views:
-                if name not in names:
-                    names.append(name)
-        return names
-
 
 def _atomic_bytes(path: Path, payload_writer) -> None:
     """Write a file via temp-and-rename so interrupted runs leave no partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp_name = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    # mode 0o666 lets the umask set the output's mode, as for any created file
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             payload_writer(fh)

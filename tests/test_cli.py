@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from corpus_select.cli import run
-from corpus_select.store import _atomic_bytes
+from corpus_select.store import EmbeddingView, _atomic_bytes, save_view
 
 # frozen from the reference run of test_full_pipeline_golden_digest (same
 # fixture seed, flags and platform BLAS); the test also asserts run-twice
@@ -302,6 +303,20 @@ class TestAtomicity:
         assert run(TestSelect().select_args(corpus, targets, out)) == 0
         stray = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert stray == []
+
+    def test_outputs_follow_umask(self, fixture_dirs, tmp_path):
+        """Under umask 022, atomic outputs are 0o644 like any other created file."""
+        corpus, targets = fixture_dirs
+        view_path = tmp_path / "v.emb"
+        out = tmp_path / "sel.jsonl"
+        old = os.umask(0o022)
+        try:
+            save_view(EmbeddingView("v", 2, np.eye(2, dtype=np.float32)), view_path)
+            assert run(TestSelect().select_args(corpus, targets, out)) == 0
+        finally:
+            os.umask(old)
+        for path in (view_path, out, out.with_name(out.name + ".run.json")):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
 class TestGoldenPipeline:

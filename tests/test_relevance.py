@@ -13,26 +13,13 @@ from corpus_select.errors import (
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
-    cosine,
-    diversity_penalty,
+    max_similarity,
     relevance_fused,
     relevance_multi_dataset,
-    relevance_single,
 )
 from corpus_select.store import TargetDataset, TargetSet
 from conftest import unit_rows
-
-
-# ---------- independent oracles: plain double loops in float64 ----------
-
-def brute_max_sim(cands, targets):
-    out = np.empty(len(cands))
-    for i, x in enumerate(np.asarray(cands, dtype=np.float64)):
-        best = -np.inf
-        for y in np.asarray(targets, dtype=np.float64):
-            best = max(best, float(x @ y))
-        out[i] = best
-    return out
+from oracles import brute_max_sim, cosine, diversity_penalty
 
 
 def brute_fused(views, targets, weights):
@@ -68,6 +55,18 @@ class TestFusionWeights:
         w = FusionWeights.uniform(["a", "b"])
         assert w.weights == {"a": 0.5, "b": 0.5}
 
+    def test_fuse_skips_zero_weights_and_clips(self):
+        """Zero-weight views are never scored; the weighted sum is clipped."""
+        w = FusionWeights({"a": 1.0, "off": 0.0, "b": 3.0})
+        scored = []
+
+        def score(name):
+            scored.append(name)
+            return {"a": np.array([0.4, 2.0, -5.0]), "b": np.array([0.8, 2.0, -5.0])}[name]
+
+        np.testing.assert_array_equal(w.fuse(score), [0.25 * 0.4 + 0.75 * 0.8, 1.0, -1.0])
+        assert scored == ["a", "b"]
+
 
 class TestCosine:
     def test_orthogonal(self):
@@ -92,15 +91,17 @@ class TestCosine:
 
 
 class TestRelevanceSingle:
+    """Single-view relevance is `max_similarity` against the target rows."""
+
     def test_componentwise_max(self):
         cands = np.array([[0.6, 0.8]], dtype=np.float32)
         targets = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-        scores = relevance_single(cands, targets)
+        scores = max_similarity(cands, targets)
         assert scores[0] == pytest.approx(0.8, abs=1e-7)
 
     def test_self_match_is_one(self, rng):
         rows = unit_rows(rng, 5, 16)
-        scores = relevance_single(rows, rows[2:3])
+        scores = max_similarity(rows, rows[2:3])
         assert scores[2] == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_brute_force(self, rng):
@@ -108,26 +109,30 @@ class TestRelevanceSingle:
         cands = unit_rows(rng, 50, 12)
         targets = unit_rows(rng, 20, 12)
         np.testing.assert_allclose(
-            relevance_single(cands, targets), brute_max_sim(cands, targets), atol=1e-6
+            max_similarity(cands, targets), brute_max_sim(cands, targets), atol=1e-6
         )
 
     def test_empty_targets(self, rng):
         with pytest.raises(EmptyTargets):
-            relevance_single(unit_rows(rng, 3, 4), np.zeros((0, 4), dtype=np.float32))
+            max_similarity(unit_rows(rng, 3, 4), np.zeros((0, 4), dtype=np.float32))
+
+    def test_dim_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            max_similarity(unit_rows(rng, 3, 4), unit_rows(rng, 2, 5))
 
     def test_threads_bit_identical(self, rng):
         cands = unit_rows(rng, 40000, 16)
         targets = unit_rows(rng, 64, 16)
-        a = relevance_single(cands, targets, threads=1)
-        b = relevance_single(cands, targets, threads=4)
+        a = max_similarity(cands, targets, threads=1)
+        b = max_similarity(cands, targets, threads=4)
         np.testing.assert_array_equal(a, b)
 
     def test_monotone_in_targets(self, rng):
         """Adding a target row never decreases any relevance score."""
         cands = unit_rows(rng, 30, 8)
         targets = unit_rows(rng, 10, 8)
-        base = relevance_single(cands, targets)
-        grown = relevance_single(cands, np.vstack([targets, unit_rows(rng, 1, 8)]))
+        base = max_similarity(cands, targets)
+        grown = max_similarity(cands, np.vstack([targets, unit_rows(rng, 1, 8)]))
         assert np.all(grown >= base - 1e-12)
 
 
@@ -136,7 +141,7 @@ class TestRelevanceFused:
         cands = unit_rows(rng, 25, 10)
         targets = unit_rows(rng, 7, 10)
         fused = relevance_fused({"v": cands}, {"v": targets}, FusionWeights({"v": 1.0}))
-        single = relevance_single(cands, targets)
+        single = max_similarity(cands, targets)
         np.testing.assert_array_equal(fused, single)
 
     def test_weighted_mean_of_view_scores(self):
@@ -159,6 +164,12 @@ class TestRelevanceFused:
             brute_fused(views, targets, weights),
             atol=1e-6,
         )
+
+    def test_row_count_mismatch(self, rng):
+        views = {"a": unit_rows(rng, 3, 4), "b": unit_rows(rng, 4, 4)}
+        with pytest.raises(DimensionMismatch, match="'b'"):
+            relevance_fused(views, {"a": views["a"], "b": views["a"]},
+                            FusionWeights({"a": 1.0, "b": 1.0}))
 
     def test_missing_view_named(self, rng):
         views = {"a": unit_rows(rng, 3, 4)}
@@ -256,6 +267,7 @@ class TestDiversityPenalty:
         assert diversity_penalty(0, [1, 2], views, w) == pytest.approx(0.0, abs=1e-7)
 
     def test_matches_brute_force(self, rng):
+        """The oracle, a double loop, and the fused kernel agree."""
         views = {f"v{k}": unit_rows(rng, 30, 7) for k in range(2)}
         w = FusionWeights({"v0": 1.0, "v1": 3.0})
         selected = [4, 9, 17, 22]
@@ -265,6 +277,8 @@ class TestDiversityPenalty:
                 for name in views
             )
             assert diversity_penalty(cand, selected, views, w) == pytest.approx(expected, abs=1e-6)
+            kernel = w.fuse(lambda name: max_similarity(views[name][[cand]], views[name][selected]))
+            assert kernel[0] == pytest.approx(expected, abs=1e-6)
 
     def test_monotone_in_selected(self, rng):
         """Enlarging the selected set never decreases the penalty."""

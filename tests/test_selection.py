@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_select.errors import EmptyCorpus, SmallPoolWarning
 from corpus_select.relevance import AggregationMode, FusionWeights, relevance_multi_dataset
@@ -205,6 +208,128 @@ class TestBatchedMMR:
         assert all(b > a for a, b in zip(cums, cums[1:]))
         indices = [p.index for p in result.picks]
         assert len(set(indices)) == len(indices)
+
+
+# ---------- property tests on drawn instances: tiny pools, zero rows ----------
+
+@st.composite
+def instances(draw, max_n=12, min_zero_rows=0):
+    """Views, durations, targets and weights, with some all-zero candidate rows.
+
+    Rows come from a drawn seed, so instances are continuous random data
+    and exact score ties arise only from the zero rows.
+    """
+    n = draw(st.integers(max(1, min_zero_rows), max_n))
+    zero_rows = draw(st.integers(min_zero_rows, n))
+    k_views = draw(st.integers(1, 2))
+    d = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=k_views, max_size=k_views))
+    if not any(raw):
+        raw[0] = 1.0
+    datasets = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    views = {f"v{k}": unit_rows(rng, n, d) for k in range(k_views)}
+    zero = rng.choice(n, size=zero_rows, replace=False)
+    for mat in views.values():
+        mat[zero] = 0.0
+    durations = rng.uniform(1.0, 10.0, size=n)
+    targets = TargetSet(
+        [
+            TargetDataset(f"ds{m}", {name: unit_rows(rng, rows, d) for name in views})
+            for m, rows in enumerate(datasets)
+        ]
+    )
+    weights = FusionWeights({name: w for name, w in zip(views, raw)})
+    return views, durations, targets, weights, set(zero.tolist())
+
+
+def quiet_batched_mmr(durations, views, targets, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallPoolWarning)
+        return batched_mmr(durations, views, targets, cfg)
+
+
+def ranked(r):
+    return sorted(range(len(r)), key=lambda i: (-r[i], i))
+
+
+alphas = st.floats(min_value=0.05, max_value=1.0)
+rhos = st.floats(min_value=0.05, max_value=1.0)
+lams = st.sampled_from([0.0, 0.3, 0.7, 1.0])
+
+
+class TestSelectorProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(inst=instances(), alpha=alphas, rho=rhos, lam=lams, batch=st.integers(1, 4))
+    def test_exhausts_the_pool_or_fills_the_budget(self, inst, alpha, rho, lam, batch):
+        views, durations, targets, weights, _ = inst
+        n = durations.size
+        cfg = SelectionConfig(alpha=alpha, lam=lam, rho=rho, batch_size=batch, weights=weights)
+        result = quiet_batched_mmr(durations, views, targets, cfg)
+        assert result.pool_size == min(n, max(1, math.ceil(rho * n)))
+        pool = ranked(relevance_multi_dataset(views, targets, weights))[: result.pool_size]
+        indices = [p.index for p in result.picks]
+        assert len(set(indices)) == len(indices)
+        assert set(indices) <= set(pool)
+        if result.exhausted:
+            assert sorted(indices) == sorted(pool)
+            assert result.total_selected_s < result.budget_s
+        else:
+            assert result.total_selected_s >= result.budget_s
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=instances(min_zero_rows=1), lam=lams, batch=st.integers(1, 4))
+    def test_zero_rows_score_exactly_zero(self, inst, lam, batch):
+        """A candidate whose rows are all zero has relevance and diversity 0."""
+        views, durations, targets, weights, zero = inst
+        cfg = SelectionConfig(alpha=1.0, lam=lam, rho=1.0, batch_size=batch, weights=weights)
+        r = relevance_multi_dataset(views, targets, weights)
+        for result in (
+            quiet_batched_mmr(durations, views, targets, cfg),
+            greedy_mmr_exact(r, views, durations, cfg),
+        ):
+            assert {p.index for p in result.picks} == set(range(durations.size))
+            for pick in result.picks:
+                if pick.index in zero:
+                    assert pick.relevance == 0.0
+                    assert pick.diversity == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=instances(max_n=2), alpha=alphas, rho=rhos, lam=lams, batch=st.integers(1, 4))
+    def test_tiny_pools(self, inst, alpha, rho, lam, batch):
+        """N = 1 and N = 2: the seed first, then the one row left if the budget needs it."""
+        views, durations, targets, weights, _ = inst
+        n = durations.size
+        cfg = SelectionConfig(alpha=alpha, lam=lam, rho=rho, batch_size=batch, weights=weights)
+        result = quiet_batched_mmr(durations, views, targets, cfg)
+        order = ranked(relevance_multi_dataset(views, targets, weights))
+        seed = order[0]
+        expected = order if result.pool_size == 2 and durations[seed] < result.budget_s else [seed]
+        assert [p.index for p in result.picks] == expected
+        assert result.rounds == len(expected) - 1
+        assert result.picks[0].diversity == 0.0
+        assert result.exhausted == (result.total_selected_s < result.budget_s)
+        if n == 1:
+            assert not result.exhausted
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        inst=instances(),
+        alpha=alphas,
+        lam=lams,
+        aggregation=st.sampled_from(list(AggregationMode)),
+    )
+    def test_b1_rho1_matches_exact_greedy(self, inst, alpha, lam, aggregation):
+        views, durations, targets, weights, _ = inst
+        cfg = SelectionConfig(
+            alpha=alpha, lam=lam, rho=1.0, batch_size=1, weights=weights, aggregation=aggregation
+        )
+        r = relevance_multi_dataset(views, targets, weights, aggregation)
+        exact = greedy_mmr_exact(r, views, durations, cfg)
+        batched = quiet_batched_mmr(durations, views, targets, cfg)
+        assert [p.index for p in batched.picks] == [p.index for p in exact.picks]
+        assert batched.exhausted == exact.exhausted
+        assert batched.total_selected_s == exact.total_selected_s
 
 
 class TestRandomBaseline:
