@@ -9,6 +9,20 @@ only candidates committed in *previous* rounds, so diversity inside a
 committed batch is deliberately not enforced; with B=1 and rho=1 the
 procedure reduces exactly to greedy MMR.
 
+Rounds refresh lazily: the accelerated greedy of Minoux (1978), also
+known as CELF (Leskovec et al., 2007), applied to MMR. v only grows as
+batches commit, so a candidate's stale MMR score is an upper bound on
+its exact one, bit for bit: the running max is a max over exact grid dot
+products, and the 2^-52 scale, the fusion sum and clip and
+lam*r - (1-lam)*v are all monotone under round-to-nearest. Each round
+orders the remaining pool by stale score, refreshes a head of 2B
+candidates and takes the top B by exact score, doubling the head while
+the first candidate beyond it could still tie or beat the B-th at its
+bound. A refresh folds in only the rows committed since the candidate's
+last one, read as a slice of a commit-order buffer of grid rows, and
+committed rows are never refreshed again. Picks and score bits are those
+of refreshing the whole pool every round.
+
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
 at every step.
@@ -215,6 +229,7 @@ def batched_mmr(
     # rounded onto the kernel's grid once, not once per round
     pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
     r_pool = r[pool]
+    lam_r = cfg.lam * r_pool
 
     seed_pos = 0  # pool is sorted by (-relevance, index)
     seed_idx = int(pool[seed_pos])
@@ -223,11 +238,34 @@ def batched_mmr(
     committed = np.zeros(pool_size, dtype=bool)
     committed[seed_pos] = True
 
-    # per-view running max similarity to the committed set
+    # Committed grid rows in commit order, per view (pages are touched only
+    # as rows commit). stamp[i] is how many of them are folded into
+    # candidate i's per-view running max vmax; v and m are i's fused
+    # diversity and MMR score as of that stamp.
+    ncom = 1
+    commits = {name: np.empty_like(rows) for name, rows in pool_rows.items()}
+    for name, rows in pool_rows.items():
+        commits[name][0] = rows[seed_pos]
+    stamp = np.full(pool_size, ncom, dtype=np.int64)
     vmax = {
         name: max_similarity(rows, rows[[seed_pos]], on_grid=True)
         for name, rows in pool_rows.items()
     }
+    v = weights.fuse(vmax.__getitem__)
+    m = lam_r - (1.0 - cfg.lam) * v
+
+    def refresh(positions: np.ndarray) -> None:
+        """Fold into each candidate the rows committed since its stamp."""
+        stale = positions[stamp[positions] < ncom]
+        for s in np.unique(stamp[stale]):
+            grp = stale[stamp[stale] == s]
+            for name, rows in pool_rows.items():
+                running = vmax[name][grp]
+                update_running_max(rows[grp], commits[name][s:ncom], running, threads=threads)
+                vmax[name][grp] = running
+        stamp[stale] = ncom
+        v[stale] = weights.fuse(lambda name: vmax[name][stale])
+        m[stale] = lam_r[stale] - (1.0 - cfg.lam) * v[stale]
 
     rounds = 0
     exhausted = False
@@ -237,11 +275,23 @@ def batched_mmr(
             exhausted = True
             break
         rounds += 1
-        v = weights.fuse(vmax.__getitem__)
-        m = cfg.lam * r_pool - (1.0 - cfg.lam) * v
+        # Stale scores are upper bounds: refresh the head of the stale
+        # order, doubling it until the first candidate beyond it cannot
+        # reach the top B even at its bound.
+        order = remaining[np.lexsort((pool[remaining], -m[remaining]))]
+        head = min(2 * cfg.batch_size, order.size)
+        refresh(order[:head])
+        while True:
+            top = order[:head]
+            batch_pos = top[np.lexsort((pool[top], -m[top]))][: cfg.batch_size]
+            if head == order.size:
+                break
+            nxt, last = order[head], batch_pos[-1]
+            if (m[nxt], -pool[nxt]) < (m[last], -pool[last]):
+                break
+            refresh(order[head : 2 * head])
+            head = min(2 * head, order.size)
 
-        sub = np.lexsort((pool[remaining], -m[remaining]))[: cfg.batch_size]
-        batch_pos = remaining[sub]
         for pos in batch_pos:
             idx = int(pool[pos])
             total += float(d[idx])
@@ -250,7 +300,8 @@ def batched_mmr(
             )
         committed[batch_pos] = True
         for name, rows in pool_rows.items():
-            update_running_max(rows, rows[batch_pos], vmax[name], threads=threads)
+            commits[name][ncom : ncom + batch_pos.size] = rows[batch_pos]
+        ncom += batch_pos.size
 
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
 

@@ -72,10 +72,8 @@ def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
         zero = norms == 0.0
         zero_count += int(zero.sum())
         fix = ~zero & (np.abs(norms - 1.0) > _UNIT_SNAP)
-        if np.any(fix):
-            block[fix] = (block[fix].astype(np.float64) / norms[fix, None]).astype(
-                np.float32
-            )
+        # float64 divide, then the float32 cast on store, in place
+        np.divide(block, norms[:, None], out=block, where=fix[:, None], casting="unsafe")
     return out, zero_count
 
 

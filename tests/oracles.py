@@ -1,13 +1,41 @@
-"""Plain-numpy brute-force oracles for the similarity kernel.
+"""Reference implementations that tests hold the library to.
 
-These loop over rows in float64 and share no code with
+The similarity oracles loop over rows in float64 and share no code with
 `corpus_select.relevance`, so a test that compares the two checks the
-kernel rather than the kernel against itself.
+kernel rather than the kernel against itself. `eager_batched_mmr` is
+the selector's round loop before lazy refresh; it shares the kernel and
+checks only the refresh schedule. `normalize_rows_gather` is the
+row normalization's earlier gather-and-scatter formula.
 """
+
+import math
+import warnings
+from typing import Mapping
 
 import numpy as np
 
-from corpus_select.errors import DimensionMismatch, EmptySelection, MissingView
+from corpus_select.errors import (
+    DimensionMismatch,
+    EmptyCorpus,
+    EmptySelection,
+    MissingView,
+    SmallPoolWarning,
+)
+from corpus_select.relevance import (
+    _as_matrix,
+    max_similarity,
+    relevance_multi_dataset,
+    to_grid,
+    update_running_max,
+)
+from corpus_select.selection import (
+    Pick,
+    SelectionConfig,
+    SelectionResult,
+    _ranked,
+    _resolve_weights,
+)
+from corpus_select.store import _NORM_BLOCK, _UNIT_SNAP, TargetSet
 
 
 def cosine(a, b) -> float:
@@ -58,3 +86,105 @@ def diversity_penalty(candidate, selected, views, weights) -> float:
         mat = np.asarray(views[name], dtype=np.float64)
         value += w * max(cosine(mat[candidate], mat[j]) for j in selected)
     return float(np.clip(value, -1.0, 1.0))
+
+
+def normalize_rows_gather(rows):
+    """Unit-normalize float32 rows through a boolean gather and scatter.
+
+    Same float64 norms, divide and float32 cast as `store._normalize_rows`.
+    """
+    out = np.array(rows, dtype=np.float32, copy=True)
+    zero_count = 0
+    for lo in range(0, out.shape[0], _NORM_BLOCK):
+        block = out[lo : lo + _NORM_BLOCK]
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64))
+        zero = norms == 0.0
+        zero_count += int(zero.sum())
+        fix = ~zero & (np.abs(norms - 1.0) > _UNIT_SNAP)
+        if np.any(fix):
+            block[fix] = (block[fix].astype(np.float64) / norms[fix, None]).astype(
+                np.float32
+            )
+    return out, zero_count
+
+
+def eager_batched_mmr(
+    durations: np.ndarray,
+    views: Mapping[str, np.ndarray],
+    targets: TargetSet,
+    cfg: SelectionConfig,
+    *,
+    threads: int = 1,
+) -> SelectionResult:
+    """`selection.batched_mmr` with the eager round loop it replaced.
+
+    Every round folds the committed batch into the running max of the
+    whole prefilter pool, committed rows included, then ranks the pool by
+    exact MMR score. The lazy selector must match it pick for pick and
+    bit for bit.
+    """
+    d = np.asarray(durations, dtype=np.float64)
+    n = d.shape[0]
+    if n == 0:
+        raise EmptyCorpus("no candidates to select from")
+    weights = _resolve_weights(cfg.weights, views.keys())
+    mats = {name: _as_matrix(views[name]) for name in weights.names}
+    for name, mat in mats.items():
+        if mat.shape[0] != n:
+            raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
+
+    budget = cfg.alpha * float(d.sum())
+    r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation, threads=threads)
+
+    pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
+    pool = _ranked(np.arange(n), r)[:pool_size]
+    expected_picks = math.ceil(cfg.alpha * n)
+    if pool_size < 2 * expected_picks:
+        warnings.warn(
+            f"prefilter pool ({pool_size}) is below twice the expected pick "
+            f"count ({expected_picks}); selection may exhaust it",
+            SmallPoolWarning,
+            stacklevel=2,
+        )
+
+    # rounded onto the kernel's grid once, not once per round
+    pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
+    r_pool = r[pool]
+
+    seed_pos = 0  # pool is sorted by (-relevance, index)
+    seed_idx = int(pool[seed_pos])
+    total = float(d[seed_idx])
+    picks = [Pick(1, seed_idx, float(r_pool[0]), 0.0, cfg.lam * float(r_pool[0]), total)]
+    committed = np.zeros(pool_size, dtype=bool)
+    committed[seed_pos] = True
+
+    # per-view running max similarity to the committed set
+    vmax = {
+        name: max_similarity(rows, rows[[seed_pos]], on_grid=True)
+        for name, rows in pool_rows.items()
+    }
+
+    rounds = 0
+    exhausted = False
+    while total < budget:
+        remaining = np.flatnonzero(~committed)
+        if remaining.size == 0:
+            exhausted = True
+            break
+        rounds += 1
+        v = weights.fuse(vmax.__getitem__)
+        m = cfg.lam * r_pool - (1.0 - cfg.lam) * v
+
+        sub = np.lexsort((pool[remaining], -m[remaining]))[: cfg.batch_size]
+        batch_pos = remaining[sub]
+        for pos in batch_pos:
+            idx = int(pool[pos])
+            total += float(d[idx])
+            picks.append(
+                Pick(len(picks) + 1, idx, float(r_pool[pos]), float(v[pos]), float(m[pos]), total)
+            )
+        committed[batch_pos] = True
+        for name, rows in pool_rows.items():
+            update_running_max(rows, rows[batch_pos], vmax[name], threads=threads)
+
+    return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)

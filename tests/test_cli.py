@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corpus_select import cli
 from corpus_select.cli import run
 from corpus_select.store import EmbeddingView, _atomic_bytes, save_view
 
@@ -79,6 +80,25 @@ class TestUsageErrors:
         code = run(["select", "--corpus", "nope", "--targets", "x", "--seed", "-1", "--out", "z"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+class TestDefaultThreads:
+    def test_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("CORPUS_SELECT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._default_threads() == 2
+
+    def test_env_var_overrides_affinity(self, monkeypatch):
+        monkeypatch.setenv("CORPUS_SELECT_THREADS", "5")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._default_threads() == 5
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("CORPUS_SELECT_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._default_threads() == 3
 
 
 class TestDataErrors:

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_select import selection
 from corpus_select.errors import EmptyCorpus, SmallPoolWarning
-from corpus_select.relevance import AggregationMode, FusionWeights, relevance_multi_dataset
+from corpus_select.relevance import (
+    AggregationMode,
+    FusionWeights,
+    relevance_multi_dataset,
+    to_grid,
+)
 from corpus_select.selection import (
     SelectionConfig,
     batched_mmr,
@@ -15,8 +21,10 @@ from corpus_select.selection import (
     greedy_mmr_exact,
     random_baseline,
 )
-from corpus_select.store import TargetDataset, TargetSet
+from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 from conftest import unit_rows
+import oracles
+from oracles import eager_batched_mmr
 
 
 # ---------- independent reference: a straightforward, stateless rendering
@@ -243,6 +251,50 @@ def instances(draw, max_n=12, min_zero_rows=0):
     return views, durations, targets, weights, set(zero.tolist())
 
 
+@st.composite
+def tied_instances(draw):
+    """Up to 300 candidates, many sharing their rows in every view.
+
+    Candidates drawn onto the same base row tie exactly in relevance,
+    diversity and MMR score, so equal keys straddle the refresh head.
+    """
+    n = draw(st.integers(1, 300))
+    distinct = draw(st.integers(1, n))
+    k_views = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 6))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=k_views, max_size=k_views))
+    if not any(raw):
+        raw[0] = 1.0
+    datasets = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, distinct, size=n)
+    views = {f"v{k}": unit_rows(rng, distinct, d)[base] for k in range(k_views)}
+    durations = rng.uniform(1.0, 10.0, size=n)
+    targets = TargetSet(
+        [
+            TargetDataset(f"ds{m}", {name: unit_rows(rng, rows, d) for name in views})
+            for m, rows in enumerate(datasets)
+        ]
+    )
+    weights = FusionWeights({name: w for name, w in zip(views, raw)})
+    return views, durations, targets, weights
+
+
+def selection_bits(result):
+    """Everything a selection reports, with scores as raw float64 bytes."""
+    scores = np.array(
+        [(p.relevance, p.diversity, p.mmr, p.cumulative_duration_s) for p in result.picks],
+        dtype=np.float64,
+    )
+    return (
+        [p.index for p in result.picks],
+        scores.tobytes(),
+        result.rounds,
+        result.pool_size,
+        result.exhausted,
+    )
+
+
 def quiet_batched_mmr(durations, views, targets, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallPoolWarning)
@@ -330,6 +382,76 @@ class TestSelectorProperties:
         assert [p.index for p in batched.picks] == [p.index for p in exact.picks]
         assert batched.exhausted == exact.exhausted
         assert batched.total_selected_s == exact.total_selected_s
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        inst=tied_instances(),
+        alpha=alphas,
+        rho=rhos,
+        lam=lams,
+        batch=st.integers(1, 64),
+        aggregation=st.sampled_from(list(AggregationMode)),
+    )
+    def test_lazy_refresh_equals_eager_rounds(self, inst, alpha, rho, lam, batch, aggregation):
+        """Same picks, score bits, rounds, pool and exhaustion as refreshing every round."""
+        views, durations, targets, weights = inst
+        cfg = SelectionConfig(
+            alpha=alpha,
+            lam=lam,
+            rho=rho,
+            batch_size=batch,
+            weights=weights,
+            aggregation=aggregation,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallPoolWarning)
+            eager = eager_batched_mmr(durations, views, targets, cfg)
+        assert selection_bits(quiet_batched_mmr(durations, views, targets, cfg)) == selection_bits(
+            eager
+        )
+
+    def test_lazy_refresh_skips_committed_rows_and_most_work(self, monkeypatch):
+        """On clustered data the running max folds in under 0.7x the eager loop's row pairs."""
+        rng = np.random.default_rng(4242)
+        n, d = 4000, 16
+        centers = unit_rows(rng, 8, d)
+        noisy = centers[rng.integers(0, 8, size=n)] + 0.6 * rng.standard_normal((n, d))
+        views = {"v": _normalize_rows(noisy.astype(np.float32))[0]}
+        durations = rng.uniform(1.0, 10.0, size=n)
+        targets = TargetSet([TargetDataset("t", {"v": unit_rows(rng, 20, d)})])
+        cfg = SelectionConfig(alpha=0.1, rho=0.5, batch_size=32, weights=FusionWeights({"v": 1.0}))
+
+        calls = {"lazy": [], "eager": []}
+
+        def counting(log, kernel):
+            def wrapped(rows, batch, running, **kwargs):
+                log.append((rows.copy(), batch.shape[0], batch[-1].copy()))
+                return kernel(rows, batch, running, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            selection, "update_running_max", counting(calls["lazy"], selection.update_running_max)
+        )
+        monkeypatch.setattr(
+            oracles, "update_running_max", counting(calls["eager"], oracles.update_running_max)
+        )
+        lazy = batched_mmr(durations, views, targets, cfg)
+        eager = eager_batched_mmr(durations, views, targets, cfg)
+        assert selection_bits(lazy) == selection_bits(eager)
+        assert lazy.rounds > 5
+
+        # committed grid rows in commit order; rows are distinct, so bytes identify them
+        committed = [row.tobytes() for row in to_grid(views["v"][lazy.indices])]
+        position = {row: i for i, row in enumerate(committed)}
+        for rows, _, last in calls["lazy"]:
+            before = set(committed[: position[last.tobytes()] + 1])
+            assert not any(row.tobytes() in before for row in rows)
+        work = {
+            side: sum(rows.shape[0] * batch_rows for rows, batch_rows, _ in log)
+            for side, log in calls.items()
+        }
+        assert work["lazy"] < 0.7 * work["eager"]
 
 
 class TestRandomBaseline:

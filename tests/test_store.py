@@ -23,8 +23,12 @@ from corpus_select.store import (
     load_manifest,
     load_view,
     save_view,
+    _NORM_BLOCK,
+    _UNIT_SNAP,
+    _normalize_rows,
 )
 from corpus_select.errors import EmptyTargets
+from oracles import normalize_rows_gather
 
 HEADER = struct.Struct("<4sIBQI")
 
@@ -147,6 +151,26 @@ class TestNormalize:
         out = l2_normalize(EmbeddingView("x", 6, rows))
         dots = np.einsum("ij,ij->i", out.rows, out.rows, dtype=np.float64)
         assert np.all(np.abs(dots - 1.0) <= 1e-5)
+
+
+    def test_matches_gather_formula_bitwise(self):
+        """In-place masked divide gives the gather-and-scatter bytes and zero count."""
+        rng = np.random.default_rng(7)
+        n = _NORM_BLOCK + 1000
+        rows = rng.standard_normal((n, 4)).astype(np.float32)
+        rows *= rng.uniform(1e-3, 1e3, size=(n, 1)).astype(np.float32)
+        rows[::97] = 0.0
+        near = np.arange(5, n, 89)
+        near = near[near % 97 != 0]
+        unit = (rows[near] / np.linalg.norm(rows[near], axis=1, keepdims=True)).astype(np.float32)
+        rows[near] = unit * np.float32(1.0 + _UNIT_SNAP / 2)
+        out, zeros = _normalize_rows(rows)
+        ref, ref_zeros = normalize_rows_gather(rows)
+        assert out.tobytes() == ref.tobytes()
+        assert zeros == ref_zeros == len(range(0, n, 97))
+        snapped = np.abs(np.linalg.norm(rows[near].astype(np.float64), axis=1) - 1.0) <= _UNIT_SNAP
+        assert snapped.sum() > 100
+        np.testing.assert_array_equal(out[near[snapped]], rows[near[snapped]])
 
 
 class TestManifest:

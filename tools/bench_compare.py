@@ -1,0 +1,167 @@
+"""Benchmark a base commit against the working tree and write a BENCH file.
+
+    python3 tools/bench_compare.py --base HEAD --seeds 1 2 3 4 5 6 7 8 9 10 \
+        --trace-seeds 1 --seconds 20 --out BENCH_lazy_refresh.json
+
+Run from the root of a checkout. The base commit is exported with
+`git archive` into a scratch directory (a `git worktree` would register
+itself in the repository). For each seed, `perfbench/run.py --workload
+all --trace 0` runs once on each side, one at a time, with the side that
+goes first alternating from seed to seed; each `--trace-seeds` seed adds
+one traced run (`--trace 1`) per side for the per-layer numbers. The
+BENCH file gives, per workload, every end-to-end metric as each side's
+median and quartiles over seeds, the change's wins out of the pairs, the
+traced running-max and ranking layers, the pick digests of both sides,
+and the numeric environment of the host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = (
+    "selection.running_max.s",
+    "selection.running_max.gflop",
+    "selection.running_max.calls",
+    "selection.rank.s",
+    "relevance.s",
+)
+END_TO_END = {
+    "wall_s": "lower",
+    "cpu_s": "lower",
+    "peak_rss_mb": "lower",
+    "setup_s": "lower",
+    "pick_relevance_mean": "higher",
+    "pick_diversity_mean": "lower",
+}
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export_commit(rev: str, dest: Path) -> str:
+    """Extract the tree of `rev` into `dest`; returns the full commit id."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def run_bench(checkout: Path, seed: int, seconds: float, trace: int) -> dict[str, dict]:
+    """One `perfbench/run.py --workload all` run; the result of each workload by name."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", "all",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    print(f"[{checkout}] {' '.join(cmd[1:])}", file=sys.stderr, flush=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: exit {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    results = {}
+    for path in (checkout / ".perfbench" / "results").glob(f"*-seed{seed}-trace{trace}.json"):
+        result = json.loads(path.read_text())
+        results[result["workload"]] = result
+    return results
+
+
+def _quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict[str, list[dict]], traced: dict[str, list[dict]]) -> dict:
+    """Per workload: end-to-end medians, quartiles and wins, traced layers, digests."""
+    out = {}
+    for name in runs["base"][0]:
+        pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"])]
+        end_to_end = {}
+        for key, better in END_TO_END.items():
+            base = [b["end_to_end"][key] for b, _ in pairs]
+            change = [c["end_to_end"][key] for _, c in pairs]
+            wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
+            stats = {"base": _quartiles(base), "change": _quartiles(change)}
+            end_to_end[key] = {
+                **stats,
+                "change_over_base": stats["change"]["median"] / stats["base"]["median"],
+                "base_iqr_over_median": (stats["base"]["q3"] - stats["base"]["q1"]) / stats["base"]["median"],
+                "change_wins": f"{wins}/{len(pairs)}",
+            }
+        layers = {
+            key: {
+                side: statistics.median(t[name]["per_layer"].get(key, 0.0) for t in traced[side])
+                for side in ("base", "change")
+            }
+            for key in LAYERS
+        } if traced["base"] else {}
+        out[name] = {
+            "end_to_end": end_to_end,
+            "traced_layers": layers,
+            "failed": {side: sum(r[name]["failed"] for r in runs[side]) for side in runs},
+            "attempted": {side: sum(r[name]["attempted"] for r in runs[side]) for side in runs},
+            "pick_digests": {side: [r[name]["pick_digest"] for r in runs[side]] for side in runs},
+            "same_picks": all(b["pick_digest"] == c["pick_digest"] for b, c in pairs),
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare the working tree against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    parser.add_argument("--trace-seeds", type=int, nargs="*", default=[1])
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--scratch", type=Path, help="directory for the base checkout (default: a temporary one)")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    traced: dict[str, list[dict]] = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-base-", dir=args.scratch) as scratch:
+        base_commit = export_commit(args.base, Path(scratch))
+        sides = {"base": Path(scratch), "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                runs[side].append(run_bench(sides[side], seed, args.seconds, 0))
+        for seed in args.trace_seeds:
+            for side in ("base", "change"):
+                traced[side].append(run_bench(sides[side], seed, args.seconds, 1))
+
+    environment = next(iter(runs["change"][0].values()))["environment"]
+    command = ["python3", "tools/bench_compare.py", "--base", args.base, "--seeds", *map(str, args.seeds)]
+    command += ["--trace-seeds", *map(str, args.trace_seeds), "--seconds", str(args.seconds), "--out", args.out.name]
+    bench = {
+        "command": " ".join(command),
+        "base_commit": base_commit,
+        "change": f"working tree on {_git('rev-parse', 'HEAD').decode().strip()}",
+        "seeds": args.seeds,
+        "trace_seeds": args.trace_seeds,
+        "seconds": args.seconds,
+        "pairs": "one untraced `perfbench/run.py --workload all` run per side per seed, "
+        "alternating which side runs first; quartiles are over seeds",
+        "environment": environment,
+        "workloads": summarize(runs, traced),
+    }
+    args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
+    for name, w in bench["workloads"].items():
+        wall = w["end_to_end"]["wall_s"]
+        print(
+            f"{name}: wall {wall['base']['median']:.3f} -> {wall['change']['median']:.3f} s "
+            f"(wins {wall['change_wins']}), same picks {w['same_picks']}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
