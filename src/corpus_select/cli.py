@@ -4,11 +4,12 @@ Subcommands: project, audit, compact-targets, select, probe, stats. Every
 numeric flag is range-validated at parse time, before any data is loaded.
 Exit codes: 0 success, 1 data errors (with file/line context), 2 usage
 errors (naming the offending flag). Output files are written to a temp
-file and atomically renamed, and each output gets a JSON run manifest
-sidecar (`<output>.run.json`) recording the fully resolved configuration,
-input digests, output digests and per-phase wall-clock times. Re-running
-a subcommand with `--replay <run.json>` reproduces the run from the
-manifest and verifies the output digests.
+file and atomically renamed, and each run gets a JSON run manifest
+sidecar (`run.json` in an output directory, else `<output>.run.json`)
+recording the fully resolved configuration, keyed by each flag's `dest`,
+digests of the files the run read and wrote, and per-phase wall-clock
+times. Re-running a subcommand with `--replay <run.json>` reproduces the
+run from the manifest and verifies the output digests.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ from corpus_select.relevance import AggregationMode, FusionWeights
 from corpus_select.selection import SelectionConfig, batched_mmr, duration_baseline, random_baseline
 from corpus_select.store import (
     _atomic_bytes,
+    corpus_files,
     load_corpus,
     load_target_durations,
     load_targets,
     load_view,
     save_targets,
     save_view,
+    target_files,
+    target_manifests,
 )
 
 _ENV_THREADS = "CORPUS_SELECT_THREADS"
@@ -73,15 +77,7 @@ def _file_entry(path: Path) -> dict:
 
 
 def _input_files(paths: list[Path]) -> dict:
-    entries: dict[str, dict] = {}
-    for path in sorted(set(Path(p) for p in paths)):
-        if path.is_dir():
-            for child in sorted(path.rglob("*")):
-                if child.is_file():
-                    entries[str(child)] = _file_entry(child)
-        elif path.is_file():
-            entries[str(path)] = _file_entry(path)
-    return entries
+    return {str(path): _file_entry(path) for path in sorted(set(map(Path, paths)))}
 
 
 def emit_run_manifest(
@@ -172,13 +168,22 @@ def _view_dims_arg(text: str) -> dict[str, int]:
     return dims
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
+    """The parser, and per kind of run the flags it needs.
+
+    A flag's dest is its key in the run config. argparse cannot require
+    the needed flags itself, because `--replay` supplies the whole config.
+    """
     parser = argparse.ArgumentParser(
         prog="corpus-select",
         description="Duration-budgeted corpus subset selection over embedding views.",
     )
     parser.add_argument("--version", action="version", version=f"corpus-select {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    required: dict[str, list[argparse.Action]] = {}
+
+    def need(row: str, p: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
+        required.setdefault(row, []).append(p.add_argument(*flags, **kwargs))
 
     def add_replay(p):
         p.add_argument(
@@ -188,31 +193,31 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("project", help="project a view to a lower dimension")
-    p.add_argument("--in", dest="input", metavar="VIEW_EMB", help="input view file")
-    p.add_argument("--out", metavar="VIEW_EMB", help="output view file")
+    need("project", p, "--in", dest="input", metavar="VIEW_EMB", help="input view file")
+    need("project", p, "--out", metavar="VIEW_EMB", help="output view file")
     p.add_argument("--dim", type=_positive_int, default=256)
     p.add_argument("--seed", type=_seed, default=0)
     add_replay(p)
 
     p = sub.add_parser("audit", help="cosine-preservation audit between two views")
-    p.add_argument("--hi", metavar="VIEW_EMB", help="high-dimensional view")
-    p.add_argument("--lo", metavar="VIEW_EMB", help="projected view")
+    need("audit", p, "--hi", metavar="VIEW_EMB", help="high-dimensional view")
+    need("audit", p, "--lo", metavar="VIEW_EMB", help="projected view")
     p.add_argument("--pairs", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     add_replay(p)
 
     p = sub.add_parser("compact-targets", help="k-means compaction of target embeddings")
-    p.add_argument("--targets", metavar="DIR", help="targets directory")
+    need("compact-targets", p, "--targets", metavar="DIR", help="targets directory")
     p.add_argument("--k", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", metavar="DIR", help="output targets directory")
+    need("compact-targets", p, "--out", metavar="DIR", help="output targets directory")
     add_replay(p)
 
     p = sub.add_parser("select", help="select a duration-budgeted subset")
-    p.add_argument("--corpus", metavar="DIR", help="corpus directory")
+    need("select", p, "--corpus", metavar="DIR", help="corpus directory")
     p.add_argument("--targets", metavar="DIR", help="targets directory")
     p.add_argument("--method", choices=("mmr", "random", "duration"), default="mmr")
-    p.add_argument("--lambda", dest="lam", type=_float_in(0.0, 1.0), default=0.7)
+    p.add_argument("--lambda", type=_float_in(0.0, 1.0), default=0.7)
     p.add_argument("--alpha", type=_float_in(0.0, 1.0, lo_open=True), default=0.05)
     p.add_argument("--rho", type=_float_in(0.0, 1.0, lo_open=True), default=0.15)
     p.add_argument("--batch", type=_positive_int, default=1024)
@@ -220,17 +225,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", choices=("max", "mean"), default="max")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--bins", type=_positive_int, default=20, help="duration-baseline bins")
-    p.add_argument("--out", metavar="JSONL", help="selection output file")
+    need("select", p, "--out", metavar="JSONL", help="selection output file")
     p.add_argument("--threads", type=_positive_int, default=None)
-    p.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="keep raw embedding rows instead of L2-normalizing at load",
-    )
     add_replay(p)
 
     p = sub.add_parser("probe", help="cross-view predictability probe")
-    p.add_argument("--corpus", metavar="DIR", help="corpus directory")
+    need("probe", p, "--corpus", metavar="DIR", help="corpus directory")
     p.add_argument("--views", type=_views_arg, default=None, metavar="NAME,...")
     p.add_argument("--clusters", type=_positive_int, default=100)
     p.add_argument("--train-fraction", type=_float_in(0.0, 1.0, lo_open=True), default=0.8)
@@ -238,10 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_replay(p)
 
     p = sub.add_parser("stats", help="corpus statistics or synthetic fixture generation")
-    p.add_argument("--corpus", metavar="DIR", help="corpus directory to summarize")
+    need("stats", p, "--corpus", metavar="DIR", help="corpus directory to summarize")
     p.add_argument("--make-fixture", action="store_true", help="generate a synthetic fixture")
-    p.add_argument("--out", metavar="DIR", help="fixture corpus directory")
-    p.add_argument("--targets-out", metavar="DIR", help="fixture targets directory")
+    need("stats --make-fixture", p, "--out", metavar="DIR", help="fixture corpus directory")
+    need("stats --make-fixture", p, "--targets-out", metavar="DIR", help="fixture targets directory")
     p.add_argument("--utterances", type=_positive_int, default=2000)
     p.add_argument("--views", dest="view_dims", type=_view_dims_arg, default=None, metavar="NAME:DIM,...")
     p.add_argument("--clusters", type=_positive_int, default=10)
@@ -250,85 +250,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-rows", type=_positive_int, default=120)
     p.add_argument("--seed", type=_seed, default=0)
 
-    return parser
+    return parser, required
 
 
-def _require(args_value, flag: str):
-    if args_value is None:
-        raise UsageError(f"argument {flag} is required")
-    return args_value
-
-
-# ---------- subcommand configs (fully resolved, JSON-able) ----------
-
-def _config_from_args(args: argparse.Namespace) -> dict:
-    sc = args.subcommand
-    if sc == "project":
-        return {
-            "input": _require(args.input, "--in"),
-            "out": _require(args.out, "--out"),
-            "dim": args.dim,
-            "seed": args.seed,
-        }
-    if sc == "audit":
-        return {
-            "hi": _require(args.hi, "--hi"),
-            "lo": _require(args.lo, "--lo"),
-            "pairs": args.pairs,
-            "seed": args.seed,
-        }
-    if sc == "compact-targets":
-        return {
-            "targets": _require(args.targets, "--targets"),
-            "k": args.k,
-            "seed": args.seed,
-            "out": _require(args.out, "--out"),
-        }
-    if sc == "select":
-        config = {
-            "corpus": _require(args.corpus, "--corpus"),
-            "targets": args.targets,
-            "method": args.method,
-            "lambda": args.lam,
-            "alpha": args.alpha,
-            "rho": args.rho,
-            "batch": args.batch,
-            "weights": args.weights,
-            "aggregate": args.aggregate,
-            "seed": args.seed,
-            "bins": args.bins,
-            "out": _require(args.out, "--out"),
-            "threads": args.threads if args.threads is not None else _default_threads(),
-            "normalize": not args.no_normalize,
-        }
-        if args.method in ("mmr", "duration") and config["targets"] is None:
-            raise UsageError(f"argument --targets is required for method {args.method!r}")
-        return config
-    if sc == "probe":
-        return {
-            "corpus": _require(args.corpus, "--corpus"),
-            "views": args.views,
-            "clusters": args.clusters,
-            "train_fraction": args.train_fraction,
-            "seed": args.seed,
-        }
-    if sc == "stats":
-        if args.make_fixture:
-            spec = FixtureSpec()
-            return {
-                "make_fixture": True,
-                "out": _require(args.out, "--out"),
-                "targets_out": _require(args.targets_out, "--targets-out"),
-                "utterances": args.utterances,
-                "view_dims": args.view_dims or dict(spec.view_dims),
-                "clusters": args.clusters,
-                "spread": args.spread,
-                "target_datasets": args.target_datasets,
-                "target_rows": args.target_rows,
-                "seed": args.seed,
-            }
-        return {"make_fixture": False, "corpus": _require(args.corpus, "--corpus")}
-    raise UsageError(f"unknown subcommand {sc!r}")
+def _config_from_args(args: argparse.Namespace, required: dict[str, list[argparse.Action]]) -> dict:
+    """The fully resolved, JSON-able run config: every flag under its dest."""
+    config = {k: v for k, v in vars(args).items() if k not in ("subcommand", "replay")}
+    row = "stats --make-fixture" if config.get("make_fixture") else args.subcommand
+    for action in required[row]:
+        if config[action.dest] is None:
+            raise UsageError(f"argument {action.option_strings[0]} is required")
+    if "threads" in config and config["threads"] is None:
+        config["threads"] = _default_threads()
+    if config.get("make_fixture") and config["view_dims"] is None:
+        config["view_dims"] = dict(FixtureSpec().view_dims)
+    method = config.get("method")
+    if method in ("mmr", "duration") and config["targets"] is None:
+        raise UsageError(f"argument --targets is required for method {method!r}")
+    return config
 
 
 # ---------- handlers ----------
@@ -385,7 +324,7 @@ def _cmd_compact(config: dict) -> tuple[list[Path], list[Path], dict]:
         out_dir / ds.name / f"{view}.emb" for ds in compacted.datasets for view in ds.views
     ]
     phases = {"load_s": t1 - t0, "compact_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
-    return [Path(config["targets"])], outputs, phases
+    return sum(target_files(config["targets"]).values(), []), outputs, phases
 
 
 def _write_selection(result, records, out: Path) -> None:
@@ -416,16 +355,14 @@ def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
     t0 = time.perf_counter()
     weights = FusionWeights(config["weights"]) if config["weights"] else None
     view_names = weights.names if weights is not None else None
-    corpus = load_corpus(config["corpus"], views=view_names, normalize=config["normalize"])
-    inputs = [Path(config["corpus"])]
+    corpus = load_corpus(config["corpus"], views=view_names)
+    inputs = corpus_files(config["corpus"], view_names)
     t1 = time.perf_counter()
 
     method = config["method"]
     if method == "mmr":
-        targets = load_targets(
-            config["targets"], views=view_names, normalize=config["normalize"]
-        )
-        inputs.append(Path(config["targets"]))
+        targets = load_targets(config["targets"], views=view_names)
+        inputs += sum(target_files(config["targets"], view_names).values(), [])
         cfg = SelectionConfig(
             alpha=config["alpha"],
             lam=config["lambda"],
@@ -441,7 +378,7 @@ def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
         result = random_baseline(corpus.durations, config["alpha"], config["seed"])
     else:
         target_durations = load_target_durations(config["targets"])
-        inputs.append(Path(config["targets"]))
+        inputs += target_manifests(config["targets"])
         result = duration_baseline(
             corpus.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
         )
@@ -486,7 +423,7 @@ def _cmd_probe(config: dict) -> tuple[list[Path], list[Path], dict]:
     chance = max(r.chance for r in reports)
     print(f"chance level: {chance * 100.0:.1f}%")
     phases = {"load_s": t1 - t0, "probe_s": t2 - t1, "total_s": t2 - t0}
-    return [Path(config["corpus"])], [], phases
+    return corpus_files(config["corpus"], config["views"]), [], phases
 
 
 def _cmd_stats(config: dict) -> tuple[list[Path], list[Path], dict]:
@@ -518,15 +455,16 @@ def _cmd_stats(config: dict) -> tuple[list[Path], list[Path], dict]:
     print(f"utterances: {len(corpus)}")
     print(f"total-hours: {durations.sum() / 3600.0:.2f}")
     print("datasets:")
-    tags = sorted({r.dataset for r in corpus.records})
-    for tag in tags:
-        mask = np.array([r.dataset == tag for r in corpus.records])
-        print(f"  {tag}  {int(mask.sum())}  {durations[mask].sum() / 3600.0:.2f}h")
+    tags, tag_of = np.unique([r.dataset for r in corpus.records], return_inverse=True)
+    counts = np.bincount(tag_of, minlength=tags.size)
+    seconds = np.bincount(tag_of, weights=durations, minlength=tags.size)
+    for tag, count, total in zip(tags, counts, seconds):
+        print(f"  {tag}  {count}  {total / 3600.0:.2f}h")
     print("views:")
     for name, view in corpus.views.items():
         flag = "normalized" if view.normalized else "raw"
         print(f"  {name}  {view.dims} dims  {flag}")
-    return [Path(config["corpus"])], [], {"total_s": t1 - t0}
+    return corpus_files(config["corpus"]), [], {"total_s": t1 - t0}
 
 
 _HANDLERS = {
@@ -539,11 +477,10 @@ _HANDLERS = {
 }
 
 
-def _sidecar_path(subcommand: str, config: dict, outputs: list[Path]) -> Path | None:
-    if subcommand == "compact-targets":
-        return Path(config["out"]) / "run.json"
-    if subcommand == "stats" and config.get("make_fixture"):
-        return Path(config["out"]) / "run.json"
+def _sidecar_path(config: dict, outputs: list[Path]) -> Path | None:
+    out = config.get("out")
+    if out is not None and Path(out).is_dir():
+        return Path(out) / "run.json"
     if outputs:
         first = Path(outputs[0])
         return first.with_name(first.name + ".run.json")
@@ -572,7 +509,7 @@ def _verify_replay_outputs(manifest: dict) -> None:
 
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, and map errors to exit codes."""
-    parser = _build_parser()
+    parser, required = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -595,11 +532,11 @@ def run(argv: list[str]) -> int:
             _verify_replay_inputs(replay_manifest)
             config = replay_manifest["config"]
         else:
-            config = _config_from_args(args)
+            config = _config_from_args(args, required)
 
         inputs, outputs, phases = _HANDLERS[args.subcommand](config)
 
-        sidecar = _sidecar_path(args.subcommand, config, outputs)
+        sidecar = _sidecar_path(config, outputs)
         if sidecar is not None:
             emit_run_manifest(sidecar, args.subcommand, config, inputs, outputs, phases)
         if replay_manifest is not None:

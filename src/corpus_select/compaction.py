@@ -19,21 +19,18 @@ from corpus_select.errors import DegenerateInput, NonFiniteEntry
 from corpus_select.rng import generator, subseed
 from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 
+_MAX_ITERS = 100
+_TOL = 1e-4  # relative centroid-shift threshold
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int = 200
-    max_iters: int = 100
-    tol: float = 1e-4  # relative centroid-shift threshold
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
 
 @dataclass
@@ -146,7 +143,7 @@ def kmeans(rows: np.ndarray, cfg: KMeansConfig) -> Clustering:
     _repair_empty(x, assignments, d2, centroids, k)
 
     iterations = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         iterations += 1
         new_centroids = _means(x, assignments, k)
         denom = max(float(np.linalg.norm(centroids)), 1e-12)
@@ -155,7 +152,7 @@ def kmeans(rows: np.ndarray, cfg: KMeansConfig) -> Clustering:
         assignments, d2 = _assign(x, centroids, x2)
         history.append(float(d2.min(axis=1).sum()))
         repaired = _repair_empty(x, assignments, d2, centroids, k)
-        if shift < cfg.tol and not repaired:
+        if shift < _TOL and not repaired:
             break
 
     # final consistency pass: re-derive assignments from the final centroids

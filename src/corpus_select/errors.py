@@ -72,10 +72,6 @@ class EmptyTargetSet(DataError):
     """A target set contains no datasets."""
 
 
-class EmptySelection(DataError):
-    """Diversity penalty asked for an empty selected set."""
-
-
 class EmptyCorpus(DataError):
     """Selection over a corpus with no utterances."""
 

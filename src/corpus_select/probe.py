@@ -10,8 +10,8 @@ the target view carries information the source view does not.
 The classifier is full-batch gradient descent on softmax cross-entropy
 with an L2 penalty. Steps that fail to lower the loss are rejected and
 the step halved, clean improvements let the step grow, and plateaus decay
-it, so the recorded loss history is non-increasing by construction while
-the configured learning rate only has to set the starting scale.
+it, so the recorded loss history is non-increasing by construction and
+the starting learning rate only sets the scale of the first step.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from corpus_select.errors import DegenerateSplit, DimensionMismatch, TooFewRows
 from corpus_select.rng import generator, subseed
 from corpus_select.store import EmbeddingView
 
+_L2_PENALTY = 1e-4
+_MAX_EPOCHS = 200
+_LEARNING_RATE = 0.1
 _PLATEAU_REL = 1e-6
 _MIN_LR = 1e-10
 
@@ -33,9 +36,6 @@ _MIN_LR = 1e-10
 class ProbeConfig:
     clusters: int = 100
     train_fraction: float = 0.8
-    l2_penalty: float = 1e-4
-    max_epochs: int = 200
-    learning_rate: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -45,12 +45,6 @@ class ProbeConfig:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-        if self.l2_penalty < 0:
-            raise ValueError(f"l2_penalty must be nonnegative, got {self.l2_penalty}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be positive, got {self.max_epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +124,19 @@ def _stratified_split(
 
 
 def _fit(
-    x_train: np.ndarray, y_train: np.ndarray, n_classes: int, cfg: ProbeConfig
+    x_train: np.ndarray, y_train: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Full-batch descent with reject-and-halve steps; returns loss history."""
     weights = np.zeros((x_train.shape[1], n_classes), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
-    loss, grad_w, grad_b = softmax_loss_and_grad(
-        weights, bias, x_train, y_train, cfg.l2_penalty
-    )
+    loss, grad_w, grad_b = softmax_loss_and_grad(weights, bias, x_train, y_train, _L2_PENALTY)
     history = [loss]
-    lr = cfg.learning_rate
-    for _ in range(cfg.max_epochs):
+    lr = _LEARNING_RATE
+    for _ in range(_MAX_EPOCHS):
         w_next = weights - lr * grad_w
         b_next = bias - lr * grad_b
         loss_next, gw_next, gb_next = softmax_loss_and_grad(
-            w_next, b_next, x_train, y_train, cfg.l2_penalty
+            w_next, b_next, x_train, y_train, _L2_PENALTY
         )
         if loss_next <= loss:
             improved = loss - loss_next
@@ -198,7 +190,7 @@ def fit_predict(
         )
 
     n_classes = int(y.max()) + 1
-    weights, bias, _ = _fit(x[train_idx], y[train_idx], n_classes, cfg)
+    weights, bias, _ = _fit(x[train_idx], y[train_idx], n_classes)
 
     logits = x[held_idx] @ weights + bias
     predictions = logits.argmax(axis=1)
@@ -207,18 +199,6 @@ def fit_predict(
     return ProbeReport(
         name, label_name, accuracy, chance, int(train_idx.size), int(held_idx.size)
     )
-
-
-def fit_loss_history(
-    source: EmbeddingView | np.ndarray, labels: np.ndarray, cfg: ProbeConfig
-) -> list[float]:
-    """Training-loss trajectory of the probe fit; non-increasing by construction."""
-    x, _ = _source_rows(source, None)
-    y = np.asarray(labels)
-    rng = generator(cfg.seed, "probe-split")
-    train_idx, _ = _stratified_split(y, cfg.train_fraction, rng)
-    _, _, history = _fit(x[train_idx], y[train_idx], int(y.max()) + 1, cfg)
-    return history
 
 
 def probe_matrix(views: dict[str, EmbeddingView], cfg: ProbeConfig) -> list[ProbeReport]:

@@ -60,10 +60,8 @@ def make_projection(spec: ProjectionSpec) -> np.ndarray:
     return matrix
 
 
-def project_view(
-    view: EmbeddingView, matrix: np.ndarray, *, name: str | None = None
-) -> EmbeddingView:
-    """Project rows through `matrix` and re-normalize them.
+def project_view(view: EmbeddingView, matrix: np.ndarray) -> EmbeddingView:
+    """Project rows through `matrix` and re-normalize them; the name is kept.
 
     Rows of a view not marked normalized are normalized first, which
     leaves the direction of each image unchanged. Zero input rows stay
@@ -89,7 +87,7 @@ def project_view(
         norms = np.sqrt(np.einsum("ij,ij->i", image, image))[:, None]
         np.divide(image, norms, out=image, where=norms > 0.0)
         out[lo : lo + _ROW_BLOCK] = image
-    return EmbeddingView(name if name is not None else view.name, out_dim, out, normalized=True)
+    return EmbeddingView(view.name, out_dim, out, normalized=True)
 
 
 def _unit_rows(view: EmbeddingView | np.ndarray) -> np.ndarray:

@@ -62,7 +62,8 @@ class FusionWeights:
 
     Normalizing keeps the MMR trade-off comparable across view counts and
     makes the weights scale-invariant: multiplying all raw weights by any
-    c > 0 yields the same FusionWeights.
+    c > 0 yields the same FusionWeights. Views of weight 0 are dropped, so
+    `names` lists only the views that are loaded, scored and tracked.
     """
 
     weights: Mapping[str, float]
@@ -77,9 +78,8 @@ class FusionWeights:
         total = sum(items.values())
         if total <= 0:
             raise ValueError("at least one fusion weight must be positive")
-        object.__setattr__(
-            self, "weights", {name: w / total for name, w in items.items()}
-        )
+        shares = ((name, w / total) for name, w in items.items())
+        object.__setattr__(self, "weights", {name: s for name, s in shares if s > 0.0})
 
     @classmethod
     def uniform(cls, names: Sequence[str]) -> "FusionWeights":
@@ -90,15 +90,14 @@ class FusionWeights:
         return list(self.weights)
 
     def fuse(self, score: Callable[[str], np.ndarray]) -> np.ndarray:
-        """Weighted sum of `score(name)` over views of nonzero weight, clipped to [-1, 1].
+        """Weighted sum of `score(name)` over the views, clipped to [-1, 1].
 
-        Views are visited in weight order and zero-weight views are never
-        scored, so every caller sums the same terms in the same order.
+        Views are visited in weight order, so every caller sums the same
+        terms in the same order.
         """
         total = 0.0
         for name, w in self.weights.items():
-            if w != 0.0:
-                total = total + w * score(name)
+            total = total + w * score(name)
         return np.clip(total, -1.0, 1.0)
 
 

@@ -29,9 +29,9 @@ import os
 import secrets
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -231,8 +231,8 @@ def save_view(view: EmbeddingView, path: str | Path) -> None:
     _atomic_bytes(Path(path), _write)
 
 
-def load_view(path: str | Path, *, name: str | None = None, normalize: bool = True) -> EmbeddingView:
-    """Load an EMB1 view file.
+def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
+    """Load an EMB1 view file; the view is named after the file's stem.
 
     Unless the header marks the rows normalized, rows are L2-normalized on
     load so that cosine equals dot product downstream; pass
@@ -259,7 +259,7 @@ def load_view(path: str | Path, *, name: str | None = None, normalize: bool = Tr
             )
         data = np.fromfile(fh, dtype="<f4", count=n * d)
     rows = data.reshape(n, d)
-    view = EmbeddingView(name if name is not None else path.stem, d, rows, normalized=bool(flag))
+    view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
     if normalize and not view.normalized:
         view = l2_normalize(view)
     return view
@@ -329,65 +329,65 @@ def save_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> None:
     _atomic_bytes(Path(path), _write)
 
 
-def load_corpus(
-    directory: str | Path,
-    *,
-    views: Sequence[str] | None = None,
-    normalize: bool = True,
-) -> CorpusManifest:
-    """Load `manifest.jsonl` plus view files from a corpus directory.
+def _view_files(directory: Path, views: Sequence[str] | None) -> list[Path]:
+    if views is None:
+        return sorted(directory.glob("*.emb"), key=lambda p: p.stem)
+    return [directory / f"{name}.emb" for name in views]
 
-    `views` selects view names to load (default: every `.emb` file,
-    sorted by name).
+
+def _dataset_dirs(directory: str | Path) -> list[Path]:
+    directory = Path(directory)
+    return sorted(p for p in directory.iterdir() if p.is_dir()) or [directory]
+
+
+def corpus_files(directory: str | Path, views: Sequence[str] | None = None) -> list[Path]:
+    """The files `load_corpus` reads: `manifest.jsonl`, then the view files.
+
+    `views` selects view names (default: every `.emb` file, sorted by name).
     """
     directory = Path(directory)
-    records = load_manifest(directory / "manifest.jsonl")
-    if views is None:
-        names = sorted(p.stem for p in directory.glob("*.emb"))
-    else:
-        names = list(views)
-    loaded: dict[str, EmbeddingView] = {}
-    for name in names:
-        loaded[name] = load_view(directory / f"{name}.emb", name=name, normalize=normalize)
-    return CorpusManifest(records, loaded)
+    return [directory / "manifest.jsonl", *_view_files(directory, views)]
 
 
-def load_targets(
-    directory: str | Path,
-    *,
-    views: Sequence[str] | None = None,
-    normalize: bool = True,
-) -> TargetSet:
-    """Load a targets directory into a TargetSet.
+def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) -> CorpusManifest:
+    """Load `manifest.jsonl` plus view files from a corpus directory."""
+    manifest, *view_files = corpus_files(directory, views)
+    records = load_manifest(manifest)
+    return CorpusManifest(records, {path.stem: load_view(path) for path in view_files})
+
+
+def target_files(directory: str | Path, views: Sequence[str] | None = None) -> dict[str, list[Path]]:
+    """The view files `load_targets` reads, by target dataset name.
 
     Subdirectories become datasets in sorted name order; a flat directory
     of `.emb` files becomes a single dataset named after the directory.
     """
-    directory = Path(directory)
-    subdirs = sorted(p for p in directory.iterdir() if p.is_dir())
-    if not subdirs:
-        subdirs = [directory]
-    datasets: list[TargetDataset] = []
-    for sub in subdirs:
-        if views is None:
-            names = sorted(p.stem for p in sub.glob("*.emb"))
-        else:
-            names = list(views)
-        mats: dict[str, np.ndarray] = {}
-        for name in names:
-            view = load_view(sub / f"{name}.emb", name=name, normalize=normalize)
-            mats[name] = view.rows
-        datasets.append(TargetDataset(sub.name, mats))
-    return TargetSet(datasets)
+    return {sub.name: _view_files(sub, views) for sub in _dataset_dirs(directory)}
 
 
-def save_targets(targets: TargetSet, directory: str | Path, *, normalized: bool = True) -> None:
-    """Write each dataset's views under `<directory>/<dataset>/<view>.emb`."""
+def load_targets(directory: str | Path, *, views: Sequence[str] | None = None) -> TargetSet:
+    """Load a targets directory into a TargetSet (layout as in `target_files`)."""
+    return TargetSet(
+        [
+            TargetDataset(name, {path.stem: load_view(path).rows for path in files})
+            for name, files in target_files(directory, views).items()
+        ]
+    )
+
+
+def save_targets(targets: TargetSet, directory: str | Path) -> None:
+    """Write each dataset's views, marked normalized, under `<directory>/<dataset>/<view>.emb`."""
     directory = Path(directory)
     for ds in targets.datasets:
         for view_name, mat in ds.views.items():
-            view = EmbeddingView(view_name, mat.shape[1], mat, normalized=normalized)
+            view = EmbeddingView(view_name, mat.shape[1], mat, normalized=True)
             save_view(view, directory / ds.name / f"{view_name}.emb")
+
+
+def target_manifests(directory: str | Path) -> list[Path]:
+    """The dataset manifests under a targets directory that `load_target_durations` reads."""
+    manifests = (sub / "manifest.jsonl" for sub in _dataset_dirs(directory))
+    return [path for path in manifests if path.exists()]
 
 
 def load_target_durations(directory: str | Path) -> np.ndarray:
@@ -396,15 +396,7 @@ def load_target_durations(directory: str | Path) -> np.ndarray:
     Used by the duration-matching baseline, which needs target durations
     rather than embeddings.
     """
-    directory = Path(directory)
-    subdirs = sorted(p for p in directory.iterdir() if p.is_dir())
-    if not subdirs:
-        subdirs = [directory]
-    durations: list[float] = []
-    for sub in subdirs:
-        manifest = sub / "manifest.jsonl"
-        if manifest.exists():
-            durations.extend(r.duration_s for r in load_manifest(manifest))
+    durations = [r.duration_s for path in target_manifests(directory) for r in load_manifest(path)]
     if not durations:
         raise EmptyTargets(f"{directory}: no dataset manifest with durations found")
     return np.array(durations, dtype=np.float64)

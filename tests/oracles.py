@@ -6,6 +6,7 @@ kernel rather than the kernel against itself. `eager_batched_mmr` is
 the selector's round loop before lazy refresh; it shares the kernel and
 checks only the refresh schedule. `normalize_rows_gather` is the
 row normalization's earlier gather-and-scatter formula.
+`fit_loss_history` exposes the probe fit's loss trajectory.
 """
 
 import math
@@ -15,12 +16,13 @@ from typing import Mapping
 import numpy as np
 
 from corpus_select.errors import (
+    DataError,
     DimensionMismatch,
     EmptyCorpus,
-    EmptySelection,
     MissingView,
     SmallPoolWarning,
 )
+from corpus_select.probe import _fit, _source_rows, _stratified_split
 from corpus_select.relevance import (
     _as_matrix,
     max_similarity,
@@ -28,6 +30,7 @@ from corpus_select.relevance import (
     to_grid,
     update_running_max,
 )
+from corpus_select.rng import generator
 from corpus_select.selection import (
     Pick,
     SelectionConfig,
@@ -36,6 +39,10 @@ from corpus_select.selection import (
     _resolve_weights,
 )
 from corpus_select.store import _NORM_BLOCK, _UNIT_SNAP, TargetSet
+
+
+class EmptySelection(DataError):
+    """Diversity penalty asked for an empty selected set."""
 
 
 def cosine(a, b) -> float:
@@ -188,3 +195,13 @@ def eager_batched_mmr(
             update_running_max(rows, rows[batch_pos], vmax[name], threads=threads)
 
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
+
+
+def fit_loss_history(source, labels, cfg) -> list[float]:
+    """Training-loss trajectory of the probe fit; non-increasing by construction."""
+    x, _ = _source_rows(source, None)
+    y = np.asarray(labels)
+    rng = generator(cfg.seed, "probe-split")
+    train_idx, _ = _stratified_split(y, cfg.train_fraction, rng)
+    _, _, history = _fit(x[train_idx], y[train_idx], int(y.max()) + 1)
+    return history

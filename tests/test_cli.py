@@ -11,7 +11,7 @@ import pytest
 
 from corpus_select import cli
 from corpus_select.cli import run
-from corpus_select.store import EmbeddingView, _atomic_bytes, save_view
+from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, save_view
 
 # the selection bytes of golden_selection_digest: projection and scoring
 # GEMMs are exact, so they are the same under every BLAS kernel, thread
@@ -125,6 +125,21 @@ class TestStats:
         assert "total-hours:" in out
         assert "speaker  48 dims" in out and "wavlm  48 dims" in out
         assert "web-a" in out
+
+    def test_dataset_lines_match_per_tag_sums(self, fixture_dirs, capsys):
+        """The per-dataset lines equal a per-tag masked sum of the durations."""
+        corpus, _ = fixture_dirs
+        assert run(["stats", "--corpus", str(corpus)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = load_manifest(corpus / "manifest.jsonl")
+        durations = np.array([r.duration_s for r in records])
+        expected = []
+        for tag in sorted({r.dataset for r in records}):
+            mask = np.array([r.dataset == tag for r in records])
+            expected.append(f"  {tag}  {int(mask.sum())}  {durations[mask].sum() / 3600.0:.2f}h")
+        start = lines.index("datasets:") + 1
+        assert lines[start : start + len(expected)] == expected
+        assert lines[start + len(expected)] == "views:"
 
 
 class TestProjectAndAudit:
@@ -286,12 +301,97 @@ class TestReplay:
         assert code == 1
         assert "/nowhere/gone.emb" in captured.err
 
+    @pytest.mark.parametrize(
+        "kind", ["project", "compact-targets", "select-mmr", "select-random", "select-duration"]
+    )
+    def test_round_trip(self, fixture_dirs, tmp_path, capsys, kind):
+        """A run's sidecar replays with exit 0 and reproduces its output digests."""
+        corpus, targets = fixture_dirs
+        if kind == "project":
+            out = tmp_path / "p.emb"
+            argv = ["project", "--in", str(corpus / "speaker.emb"), "--out", str(out), "--dim", "16"]
+            sidecar = tmp_path / "p.emb.run.json"
+        elif kind == "compact-targets":
+            out = tmp_path / "compact"
+            argv = ["compact-targets", "--targets", str(targets), "--k", "20", "--out", str(out)]
+            sidecar = out / "run.json"
+        else:
+            out = tmp_path / "s.jsonl"
+            argv = TestSelect().select_args(corpus, targets, out, ("--method", kind.split("-")[1]))
+            sidecar = tmp_path / "s.jsonl.run.json"
+        assert run(argv) == 0
+        recorded = json.loads(sidecar.read_text())
+        assert recorded["outputs"]
+        capsys.readouterr()
+        assert run([argv[0], "--replay", str(sidecar)]) == 0
+        assert "outputs match recorded digests" in capsys.readouterr().out
+        for path, entry in recorded["outputs"].items():
+            assert sha256(Path(path)) == entry["sha256"]
+
+    def test_replays_a_manifest_with_the_earlier_select_keys(self, fixture_dirs, tmp_path, capsys):
+        """A select manifest in the earlier layout, with a `normalize` key and every
+        file under the input directories recorded, still replays."""
+        corpus, targets = fixture_dirs
+        out = tmp_path / "earlier.jsonl"
+        assert run(TestSelect().select_args(corpus, targets, out)) == 0
+        digest = sha256(out)
+        config = {
+            "corpus": str(corpus), "targets": str(targets), "method": "mmr", "lambda": 0.7,
+            "alpha": 0.05, "rho": 0.3, "batch": 16, "weights": None, "aggregate": "max",
+            "seed": 9, "bins": 20, "out": str(out), "threads": 2, "normalize": True,
+        }  # fmt: skip
+        inputs = {
+            str(path): {"sha256": sha256(path), "bytes": path.stat().st_size}
+            for root in (corpus, targets)
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+        manifest = {
+            "tool": "corpus-select", "version": "0.1.0", "subcommand": "select",
+            "config": config, "inputs": inputs,
+            "outputs": {str(out): {"sha256": digest, "bytes": out.stat().st_size}},
+            "phases": {"total_s": 1.0},
+        }  # fmt: skip
+        path = tmp_path / "earlier.run.json"
+        path.write_text(json.dumps(manifest))
+        out.unlink()
+        capsys.readouterr()
+        assert run(["select", "--replay", str(path)]) == 0
+        assert "outputs match recorded digests" in capsys.readouterr().out
+        assert sha256(out) == digest
+
     def test_replay_wrong_subcommand(self, fixture_dirs, tmp_path, capsys):
         corpus, targets = fixture_dirs
         out = tmp_path / "r3.jsonl"
         assert run(TestSelect().select_args(corpus, targets, out)) == 0
         code = run(["probe", "--replay", str(tmp_path / "r3.jsonl.run.json")])
         assert code == 2
+
+
+class TestRunManifestInputs:
+    @pytest.mark.parametrize("weights", ["b=1", "b=1,a=0"])
+    def test_records_only_the_files_read(self, tmp_path, weights):
+        """Files next to the views that select does not read (another view, a
+        sidecar) are no inputs, so rewriting them leaves the run replayable."""
+        corpus, targets = tmp_path / "corpus", tmp_path / "targets"
+        assert run(
+            [
+                "stats", "--make-fixture", "--out", str(corpus), "--targets-out", str(targets),
+                "--utterances", "300", "--views", "a:32,b:32", "--clusters", "4",
+                "--target-rows", "40", "--seed", "5",
+            ]
+        ) == 0  # fmt: skip
+        project = ["project", "--in", str(corpus / "a.emb"), "--out", str(corpus / "a16.emb"), "--dim", "16"]
+        assert run(project) == 0
+        out = tmp_path / "sel.jsonl"
+        select = ["select", "--corpus", str(corpus), "--targets", str(targets)]
+        assert run([*select, "--weights", weights, "--batch", "16", "--out", str(out)]) == 0
+        sidecar = tmp_path / "sel.jsonl.run.json"
+        read = [corpus / "manifest.jsonl", corpus / "b.emb"]
+        read += [targets / f"target-{m}" / "b.emb" for m in range(2)]
+        assert sorted(json.loads(sidecar.read_text())["inputs"]) == sorted(map(str, read))
+        assert run(project) == 0  # rewrites a16.emb.run.json
+        assert run(["select", "--replay", str(sidecar)]) == 0
 
 
 class TestProbeCommand:

@@ -4,7 +4,6 @@ import pytest
 from corpus_select.errors import DegenerateSplit, TooFewRows
 from corpus_select.probe import (
     ProbeConfig,
-    fit_loss_history,
     fit_predict,
     probe_matrix,
     pseudo_label,
@@ -12,6 +11,7 @@ from corpus_select.probe import (
 )
 from corpus_select.store import EmbeddingView, _normalize_rows
 from conftest import unit_rows
+from oracles import fit_loss_history
 
 
 def clustered_view(rng, name, n, d, n_clusters, spread=0.05, assignment=None):

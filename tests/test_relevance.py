@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from corpus_select.errors import (
     DimensionMismatch,
-    EmptySelection,
     EmptyTargets,
     EmptyTargetSet,
     MissingView,
@@ -19,7 +18,7 @@ from corpus_select.relevance import (
 )
 from corpus_select.store import TargetDataset, TargetSet
 from conftest import unit_rows
-from oracles import brute_max_sim, cosine, diversity_penalty, integer_max_sim
+from oracles import EmptySelection, brute_max_sim, cosine, diversity_penalty, integer_max_sim
 
 
 def brute_fused(views, targets, weights):

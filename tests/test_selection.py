@@ -453,6 +453,32 @@ class TestSelectorProperties:
         }
         assert work["lazy"] < 0.7 * work["eager"]
 
+    def test_zero_weight_view_is_not_tracked(self, monkeypatch):
+        """A view of weight 0 costs no running-max work: as many calls as without it."""
+        rng = np.random.default_rng(77)
+        n, d = 500, 8
+        views = {"a": unit_rows(rng, n, d), "b": unit_rows(rng, n, d)}
+        durations = rng.uniform(1.0, 10.0, size=n)
+        targets = TargetSet([TargetDataset("t", {name: unit_rows(rng, 12, d) for name in views})])
+        calls = []
+
+        def counting(rows, batch, running, **kwargs):
+            calls.append(rows.shape[0])
+            return kernel(rows, batch, running, **kwargs)
+
+        kernel = selection.update_running_max
+        monkeypatch.setattr(selection, "update_running_max", counting)
+        results = {}
+        for label, chosen, weights in (
+            ("zero", views, {"a": 1.0, "b": 0.0}),
+            ("alone", {"a": views["a"]}, {"a": 1.0}),
+        ):
+            cfg = SelectionConfig(alpha=0.2, rho=0.6, batch_size=16, weights=FusionWeights(weights))
+            calls.clear()
+            results[label] = (selection_bits(batched_mmr(durations, chosen, targets, cfg)), len(calls))
+        assert results["zero"] == results["alone"]
+        assert results["alone"][1] > 0
+
 
 class TestRandomBaseline:
     def test_alpha_one_selects_everything(self, rng):

@@ -1,7 +1,7 @@
 """Benchmark a base commit against the working tree and write a BENCH file.
 
     python3 tools/bench_compare.py --base HEAD --seeds 1 2 3 4 5 6 7 8 9 10 \
-        --trace-seeds 1 --seconds 20 --out BENCH_lazy_refresh.json
+        --trace-seeds 1 --seconds 20 --out BENCH_options_once.json
 
 Run from the root of a checkout. The base commit is exported with
 `git archive` into a scratch directory (a `git worktree` would register
@@ -11,8 +11,9 @@ goes first alternating from seed to seed; each `--trace-seeds` seed adds
 one traced run (`--trace 1`) per side for the per-layer numbers. The
 BENCH file gives, per workload, every end-to-end metric as each side's
 median and quartiles over seeds, the change's wins out of the pairs, the
-traced running-max and ranking layers, the pick digests of both sides,
-and the numeric environment of the host.
+traced running-max, ranking and input-digest layers, the pick digests
+of both sides, each side's `wc -l src/corpus_select/*.py` and the
+numeric environment of the host.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ LAYERS = (
     "selection.running_max.calls",
     "selection.rank.s",
     "relevance.s",
+    "cli.input_digest.s",
+    "cli.input_digest.mb",
 )
 END_TO_END = {
     "wall_s": "lower",
@@ -55,6 +58,15 @@ def export_commit(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def source_lines(checkout: Path) -> dict[str, int]:
+    """Newline count of each `src/corpus_select/*.py` file, as `wc -l` gives it, and the total."""
+    counts = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted((checkout / "src" / "corpus_select").glob("*.py"))
+    }
+    return {**counts, "total": sum(counts.values())}
 
 
 def run_bench(checkout: Path, seed: int, seconds: float, trace: int) -> dict[str, dict]:
@@ -131,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-", dir=args.scratch) as scratch:
         base_commit = export_commit(args.base, Path(scratch))
         sides = {"base": Path(scratch), "change": ROOT}
+        src_lines = {side: source_lines(checkout) for side, checkout in sides.items()}
         for i, seed in enumerate(args.seeds):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                 runs[side].append(run_bench(sides[side], seed, args.seconds, 0))
@@ -151,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": "one untraced `perfbench/run.py --workload all` run per side per seed, "
         "alternating which side runs first; quartiles are over seeds",
         "environment": environment,
+        "src_lines": src_lines,
         "workloads": summarize(runs, traced),
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
