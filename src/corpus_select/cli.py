@@ -36,6 +36,7 @@ from corpus_select.store import (
     _atomic_bytes,
     corpus_files,
     load_corpus,
+    load_manifest,
     load_target_durations,
     load_targets,
     load_view,
@@ -353,13 +354,20 @@ def _write_selection(result, records, out: Path) -> None:
 
 def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
     t0 = time.perf_counter()
+    method = config["method"]
     weights = FusionWeights(config["weights"]) if config["weights"] else None
     view_names = weights.names if weights is not None else None
-    corpus = load_corpus(config["corpus"], views=view_names)
+    if method != "mmr":
+        view_names = []  # the baselines read durations only
     inputs = corpus_files(config["corpus"], view_names)
+    if method == "mmr":
+        corpus = load_corpus(config["corpus"], views=view_names)
+        records, durations = corpus.records, corpus.durations
+    else:
+        records = load_manifest(inputs[0])
+        durations = np.array([r.duration_s for r in records], dtype=np.float64)
     t1 = time.perf_counter()
 
-    method = config["method"]
     if method == "mmr":
         targets = load_targets(config["targets"], views=view_names)
         inputs += sum(target_files(config["targets"], view_names).values(), [])
@@ -371,25 +379,23 @@ def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
             weights=weights,
             aggregation=AggregationMode.from_name(config["aggregate"]),
         )
-        result = batched_mmr(
-            corpus.durations, corpus.view_matrices, targets, cfg, threads=config["threads"]
-        )
+        result = batched_mmr(durations, corpus.view_matrices, targets, cfg, threads=config["threads"])
     elif method == "random":
-        result = random_baseline(corpus.durations, config["alpha"], config["seed"])
+        result = random_baseline(durations, config["alpha"], config["seed"])
     else:
         target_durations = load_target_durations(config["targets"])
         inputs += target_manifests(config["targets"])
         result = duration_baseline(
-            corpus.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
+            durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
         )
     t2 = time.perf_counter()
 
     out = Path(config["out"])
-    _write_selection(result, corpus.records, out)
+    _write_selection(result, records, out)
     t3 = time.perf_counter()
     hours = result.total_selected_s / 3600.0
     print(
-        f"selected {len(result.picks)} of {len(corpus)} utterances "
+        f"selected {len(result.picks)} of {len(records)} utterances "
         f"({hours:.2f} h, budget {result.budget_s / 3600.0:.2f} h, "
         f"pool {result.pool_size}, {result.rounds} rounds)"
     )
@@ -536,11 +542,14 @@ def run(argv: list[str]) -> int:
 
         inputs, outputs, phases = _HANDLERS[args.subcommand](config)
 
-        sidecar = _sidecar_path(config, outputs)
-        if sidecar is not None:
-            emit_run_manifest(sidecar, args.subcommand, config, inputs, outputs, phases)
         if replay_manifest is not None:
             _verify_replay_outputs(replay_manifest)
+        sidecar = _sidecar_path(config, outputs)
+        # a replay never writes over the manifest it replays
+        if sidecar is not None and not (
+            replay_path is not None and sidecar.resolve() == Path(replay_path).resolve()
+        ):
+            emit_run_manifest(sidecar, args.subcommand, config, inputs, outputs, phases)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,17 +19,42 @@ result does not depend on summation order, FMA use, BLAS blocking, the
 BLAS kernel or the thread count. The bound leaves room for norms up to
 about 1.4, far beyond float32 rounding of unit rows. The price is a
 score error of about sqrt(D) * 2^-26 at most against the unrounded rows
-(2.4e-7 at D = 256). Candidates are scored in blocks with a running max,
-so the full candidate-by-target score matrix is never materialized;
-blocks can be fanned out over threads because each writes a disjoint
-output slice.
+(2.4e-7 at D = 256).
+
+Candidates are scored in tiles of at most 2,048 candidate rows by 4,096
+target rows, and each tile is reduced to its row max before the next
+GEMM, so no more than one tile of scores (64 MB in float64, 32 MB in
+float32) exists per thread and the full candidate-by-target matrix is
+never materialized. Blocks of 16,384 candidate rows can be fanned out
+over threads, because each writes a disjoint output slice.
+
+The same blocked loop also runs a float32 GEMM, the screen behind
+`relevance_bounds`. For any summation order, blocking or FMA use, a
+float32 dot product of D terms is within gamma_D * |x| |y| of the exact
+one, gamma_D = D u / (1 - D u) with u = 2^-24 (Higham, *Accuracy and
+Stability of Numerical Algorithms*, section 3.1), and the grid rounding
+moves a score by at most 2^-27 sqrt(D) (|x| + |y|) + D 2^-54. With c and
+t the largest candidate and target row norms, the exact kernel's score
+therefore lies within
+
+    eps = gamma_D c t + 2^-27 sqrt(D) (c + t) + D 2^-54
+
+of the float32 row max (plus the float32 cast error of inputs that are
+not float32, and a slack term for underflow and float64 rounding). The
+bounds a - eps and a + eps are rounded outward in float64 and clipped
+like the kernel's scores, and fusion and aggregation are monotone under
+round-to-nearest, so the fused bounds hold bit for bit. The selector
+scores exactly only the rows whose upper bound can reach its pool
+(Rump's filter, then certify).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -37,9 +62,11 @@ import numpy as np
 from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView
 from corpus_select.store import EmbeddingView, TargetSet
 
-_CAND_BLOCK = 16384
-_TARGET_BLOCK = 16384
+_CAND_BLOCK = 16384  # candidate rows per thread-pool unit
+_TILE_ROWS = 2048  # candidate rows per score tile
+_TILE_TARGETS = 4096  # target rows per score tile
 _GRID = 2.0**26
+_SCREEN_MAX_NORM = 2.0**40  # beyond this the float32 screen could overflow
 
 
 class AggregationMode(enum.Enum):
@@ -141,12 +168,7 @@ def max_similarity(
     return _max_similarity_sets(candidates, [targets], threads=threads, on_grid=on_grid)[0]
 
 
-def _max_similarity_sets(candidates, target_sets, *, threads: int = 1, on_grid: bool = False):
-    """`max_similarity` against each target set: a (sets, N) array.
-
-    Each candidate block is rounded once for all sets, so every further
-    target dataset adds only its GEMMs.
-    """
+def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
     cands = _as_matrix(candidates)
     sets = [_as_matrix(t) for t in target_sets]
     for tgts in sets:
@@ -156,18 +178,35 @@ def _max_similarity_sets(candidates, target_sets, *, threads: int = 1, on_grid: 
             raise DimensionMismatch(
                 f"candidates have {cands.shape[1]} dims, targets {tgts.shape[1]}"
             )
-    n = cands.shape[0]
-    result = np.empty((len(sets), n), dtype=np.float64)
-    grids = sets if on_grid else [to_grid(t) for t in sets]
+    return cands, sets
+
+
+def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], *, threads: int) -> np.ndarray:
+    """Per-candidate max of `tile_rows(lo, hi) @ targets.T` for each target matrix: (sets, n).
+
+    `tile_rows(lo, hi)` gives candidate rows lo:hi in the dtype of the
+    target matrices, which is the dtype of the GEMM and of the result.
+    Each tile is reduced into the result before the next GEMM writes the
+    same buffer.
+    """
+    dtype = sets[0].dtype
+    result = np.empty((len(sets), n), dtype=dtype)
+    width = min(_TILE_TARGETS, max(t.shape[0] for t in sets))
 
     def _block(lo: int) -> None:
         hi = min(lo + _CAND_BLOCK, n)
-        cb = cands[lo:hi] if on_grid else to_grid(cands[lo:hi])
-        for best, tgt_grid in zip(result[:, lo:hi], grids):
-            best[...] = -np.inf
-            for tlo in range(0, tgt_grid.shape[0], _TARGET_BLOCK):
-                sims = cb @ tgt_grid[tlo : tlo + _TARGET_BLOCK].T
-                np.maximum(best, sims.max(axis=1), out=best)
+        buf = np.empty(min(_TILE_ROWS, hi - lo) * width, dtype=dtype)
+        for clo in range(lo, hi, _TILE_ROWS):
+            cb = tile_rows(clo, min(clo + _TILE_ROWS, hi))
+            for best, tgts in zip(result[:, clo : clo + cb.shape[0]], sets):
+                for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
+                    tt = tgts[tlo : tlo + _TILE_TARGETS]
+                    sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
+                    np.matmul(cb, tt.T, out=sims)
+                    if tlo == 0:
+                        sims.max(axis=1, out=best)
+                    else:
+                        np.maximum(best, sims.max(axis=1), out=best)
 
     starts = range(0, n, _CAND_BLOCK)
     if threads > 1 and n > _CAND_BLOCK:
@@ -176,9 +215,64 @@ def _max_similarity_sets(candidates, target_sets, *, threads: int = 1, on_grid: 
     else:
         for lo in starts:
             _block(lo)
+    return result
+
+
+def _max_similarity_sets(candidates, target_sets, *, threads: int = 1, on_grid: bool = False):
+    """`max_similarity` against each target set: a (sets, N) array.
+
+    Each candidate tile is rounded once for all sets, so every further
+    target dataset adds only its GEMMs.
+    """
+    cands, sets = _checked(candidates, target_sets)
+    if on_grid:
+        rows, grids = (lambda lo, hi: cands[lo:hi]), sets
+    else:
+        rows, grids = (lambda lo, hi: to_grid(cands[lo:hi])), [to_grid(t) for t in sets]
+    result = _blocked_max(cands.shape[0], rows, grids, threads=threads)
     result *= 1.0 / (_GRID * _GRID)
     np.clip(result, -1.0, 1.0, out=result)
     return result
+
+
+def _max_norm(mat: np.ndarray) -> float:
+    return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max())
+
+
+def _similarity_bounds(candidates, target_sets, *, threads: int = 1) -> np.ndarray:
+    """Certified bounds on `_max_similarity_sets(candidates, target_sets)`: (2, sets, N).
+
+    `[0]` is a lower and `[1]` an upper bound, both float64 and clipped to
+    [-1, 1], computed from one float32 GEMM per tile and the error bound
+    of the module docstring.
+    """
+    cands, sets = _checked(candidates, target_sets)
+    n, d = cands.shape
+    approx = _blocked_max(
+        n,
+        lambda lo, hi: np.asarray(cands[lo:hi], dtype=np.float32),
+        [np.asarray(t, dtype=np.float32) for t in sets],
+        threads=threads,
+    )
+    gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
+    c = _max_norm(cands) if n else 0.0
+    bounds = np.empty((2, len(sets), n), dtype=np.float64)
+    for j, tgts in enumerate(sets):
+        t = _max_norm(tgts)
+        if not (c <= _SCREEN_MAX_NORM and t <= _SCREEN_MAX_NORM):
+            bounds[0, j], bounds[1, j] = -1.0, 1.0
+            continue
+        eps = gamma * c * t + 2.0**-27 * math.sqrt(d) * (c + t) + d * 2.0**-54
+        # inputs that are not float32 are cast: at most 2^-24 c t per side,
+        # doubled to cover what the cast does to the norms in the terms above
+        eps += 2.0**-23 * c * t * ((cands.dtype != np.float32) + (tgts.dtype != np.float32))
+        # underflow in the float32 GEMM, and float64 rounding in the kernel and in eps
+        eps += d * 2.0**-50 * (1.0 + c) * (1.0 + t)
+        a = approx[j].astype(np.float64)
+        bounds[0, j] = np.nextafter(a - eps, -np.inf)
+        bounds[1, j] = np.nextafter(a + eps, np.inf)
+    np.clip(bounds, -1.0, 1.0, out=bounds)
+    return bounds
 
 
 def update_running_max(
@@ -211,11 +305,12 @@ def _check_views(
             raise MissingView(f"targets are missing weighted view {name!r}")
 
 
-def _view_scorer(views, weights: FusionWeights, target_sets, *, threads: int):
-    """`score(name)`: each target set's max similarity in view `name`, a (sets, N) array.
+def _view_scorer(views, weights: FusionWeights, target_sets, kernel):
+    """`score(name)`: `kernel(rows, target_sets(name))` for view `name`.
 
-    `target_sets(name)` lists the view's target matrices. Views are scored
-    only when `FusionWeights.fuse` asks, and must all have N rows.
+    `target_sets(name)` lists the view's target matrices, and `kernel`
+    returns a (sets, N) array. Views are scored only when
+    `FusionWeights.fuse` asks, and must all have N rows.
     """
     n = _as_matrix(views[weights.names[0]]).shape[0]
 
@@ -225,9 +320,37 @@ def _view_scorer(views, weights: FusionWeights, target_sets, *, threads: int):
             raise DimensionMismatch(
                 f"view {name!r} has {mat.shape[0]} rows, expected {n}"
             )
-        return _max_similarity_sets(mat, target_sets(name), threads=threads)
+        return kernel(mat, target_sets(name))
 
     return score
+
+
+def _dataset_scorer(views, targets: TargetSet, weights: FusionWeights, kernel):
+    """`_view_scorer` against every dataset of `targets`, in dataset order."""
+    if not targets.datasets:
+        raise EmptyTargetSet("target set has no datasets")
+    for ds in targets.datasets:
+        _check_views(views, ds.views, weights)
+    return _view_scorer(
+        views, weights, lambda name: [ds.views[name] for ds in targets.datasets], kernel
+    )
+
+
+def _aggregate(weights: FusionWeights, mode: AggregationMode, score) -> np.ndarray:
+    """Fuse per-view (sets, N) scores and aggregate them over the target sets.
+
+    Max takes each view's max over the sets before fusing; mean adds the
+    fused per-set scores in set order, then divides by the set count.
+    Every step is monotone under round-to-nearest, so bounds on `score`
+    come out as bounds on the result.
+    """
+    if mode is AggregationMode.MAX:
+        return weights.fuse(lambda name: score(name).max(axis=0))
+    fused = weights.fuse(score)
+    total = fused[0]
+    for row in fused[1:]:
+        total = total + row
+    return total / len(fused)
 
 
 def relevance_fused(
@@ -239,8 +362,8 @@ def relevance_fused(
 ) -> np.ndarray:
     """Weighted sum over views of per-view max cosine to the targets."""
     _check_views(views, targets, weights)
-    score = _view_scorer(views, weights, lambda name: [targets[name]], threads=threads)
-    return weights.fuse(score)[0]
+    kernel = partial(_max_similarity_sets, threads=threads)
+    return weights.fuse(_view_scorer(views, weights, lambda name: [targets[name]], kernel))[0]
 
 
 def relevance_multi_dataset(
@@ -262,13 +385,26 @@ def relevance_multi_dataset(
     candidates useful across domains.
     Mean never exceeds max for any candidate.
     """
-    if not targets.datasets:
-        raise EmptyTargetSet("target set has no datasets")
-    for ds in targets.datasets:
-        _check_views(views, ds.views, weights)
-    score = _view_scorer(
-        views, weights, lambda name: [ds.views[name] for ds in targets.datasets], threads=threads
-    )
-    if mode is AggregationMode.MAX:
-        return weights.fuse(lambda name: score(name).max(axis=0))
-    return weights.fuse(score).mean(axis=0)
+    kernel = partial(_max_similarity_sets, threads=threads)
+    return _aggregate(weights, mode, _dataset_scorer(views, targets, weights, kernel))
+
+
+def relevance_bounds(
+    views: Mapping[str, EmbeddingView | np.ndarray],
+    targets: TargetSet,
+    weights: FusionWeights,
+    mode: AggregationMode = AggregationMode.MAX,
+    *,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit.
+
+    Each view is screened once with a float32 GEMM (`_similarity_bounds`),
+    and its lower and upper bounds go through the same fusion and
+    aggregation as the exact scores.
+    """
+    kernel = partial(_similarity_bounds, threads=threads)
+    bounds = cache(_dataset_scorer(views, targets, weights, kernel))
+    lo = _aggregate(weights, mode, lambda name: bounds(name)[0])
+    hi = _aggregate(weights, mode, lambda name: bounds(name)[1])
+    return lo, hi

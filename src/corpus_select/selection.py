@@ -1,13 +1,15 @@
 """Duration-budgeted subset selectors.
 
 `batched_mmr` is the production selector: it prefilters candidates to the
-top ceil(rho*N) by relevance, seeds the selection with the most relevant
-candidate, then repeatedly commits the top B remaining candidates by
-MMR score m_i = lam*r_i - (1-lam)*v_i until the selected duration reaches
-the budget T = alpha * total duration. The diversity penalty v_i counts
-only candidates committed in *previous* rounds, so diversity inside a
-committed batch is deliberately not enforced; with B=1 and rho=1 the
-procedure reduces exactly to greedy MMR.
+top ceil(rho*N) by relevance (scoring exactly only the rows that
+certified float32 bounds leave in reach of that pool), seeds the
+selection with the most relevant candidate, then repeatedly commits the
+top B remaining candidates by MMR score m_i = lam*r_i - (1-lam)*v_i
+until the selected duration reaches the budget T = alpha * total
+duration. The diversity penalty v_i counts only candidates committed in
+*previous* rounds, so diversity inside a committed batch is deliberately
+not enforced; with B=1 and rho=1 the procedure reduces exactly to greedy
+MMR.
 
 Rounds refresh lazily: the accelerated greedy of Minoux (1978), also
 known as CELF (Leskovec et al., 2007), applied to MMR. v only grows as
@@ -15,13 +17,15 @@ batches commit, so a candidate's stale MMR score is an upper bound on
 its exact one, bit for bit: the running max is a max over exact grid dot
 products, and the 2^-52 scale, the fusion sum and clip and
 lam*r - (1-lam)*v are all monotone under round-to-nearest. Each round
-orders the remaining pool by stale score, refreshes a head of 2B
-candidates and takes the top B by exact score, doubling the head while
-the first candidate beyond it could still tie or beat the B-th at its
-bound. A refresh folds in only the rows committed since the candidate's
-last one, read as a slice of a commit-order buffer of grid rows, and
-committed rows are never refreshed again. Picks and score bits are those
-of refreshing the whole pool every round.
+takes the head of the remaining pool in stale-score order (argpartition,
+widened to every candidate tied with the boundary key, then a sort of
+the head alone), refreshes its first 2B candidates and takes the top B
+by exact score, doubling the head while the first candidate beyond it
+could still tie or beat the B-th at its bound. A refresh folds in only
+the rows committed since the candidate's last one, read as a slice of a
+commit-order buffer of grid rows, and committed rows are never refreshed
+again. Picks and score bits are those of refreshing the whole pool
+every round.
 
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
@@ -53,6 +57,7 @@ from corpus_select.relevance import (
     FusionWeights,
     _as_matrix,
     max_similarity,
+    relevance_bounds,
     relevance_multi_dataset,
     to_grid,
     update_running_max,
@@ -130,6 +135,36 @@ def _ranked(indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return indices[order]
 
 
+def _prefilter(
+    mats: Mapping[str, np.ndarray],
+    targets: TargetSet,
+    weights: FusionWeights,
+    mode: AggregationMode,
+    pool_size: int,
+    *,
+    threads: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top `pool_size` rows by relevance, ranked, and their relevance.
+
+    Only rows that can reach the pool are scored exactly. `cut` is the
+    pool_size-th largest certified lower bound; a row whose upper bound
+    is below it scores below at least pool_size rows, so the survivors
+    with upper bound >= cut hold the whole pool. Relevance is exact per
+    row, so the pool and its scores are those of scoring every row.
+    """
+    n = next(iter(mats.values())).shape[0]
+    rows, scored = np.arange(n), mats
+    if pool_size < n:
+        lo, hi = relevance_bounds(mats, targets, weights, mode, threads=threads)
+        cut = np.partition(lo, n - pool_size)[n - pool_size]
+        rows = np.flatnonzero(hi >= cut)
+        scored = {name: mat[rows] for name, mat in mats.items()}
+    r = relevance_multi_dataset(scored, targets, weights, mode, threads=threads)
+    # rows ascend, so ties still break toward the lower candidate index
+    top = _ranked(np.arange(rows.size), r)[:pool_size]
+    return rows[top], r[top]
+
+
 def greedy_mmr_exact(
     relevance: np.ndarray,
     views: Mapping[str, np.ndarray],
@@ -197,9 +232,10 @@ def batched_mmr(
     """Batched greedy MMR selection with a relevance prefilter.
 
     Relevance is computed once up front (fused across views, aggregated
-    across target datasets) and frozen; only the diversity penalty evolves
-    as batches commit, tracked as a per-view running max that each new
-    batch folds into. The seed pick counts toward the budget before the
+    across target datasets), exactly only for the rows that certified
+    bounds leave in reach of the pool (`_prefilter`), and frozen; only
+    the diversity penalty evolves as batches commit, tracked as a
+    per-view running max that each new batch folds into. The seed pick counts toward the budget before the
     first round's budget test.
     """
     d = np.asarray(durations, dtype=np.float64)
@@ -213,10 +249,8 @@ def batched_mmr(
             raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
 
     budget = cfg.alpha * float(d.sum())
-    r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation, threads=threads)
-
     pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
-    pool = _ranked(np.arange(n), r)[:pool_size]
+    pool, r_pool = _prefilter(mats, targets, weights, cfg.aggregation, pool_size, threads=threads)
     expected_picks = math.ceil(cfg.alpha * n)
     if pool_size < 2 * expected_picks:
         warnings.warn(
@@ -228,7 +262,6 @@ def batched_mmr(
 
     # rounded onto the kernel's grid once, not once per round
     pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
-    r_pool = r[pool]
     lam_r = cfg.lam * r_pool
 
     seed_pos = 0  # pool is sorted by (-relevance, index)
@@ -267,6 +300,19 @@ def batched_mmr(
         v[stale] = weights.fuse(lambda name: vmax[name][stale])
         m[stale] = lam_r[stale] - (1.0 - cfg.lam) * v[stale]
 
+    def stale_head(positions: np.ndarray, k: int) -> np.ndarray:
+        """The first k of `positions` by stale key (m descending, then pool index), in order.
+
+        argpartition finds the k-th largest key, and every candidate tied
+        with it stays in the head, so sorting the head alone orders it as
+        sorting all of `positions` would.
+        """
+        if k < positions.size:
+            keys = m[positions]
+            kth = keys[np.argpartition(-keys, k - 1)[k - 1]]
+            positions = positions[keys >= kth]
+        return positions[np.lexsort((pool[positions], -m[positions]))][:k]
+
     rounds = 0
     exhausted = False
     while total < budget:
@@ -277,20 +323,27 @@ def batched_mmr(
         rounds += 1
         # Stale scores are upper bounds: refresh the head of the stale
         # order, doubling it until the first candidate beyond it cannot
-        # reach the top B even at its bound.
-        order = remaining[np.lexsort((pool[remaining], -m[remaining]))]
-        head = min(2 * cfg.batch_size, order.size)
+        # reach the top B even at its bound. `order` is a sorted prefix
+        # of the stale order, one longer than the head.
+        head = min(2 * cfg.batch_size, remaining.size)
+        order = stale_head(remaining, head + 1)
         refresh(order[:head])
         while True:
             top = order[:head]
             batch_pos = top[np.lexsort((pool[top], -m[top]))][: cfg.batch_size]
-            if head == order.size:
+            if head == remaining.size:
                 break
             nxt, last = order[head], batch_pos[-1]
             if (m[nxt], -pool[nxt]) < (m[last], -pool[last]):
                 break
-            refresh(order[head : 2 * head])
-            head = min(2 * head, order.size)
+            grown = min(2 * head, remaining.size)
+            # rows outside `order` were not refreshed: they keep their stale keys
+            outside = ~committed
+            outside[order] = False
+            more = stale_head(np.flatnonzero(outside), grown + 1 - order.size)
+            order = np.concatenate([order, more])
+            refresh(order[head:grown])
+            head = grown
 
         for pos in batch_pos:
             idx = int(pool[pos])

@@ -61,20 +61,27 @@ def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Unit-normalize rows of a float32 matrix; zero rows pass through.
 
     Returns the normalized copy and the number of zero rows encountered.
+    """
+    out = np.array(rows, dtype=np.float32, copy=True)
+    return out, _normalize_in_place(out)
+
+
+def _normalize_in_place(rows: np.ndarray) -> int:
+    """Unit-normalize the rows of a writable float32 matrix in place; returns the zero-row count.
+
     Norms are computed in float64 and each row divided in float64 before
     casting back, so results are independent of blocking.
     """
-    out = np.array(rows, dtype=np.float32, copy=True)
     zero_count = 0
-    for lo in range(0, out.shape[0], _NORM_BLOCK):
-        block = out[lo : lo + _NORM_BLOCK]
+    for lo in range(0, rows.shape[0], _NORM_BLOCK):
+        block = rows[lo : lo + _NORM_BLOCK]
         norms = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64))
         zero = norms == 0.0
         zero_count += int(zero.sum())
         fix = ~zero & (np.abs(norms - 1.0) > _UNIT_SNAP)
         # float64 divide, then the float32 cast on store, in place
         np.divide(block, norms[:, None], out=block, where=fix[:, None], casting="unsafe")
-    return out, zero_count
+    return zero_count
 
 
 @dataclass
@@ -258,28 +265,33 @@ def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
                 f"but the file holds {payload}"
             )
         data = np.fromfile(fh, dtype="<f4", count=n * d)
-    rows = data.reshape(n, d)
-    view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
+    view = EmbeddingView(path.stem, d, data.reshape(n, d), normalized=bool(flag))
     if normalize and not view.normalized:
-        view = l2_normalize(view)
+        # the buffer just read is ours: normalize it without a second copy
+        view = _normalized(view.name, view.rows)
     return view
 
 
 def l2_normalize(view: EmbeddingView) -> EmbeddingView:
-    """Scale every nonzero row to unit L2 norm.
+    """Scale every nonzero row to unit L2 norm, in a new view.
 
     Zero rows stay zero and are reported through a ZeroRowWarning; their
     cosine with anything is defined as 0 downstream. Idempotent: rows that
     are already unit-norm are returned bitwise unchanged.
     """
-    rows, zero_count = _normalize_rows(view.rows)
+    return _normalized(view.name, np.array(view.rows, dtype=np.float32, copy=True))
+
+
+def _normalized(name: str, rows: np.ndarray) -> EmbeddingView:
+    """`rows`, normalized in place, as a view flagged normalized."""
+    zero_count = _normalize_in_place(rows)
     if zero_count:
         warnings.warn(
-            f"view {view.name!r}: {zero_count} zero rows left unnormalized",
+            f"view {name!r}: {zero_count} zero rows left unnormalized",
             ZeroRowWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return EmbeddingView(view.name, view.dims, rows, normalized=True)
+    return EmbeddingView(name, rows.shape[1], rows, normalized=True)
 
 
 def load_manifest(path: str | Path) -> list[UtteranceRecord]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -360,6 +361,22 @@ class TestReplay:
         assert "outputs match recorded digests" in capsys.readouterr().out
         assert sha256(out) == digest
 
+    def test_failed_replay_keeps_its_manifest(self, fixture_dirs, tmp_path, capsys):
+        """A replay whose outputs differ exits 1 and leaves the manifest as it was,
+        so replaying it again fails again."""
+        corpus, targets = fixture_dirs
+        out = tmp_path / "f.jsonl"
+        assert run(TestSelect().select_args(corpus, targets, out, ("--method", "random"))) == 0
+        sidecar = tmp_path / "f.jsonl.run.json"
+        manifest = json.loads(sidecar.read_text())
+        manifest["outputs"][str(out)]["sha256"] = "0" * 64
+        sidecar.write_text(json.dumps(manifest))
+        recorded = sidecar.read_bytes()
+        for _ in range(2):
+            assert run(["select", "--replay", str(sidecar)]) == 1
+            assert "different digest" in capsys.readouterr().err
+            assert sidecar.read_bytes() == recorded
+
     def test_replay_wrong_subcommand(self, fixture_dirs, tmp_path, capsys):
         corpus, targets = fixture_dirs
         out = tmp_path / "r3.jsonl"
@@ -369,6 +386,27 @@ class TestReplay:
 
 
 class TestRunManifestInputs:
+    @pytest.mark.parametrize("method", ["random", "duration"])
+    def test_baselines_read_no_view(self, fixture_dirs, tmp_path, method):
+        """The baselines read durations only: the same bytes with the view files
+        unreadable, and no `.emb` file among the recorded inputs."""
+        corpus, targets = fixture_dirs
+        corpus_copy, targets_copy = tmp_path / "corpus", tmp_path / "targets"
+        shutil.copytree(corpus, corpus_copy)
+        shutil.copytree(targets, targets_copy)
+        outs = []
+        for label in ("views", "garbled"):
+            out = tmp_path / f"{label}.jsonl"
+            argv = TestSelect().select_args(corpus_copy, targets_copy, out, ("--method", method))
+            assert run(argv) == 0
+            inputs = json.loads((tmp_path / f"{label}.jsonl.run.json").read_text())["inputs"]
+            assert not [path for path in inputs if path.endswith(".emb")]
+            assert str(corpus_copy / "manifest.jsonl") in inputs
+            outs.append(out.read_bytes())
+            for path in [*corpus_copy.glob("*.emb"), *targets_copy.rglob("*.emb")]:
+                path.write_bytes(b"not an embedding file")
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("weights", ["b=1", "b=1,a=0"])
     def test_records_only_the_files_read(self, tmp_path, weights):
         """Files next to the views that select does not read (another view, a

@@ -10,6 +10,8 @@ from corpus_select.errors import (
     MissingView,
 )
 from corpus_select.relevance import (
+    _TILE_ROWS,
+    _TILE_TARGETS,
     AggregationMode,
     FusionWeights,
     max_similarity,
@@ -139,6 +141,18 @@ class TestRelevanceSingle:
             np.testing.assert_array_equal(
                 max_similarity(cands, targets, threads=threads), integer_max_sim(cands, targets)
             )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exact_at_the_tile_edges(self, rng, threads):
+        """Candidate and target counts one below, at and one above the tile sizes."""
+        cands = unit_rows(rng, _TILE_ROWS + 1, 8)
+        targets = unit_rows(rng, _TILE_TARGETS + 1, 8)
+        for n in (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1):
+            for m in (_TILE_TARGETS - 1, _TILE_TARGETS, _TILE_TARGETS + 1):
+                np.testing.assert_array_equal(
+                    max_similarity(cands[:n], targets[:m], threads=threads),
+                    integer_max_sim(cands[:n], targets[:m]),
+                )
 
     def test_monotone_in_targets(self, rng):
         """Adding a target row never decreases any relevance score."""

@@ -8,20 +8,24 @@ from hypothesis import strategies as st
 
 from corpus_select import selection
 from corpus_select.errors import EmptyCorpus, SmallPoolWarning
+from corpus_select.fixture import _clustered_rows
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
+    relevance_bounds,
     relevance_multi_dataset,
     to_grid,
 )
 from corpus_select.selection import (
     SelectionConfig,
+    _prefilter,
+    _ranked,
     batched_mmr,
     duration_baseline,
     greedy_mmr_exact,
     random_baseline,
 )
-from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
+from corpus_select.store import EmbeddingView, TargetDataset, TargetSet, _normalize_rows
 from conftest import unit_rows
 import oracles
 from oracles import eager_batched_mmr
@@ -280,6 +284,51 @@ def tied_instances(draw):
     return views, durations, targets, weights
 
 
+@st.composite
+def near_tie_instances(draw):
+    """Candidates that tie or nearly tie, so that float32 scores misorder them.
+
+    Every candidate row copies one of a few base rows: exactly, with one
+    component moved by one float32 ulp, scaled off unit by up to 1e-4
+    (still a valid view flagged normalized), or zeroed. A target set may
+    hold an off-unit copy of a base row, which puts scores at the clip.
+    """
+    n = draw(st.integers(1, 200))
+    k_views = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 8))
+    raw = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=k_views, max_size=k_views))
+    datasets = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = draw(st.integers(1, 4))
+    base = rng.integers(0, bases, size=n)
+    kind = rng.integers(0, 4, size=n)
+    nudged, col = np.flatnonzero(kind == 1), rng.integers(0, d, size=n)
+    off = np.flatnonzero(kind == 2)
+
+    def off_unit(rows):
+        return rows * (1.0 + rng.uniform(-0.99e-4, 0.99e-4, size=(rows.shape[0], 1))).astype(np.float32)
+
+    views, base_rows = {}, {}
+    for k in range(k_views):
+        name = f"v{k}"
+        base_rows[name] = unit_rows(rng, bases, d)
+        rows = base_rows[name][base]
+        away = np.where(rng.random(nudged.size) < 0.5, np.inf, -np.inf).astype(np.float32)
+        rows[nudged, col[nudged]] = np.nextafter(rows[nudged, col[nudged]], away)
+        rows[off] = off_unit(rows[off])
+        rows[kind == 3] = 0.0
+        views[name] = EmbeddingView(name, d, rows, normalized=True).rows
+    sets = []
+    for m, size in enumerate(datasets):
+        mats = {name: unit_rows(rng, size, d) for name in views}
+        if rng.random() < 0.5:
+            for name, mat in mats.items():
+                mat[0] = off_unit(base_rows[name][[m % bases]])[0]
+        sets.append(TargetDataset(f"ds{m}", mats))
+    weights = FusionWeights({name: w for name, w in zip(views, raw)})
+    return views, TargetSet(sets), weights
+
+
 def selection_bits(result):
     """Everything a selection reports, with scores as raw float64 bytes."""
     scores = np.array(
@@ -409,6 +458,52 @@ class TestSelectorProperties:
         assert selection_bits(quiet_batched_mmr(durations, views, targets, cfg)) == selection_bits(
             eager
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inst=near_tie_instances(),
+        rho=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        aggregation=st.sampled_from(list(AggregationMode)),
+    )
+    def test_screened_prefilter_equals_exact_relevance(self, inst, rho, aggregation):
+        """The certified bounds hold bit for bit, and the screened pool and its
+        relevance bits are those of scoring every row exactly."""
+        views, targets, weights = inst
+        n = next(iter(views.values())).shape[0]
+        pool_size = min(n, max(1, math.ceil(rho * n)))
+        r = relevance_multi_dataset(views, targets, weights, aggregation)
+        lo, hi = relevance_bounds(views, targets, weights, aggregation)
+        assert np.all(lo <= r) and np.all(r <= hi)
+        pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size, threads=1)
+        expected = _ranked(np.arange(n), r)[:pool_size]
+        np.testing.assert_array_equal(pool, expected)
+        assert r_pool.tobytes() == r[expected].tobytes()
+
+    def test_screen_leaves_few_rows_to_score_exactly(self, monkeypatch):
+        """On clustered data, at most the pool plus 1% of it is scored exactly."""
+        rng = np.random.default_rng(31)
+        n, d, clusters = 20000, 64, 16
+        centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))[0]
+        views = {"v": _clustered_rows(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
+        targets = TargetSet(
+            [
+                TargetDataset(f"t{m}", {"v": _clustered_rows(centers, np.full(300, m), 0.4, rng)})
+                for m in range(2)
+            ]
+        )
+        durations = rng.uniform(1.0, 10.0, size=n)
+        scored = []
+        kernel = selection.relevance_multi_dataset
+
+        def counting(views, *args, **kwargs):
+            scored.append(views["v"].shape[0])
+            return kernel(views, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "relevance_multi_dataset", counting)
+        cfg = SelectionConfig(alpha=0.01, rho=0.15, batch_size=100, weights=FusionWeights({"v": 1.0}))
+        lazy = batched_mmr(durations, views, targets, cfg)
+        assert len(scored) == 1 and lazy.pool_size <= scored[0] <= 1.01 * lazy.pool_size
+        assert selection_bits(lazy) == selection_bits(eager_batched_mmr(durations, views, targets, cfg))
 
     def test_lazy_refresh_skips_committed_rows_and_most_work(self, monkeypatch):
         """On clustered data the running max folds in under 0.7x the eager loop's row pairs."""

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ class TestViewFile:
         loaded = load_view(path)
         assert loaded.normalized
         np.testing.assert_array_equal(loaded.rows, view.rows)
+
+    def test_load_normalizes_the_read_buffer_in_place(self, tmp_path, rng):
+        """Same bytes as normalizing a raw load, without a second copy of the rows."""
+        n, d = 4096, 256
+        rows = rng.standard_normal((n, d)).astype(np.float32)
+        rows *= rng.uniform(1e-3, 1e3, size=(n, 1)).astype(np.float32)
+        rows[::101] = 0.0
+        path = tmp_path / "v.emb"
+        save_view(EmbeddingView("x", d, rows), path)
+        with pytest.warns(ZeroRowWarning):
+            expected = l2_normalize(load_view(path, normalize=False))
+        tracemalloc.start()
+        try:
+            with pytest.warns(ZeroRowWarning):
+                loaded = load_view(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.normalized and loaded.name == "v"
+        assert loaded.rows.tobytes() == expected.rows.tobytes()
+        assert peak < 1.3 * rows.nbytes
 
     def test_normalized_flag_validated(self):
         with pytest.raises(ValueError, match="flagged normalized"):

@@ -35,6 +35,8 @@ LAYERS = (
     "selection.running_max.calls",
     "selection.rank.s",
     "relevance.s",
+    "relevance.gflop",
+    "store.load_view.s",
     "cli.input_digest.s",
     "cli.input_digest.mb",
 )
