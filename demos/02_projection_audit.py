@@ -23,7 +23,7 @@ print(f"matrix shape {matrix.shape}, sample std {matrix.std():.4f} "
       f"(target {1 / np.sqrt(d_lo):.4f})\n")
 
 # structured embeddings: 15 clusters, per-vector noise norm ~0.5
-centers, _ = _normalize_rows(rng.standard_normal((15, d_hi)).astype(np.float32))
+centers = _normalize_rows(rng.standard_normal((15, d_hi)).astype(np.float32))
 assign = rng.integers(0, 15, size=n)
 spread = 0.5 / np.sqrt(d_hi)
 structured = centers.astype(np.float64)[assign] + spread * rng.standard_normal((n, d_hi))
@@ -35,7 +35,7 @@ noise_view = EmbeddingView("noise", d_hi, rng.standard_normal((n, d_hi), dtype=n
 for view in (structured_view, noise_view):
     lo = project_view(view, matrix)
     corr = audit_cosine_preservation(view, lo, pair_count=100_000, seed=9)
-    hi_rows, _ = _normalize_rows(view.rows)
+    hi_rows = _normalize_rows(view.rows)
     i = rng.integers(0, n, 20_000)
     j = (i + 1 + rng.integers(0, n - 1, 20_000)) % n
     cos_spread = np.einsum("ij,ij->i", hi_rows[i], hi_rows[j], dtype=np.float64).std()

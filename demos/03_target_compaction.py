@@ -17,13 +17,13 @@ from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 
 rng = np.random.default_rng(33)
 d = 64
-centers, _ = _normalize_rows(rng.standard_normal((25, d)).astype(np.float32))
+centers = _normalize_rows(rng.standard_normal((25, d)).astype(np.float32))
 centers = centers.astype(np.float64)
 
 def rows_from(cluster_ids, n, spread):
     assign = np.asarray(cluster_ids)[rng.integers(0, len(cluster_ids), size=n)]
     rows = centers[assign] + spread * rng.standard_normal((n, d))
-    unit, _ = _normalize_rows(rows.astype(np.float32))
+    unit = _normalize_rows(rows.astype(np.float32))
     return unit
 
 target_rows = rows_from([2, 7, 11], 5000, 0.12)          # narrow-domain dev set
@@ -67,4 +67,4 @@ for frac in (0.05, 0.15):
 small = TargetSet([TargetDataset("tiny", {"v": rows_from([1], 150, 0.1)})])
 out = compact_targets(small, KMeansConfig(k=200, seed=11))
 print(f"\n150-row dataset with k=200 passes through: "
-      f"{out.datasets[0].views['v'].shape[0]} rows, compacted={out.compacted}")
+      f"{out.datasets[0].views['v'].shape[0]} rows")

@@ -21,16 +21,16 @@ centers = {}
 views = {}
 assign = rng.integers(0, n_clusters, size=n)
 for name in ("speaker", "wavlm"):
-    c, _ = _normalize_rows(rng.standard_normal((n_clusters, d)).astype(np.float32))
+    c = _normalize_rows(rng.standard_normal((n_clusters, d)).astype(np.float32))
     centers[name] = c.astype(np.float64)
     rows = centers[name][assign] + 0.25 * rng.standard_normal((n, d))
-    views[name], _ = _normalize_rows(rows.astype(np.float32))
+    views[name] = _normalize_rows(rows.astype(np.float32))
 durations = rng.uniform(2.0, 12.0, size=n)
 
 target_views = {}
 for name in ("speaker", "wavlm"):
     rows = centers[name][np.full(80, home)] + 0.2 * rng.standard_normal((80, d))
-    target_views[name], _ = _normalize_rows(rows.astype(np.float32))
+    target_views[name] = _normalize_rows(rows.astype(np.float32))
 targets = TargetSet([TargetDataset("dev", target_views)])
 weights = FusionWeights.uniform(["speaker", "wavlm"])
 

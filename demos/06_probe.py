@@ -16,9 +16,9 @@ rng = np.random.default_rng(66)
 n, clusters = 3000, 60
 
 def clustered_view(name, d, assign, spread):
-    centers, _ = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
+    centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
     rows = centers.astype(np.float64)[assign] + spread * rng.standard_normal((n, d))
-    unit, _ = _normalize_rows(rows.astype(np.float32))
+    unit = _normalize_rows(rows.astype(np.float32))
     return EmbeddingView(name, d, unit, normalized=True)
 
 shared = rng.integers(0, clusters, size=n)

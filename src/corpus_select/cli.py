@@ -30,7 +30,7 @@ from corpus_select.errors import DataError
 from corpus_select.fixture import FixtureSpec, make_fixture
 from corpus_select.probe import ProbeConfig, probe_matrix
 from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, make_projection, project_view
-from corpus_select.relevance import AggregationMode, FusionWeights
+from corpus_select.relevance import AggregationMode, FusionWeights, available_cpus, blas_corename, blas_thread_cap
 from corpus_select.selection import SelectionConfig, batched_mmr, duration_baseline, random_baseline
 from corpus_select.store import (
     _atomic_bytes,
@@ -60,9 +60,7 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return available_cpus()
 
 
 def _sha256(path: Path) -> str:
@@ -89,12 +87,22 @@ def emit_run_manifest(
     outputs: list[Path],
     phases: dict[str, float],
 ) -> Path:
-    """Write the machine-readable sidecar describing a completed run."""
+    """Write the machine-readable sidecar describing a completed run.
+
+    `environment` holds what the bytes may depend on and replay does not
+    set: numpy, the BLAS kernel and the BLAS threads MMR selection ran on.
+    """
+    mmr = config.get("method") == "mmr"
     manifest = {
         "tool": "corpus-select",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
+        "environment": {
+            "numpy": np.__version__,
+            "blas_corename": blas_corename(),
+            "blas_threads": blas_thread_cap(config["threads"]) if mmr else None,
+        },
         "inputs": _input_files(inputs),
         "outputs": {str(p): _file_entry(Path(p)) for p in outputs},
         "phases": {k: round(v, 6) for k, v in phases.items()},

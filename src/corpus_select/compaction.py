@@ -203,7 +203,7 @@ def compact_targets(
                 continue
             sub_cfg = replace(cfg, seed=subseed(cfg.seed, "compact", ds.name, view_name))
             clustering = kmeans(mat, sub_cfg)
-            centroids, _ = _normalize_rows(clustering.centroids.astype(np.float32))
+            centroids = _normalize_rows(clustering.centroids.astype(np.float32))
             views[view_name] = centroids
             if report is not None:
                 report.append(
@@ -217,4 +217,4 @@ def compact_targets(
                     }
                 )
         datasets.append(TargetDataset(ds.name, views))
-    return TargetSet(datasets, compacted=True)
+    return TargetSet(datasets)

@@ -59,8 +59,7 @@ def _clustered_rows(
     dim = centers.shape[1]
     noise = rng.standard_normal((assignment.size, dim)) * (spread / np.sqrt(dim))
     rows = centers[assignment] + noise
-    unit, _ = _normalize_rows(rows.astype(np.float32))
-    return unit
+    return _normalize_rows(rows.astype(np.float32))
 
 
 def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureSpec) -> dict:
@@ -82,8 +81,7 @@ def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureS
 
     centers: dict[str, np.ndarray] = {}
     for view_name, dim in spec.view_dims.items():
-        c = rng.standard_normal((spec.clusters, dim))
-        c, _ = _normalize_rows(c.astype(np.float32))
+        c = _normalize_rows(rng.standard_normal((spec.clusters, dim)).astype(np.float32))
         centers[view_name] = c.astype(np.float64)
         rows = _clustered_rows(centers[view_name], cluster_of, spec.cluster_spread, rng)
         save_view(

@@ -81,7 +81,7 @@ def project_view(view: EmbeddingView, matrix: np.ndarray) -> EmbeddingView:
     for lo in range(0, view.row_count, _ROW_BLOCK):
         block = view.rows[lo : lo + _ROW_BLOCK]
         if not view.normalized:
-            block, _ = _normalize_rows(block)
+            block = _normalize_rows(block)
         # exact, in grid units; normalizing makes the units irrelevant
         image = to_grid(block) @ grid_matrix
         norms = np.sqrt(np.einsum("ij,ij->i", image, image))[:, None]
@@ -94,10 +94,8 @@ def _unit_rows(view: EmbeddingView | np.ndarray) -> np.ndarray:
     if isinstance(view, EmbeddingView):
         if view.normalized:
             return view.rows
-        rows, _ = _normalize_rows(view.rows)
-        return rows
-    rows, _ = _normalize_rows(np.asarray(view, dtype=np.float32))
-    return rows
+        return _normalize_rows(view.rows)
+    return _normalize_rows(np.asarray(view, dtype=np.float32))
 
 
 def audit_cosine_preservation(

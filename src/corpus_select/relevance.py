@@ -24,9 +24,10 @@ score error of about sqrt(D) * 2^-26 at most against the unrounded rows
 Candidates are scored in tiles of at most 2,048 candidate rows by 4,096
 target rows, and each tile is reduced to its row max before the next
 GEMM, so no more than one tile of scores (64 MB in float64, 32 MB in
-float32) exists per thread and the full candidate-by-target matrix is
-never materialized. Blocks of 16,384 candidate rows can be fanned out
-over threads, because each writes a disjoint output slice.
+float32) exists at a time and the full candidate-by-target matrix is
+never materialized. The BLAS library parallelises each GEMM itself;
+`blas_threads` scopes how many threads it may use, and the exact
+kernel's scores do not depend on that count.
 
 The same blocked loop also runs a float32 GEMM, the screen behind
 `relevance_bounds`. For any summation order, blocking or FMA use, a
@@ -50,11 +51,14 @@ scores exactly only the rows whose upper bound can reach its pool
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import glob
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,11 +66,11 @@ import numpy as np
 from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView
 from corpus_select.store import EmbeddingView, TargetSet
 
-_CAND_BLOCK = 16384  # candidate rows per thread-pool unit
 _TILE_ROWS = 2048  # candidate rows per score tile
 _TILE_TARGETS = 4096  # target rows per score tile
 _GRID = 2.0**26
 _SCREEN_MAX_NORM = 2.0**40  # beyond this the float32 screen could overflow
+_OPENBLAS_CALLS = ("get_num_threads", "set_num_threads", "get_corename")
 
 
 class AggregationMode(enum.Enum):
@@ -128,6 +132,57 @@ class FusionWeights:
         return np.clip(total, -1.0, 1.0)
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS with its thread and core-name calls typed, or None if absent."""
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put, core = (getattr(lib, f"scipy_openblas_{c}64_") for c in _OPENBLAS_CALLS)
+    except (IndexError, OSError, AttributeError):  # no such library, or one without these calls
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    return lib
+
+
+def blas_corename() -> str | None:
+    """The OpenBLAS kernel numpy runs on (such as "SkylakeX"), or None if not found."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode("ascii", "replace")
+
+
+def blas_thread_cap(threads: int) -> int | None:
+    """The BLAS thread count `blas_threads(threads)` sets, or None where it sets none."""
+    return None if _openblas() is None else min(threads, available_cpus())
+
+
+@contextlib.contextmanager
+def blas_threads(threads: int):
+    """Run the block with numpy's OpenBLAS on `blas_thread_cap(threads)` threads.
+
+    The count is process-wide; the previous one comes back on exit, also
+    when the block raises. Where the OpenBLAS calls are not found the
+    count is left as it is.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(blas_thread_cap(threads))
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def _as_matrix(view) -> np.ndarray:
     return view.rows if isinstance(view, EmbeddingView) else np.asarray(view)
 
@@ -148,13 +203,7 @@ def to_grid(values, scale: float = 1.0) -> np.ndarray:
     return grid
 
 
-def max_similarity(
-    candidates: np.ndarray,
-    targets: np.ndarray,
-    *,
-    threads: int = 1,
-    on_grid: bool = False,
-) -> np.ndarray:
+def max_similarity(candidates: np.ndarray, targets: np.ndarray, *, on_grid: bool = False) -> np.ndarray:
     """Per-candidate maximum dot product against the target rows.
 
     Returns a float64 vector of length N, clipped to [-1, 1]. This is the
@@ -165,7 +214,7 @@ def max_similarity(
     already are `to_grid` output (the selector's pool is rounded once, not
     once per round).
     """
-    return _max_similarity_sets(candidates, [targets], threads=threads, on_grid=on_grid)[0]
+    return _max_similarity_sets(candidates, [targets], on_grid=on_grid)[0]
 
 
 def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -181,7 +230,7 @@ def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
     return cands, sets
 
 
-def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], *, threads: int) -> np.ndarray:
+def _blocked_max(n: int, tile_rows, sets: list[np.ndarray]) -> np.ndarray:
     """Per-candidate max of `tile_rows(lo, hi) @ targets.T` for each target matrix: (sets, n).
 
     `tile_rows(lo, hi)` gives candidate rows lo:hi in the dtype of the
@@ -192,33 +241,22 @@ def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], *, threads: int) -> 
     dtype = sets[0].dtype
     result = np.empty((len(sets), n), dtype=dtype)
     width = min(_TILE_TARGETS, max(t.shape[0] for t in sets))
-
-    def _block(lo: int) -> None:
-        hi = min(lo + _CAND_BLOCK, n)
-        buf = np.empty(min(_TILE_ROWS, hi - lo) * width, dtype=dtype)
-        for clo in range(lo, hi, _TILE_ROWS):
-            cb = tile_rows(clo, min(clo + _TILE_ROWS, hi))
-            for best, tgts in zip(result[:, clo : clo + cb.shape[0]], sets):
-                for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
-                    tt = tgts[tlo : tlo + _TILE_TARGETS]
-                    sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
-                    np.matmul(cb, tt.T, out=sims)
-                    if tlo == 0:
-                        sims.max(axis=1, out=best)
-                    else:
-                        np.maximum(best, sims.max(axis=1), out=best)
-
-    starts = range(0, n, _CAND_BLOCK)
-    if threads > 1 and n > _CAND_BLOCK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_block, starts))
-    else:
-        for lo in starts:
-            _block(lo)
+    buf = np.empty(min(_TILE_ROWS, n) * width, dtype=dtype)
+    for clo in range(0, n, _TILE_ROWS):
+        cb = tile_rows(clo, min(clo + _TILE_ROWS, n))
+        for best, tgts in zip(result[:, clo : clo + cb.shape[0]], sets):
+            for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
+                tt = tgts[tlo : tlo + _TILE_TARGETS]
+                sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
+                np.matmul(cb, tt.T, out=sims)
+                if tlo == 0:
+                    sims.max(axis=1, out=best)
+                else:
+                    np.maximum(best, sims.max(axis=1), out=best)
     return result
 
 
-def _max_similarity_sets(candidates, target_sets, *, threads: int = 1, on_grid: bool = False):
+def _max_similarity_sets(candidates, target_sets, *, on_grid: bool = False):
     """`max_similarity` against each target set: a (sets, N) array.
 
     Each candidate tile is rounded once for all sets, so every further
@@ -229,7 +267,7 @@ def _max_similarity_sets(candidates, target_sets, *, threads: int = 1, on_grid: 
         rows, grids = (lambda lo, hi: cands[lo:hi]), sets
     else:
         rows, grids = (lambda lo, hi: to_grid(cands[lo:hi])), [to_grid(t) for t in sets]
-    result = _blocked_max(cands.shape[0], rows, grids, threads=threads)
+    result = _blocked_max(cands.shape[0], rows, grids)
     result *= 1.0 / (_GRID * _GRID)
     np.clip(result, -1.0, 1.0, out=result)
     return result
@@ -239,7 +277,7 @@ def _max_norm(mat: np.ndarray) -> float:
     return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max())
 
 
-def _similarity_bounds(candidates, target_sets, *, threads: int = 1) -> np.ndarray:
+def _similarity_bounds(candidates, target_sets) -> np.ndarray:
     """Certified bounds on `_max_similarity_sets(candidates, target_sets)`: (2, sets, N).
 
     `[0]` is a lower and `[1]` an upper bound, both float64 and clipped to
@@ -252,7 +290,6 @@ def _similarity_bounds(candidates, target_sets, *, threads: int = 1) -> np.ndarr
         n,
         lambda lo, hi: np.asarray(cands[lo:hi], dtype=np.float32),
         [np.asarray(t, dtype=np.float32) for t in sets],
-        threads=threads,
     )
     gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
     c = _max_norm(cands) if n else 0.0
@@ -275,22 +312,14 @@ def _similarity_bounds(candidates, target_sets, *, threads: int = 1) -> np.ndarr
     return bounds
 
 
-def update_running_max(
-    rows: np.ndarray,
-    batch: np.ndarray,
-    running: np.ndarray,
-    *,
-    threads: int = 1,
-) -> None:
+def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray) -> None:
     """Fold max similarity against `batch` into `running`, in place.
 
     Used by the batched selector to extend each candidate's maximum
     similarity to the selected set one committed batch at a time; `rows`
     and `batch` are `to_grid` output.
     """
-    np.maximum(
-        running, max_similarity(rows, batch, threads=threads, on_grid=True), out=running
-    )
+    np.maximum(running, max_similarity(rows, batch, on_grid=True), out=running)
 
 
 def _check_views(
@@ -357,13 +386,11 @@ def relevance_fused(
     views: Mapping[str, EmbeddingView | np.ndarray],
     targets: Mapping[str, np.ndarray],
     weights: FusionWeights,
-    *,
-    threads: int = 1,
 ) -> np.ndarray:
     """Weighted sum over views of per-view max cosine to the targets."""
     _check_views(views, targets, weights)
-    kernel = partial(_max_similarity_sets, threads=threads)
-    return weights.fuse(_view_scorer(views, weights, lambda name: [targets[name]], kernel))[0]
+    score = _view_scorer(views, weights, lambda name: [targets[name]], _max_similarity_sets)
+    return weights.fuse(score)[0]
 
 
 def relevance_multi_dataset(
@@ -371,8 +398,6 @@ def relevance_multi_dataset(
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
-    *,
-    threads: int = 1,
 ) -> np.ndarray:
     """Aggregate fused relevance over target datasets by max or mean.
 
@@ -385,8 +410,7 @@ def relevance_multi_dataset(
     candidates useful across domains.
     Mean never exceeds max for any candidate.
     """
-    kernel = partial(_max_similarity_sets, threads=threads)
-    return _aggregate(weights, mode, _dataset_scorer(views, targets, weights, kernel))
+    return _aggregate(weights, mode, _dataset_scorer(views, targets, weights, _max_similarity_sets))
 
 
 def relevance_bounds(
@@ -394,8 +418,6 @@ def relevance_bounds(
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
-    *,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit.
 
@@ -403,8 +425,7 @@ def relevance_bounds(
     and its lower and upper bounds go through the same fusion and
     aggregation as the exact scores.
     """
-    kernel = partial(_similarity_bounds, threads=threads)
-    bounds = cache(_dataset_scorer(views, targets, weights, kernel))
+    bounds = cache(_dataset_scorer(views, targets, weights, _similarity_bounds))
     lo = _aggregate(weights, mode, lambda name: bounds(name)[0])
     hi = _aggregate(weights, mode, lambda name: bounds(name)[1])
     return lo, hi

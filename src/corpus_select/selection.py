@@ -56,6 +56,7 @@ from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
     _as_matrix,
+    blas_threads,
     max_similarity,
     relevance_bounds,
     relevance_multi_dataset,
@@ -141,8 +142,6 @@ def _prefilter(
     weights: FusionWeights,
     mode: AggregationMode,
     pool_size: int,
-    *,
-    threads: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The top `pool_size` rows by relevance, ranked, and their relevance.
 
@@ -155,11 +154,11 @@ def _prefilter(
     n = next(iter(mats.values())).shape[0]
     rows, scored = np.arange(n), mats
     if pool_size < n:
-        lo, hi = relevance_bounds(mats, targets, weights, mode, threads=threads)
+        lo, hi = relevance_bounds(mats, targets, weights, mode)
         cut = np.partition(lo, n - pool_size)[n - pool_size]
         rows = np.flatnonzero(hi >= cut)
         scored = {name: mat[rows] for name, mat in mats.items()}
-    r = relevance_multi_dataset(scored, targets, weights, mode, threads=threads)
+    r = relevance_multi_dataset(scored, targets, weights, mode)
     # rows ascend, so ties still break toward the lower candidate index
     top = _ranked(np.arange(rows.size), r)[:pool_size]
     return rows[top], r[top]
@@ -235,128 +234,130 @@ def batched_mmr(
     across target datasets), exactly only for the rows that certified
     bounds leave in reach of the pool (`_prefilter`), and frozen; only
     the diversity penalty evolves as batches commit, tracked as a
-    per-view running max that each new batch folds into. The seed pick counts toward the budget before the
-    first round's budget test.
+    per-view running max that each new batch folds into. The seed pick
+    counts toward the budget before the first round's budget test. BLAS
+    runs on `threads` threads (`relevance.blas_threads`).
     """
-    d = np.asarray(durations, dtype=np.float64)
-    n = d.shape[0]
-    if n == 0:
-        raise EmptyCorpus("no candidates to select from")
-    weights = _resolve_weights(cfg.weights, views.keys())
-    mats = {name: _as_matrix(views[name]) for name in weights.names}
-    for name, mat in mats.items():
-        if mat.shape[0] != n:
-            raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
+    with blas_threads(threads):
+        d = np.asarray(durations, dtype=np.float64)
+        n = d.shape[0]
+        if n == 0:
+            raise EmptyCorpus("no candidates to select from")
+        weights = _resolve_weights(cfg.weights, views.keys())
+        mats = {name: _as_matrix(views[name]) for name in weights.names}
+        for name, mat in mats.items():
+            if mat.shape[0] != n:
+                raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
 
-    budget = cfg.alpha * float(d.sum())
-    pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
-    pool, r_pool = _prefilter(mats, targets, weights, cfg.aggregation, pool_size, threads=threads)
-    expected_picks = math.ceil(cfg.alpha * n)
-    if pool_size < 2 * expected_picks:
-        warnings.warn(
-            f"prefilter pool ({pool_size}) is below twice the expected pick "
-            f"count ({expected_picks}); selection may exhaust it",
-            SmallPoolWarning,
-            stacklevel=2,
-        )
-
-    # rounded onto the kernel's grid once, not once per round
-    pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
-    lam_r = cfg.lam * r_pool
-
-    seed_pos = 0  # pool is sorted by (-relevance, index)
-    seed_idx = int(pool[seed_pos])
-    total = float(d[seed_idx])
-    picks = [Pick(1, seed_idx, float(r_pool[0]), 0.0, cfg.lam * float(r_pool[0]), total)]
-    committed = np.zeros(pool_size, dtype=bool)
-    committed[seed_pos] = True
-
-    # Committed grid rows in commit order, per view (pages are touched only
-    # as rows commit). stamp[i] is how many of them are folded into
-    # candidate i's per-view running max vmax; v and m are i's fused
-    # diversity and MMR score as of that stamp.
-    ncom = 1
-    commits = {name: np.empty_like(rows) for name, rows in pool_rows.items()}
-    for name, rows in pool_rows.items():
-        commits[name][0] = rows[seed_pos]
-    stamp = np.full(pool_size, ncom, dtype=np.int64)
-    vmax = {
-        name: max_similarity(rows, rows[[seed_pos]], on_grid=True)
-        for name, rows in pool_rows.items()
-    }
-    v = weights.fuse(vmax.__getitem__)
-    m = lam_r - (1.0 - cfg.lam) * v
-
-    def refresh(positions: np.ndarray) -> None:
-        """Fold into each candidate the rows committed since its stamp."""
-        stale = positions[stamp[positions] < ncom]
-        for s in np.unique(stamp[stale]):
-            grp = stale[stamp[stale] == s]
-            for name, rows in pool_rows.items():
-                running = vmax[name][grp]
-                update_running_max(rows[grp], commits[name][s:ncom], running, threads=threads)
-                vmax[name][grp] = running
-        stamp[stale] = ncom
-        v[stale] = weights.fuse(lambda name: vmax[name][stale])
-        m[stale] = lam_r[stale] - (1.0 - cfg.lam) * v[stale]
-
-    def stale_head(positions: np.ndarray, k: int) -> np.ndarray:
-        """The first k of `positions` by stale key (m descending, then pool index), in order.
-
-        argpartition finds the k-th largest key, and every candidate tied
-        with it stays in the head, so sorting the head alone orders it as
-        sorting all of `positions` would.
-        """
-        if k < positions.size:
-            keys = m[positions]
-            kth = keys[np.argpartition(-keys, k - 1)[k - 1]]
-            positions = positions[keys >= kth]
-        return positions[np.lexsort((pool[positions], -m[positions]))][:k]
-
-    rounds = 0
-    exhausted = False
-    while total < budget:
-        remaining = np.flatnonzero(~committed)
-        if remaining.size == 0:
-            exhausted = True
-            break
-        rounds += 1
-        # Stale scores are upper bounds: refresh the head of the stale
-        # order, doubling it until the first candidate beyond it cannot
-        # reach the top B even at its bound. `order` is a sorted prefix
-        # of the stale order, one longer than the head.
-        head = min(2 * cfg.batch_size, remaining.size)
-        order = stale_head(remaining, head + 1)
-        refresh(order[:head])
-        while True:
-            top = order[:head]
-            batch_pos = top[np.lexsort((pool[top], -m[top]))][: cfg.batch_size]
-            if head == remaining.size:
-                break
-            nxt, last = order[head], batch_pos[-1]
-            if (m[nxt], -pool[nxt]) < (m[last], -pool[last]):
-                break
-            grown = min(2 * head, remaining.size)
-            # rows outside `order` were not refreshed: they keep their stale keys
-            outside = ~committed
-            outside[order] = False
-            more = stale_head(np.flatnonzero(outside), grown + 1 - order.size)
-            order = np.concatenate([order, more])
-            refresh(order[head:grown])
-            head = grown
-
-        for pos in batch_pos:
-            idx = int(pool[pos])
-            total += float(d[idx])
-            picks.append(
-                Pick(len(picks) + 1, idx, float(r_pool[pos]), float(v[pos]), float(m[pos]), total)
+        budget = cfg.alpha * float(d.sum())
+        pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
+        pool, r_pool = _prefilter(mats, targets, weights, cfg.aggregation, pool_size)
+        expected_picks = math.ceil(cfg.alpha * n)
+        if pool_size < 2 * expected_picks:
+            warnings.warn(
+                f"prefilter pool ({pool_size}) is below twice the expected pick "
+                f"count ({expected_picks}); selection may exhaust it",
+                SmallPoolWarning,
+                stacklevel=2,
             )
-        committed[batch_pos] = True
-        for name, rows in pool_rows.items():
-            commits[name][ncom : ncom + batch_pos.size] = rows[batch_pos]
-        ncom += batch_pos.size
 
-    return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
+        # rounded onto the kernel's grid once, not once per round
+        pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
+        lam_r = cfg.lam * r_pool
+
+        seed_pos = 0  # pool is sorted by (-relevance, index)
+        seed_idx = int(pool[seed_pos])
+        total = float(d[seed_idx])
+        picks = [Pick(1, seed_idx, float(r_pool[0]), 0.0, cfg.lam * float(r_pool[0]), total)]
+        committed = np.zeros(pool_size, dtype=bool)
+        committed[seed_pos] = True
+
+        # Committed grid rows in commit order, per view (pages are touched only
+        # as rows commit). stamp[i] is how many of them are folded into
+        # candidate i's per-view running max vmax; v and m are i's fused
+        # diversity and MMR score as of that stamp.
+        ncom = 1
+        commits = {name: np.empty_like(rows) for name, rows in pool_rows.items()}
+        for name, rows in pool_rows.items():
+            commits[name][0] = rows[seed_pos]
+        stamp = np.full(pool_size, ncom, dtype=np.int64)
+        vmax = {
+            name: max_similarity(rows, rows[[seed_pos]], on_grid=True)
+            for name, rows in pool_rows.items()
+        }
+        v = weights.fuse(vmax.__getitem__)
+        m = lam_r - (1.0 - cfg.lam) * v
+
+        def refresh(positions: np.ndarray) -> None:
+            """Fold into each candidate the rows committed since its stamp."""
+            stale = positions[stamp[positions] < ncom]
+            for s in np.unique(stamp[stale]):
+                grp = stale[stamp[stale] == s]
+                for name, rows in pool_rows.items():
+                    running = vmax[name][grp]
+                    update_running_max(rows[grp], commits[name][s:ncom], running)
+                    vmax[name][grp] = running
+            stamp[stale] = ncom
+            v[stale] = weights.fuse(lambda name: vmax[name][stale])
+            m[stale] = lam_r[stale] - (1.0 - cfg.lam) * v[stale]
+
+        def stale_head(positions: np.ndarray, k: int) -> np.ndarray:
+            """The first k of `positions` by stale key (m descending, then pool index), in order.
+
+            argpartition finds the k-th largest key, and every candidate tied
+            with it stays in the head, so sorting the head alone orders it as
+            sorting all of `positions` would.
+            """
+            if k < positions.size:
+                keys = m[positions]
+                kth = keys[np.argpartition(-keys, k - 1)[k - 1]]
+                positions = positions[keys >= kth]
+            return positions[np.lexsort((pool[positions], -m[positions]))][:k]
+
+        rounds = 0
+        exhausted = False
+        while total < budget:
+            remaining = np.flatnonzero(~committed)
+            if remaining.size == 0:
+                exhausted = True
+                break
+            rounds += 1
+            # Stale scores are upper bounds: refresh the head of the stale
+            # order, doubling it until the first candidate beyond it cannot
+            # reach the top B even at its bound. `order` is a sorted prefix
+            # of the stale order, one longer than the head.
+            head = min(2 * cfg.batch_size, remaining.size)
+            order = stale_head(remaining, head + 1)
+            refresh(order[:head])
+            while True:
+                top = order[:head]
+                batch_pos = top[np.lexsort((pool[top], -m[top]))][: cfg.batch_size]
+                if head == remaining.size:
+                    break
+                nxt, last = order[head], batch_pos[-1]
+                if (m[nxt], -pool[nxt]) < (m[last], -pool[last]):
+                    break
+                grown = min(2 * head, remaining.size)
+                # rows outside `order` were not refreshed: they keep their stale keys
+                outside = ~committed
+                outside[order] = False
+                more = stale_head(np.flatnonzero(outside), grown + 1 - order.size)
+                order = np.concatenate([order, more])
+                refresh(order[head:grown])
+                head = grown
+
+            for pos in batch_pos:
+                idx = int(pool[pos])
+                total += float(d[idx])
+                picks.append(
+                    Pick(len(picks) + 1, idx, float(r_pool[pos]), float(v[pos]), float(m[pos]), total)
+                )
+            committed[batch_pos] = True
+            for name, rows in pool_rows.items():
+                commits[name][ncom : ncom + batch_pos.size] = rows[batch_pos]
+            ncom += batch_pos.size
+
+        return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
 
 
 def random_baseline(durations: np.ndarray, alpha: float, seed: int) -> SelectionResult:

@@ -57,13 +57,11 @@ _UNIT_SNAP = 2e-7
 _NORM_BLOCK = 65536
 
 
-def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unit-normalize rows of a float32 matrix; zero rows pass through.
-
-    Returns the normalized copy and the number of zero rows encountered.
-    """
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """A unit-normalized float32 copy of `rows`; zero rows pass through."""
     out = np.array(rows, dtype=np.float32, copy=True)
-    return out, _normalize_in_place(out)
+    _normalize_in_place(out)
+    return out
 
 
 def _normalize_in_place(rows: np.ndarray) -> int:
@@ -107,11 +105,13 @@ class EmbeddingView:
             raise DimensionMismatch(
                 f"view {self.name!r}: dims={self.dims} but rows have {rows.shape[1]} columns"
             )
-        if not np.isfinite(rows).all():
+        # a float64 sum of squares of float32 entries cannot overflow, so
+        # it is finite exactly when every entry of its row is
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+        if not np.isfinite(norms).all():
             r, c = np.argwhere(~np.isfinite(rows))[0]
             raise NonFiniteEntry(r, c, context=f"view {self.name!r}")
-        if self.normalized and rows.shape[0]:
-            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+        if self.normalized:
             off = np.flatnonzero((norms != 0.0) & (np.abs(norms - 1.0) > 1e-4))
             if off.size:
                 raise ValueError(
@@ -189,10 +189,9 @@ class TargetDataset:
 
 @dataclass
 class TargetSet:
-    """Ordered target datasets; `compacted` marks k-means compaction."""
+    """Ordered target datasets."""
 
     datasets: list[TargetDataset]
-    compacted: bool = False
 
     def __len__(self) -> int:
         return len(self.datasets)
@@ -264,11 +263,11 @@ def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
                 f"{path}: header declares {n}x{d} rows ({expected} payload bytes) "
                 f"but the file holds {payload}"
             )
-        data = np.fromfile(fh, dtype="<f4", count=n * d)
-    view = EmbeddingView(path.stem, d, data.reshape(n, d), normalized=bool(flag))
+        rows = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
+    view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
     if normalize and not view.normalized:
         # the buffer just read is ours: normalize it without a second copy
-        view = _normalized(view.name, view.rows)
+        _normalize_view(view)
     return view
 
 
@@ -279,19 +278,21 @@ def l2_normalize(view: EmbeddingView) -> EmbeddingView:
     cosine with anything is defined as 0 downstream. Idempotent: rows that
     are already unit-norm are returned bitwise unchanged.
     """
-    return _normalized(view.name, np.array(view.rows, dtype=np.float32, copy=True))
+    copy = EmbeddingView(view.name, view.dims, np.array(view.rows, dtype=np.float32, copy=True))
+    _normalize_view(copy)
+    return copy
 
 
-def _normalized(name: str, rows: np.ndarray) -> EmbeddingView:
-    """`rows`, normalized in place, as a view flagged normalized."""
-    zero_count = _normalize_in_place(rows)
+def _normalize_view(view: EmbeddingView) -> None:
+    """Normalize a validated view's rows in place and flag it normalized."""
+    zero_count = _normalize_in_place(view.rows)
     if zero_count:
         warnings.warn(
-            f"view {name!r}: {zero_count} zero rows left unnormalized",
+            f"view {view.name!r}: {zero_count} zero rows left unnormalized",
             ZeroRowWarning,
             stacklevel=3,
         )
-    return EmbeddingView(name, rows.shape[1], rows, normalized=True)
+    view.normalized = True
 
 
 def load_manifest(path: str | Path) -> list[UtteranceRecord]:

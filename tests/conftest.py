@@ -6,8 +6,7 @@ from corpus_select.store import _normalize_rows
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Random unit-norm float32 rows."""
-    rows, _ = _normalize_rows(rng.standard_normal((n, d)).astype(np.float32))
-    return rows
+    return _normalize_rows(rng.standard_normal((n, d)).astype(np.float32))
 
 
 @pytest.fixture

@@ -120,8 +120,6 @@ def eager_batched_mmr(
     views: Mapping[str, np.ndarray],
     targets: TargetSet,
     cfg: SelectionConfig,
-    *,
-    threads: int = 1,
 ) -> SelectionResult:
     """`selection.batched_mmr` with the eager round loop it replaced.
 
@@ -141,7 +139,7 @@ def eager_batched_mmr(
             raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
 
     budget = cfg.alpha * float(d.sum())
-    r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation, threads=threads)
+    r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation)
 
     pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
     pool = _ranked(np.arange(n), r)[:pool_size]
@@ -192,7 +190,7 @@ def eager_batched_mmr(
             )
         committed[batch_pos] = True
         for name, rows in pool_rows.items():
-            update_running_max(rows, rows[batch_pos], vmax[name], threads=threads)
+            update_running_max(rows, rows[batch_pos], vmax[name])
 
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
 

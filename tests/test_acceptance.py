@@ -246,11 +246,11 @@ def test_criterion_06_domain_recovery():
         centers = unit_rows(rng, clusters, d).astype(np.float64)
         assignment = rng.integers(0, clusters, size=n)
         rows = centers[assignment] + 0.25 * rng.standard_normal((n, d))
-        source, _ = _normalize_rows(rows.astype(np.float32))
+        source = _normalize_rows(rows.astype(np.float32))
         durations = rng.uniform(2.0, 12.0, size=n)
 
         home = 3
-        target_rows, _ = _normalize_rows(
+        target_rows = _normalize_rows(
             (centers[np.full(60, home)] + 0.2 * rng.standard_normal((60, d))).astype(np.float32)
         )
         targets = TargetSet([TargetDataset("t", {"v": target_rows})])
@@ -280,7 +280,7 @@ def test_criterion_07_probe_sanity():
         n, d, clusters = 2500, 32, 100
         centers = unit_rows(rng, clusters, d).astype(np.float64)
         assignment = rng.integers(0, clusters, size=n)
-        structured, _ = _normalize_rows(
+        structured = _normalize_rows(
             (centers[assignment] + 0.05 * rng.standard_normal((n, d))).astype(np.float32)
         )
         cfg = ProbeConfig(clusters=clusters, seed=17)
@@ -385,7 +385,7 @@ def test_criterion_10_throughput_smoke():
     with criterion(10, "throughput smoke (1M x 256)", limit_s=600.0) as c:
         n, d = 1_000_000, 256
         rows = rng.standard_normal((n, d), dtype=np.float32)
-        view, _ = _normalize_rows(rows)
+        view = _normalize_rows(rows)
         del rows
         durations = rng.uniform(2.0, 15.0, size=n)
         target_rows = unit_rows(rng, 200, d)

@@ -12,6 +12,7 @@ import pytest
 
 from corpus_select import cli
 from corpus_select.cli import run
+from corpus_select.relevance import blas_corename, blas_thread_cap
 from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, save_view
 
 # the selection bytes of golden_selection_digest: projection and scoring
@@ -260,6 +261,18 @@ class TestSelect:
         assert manifest["outputs"][str(out)]["sha256"] == sha256(out)
         assert any("manifest.jsonl" in p for p in manifest["inputs"])
         assert "total_s" in manifest["phases"]
+
+    def test_run_manifest_records_the_blas_threads(self, fixture_dirs, tmp_path):
+        corpus, targets = fixture_dirs
+        expected = {"mmr": blas_thread_cap(1), "random": None}
+        for method, threads in expected.items():
+            out = tmp_path / f"{method}.jsonl"
+            args = ("--method", method, "--threads", "1")
+            assert run(self.select_args(corpus, targets, out, args)) == 0
+            manifest = json.loads((tmp_path / f"{method}.jsonl.run.json").read_text())
+            env = manifest["environment"]
+            assert env == {"numpy": np.__version__, "blas_corename": blas_corename(), "blas_threads": threads}
+            assert "environment" not in manifest["config"]
 
     def test_manifests_identical_except_wall_clock(self, fixture_dirs, tmp_path):
         corpus, targets = fixture_dirs

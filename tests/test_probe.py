@@ -20,7 +20,7 @@ def clustered_view(rng, name, n, d, n_clusters, spread=0.05, assignment=None):
     if assignment is None:
         assignment = rng.integers(0, n_clusters, size=n)
     rows = centers[assignment] + spread * rng.standard_normal((n, d))
-    unit, _ = _normalize_rows(rows.astype(np.float32))
+    unit = _normalize_rows(rows.astype(np.float32))
     return EmbeddingView(name, d, unit, normalized=True), assignment
 
 
@@ -111,7 +111,7 @@ class TestFitPredict:
         labels = pseudo_label(view, cfg)
         clean = fit_predict(view, labels, cfg).accuracy
         noisy_rows = view.rows + 0.01 * rng.standard_normal(view.rows.shape).astype(np.float32)
-        noisy, _ = _normalize_rows(noisy_rows)
+        noisy = _normalize_rows(noisy_rows)
         noisy_acc = fit_predict(EmbeddingView("n", 24, noisy), labels, cfg).accuracy
         assert noisy_acc >= 0.9 * clean
 

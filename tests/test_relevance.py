@@ -14,6 +14,7 @@ from corpus_select.relevance import (
     _TILE_TARGETS,
     AggregationMode,
     FusionWeights,
+    blas_threads,
     max_similarity,
     relevance_fused,
     relevance_multi_dataset,
@@ -124,23 +125,25 @@ class TestRelevanceSingle:
     def test_threads_bit_identical(self, rng):
         cands = unit_rows(rng, 40000, 16)
         targets = unit_rows(rng, 64, 16)
-        a = max_similarity(cands, targets, threads=1)
-        b = max_similarity(cands, targets, threads=4)
+        with blas_threads(1):
+            a = max_similarity(cands, targets)
+        with blas_threads(2):
+            b = max_similarity(cands, targets)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exact_on_the_grid(self, rng, threads):
         """Scores equal exact integer arithmetic on the rounded rows, bit for bit.
 
-        40000 candidates span three candidate blocks; 3072 dims is the
-        widest view the pipeline projects from.
+        40000 candidates span 20 candidate tiles; 3072 dims is the widest
+        view the pipeline projects from. BLAS runs on `threads` threads.
         """
         for n, d in ((40000, 16), (300, 3072)):
             cands = unit_rows(rng, n, d)
             targets = unit_rows(rng, 37, d)
-            np.testing.assert_array_equal(
-                max_similarity(cands, targets, threads=threads), integer_max_sim(cands, targets)
-            )
+            with blas_threads(threads):
+                scores = max_similarity(cands, targets)
+            np.testing.assert_array_equal(scores, integer_max_sim(cands, targets))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exact_at_the_tile_edges(self, rng, threads):
@@ -149,10 +152,9 @@ class TestRelevanceSingle:
         targets = unit_rows(rng, _TILE_TARGETS + 1, 8)
         for n in (_TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1):
             for m in (_TILE_TARGETS - 1, _TILE_TARGETS, _TILE_TARGETS + 1):
-                np.testing.assert_array_equal(
-                    max_similarity(cands[:n], targets[:m], threads=threads),
-                    integer_max_sim(cands[:n], targets[:m]),
-                )
+                with blas_threads(threads):
+                    scores = max_similarity(cands[:n], targets[:m])
+                np.testing.assert_array_equal(scores, integer_max_sim(cands[:n], targets[:m]))
 
     def test_monotone_in_targets(self, rng):
         """Adding a target row never decreases any relevance score."""

@@ -12,9 +12,14 @@ from corpus_select.fixture import _clustered_rows
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
+    _openblas,
+    available_cpus,
+    blas_thread_cap,
+    blas_threads,
     relevance_bounds,
     relevance_multi_dataset,
     to_grid,
+    update_running_max,
 )
 from corpus_select.selection import (
     SelectionConfig,
@@ -359,6 +364,59 @@ rhos = st.floats(min_value=0.05, max_value=1.0)
 lams = st.sampled_from([0.0, 0.3, 0.7, 1.0])
 
 
+def blas_thread_count():
+    """numpy's OpenBLAS thread-count getter; skips the test where it is not found."""
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread calls")
+    return lib.scipy_openblas_get_num_threads64_
+
+
+class TestBlasThreadScope:
+    """`batched_mmr(threads=)` sets the BLAS threads for the call, then restores them."""
+
+    def instance(self, rng):
+        views, durations, targets = random_instance(rng, n=300, k_views=2, targets_per=15)
+        cfg = SelectionConfig(alpha=0.1, rho=0.5, batch_size=16, weights=FusionWeights.uniform(views))
+        return durations, views, targets, cfg
+
+    def test_threads_one_runs_blas_on_one_thread(self, rng, monkeypatch):
+        count = blas_thread_count()
+        before = count()
+        seen = []
+
+        def counting(rows, batch, running):
+            seen.append(count())
+            update_running_max(rows, batch, running)
+
+        monkeypatch.setattr(selection, "update_running_max", counting)
+        batched_mmr(*self.instance(rng), threads=1)
+        assert seen and set(seen) == {1}
+        assert count() == before
+
+    def test_count_restored_after_an_exception(self, rng, monkeypatch):
+        count = blas_thread_count()
+        before = count()
+        seen = []
+
+        def failing(rows, batch, running):
+            seen.append(count())
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(selection, "update_running_max", failing)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            batched_mmr(*self.instance(rng), threads=1)
+        assert seen == [1]
+        assert count() == before
+
+    def test_never_more_threads_than_cpus(self):
+        count = blas_thread_count()
+        cpus = available_cpus()
+        assert blas_thread_cap(cpus + 1) == cpus
+        with blas_threads(cpus + 1):
+            assert count() <= cpus
+
+
 class TestSelectorProperties:
     @settings(max_examples=80, deadline=None)
     @given(inst=instances(), alpha=alphas, rho=rhos, lam=lams, batch=st.integers(1, 4))
@@ -474,7 +532,7 @@ class TestSelectorProperties:
         r = relevance_multi_dataset(views, targets, weights, aggregation)
         lo, hi = relevance_bounds(views, targets, weights, aggregation)
         assert np.all(lo <= r) and np.all(r <= hi)
-        pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size, threads=1)
+        pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size)
         expected = _ranked(np.arange(n), r)[:pool_size]
         np.testing.assert_array_equal(pool, expected)
         assert r_pool.tobytes() == r[expected].tobytes()
@@ -483,7 +541,7 @@ class TestSelectorProperties:
         """On clustered data, at most the pool plus 1% of it is scored exactly."""
         rng = np.random.default_rng(31)
         n, d, clusters = 20000, 64, 16
-        centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))[0]
+        centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
         views = {"v": _clustered_rows(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
         targets = TargetSet(
             [
@@ -511,7 +569,7 @@ class TestSelectorProperties:
         n, d = 4000, 16
         centers = unit_rows(rng, 8, d)
         noisy = centers[rng.integers(0, 8, size=n)] + 0.6 * rng.standard_normal((n, d))
-        views = {"v": _normalize_rows(noisy.astype(np.float32))[0]}
+        views = {"v": _normalize_rows(noisy.astype(np.float32))}
         durations = rng.uniform(1.0, 10.0, size=n)
         targets = TargetSet([TargetDataset("t", {"v": unit_rows(rng, 20, d)})])
         cfg = SelectionConfig(alpha=0.1, rho=0.5, batch_size=32, weights=FusionWeights({"v": 1.0}))

@@ -26,6 +26,7 @@ from corpus_select.store import (
     save_view,
     _NORM_BLOCK,
     _UNIT_SNAP,
+    _normalize_in_place,
     _normalize_rows,
 )
 from corpus_select.errors import EmptyTargets
@@ -132,6 +133,21 @@ class TestViewFile:
         assert loaded.rows.tobytes() == expected.rows.tobytes()
         assert peak < 1.3 * rows.nbytes
 
+    def test_load_validates_without_a_payload_sized_mask(self, tmp_path, rng):
+        """Loading an un-normalized view allocates little beyond the payload itself."""
+        n, d = 4096, 256
+        rows = 3.0 * rng.standard_normal((n, d)).astype(np.float32)
+        path = tmp_path / "v.emb"
+        save_view(EmbeddingView("x", d, rows), path)
+        tracemalloc.start()
+        try:
+            loaded = load_view(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.normalized
+        assert peak < 1.1 * rows.nbytes
+
     def test_normalized_flag_validated(self):
         with pytest.raises(ValueError, match="flagged normalized"):
             EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32), normalized=True)
@@ -186,7 +202,9 @@ class TestNormalize:
         near = near[near % 97 != 0]
         unit = (rows[near] / np.linalg.norm(rows[near], axis=1, keepdims=True)).astype(np.float32)
         rows[near] = unit * np.float32(1.0 + _UNIT_SNAP / 2)
-        out, zeros = _normalize_rows(rows)
+        out = rows.copy()
+        zeros = _normalize_in_place(out)
+        assert _normalize_rows(rows).tobytes() == out.tobytes()
         ref, ref_zeros = normalize_rows_gather(rows)
         assert out.tobytes() == ref.tobytes()
         assert zeros == ref_zeros == len(range(0, n, 97))
