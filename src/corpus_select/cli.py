@@ -4,18 +4,19 @@ Subcommands: project, audit, compact-targets, select, probe, stats. Every
 numeric flag is range-validated at parse time, before any data is loaded.
 Exit codes: 0 success, 1 data errors (with file/line context), 2 usage
 errors (naming the offending flag). Output files are written to a temp
-file and atomically renamed, and each run gets a JSON run manifest
-sidecar (`run.json` in an output directory, else `<output>.run.json`)
-recording the fully resolved configuration, keyed by each flag's `dest`,
-digests of the files the run read and wrote, and per-phase wall-clock
-times. Re-running a subcommand with `--replay <run.json>` reproduces the
-run from the manifest and verifies the output digests.
+file and atomically renamed. Each run that writes files gets a JSON run
+manifest sidecar (`run.json` in its `--out` directory, else
+`<output>.run.json`): the fully resolved configuration, keyed by each
+flag's `dest`, per-phase wall-clock times, and the digests that
+`store.recorded_files` took of the bytes the run read and wrote. A
+`--replay <run.json>` re-runs from the manifest and checks what it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -33,17 +34,17 @@ from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, 
 from corpus_select.relevance import AggregationMode, FusionWeights, available_cpus, blas_corename, blas_thread_cap
 from corpus_select.selection import SelectionConfig, batched_mmr, duration_baseline, random_baseline
 from corpus_select.store import (
+    CorpusManifest,
     _atomic_bytes,
-    corpus_files,
+    _view_files,
     load_corpus,
     load_manifest,
     load_target_durations,
     load_targets,
     load_view,
+    recorded_files,
     save_targets,
     save_view,
-    target_files,
-    target_manifests,
 )
 
 _ENV_THREADS = "CORPUS_SELECT_THREADS"
@@ -63,28 +64,25 @@ def _default_threads() -> int:
     return available_cpus()
 
 
-def _sha256(path: Path) -> str:
+def _file_entry(path: Path) -> dict:
+    """Digest of a file as it is on disk; replay checks its inputs with it."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return {"sha256": digest.hexdigest(), "bytes": path.stat().st_size}
 
 
-def _file_entry(path: Path) -> dict:
-    return {"sha256": _sha256(path), "bytes": path.stat().st_size}
-
-
-def _input_files(paths: list[Path]) -> dict:
-    return {str(path): _file_entry(path) for path in sorted(set(map(Path, paths)))}
+def _input_files(read: dict[str, dict]) -> dict[str, dict]:
+    """The run manifest's `inputs`: the recorded reads, sorted by path."""
+    return dict(sorted(read.items()))
 
 
 def emit_run_manifest(
     sidecar: Path,
     subcommand: str,
     config: dict,
-    inputs: list[Path],
-    outputs: list[Path],
+    files: dict[str, dict],
     phases: dict[str, float],
 ) -> Path:
     """Write the machine-readable sidecar describing a completed run.
@@ -103,12 +101,12 @@ def emit_run_manifest(
             "blas_corename": blas_corename(),
             "blas_threads": blas_thread_cap(config["threads"]) if mmr else None,
         },
-        "inputs": _input_files(inputs),
-        "outputs": {str(p): _file_entry(Path(p)) for p in outputs},
+        "inputs": _input_files(files["read"]),
+        "outputs": files["written"],
         "phases": {k: round(v, 6) for k, v in phases.items()},
     }
     payload = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
-    _atomic_bytes(sidecar, lambda fh: fh.write(payload))
+    _atomic_bytes(sidecar, [payload])
     return sidecar
 
 
@@ -281,22 +279,20 @@ def _config_from_args(args: argparse.Namespace, required: dict[str, list[argpars
 
 # ---------- handlers ----------
 
-def _cmd_project(config: dict) -> tuple[list[Path], list[Path], dict]:
+def _cmd_project(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     view = load_view(config["input"])
     t1 = time.perf_counter()
     matrix = make_projection(ProjectionSpec(view.dims, config["dim"], config["seed"]))
     projected = project_view(view, matrix)
     t2 = time.perf_counter()
-    out = Path(config["out"])
-    save_view(projected, out)
+    save_view(projected, config["out"])
     t3 = time.perf_counter()
     print(f"projected {view.row_count} rows: {view.dims} -> {config['dim']} dims")
-    phases = {"load_s": t1 - t0, "project_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
-    return [Path(config["input"])], [out], phases
+    return {"load_s": t1 - t0, "project_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
 
 
-def _cmd_audit(config: dict) -> tuple[list[Path], list[Path], dict]:
+def _cmd_audit(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     hi = load_view(config["hi"])
     lo = load_view(config["lo"])
@@ -304,11 +300,10 @@ def _cmd_audit(config: dict) -> tuple[list[Path], list[Path], dict]:
     corr = audit_cosine_preservation(hi, lo, config["pairs"], config["seed"])
     t2 = time.perf_counter()
     print(f"{corr:.6f}")
-    phases = {"load_s": t1 - t0, "audit_s": t2 - t1, "total_s": t2 - t0}
-    return [Path(config["hi"]), Path(config["lo"])], [], phases
+    return {"load_s": t1 - t0, "audit_s": t2 - t1, "total_s": t2 - t0}
 
 
-def _cmd_compact(config: dict) -> tuple[list[Path], list[Path], dict]:
+def _cmd_compact(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     targets = load_targets(config["targets"])
     t1 = time.perf_counter()
@@ -325,60 +320,50 @@ def _cmd_compact(config: dict) -> tuple[list[Path], list[Path], dict]:
         for row in report
     ]
     text = "\n".join(lines) + "\n"
-    report_path = out_dir / "report.txt"
-    _atomic_bytes(report_path, lambda fh: fh.write(text.encode("utf-8")))
+    _atomic_bytes(out_dir / "report.txt", [text.encode("utf-8")])
     print(text, end="")
     t3 = time.perf_counter()
-    outputs = [report_path] + [
-        out_dir / ds.name / f"{view}.emb" for ds in compacted.datasets for view in ds.views
-    ]
-    phases = {"load_s": t1 - t0, "compact_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
-    return sum(target_files(config["targets"]).values(), []), outputs, phases
+    return {"load_s": t1 - t0, "compact_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
 
 
 def _write_selection(result, records, out: Path) -> None:
-    def _write(fh):
-        for pick in result.picks:
-            row = {
-                "rank": pick.rank,
-                "id": records[pick.index].id,
-                "relevance": pick.relevance,
-                "diversity": pick.diversity,
-                "mmr": pick.mmr,
-                "cumulative_duration_s": pick.cumulative_duration_s,
-            }
-            fh.write(json.dumps(row).encode("utf-8") + b"\n")
-        footer = {
-            "budget_s": result.budget_s,
-            "total_selected_s": result.total_selected_s,
-            "pool_size": result.pool_size,
-            "rounds": result.rounds,
-            "exhausted": result.exhausted,
+    rows = (
+        {
+            "rank": pick.rank,
+            "id": records[pick.index].id,
+            "relevance": pick.relevance,
+            "diversity": pick.diversity,
+            "mmr": pick.mmr,
+            "cumulative_duration_s": pick.cumulative_duration_s,
         }
-        fh.write(json.dumps(footer).encode("utf-8") + b"\n")
+        for pick in result.picks
+    )
+    footer = {
+        "budget_s": result.budget_s,
+        "total_selected_s": result.total_selected_s,
+        "pool_size": result.pool_size,
+        "rounds": result.rounds,
+        "exhausted": result.exhausted,
+    }
+    lines = (json.dumps(row).encode("utf-8") + b"\n" for row in itertools.chain(rows, [footer]))
+    _atomic_bytes(out, lines)
 
-    _atomic_bytes(out, _write)
 
-
-def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
+def _cmd_select(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     method = config["method"]
     weights = FusionWeights(config["weights"]) if config["weights"] else None
     view_names = weights.names if weights is not None else None
-    if method != "mmr":
-        view_names = []  # the baselines read durations only
-    inputs = corpus_files(config["corpus"], view_names)
     if method == "mmr":
         corpus = load_corpus(config["corpus"], views=view_names)
         records, durations = corpus.records, corpus.durations
     else:
-        records = load_manifest(inputs[0])
+        records = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
         durations = np.array([r.duration_s for r in records], dtype=np.float64)
     t1 = time.perf_counter()
 
     if method == "mmr":
         targets = load_targets(config["targets"], views=view_names)
-        inputs += sum(target_files(config["targets"], view_names).values(), [])
         cfg = SelectionConfig(
             alpha=config["alpha"],
             lam=config["lambda"],
@@ -392,14 +377,12 @@ def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
         result = random_baseline(durations, config["alpha"], config["seed"])
     else:
         target_durations = load_target_durations(config["targets"])
-        inputs += target_manifests(config["targets"])
         result = duration_baseline(
             durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
         )
     t2 = time.perf_counter()
 
-    out = Path(config["out"])
-    _write_selection(result, records, out)
+    _write_selection(result, records, Path(config["out"]))
     t3 = time.perf_counter()
     hours = result.total_selected_s / 3600.0
     print(
@@ -407,11 +390,10 @@ def _cmd_select(config: dict) -> tuple[list[Path], list[Path], dict]:
         f"({hours:.2f} h, budget {result.budget_s / 3600.0:.2f} h, "
         f"pool {result.pool_size}, {result.rounds} rounds)"
     )
-    phases = {"load_s": t1 - t0, "select_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
-    return inputs, [out], phases
+    return {"load_s": t1 - t0, "select_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
 
 
-def _cmd_probe(config: dict) -> tuple[list[Path], list[Path], dict]:
+def _cmd_probe(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     corpus = load_corpus(config["corpus"], views=config["views"])
     t1 = time.perf_counter()
@@ -436,11 +418,10 @@ def _cmd_probe(config: dict) -> tuple[list[Path], list[Path], dict]:
         print(source.ljust(max(width, 14)) + cells)
     chance = max(r.chance for r in reports)
     print(f"chance level: {chance * 100.0:.1f}%")
-    phases = {"load_s": t1 - t0, "probe_s": t2 - t1, "total_s": t2 - t0}
-    return corpus_files(config["corpus"], config["views"]), [], phases
+    return {"load_s": t1 - t0, "probe_s": t2 - t1, "total_s": t2 - t0}
 
 
-def _cmd_stats(config: dict) -> tuple[list[Path], list[Path], dict]:
+def _cmd_stats(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     if config["make_fixture"]:
         spec = FixtureSpec(
@@ -454,16 +435,14 @@ def _cmd_stats(config: dict) -> tuple[list[Path], list[Path], dict]:
         )
         summary = make_fixture(config["out"], config["targets_out"], spec)
         print(json.dumps(summary, indent=2))
-        t1 = time.perf_counter()
-        outputs = [
-            p
-            for root in (config["out"], config["targets_out"])
-            for p in sorted(Path(root).rglob("*"))
-            if p.is_file()
-        ]
-        return [], outputs, {"total_s": t1 - t0}
+        return {"total_s": time.perf_counter() - t0}
 
-    corpus = load_corpus(config["corpus"])
+    # views as stored, so each prints its header's normalized flag
+    directory = Path(config["corpus"])
+    corpus = CorpusManifest(
+        load_manifest(directory / "manifest.jsonl"),
+        {path.stem: load_view(path, normalize=False) for path in _view_files(directory, None)},
+    )
     t1 = time.perf_counter()
     durations = corpus.durations
     print(f"utterances: {len(corpus)}")
@@ -478,7 +457,7 @@ def _cmd_stats(config: dict) -> tuple[list[Path], list[Path], dict]:
     for name, view in corpus.views.items():
         flag = "normalized" if view.normalized else "raw"
         print(f"  {name}  {view.dims} dims  {flag}")
-    return corpus_files(config["corpus"]), [], {"total_s": t1 - t0}
+    return {"total_s": t1 - t0}
 
 
 _HANDLERS = {
@@ -491,14 +470,12 @@ _HANDLERS = {
 }
 
 
-def _sidecar_path(config: dict, outputs: list[Path]) -> Path | None:
-    out = config.get("out")
-    if out is not None and Path(out).is_dir():
-        return Path(out) / "run.json"
-    if outputs:
-        first = Path(outputs[0])
-        return first.with_name(first.name + ".run.json")
-    return None
+def _sidecar_path(config: dict, written: dict[str, dict]) -> Path | None:
+    """A run that wrote files: `run.json` in its `--out` directory, else `<out>.run.json`."""
+    if not written:
+        return None
+    out = Path(config["out"])
+    return out / "run.json" if out.is_dir() else out.with_name(out.name + ".run.json")
 
 
 def _verify_replay_inputs(manifest: dict) -> None:
@@ -506,13 +483,13 @@ def _verify_replay_inputs(manifest: dict) -> None:
         path = Path(path_str)
         if not path.is_file():
             raise DataError(f"replay input missing: {path}")
-        if _sha256(path) != entry["sha256"]:
+        if _file_entry(path)["sha256"] != entry["sha256"]:
             raise DataError(f"replay input changed since the recorded run: {path}")
 
 
-def _verify_replay_outputs(manifest: dict) -> None:
+def _verify_replay_outputs(manifest: dict, written: dict[str, dict]) -> None:
     for path_str, entry in manifest.get("outputs", {}).items():
-        digest = _sha256(Path(path_str))
+        digest = written.get(path_str, {}).get("sha256")
         if digest != entry["sha256"]:
             raise DataError(
                 f"replay produced a different digest for {path_str}: "
@@ -548,16 +525,17 @@ def run(argv: list[str]) -> int:
         else:
             config = _config_from_args(args, required)
 
-        inputs, outputs, phases = _HANDLERS[args.subcommand](config)
+        with recorded_files() as files:
+            phases = _HANDLERS[args.subcommand](config)
 
         if replay_manifest is not None:
-            _verify_replay_outputs(replay_manifest)
-        sidecar = _sidecar_path(config, outputs)
+            _verify_replay_outputs(replay_manifest, files["written"])
+        sidecar = _sidecar_path(config, files["written"])
         # a replay never writes over the manifest it replays
         if sidecar is not None and not (
             replay_path is not None and sidecar.resolve() == Path(replay_path).resolve()
         ):
-            emit_run_manifest(sidecar, args.subcommand, config, inputs, outputs, phases)
+            emit_run_manifest(sidecar, args.subcommand, config, files, phases)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,12 +23,15 @@ is treated as a single dataset named after the directory.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
 import secrets
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -177,14 +180,14 @@ class TargetDataset:
     views: dict[str, np.ndarray]
 
     def __post_init__(self):
+        # a new dict: the caller's keeps its own arrays
+        self.views = {name: np.asarray(mat, dtype=np.float32) for name, mat in self.views.items()}
         for view_name, mat in self.views.items():
-            mat = np.asarray(mat, dtype=np.float32)
             if mat.ndim != 2 or mat.shape[0] == 0:
                 raise EmptyTargets(
                     f"target dataset {self.name!r}, view {view_name!r}: "
                     f"matrix must be nonempty 2-D, got shape {mat.shape}"
                 )
-            self.views[view_name] = mat
 
 
 @dataclass
@@ -197,16 +200,54 @@ class TargetSet:
         return len(self.datasets)
 
 
-def _atomic_bytes(path: Path, payload_writer) -> None:
-    """Write a file via temp-and-rename so interrupted runs leave no partial file."""
+_recording: list[dict[str, dict]] = []  # the logs of the open recorded_files() blocks
+
+
+@contextmanager
+def recorded_files():
+    """Record `path -> {"sha256", "bytes"}` for each file read or written in the block.
+
+    Yields `{"read": {...}, "written": {...}}`, filled as `load_view`,
+    `load_manifest` and the atomic writers run. Each digest is taken from
+    the bytes the call itself read or wrote; outside a block nothing is
+    hashed.
+    """
+    log: dict[str, dict] = {"read": {}, "written": {}}
+    _recording.append(log)
+    try:
+        yield log
+    finally:
+        _recording.remove(log)
+
+
+def _record_read(path: Path, *chunks) -> None:
+    if _recording:
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+        size = sum(memoryview(chunk).nbytes for chunk in chunks)
+        _recording[-1]["read"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
+
+
+def _atomic_bytes(path: Path, chunks) -> None:
+    """Write an iterable of bytes-like chunks via temp-and-rename.
+
+    An interrupted run leaves no partial file; inside `recorded_files()`
+    the chunks are digested as they are written.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_name = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    digest = hashlib.sha256() if _recording else None
+    size = 0
     # mode 0o666 lets the umask set the output's mode, as for any created file
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            payload_writer(fh)
+            for chunk in chunks:
+                size += fh.write(chunk)
+                if digest is not None:
+                    digest.update(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)
@@ -216,25 +257,14 @@ def _atomic_bytes(path: Path, payload_writer) -> None:
         except OSError:
             pass
         raise
+    if digest is not None:
+        _recording[-1]["written"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
 
 
 def save_view(view: EmbeddingView, path: str | Path) -> None:
     """Write a view in the EMB1 format. The write is atomic."""
-
-    def _write(fh):
-        fh.write(
-            _HEADER.pack(
-                MAGIC,
-                FORMAT_VERSION,
-                1 if view.normalized else 0,
-                view.row_count,
-                view.dims,
-            )
-        )
-        data = np.ascontiguousarray(view.rows, dtype="<f4")
-        fh.write(data.tobytes())
-
-    _atomic_bytes(Path(path), _write)
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, int(view.normalized), view.row_count, view.dims)
+    _atomic_bytes(Path(path), (header, np.ascontiguousarray(view.rows, dtype="<f4")))
 
 
 def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
@@ -264,6 +294,7 @@ def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
                 f"but the file holds {payload}"
             )
         rows = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
+    _record_read(path, header, rows)
     view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
     if normalize and not view.normalized:
         # the buffer just read is ours: normalize it without a second copy
@@ -300,8 +331,12 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
     path = Path(path)
     records: list[UtteranceRecord] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _record_read(path, data)
+    # the text layer `open(path, encoding="utf-8")` would add: same newlines, same line numbers
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        for lineno, line in enumerate(text, start=1):
             line = line.strip()
             if not line:
                 raise MalformedLine(lineno, "blank line")
@@ -331,15 +366,8 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
 
 def save_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> None:
     """Write records as JSON lines. The write is atomic."""
-
-    def _write(fh):
-        for rec in records:
-            line = json.dumps(
-                {"id": rec.id, "duration_s": rec.duration_s, "dataset": rec.dataset}
-            )
-            fh.write(line.encode("utf-8") + b"\n")
-
-    _atomic_bytes(Path(path), _write)
+    rows = ({"id": rec.id, "duration_s": rec.duration_s, "dataset": rec.dataset} for rec in records)
+    _atomic_bytes(Path(path), (json.dumps(row).encode("utf-8") + b"\n" for row in rows))
 
 
 def _view_files(directory: Path, views: Sequence[str] | None) -> list[Path]:
@@ -353,37 +381,26 @@ def _dataset_dirs(directory: str | Path) -> list[Path]:
     return sorted(p for p in directory.iterdir() if p.is_dir()) or [directory]
 
 
-def corpus_files(directory: str | Path, views: Sequence[str] | None = None) -> list[Path]:
-    """The files `load_corpus` reads: `manifest.jsonl`, then the view files.
+def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) -> CorpusManifest:
+    """Load `manifest.jsonl` plus view files from a corpus directory.
 
     `views` selects view names (default: every `.emb` file, sorted by name).
     """
     directory = Path(directory)
-    return [directory / "manifest.jsonl", *_view_files(directory, views)]
+    records = load_manifest(directory / "manifest.jsonl")
+    return CorpusManifest(records, {path.stem: load_view(path) for path in _view_files(directory, views)})
 
 
-def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) -> CorpusManifest:
-    """Load `manifest.jsonl` plus view files from a corpus directory."""
-    manifest, *view_files = corpus_files(directory, views)
-    records = load_manifest(manifest)
-    return CorpusManifest(records, {path.stem: load_view(path) for path in view_files})
-
-
-def target_files(directory: str | Path, views: Sequence[str] | None = None) -> dict[str, list[Path]]:
-    """The view files `load_targets` reads, by target dataset name.
+def load_targets(directory: str | Path, *, views: Sequence[str] | None = None) -> TargetSet:
+    """Load a targets directory into a TargetSet.
 
     Subdirectories become datasets in sorted name order; a flat directory
     of `.emb` files becomes a single dataset named after the directory.
     """
-    return {sub.name: _view_files(sub, views) for sub in _dataset_dirs(directory)}
-
-
-def load_targets(directory: str | Path, *, views: Sequence[str] | None = None) -> TargetSet:
-    """Load a targets directory into a TargetSet (layout as in `target_files`)."""
     return TargetSet(
         [
-            TargetDataset(name, {path.stem: load_view(path).rows for path in files})
-            for name, files in target_files(directory, views).items()
+            TargetDataset(sub.name, {path.stem: load_view(path).rows for path in _view_files(sub, views)})
+            for sub in _dataset_dirs(directory)
         ]
     )
 
@@ -397,19 +414,14 @@ def save_targets(targets: TargetSet, directory: str | Path) -> None:
             save_view(view, directory / ds.name / f"{view_name}.emb")
 
 
-def target_manifests(directory: str | Path) -> list[Path]:
-    """The dataset manifests under a targets directory that `load_target_durations` reads."""
-    manifests = (sub / "manifest.jsonl" for sub in _dataset_dirs(directory))
-    return [path for path in manifests if path.exists()]
-
-
 def load_target_durations(directory: str | Path) -> np.ndarray:
     """Concatenate duration_s from every dataset manifest under a targets dir.
 
     Used by the duration-matching baseline, which needs target durations
     rather than embeddings.
     """
-    durations = [r.duration_s for path in target_manifests(directory) for r in load_manifest(path)]
+    manifests = (sub / "manifest.jsonl" for sub in _dataset_dirs(directory))
+    durations = [r.duration_s for path in manifests if path.exists() for r in load_manifest(path)]
     if not durations:
         raise EmptyTargets(f"{directory}: no dataset manifest with durations found")
     return np.array(durations, dtype=np.float64)

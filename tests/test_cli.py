@@ -128,6 +128,18 @@ class TestStats:
         assert "speaker  48 dims" in out and "wavlm  48 dims" in out
         assert "web-a" in out
 
+    def test_views_show_their_stored_flag(self, tmp_path, capsys):
+        """A view stored un-normalized is reported raw, though selection would normalize it."""
+        records = [{"id": f"u{i}", "duration_s": 1.0, "dataset": "a"} for i in range(5)]
+        (tmp_path / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        rows = np.arange(1, 21, dtype=np.float32).reshape(5, 4)
+        save_view(EmbeddingView("raw", 4, rows, normalized=False), tmp_path / "raw.emb")
+        save_view(EmbeddingView("unit", 4, rows / np.linalg.norm(rows, axis=1, keepdims=True), normalized=True), tmp_path / "unit.emb")
+        assert run(["stats", "--corpus", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  raw  4 dims  raw\n" in out
+        assert "  unit  4 dims  normalized\n" in out
+
     def test_dataset_lines_match_per_tag_sums(self, fixture_dirs, capsys):
         """The per-dataset lines equal a per-tag masked sum of the durations."""
         corpus, _ = fixture_dirs
@@ -444,6 +456,38 @@ class TestRunManifestInputs:
         assert run(project) == 0  # rewrites a16.emb.run.json
         assert run(["select", "--replay", str(sidecar)]) == 0
 
+    def test_each_input_is_opened_once_and_no_output_again(self, fixture_dirs, tmp_path, monkeypatch):
+        """Digests come from the bytes the run read and wrote: no file is opened to be hashed."""
+        corpus, targets = fixture_dirs
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))  # an fd from os.fdopen never matches a path
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr("io.open", counting_open)
+        out = tmp_path / "sel.jsonl"
+        assert run(TestSelect().select_args(corpus, targets, out, ("--method", "mmr"))) == 0
+        monkeypatch.undo()
+        manifest = json.loads((tmp_path / "sel.jsonl.run.json").read_text())
+        assert len(manifest["inputs"]) == 7  # the manifest, two corpus views, two per target dataset
+        assert {path: opened.count(path) for path in manifest["inputs"]} == dict.fromkeys(manifest["inputs"], 1)
+        assert [path for path in manifest["outputs"] if path in opened] == []
+
+    def test_make_fixture_records_only_the_files_it_wrote(self, tmp_path):
+        corpus, targets = tmp_path / "corpus", tmp_path / "targets"
+        corpus.mkdir()
+        (corpus / "notes.txt").write_text("not a fixture file\n")
+        argv = ["stats", "--make-fixture", "--out", str(corpus), "--targets-out", str(targets)]
+        assert run([*argv, "--utterances", "50", "--views", "a:8", "--target-rows", "10"]) == 0
+        outputs = json.loads((corpus / "run.json").read_text())["outputs"]
+        written = [corpus / "manifest.jsonl", corpus / "a.emb"]
+        written += [targets / f"target-{m}" / name for m in range(2) for name in ("a.emb", "manifest.jsonl")]
+        assert sorted(outputs) == sorted(map(str, written))
+        assert all(outputs[str(path)]["sha256"] == sha256(path) for path in written)
+
 
 class TestProbeCommand:
     def test_prints_accuracy_table(self, fixture_dirs, capsys):
@@ -463,12 +507,12 @@ class TestAtomicity:
     def test_failed_write_leaves_nothing(self, tmp_path):
         target = tmp_path / "out.bin"
 
-        def bad_writer(fh):
-            fh.write(b"partial")
+        def bad_chunks():
+            yield b"partial"
             raise RuntimeError("disk on fire")
 
         with pytest.raises(RuntimeError):
-            _atomic_bytes(target, bad_writer)
+            _atomic_bytes(target, bad_chunks())
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -23,6 +24,8 @@ from corpus_select.store import (
     l2_normalize,
     load_manifest,
     load_view,
+    recorded_files,
+    save_manifest,
     save_view,
     _NORM_BLOCK,
     _UNIT_SNAP,
@@ -267,6 +270,39 @@ class TestManifest:
             load_manifest(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_line_numbers_follow_universal_newlines(self, tmp_path, newline):
+        """Lines split as in text mode: CRLF and bare CR each end one line."""
+        good = b'{"id": "u%d", "duration_s": 1.0, "dataset": "a"}'
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(newline.join([good % 0, good % 1, b"[1, 2]", good % 3]) + newline)
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(path)
+        assert err.value.line == 3
+
+
+class TestRecordedFiles:
+    def test_digests_are_those_of_the_files(self, tmp_path, rng):
+        view_path, manifest_path = tmp_path / "v.emb", tmp_path / "manifest.jsonl"
+        rows = 3.0 * rng.standard_normal((5, 4)).astype(np.float32)
+        with recorded_files() as files:
+            save_view(EmbeddingView("v", 4, rows), view_path)
+            save_manifest([UtteranceRecord("u", 1.5, "a")], manifest_path)
+            load_view(view_path)
+            load_manifest(manifest_path)
+        expected = {
+            str(path): {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "bytes": path.stat().st_size}
+            for path in (view_path, manifest_path)
+        }
+        assert files == {"read": expected, "written": expected}
+
+    def test_nothing_is_recorded_outside_a_block(self, tmp_path):
+        with recorded_files() as files:
+            pass
+        save_view(EmbeddingView("v", 2, np.eye(2, dtype=np.float32)), tmp_path / "v.emb")
+        load_view(tmp_path / "v.emb")
+        assert files == {"read": {}, "written": {}}
+
 
 class TestCorpusAssembly:
     def test_view_row_count_must_match_records(self, rng):
@@ -282,3 +318,9 @@ class TestCorpusAssembly:
     def test_target_dataset_rejects_empty_matrix(self):
         with pytest.raises(EmptyTargets):
             TargetDataset("t", {"v": np.zeros((0, 4), dtype=np.float32)})
+
+    def test_target_dataset_leaves_the_callers_dict_alone(self):
+        views = {"v": np.ones((2, 3))}
+        dataset = TargetDataset("x", views)
+        assert views["v"].dtype == np.float64
+        assert dataset.views["v"].dtype == np.float32

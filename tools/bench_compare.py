@@ -36,8 +36,9 @@ LAYERS = (
     "selection.rank.s",
     "relevance.s",
     "relevance.gflop",
+    "store.load_manifest.s",
     "store.load_view.s",
-    "cli.input_digest.s",
+    "store.save_view.s",
     "cli.input_digest.mb",
 )
 END_TO_END = {
