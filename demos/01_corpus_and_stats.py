@@ -31,16 +31,19 @@ print(f"  {summary['utterances']} utterances, {summary['total_duration_s'] / 360
 print(f"  views: {summary['views']}")
 print(f"  target datasets: {summary['target_datasets']} ({summary['target_rows']} rows each)\n")
 
+# in memory the manifest is columns, and each view one float32 matrix
 corpus = load_corpus(corpus_dir)
-print(f"loaded corpus: {len(corpus)} records, views {sorted(corpus.views)}")
-durations = corpus.durations
+manifest = corpus.manifest
+print(f"loaded corpus: {len(manifest)} utterances, views {sorted(corpus.views)}")
+print(f"  first ids: {manifest.ids[:3]}, datasets: {sorted(set(manifest.datasets))}")
+durations = manifest.durations
 print(f"  durations: min {durations.min():.1f}s, median {np.median(durations):.1f}s, "
       f"max {durations.max():.1f}s")
-for name, view in corpus.views.items():
-    print(f"  view {name!r}: {view.row_count} x {view.dims}, normalized={view.normalized}")
+for name, rows in corpus.views.items():
+    print(f"  view {name!r}: {rows.shape[0]} x {rows.shape[1]} {rows.dtype}")
 
 # rows are unit length, so cosine similarity is a plain dot product
-speaker = corpus.views["speaker"].rows
+speaker = corpus.views["speaker"]
 print(f"\nrow norms (speaker view): {np.linalg.norm(speaker, axis=1).mean():.6f} on average")
 
 targets = load_targets(targets_dir)
@@ -51,4 +54,5 @@ for ds in targets.datasets:
 # the loader enforces the file format end to end; peek at one header
 raw = (corpus_dir / "speaker.emb").read_bytes()[:21]
 print(f"\nspeaker.emb header bytes: magic={raw[:4]!r} (then version, flag, N, D)")
-print(f"reloading just that view: {load_view(corpus_dir / 'speaker.emb').rows.shape}")
+view = load_view(corpus_dir / "speaker.emb")
+print(f"reloading just that view: {view.rows.shape}, header flag normalized={view.normalized}")

@@ -10,23 +10,23 @@ complementary. Three synthetic views make the point: "speaker" and
 import numpy as np
 
 from corpus_select import ProbeConfig, probe_matrix
-from corpus_select.store import EmbeddingView, _normalize_rows
+from corpus_select.store import _normalize_rows
 
 rng = np.random.default_rng(66)
 n, clusters = 3000, 60
 
-def clustered_view(name, d, assign, spread):
+def clustered_view(d, assign, spread):
+    """n unit rows of dimension d around per-cluster unit centers: a plain float32 matrix."""
     centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
     rows = centers.astype(np.float64)[assign] + spread * rng.standard_normal((n, d))
-    unit = _normalize_rows(rows.astype(np.float32))
-    return EmbeddingView(name, d, unit, normalized=True)
+    return _normalize_rows(rows.astype(np.float32))
 
 shared = rng.integers(0, clusters, size=n)
 independent = rng.integers(0, clusters, size=n)
 views = {
-    "speaker": clustered_view("speaker", 48, shared, 0.10),
-    "channel": clustered_view("channel", 32, shared, 0.15),   # same structure, new space
-    "content": clustered_view("content", 40, independent, 0.10),
+    "speaker": clustered_view(48, shared, 0.10),
+    "channel": clustered_view(32, shared, 0.15),   # same structure, new space
+    "content": clustered_view(40, independent, 0.10),
 }
 
 cfg = ProbeConfig(clusters=clusters, seed=8)

@@ -13,10 +13,9 @@ predictability probe.
 from corpus_select.store import (
     CorpusManifest,
     EmbeddingView,
+    Manifest,
     TargetDataset,
     TargetSet,
-    UtteranceRecord,
-    l2_normalize,
     load_corpus,
     load_manifest,
     load_targets,
@@ -64,6 +63,7 @@ __all__ = [
     "EmbeddingView",
     "FusionWeights",
     "KMeansConfig",
+    "Manifest",
     "Pick",
     "ProbeConfig",
     "ProbeReport",
@@ -72,7 +72,6 @@ __all__ = [
     "SelectionResult",
     "TargetDataset",
     "TargetSet",
-    "UtteranceRecord",
     "audit_cosine_preservation",
     "batched_mmr",
     "compact_targets",
@@ -80,7 +79,6 @@ __all__ = [
     "fit_predict",
     "greedy_mmr_exact",
     "kmeans",
-    "l2_normalize",
     "load_corpus",
     "load_manifest",
     "load_targets",

@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -47,21 +46,9 @@ from corpus_select.store import (
     save_view,
 )
 
-_ENV_THREADS = "CORPUS_SELECT_THREADS"
-
 
 class UsageError(Exception):
     """Bad flag combination detected after parsing; exits with code 2."""
-
-
-def _default_threads() -> int:
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return available_cpus()
 
 
 def _file_entry(path: Path) -> dict:
@@ -233,7 +220,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Ac
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--bins", type=_positive_int, default=20, help="duration-baseline bins")
     need("select", p, "--out", metavar="JSONL", help="selection output file")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=available_cpus())
     add_replay(p)
 
     p = sub.add_parser("probe", help="cross-view predictability probe")
@@ -267,8 +254,6 @@ def _config_from_args(args: argparse.Namespace, required: dict[str, list[argpars
     for action in required[row]:
         if config[action.dest] is None:
             raise UsageError(f"argument {action.option_strings[0]} is required")
-    if "threads" in config and config["threads"] is None:
-        config["threads"] = _default_threads()
     if config.get("make_fixture") and config["view_dims"] is None:
         config["view_dims"] = dict(FixtureSpec().view_dims)
     method = config.get("method")
@@ -326,11 +311,11 @@ def _cmd_compact(config: dict) -> dict[str, float]:
     return {"load_s": t1 - t0, "compact_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
 
 
-def _write_selection(result, records, out: Path) -> None:
+def _write_selection(result, ids: list[str], out: Path) -> None:
     rows = (
         {
             "rank": pick.rank,
-            "id": records[pick.index].id,
+            "id": ids[pick.index],
             "relevance": pick.relevance,
             "diversity": pick.diversity,
             "mmr": pick.mmr,
@@ -356,14 +341,15 @@ def _cmd_select(config: dict) -> dict[str, float]:
     view_names = weights.names if weights is not None else None
     if method == "mmr":
         corpus = load_corpus(config["corpus"], views=view_names)
-        records, durations = corpus.records, corpus.durations
+        manifest = corpus.manifest
+        targets = load_targets(config["targets"], views=view_names)
     else:
-        records = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
-        durations = np.array([r.duration_s for r in records], dtype=np.float64)
+        manifest = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
+        if method == "duration":
+            target_durations = load_target_durations(config["targets"])
     t1 = time.perf_counter()
 
     if method == "mmr":
-        targets = load_targets(config["targets"], views=view_names)
         cfg = SelectionConfig(
             alpha=config["alpha"],
             lam=config["lambda"],
@@ -372,21 +358,20 @@ def _cmd_select(config: dict) -> dict[str, float]:
             weights=weights,
             aggregation=AggregationMode.from_name(config["aggregate"]),
         )
-        result = batched_mmr(durations, corpus.view_matrices, targets, cfg, threads=config["threads"])
+        result = batched_mmr(manifest.durations, corpus.views, targets, cfg, threads=config["threads"])
     elif method == "random":
-        result = random_baseline(durations, config["alpha"], config["seed"])
+        result = random_baseline(manifest.durations, config["alpha"], config["seed"])
     else:
-        target_durations = load_target_durations(config["targets"])
         result = duration_baseline(
-            durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
+            manifest.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
         )
     t2 = time.perf_counter()
 
-    _write_selection(result, records, Path(config["out"]))
+    _write_selection(result, manifest.ids, Path(config["out"]))
     t3 = time.perf_counter()
     hours = result.total_selected_s / 3600.0
     print(
-        f"selected {len(result.picks)} of {len(records)} utterances "
+        f"selected {len(result.picks)} of {len(manifest)} utterances "
         f"({hours:.2f} h, budget {result.budget_s / 3600.0:.2f} h, "
         f"pool {result.pool_size}, {result.rounds} rounds)"
     )
@@ -439,22 +424,20 @@ def _cmd_stats(config: dict) -> dict[str, float]:
 
     # views as stored, so each prints its header's normalized flag
     directory = Path(config["corpus"])
-    corpus = CorpusManifest(
-        load_manifest(directory / "manifest.jsonl"),
-        {path.stem: load_view(path, normalize=False) for path in _view_files(directory, None)},
-    )
+    manifest = load_manifest(directory / "manifest.jsonl")
+    views = {path.stem: load_view(path, normalize=False) for path in _view_files(directory, None)}
+    CorpusManifest(manifest, {name: view.rows for name, view in views.items()})  # the row-count checks
     t1 = time.perf_counter()
-    durations = corpus.durations
-    print(f"utterances: {len(corpus)}")
-    print(f"total-hours: {durations.sum() / 3600.0:.2f}")
+    print(f"utterances: {len(manifest)}")
+    print(f"total-hours: {manifest.durations.sum() / 3600.0:.2f}")
     print("datasets:")
-    tags, tag_of = np.unique([r.dataset for r in corpus.records], return_inverse=True)
+    tags, tag_of = np.unique(manifest.datasets, return_inverse=True)
     counts = np.bincount(tag_of, minlength=tags.size)
-    seconds = np.bincount(tag_of, weights=durations, minlength=tags.size)
+    seconds = np.bincount(tag_of, weights=manifest.durations, minlength=tags.size)
     for tag, count, total in zip(tags, counts, seconds):
         print(f"  {tag}  {count}  {total / 3600.0:.2f}h")
     print("views:")
-    for name, view in corpus.views.items():
+    for name, view in views.items():
         flag = "normalized" if view.normalized else "raw"
         print(f"  {name}  {view.dims} dims  {flag}")
     return {"total_s": t1 - t0}

@@ -186,34 +186,22 @@ def compact_targets(
     for ds in targets.datasets:
         views: dict[str, np.ndarray] = {}
         for view_name, mat in ds.views.items():
-            before = mat.shape[0]
-            if before <= cfg.k:
-                views[view_name] = mat
-                if report is not None:
-                    report.append(
-                        {
-                            "dataset": ds.name,
-                            "view": view_name,
-                            "rows_before": before,
-                            "rows_after": before,
-                            "inertia": 0.0,
-                            "iterations": 0,
-                        }
-                    )
-                continue
-            sub_cfg = replace(cfg, seed=subseed(cfg.seed, "compact", ds.name, view_name))
-            clustering = kmeans(mat, sub_cfg)
-            centroids = _normalize_rows(clustering.centroids.astype(np.float32))
-            views[view_name] = centroids
+            rows, inertia, iterations = mat, 0.0, 0
+            if mat.shape[0] > cfg.k:
+                sub_cfg = replace(cfg, seed=subseed(cfg.seed, "compact", ds.name, view_name))
+                clustering = kmeans(mat, sub_cfg)
+                rows = _normalize_rows(clustering.centroids.astype(np.float32))
+                inertia, iterations = clustering.inertia, clustering.iterations
+            views[view_name] = rows
             if report is not None:
                 report.append(
                     {
                         "dataset": ds.name,
                         "view": view_name,
-                        "rows_before": before,
-                        "rows_after": centroids.shape[0],
-                        "inertia": clustering.inertia,
-                        "iterations": clustering.iterations,
+                        "rows_before": mat.shape[0],
+                        "rows_after": rows.shape[0],
+                        "inertia": inertia,
+                        "iterations": iterations,
                     }
                 )
         datasets.append(TargetDataset(ds.name, views))

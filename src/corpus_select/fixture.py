@@ -18,9 +18,9 @@ import numpy as np
 from corpus_select.rng import generator
 from corpus_select.store import (
     EmbeddingView,
+    Manifest,
     TargetDataset,
     TargetSet,
-    UtteranceRecord,
     _normalize_rows,
     save_manifest,
     save_targets,
@@ -73,11 +73,8 @@ def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureS
     durations = np.clip(rng.lognormal(mean=1.6, sigma=0.45, size=n), 0.5, 30.0)
     tags = rng.integers(0, len(_SOURCE_TAGS), size=n)
 
-    records = [
-        UtteranceRecord(f"utt-{i:06d}", float(durations[i]), _SOURCE_TAGS[tags[i]])
-        for i in range(n)
-    ]
-    save_manifest(records, corpus_dir / "manifest.jsonl")
+    ids = [f"utt-{i:06d}" for i in range(n)]
+    save_manifest(Manifest(ids, durations, [_SOURCE_TAGS[t] for t in tags]), corpus_dir / "manifest.jsonl")
 
     centers: dict[str, np.ndarray] = {}
     for view_name, dim in spec.view_dims.items():
@@ -90,7 +87,7 @@ def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureS
         )
 
     datasets = []
-    target_records: dict[str, list[UtteranceRecord]] = {}
+    target_manifests: dict[str, Manifest] = {}
     for m in range(spec.target_datasets):
         name = f"target-{m}"
         home_cluster = m % spec.clusters
@@ -103,14 +100,12 @@ def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureS
         }
         datasets.append(TargetDataset(name, views))
         tdur = np.clip(rng.lognormal(mean=1.6, sigma=0.45, size=spec.target_rows), 0.5, 30.0)
-        target_records[name] = [
-            UtteranceRecord(f"{name}-utt-{i:04d}", float(tdur[i]), name)
-            for i in range(spec.target_rows)
-        ]
+        tids = [f"{name}-utt-{i:04d}" for i in range(spec.target_rows)]
+        target_manifests[name] = Manifest(tids, tdur, [name] * spec.target_rows)
 
     save_targets(TargetSet(datasets), targets_dir)
-    for name, recs in target_records.items():
-        save_manifest(recs, targets_dir / name / "manifest.jsonl")
+    for name, manifest in target_manifests.items():
+        save_manifest(manifest, targets_dir / name / "manifest.jsonl")
 
     return {
         "utterances": n,

@@ -7,6 +7,10 @@ them and report held-out accuracy next to the chance level. High accuracy
 means the two views encode similar factors; accuracy near chance means
 the target view carries information the source view does not.
 
+Views are plain N x D matrices whose rows align across views; a view's
+name travels beside it, as its key in `probe_matrix`'s dict or as
+`fit_predict`'s `source_name`.
+
 The classifier is full-batch gradient descent on softmax cross-entropy
 with an L2 penalty. Steps that fail to lower the loss are rejected and
 the step halved, clean improvements let the step grow, and plateaus decay
@@ -23,7 +27,6 @@ import numpy as np
 from corpus_select.compaction import KMeansConfig, kmeans
 from corpus_select.errors import DegenerateSplit, DimensionMismatch, TooFewRows
 from corpus_select.rng import generator, subseed
-from corpus_select.store import EmbeddingView
 
 _L2_PENALTY = 1e-4
 _MAX_EPOCHS = 200
@@ -63,9 +66,8 @@ class ProbeReport:
     n_heldout: int
 
 
-def pseudo_label(view: EmbeddingView | np.ndarray, cfg: ProbeConfig) -> np.ndarray:
-    """Cluster a view into cfg.clusters groups; the assignment is the label."""
-    rows = view.rows if isinstance(view, EmbeddingView) else np.asarray(view)
+def pseudo_label(rows: np.ndarray, cfg: ProbeConfig) -> np.ndarray:
+    """Cluster a view's rows into cfg.clusters groups; the assignment is the label."""
     if rows.shape[0] < cfg.clusters:
         raise TooFewRows(
             f"need at least {cfg.clusters} rows to form {cfg.clusters} clusters, "
@@ -154,26 +156,16 @@ def _fit(
     return weights, bias, history
 
 
-def _source_rows(source, source_name) -> tuple[np.ndarray, str]:
-    if isinstance(source, EmbeddingView):
-        return source.rows.astype(np.float64), (
-            source_name if source_name is not None else source.name
-        )
-    return np.asarray(source, dtype=np.float64), (
-        source_name if source_name is not None else "source"
-    )
-
-
 def fit_predict(
-    source: EmbeddingView | np.ndarray,
+    source: np.ndarray,
     labels: np.ndarray,
     cfg: ProbeConfig,
     *,
-    source_name: str | None = None,
+    source_name: str = "source",
     label_name: str = "labels",
 ) -> ProbeReport:
     """Train the probe on a seeded stratified split and score the held-out part."""
-    x, name = _source_rows(source, source_name)
+    x = np.asarray(source, dtype=np.float64)
     y = np.asarray(labels)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"source has {x.shape[0]} rows but labels {y.shape[0]}")
@@ -197,11 +189,11 @@ def fit_predict(
     accuracy = float((predictions == y[held_idx]).mean())
     chance = float(np.bincount(y).max() / y.shape[0])
     return ProbeReport(
-        name, label_name, accuracy, chance, int(train_idx.size), int(held_idx.size)
+        source_name, label_name, accuracy, chance, int(train_idx.size), int(held_idx.size)
     )
 
 
-def probe_matrix(views: dict[str, EmbeddingView], cfg: ProbeConfig) -> list[ProbeReport]:
+def probe_matrix(views: dict[str, np.ndarray], cfg: ProbeConfig) -> list[ProbeReport]:
     """One report per ordered (source, target) view pair, self-pairs included.
 
     Every fit uses the same split seed so self- and cross-prediction
@@ -210,7 +202,7 @@ def probe_matrix(views: dict[str, EmbeddingView], cfg: ProbeConfig) -> list[Prob
     names = list(views)
     if len(names) < 2:
         raise ValueError(f"probe matrix needs at least 2 views, got {len(names)}")
-    counts = {name: views[name].row_count for name in names}
+    counts = {name: views[name].shape[0] for name in names}
     if len(set(counts.values())) != 1:
         raise DimensionMismatch(f"views must have equal row counts, got {counts}")
 

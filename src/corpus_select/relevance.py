@@ -64,7 +64,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView
-from corpus_select.store import EmbeddingView, TargetSet
+from corpus_select.store import TargetSet
 
 _TILE_ROWS = 2048  # candidate rows per score tile
 _TILE_TARGETS = 4096  # target rows per score tile
@@ -183,10 +183,6 @@ def blas_threads(threads: int):
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _as_matrix(view) -> np.ndarray:
-    return view.rows if isinstance(view, EmbeddingView) else np.asarray(view)
-
-
 def to_grid(values, scale: float = 1.0) -> np.ndarray:
     """`values` rounded onto the exact-product grid, as float64 integers.
 
@@ -218,8 +214,8 @@ def max_similarity(candidates: np.ndarray, targets: np.ndarray, *, on_grid: bool
 
 
 def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
-    cands = _as_matrix(candidates)
-    sets = [_as_matrix(t) for t in target_sets]
+    cands = np.asarray(candidates)
+    sets = [np.asarray(t) for t in target_sets]
     for tgts in sets:
         if tgts.ndim != 2 or tgts.shape[0] == 0:
             raise EmptyTargets("target matrix has no rows")
@@ -341,10 +337,10 @@ def _view_scorer(views, weights: FusionWeights, target_sets, kernel):
     returns a (sets, N) array. Views are scored only when
     `FusionWeights.fuse` asks, and must all have N rows.
     """
-    n = _as_matrix(views[weights.names[0]]).shape[0]
+    n = views[weights.names[0]].shape[0]
 
     def score(name: str) -> np.ndarray:
-        mat = _as_matrix(views[name])
+        mat = views[name]
         if mat.shape[0] != n:
             raise DimensionMismatch(
                 f"view {name!r} has {mat.shape[0]} rows, expected {n}"
@@ -383,7 +379,7 @@ def _aggregate(weights: FusionWeights, mode: AggregationMode, score) -> np.ndarr
 
 
 def relevance_fused(
-    views: Mapping[str, EmbeddingView | np.ndarray],
+    views: Mapping[str, np.ndarray],
     targets: Mapping[str, np.ndarray],
     weights: FusionWeights,
 ) -> np.ndarray:
@@ -394,7 +390,7 @@ def relevance_fused(
 
 
 def relevance_multi_dataset(
-    views: Mapping[str, EmbeddingView | np.ndarray],
+    views: Mapping[str, np.ndarray],
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
@@ -414,7 +410,7 @@ def relevance_multi_dataset(
 
 
 def relevance_bounds(
-    views: Mapping[str, EmbeddingView | np.ndarray],
+    views: Mapping[str, np.ndarray],
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,

@@ -55,7 +55,6 @@ from corpus_select.errors import EmptyCorpus, EmptyTargets, SmallPoolWarning
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
-    _as_matrix,
     blas_threads,
     max_similarity,
     relevance_bounds,
@@ -185,7 +184,7 @@ def greedy_mmr_exact(
     if d.shape[0] != n:
         raise ValueError(f"relevance has {n} entries but durations {d.shape[0]}")
     weights = _resolve_weights(cfg.weights, views.keys())
-    mats = {name: to_grid(_as_matrix(views[name])) for name in weights.names}
+    mats = {name: to_grid(views[name]) for name in weights.names}
 
     budget = cfg.alpha * float(d.sum())
     all_idx = np.arange(n)
@@ -244,7 +243,7 @@ def batched_mmr(
         if n == 0:
             raise EmptyCorpus("no candidates to select from")
         weights = _resolve_weights(cfg.weights, views.keys())
-        mats = {name: _as_matrix(views[name]) for name in weights.names}
+        mats = {name: views[name] for name in weights.names}
         for name, mat in mats.items():
             if mat.shape[0] != n:
                 raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")

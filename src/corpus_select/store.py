@@ -10,9 +10,16 @@ Embedding file layout (little-endian throughout):
     bytes 21..    N*D float32 payload, row-major, no padding, no trailer
 
 Manifests are UTF-8 JSON lines, one record per line with fields "id",
-"duration_s" and "dataset". Alignment between metadata and matrices is
-positional: line i of the manifest owns row i of every view, and row
-counts are cross-checked when a corpus is assembled.
+"duration_s" and "dataset"; `load_manifest` returns them as columns (a
+`Manifest`). Alignment between metadata and matrices is positional: line
+i of the manifest owns row i of every view, and row counts are
+cross-checked when a corpus is assembled.
+
+In memory, `EmbeddingView` is one `.emb` file as `load_view` returns it:
+its rows and its normalized flag. A loaded corpus (`CorpusManifest`) is
+the manifest columns plus one unit float32 matrix per view, and a target
+dataset is one float32 matrix per view; everything downstream of the
+store takes plain matrices.
 
 A corpus directory holds one `manifest.jsonl` plus one `<view>.emb` file
 per view. A targets directory holds one subdirectory per target dataset,
@@ -34,7 +41,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +67,11 @@ _UNIT_SNAP = 2e-7
 _NORM_BLOCK = 65536
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """float64 L2 norm of each row of a float32 matrix."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+
+
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     """A unit-normalized float32 copy of `rows`; zero rows pass through."""
     out = np.array(rows, dtype=np.float32, copy=True)
@@ -67,21 +79,24 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalize_in_place(rows: np.ndarray) -> int:
+def _normalize_in_place(rows: np.ndarray, norms: np.ndarray | None = None) -> int:
     """Unit-normalize the rows of a writable float32 matrix in place; returns the zero-row count.
 
-    Norms are computed in float64 and each row divided in float64 before
-    casting back, so results are independent of blocking.
+    Norms are computed in float64 (or taken from `norms`, the `_row_norms`
+    of `rows`) and each row divided in float64 before casting back, so
+    results are independent of blocking. Zero rows stay zero, and rows
+    already within `_UNIT_SNAP` of unit norm are left untouched, so
+    normalizing twice gives the bytes of normalizing once.
     """
     zero_count = 0
     for lo in range(0, rows.shape[0], _NORM_BLOCK):
         block = rows[lo : lo + _NORM_BLOCK]
-        norms = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64))
-        zero = norms == 0.0
+        block_norms = _row_norms(block) if norms is None else norms[lo : lo + _NORM_BLOCK]
+        zero = block_norms == 0.0
         zero_count += int(zero.sum())
-        fix = ~zero & (np.abs(norms - 1.0) > _UNIT_SNAP)
+        fix = ~zero & (np.abs(block_norms - 1.0) > _UNIT_SNAP)
         # float64 divide, then the float32 cast on store, in place
-        np.divide(block, norms[:, None], out=block, where=fix[:, None], casting="unsafe")
+        np.divide(block, block_norms[:, None], out=block, where=fix[:, None], casting="unsafe")
     return zero_count
 
 
@@ -110,7 +125,7 @@ class EmbeddingView:
             )
         # a float64 sum of squares of float32 entries cannot overflow, so
         # it is finite exactly when every entry of its row is
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+        norms = _row_norms(rows)
         if not np.isfinite(norms).all():
             r, c = np.argwhere(~np.isfinite(rows))[0]
             raise NonFiniteEntry(r, c, context=f"view {self.name!r}")
@@ -122,54 +137,47 @@ class EmbeddingView:
                     f"has L2 norm {norms[off[0]]:.6f}"
                 )
         self.rows = rows
+        self._norms = norms  # the row norms as built; `load_view` normalizes with them
 
     @property
     def row_count(self) -> int:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True)
-class UtteranceRecord:
-    """One manifest line: opaque id, positive duration, owning dataset tag."""
+@dataclass
+class Manifest:
+    """A manifest as columns: line i is `ids[i]`, `durations[i]` (seconds) and `datasets[i]`."""
 
-    id: str
-    duration_s: float
-    dataset: str
+    ids: list[str]
+    durations: np.ndarray
+    datasets: list[str]
+
+    def __post_init__(self):
+        self.durations = np.asarray(self.durations, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
 class CorpusManifest:
-    """Ordered utterance records plus the views aligned to them row-for-row."""
+    """Manifest columns plus the float32 view matrices aligned to them row for row."""
 
-    records: list[UtteranceRecord]
-    views: dict[str, EmbeddingView]
+    manifest: Manifest
+    views: dict[str, np.ndarray]
 
     def __post_init__(self):
         if not self.views:
             raise DimensionMismatch("a corpus needs at least one view")
-        n = len(self.records)
-        for name, view in self.views.items():
-            if view.row_count != n:
+        n = len(self.manifest)
+        for name, rows in self.views.items():
+            if rows.shape[0] != n:
                 raise DimensionMismatch(
-                    f"view {name!r} has {view.row_count} rows but the manifest "
-                    f"has {n} records"
+                    f"view {name!r} has {rows.shape[0]} rows but the manifest has {n} lines"
                 )
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.id in seen:
-                raise DuplicateId(rec.id, -1)
-            seen.add(rec.id)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def durations(self) -> np.ndarray:
-        return np.array([r.duration_s for r in self.records], dtype=np.float64)
-
-    @property
-    def view_matrices(self) -> dict[str, np.ndarray]:
-        return {name: v.rows for name, v in self.views.items()}
+        return len(self.manifest)
 
 
 @dataclass
@@ -272,7 +280,9 @@ def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
 
     Unless the header marks the rows normalized, rows are L2-normalized on
     load so that cosine equals dot product downstream; pass
-    `normalize=False` to keep raw rows.
+    `normalize=False` to keep raw rows. Zero rows stay zero and are
+    counted in a ZeroRowWarning; their cosine with anything is 0
+    downstream.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -297,40 +307,25 @@ def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
     _record_read(path, header, rows)
     view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
     if normalize and not view.normalized:
-        # the buffer just read is ours: normalize it without a second copy
-        _normalize_view(view)
+        # the buffer just read is ours: normalize it in place, with the norms its check took
+        zero_count = _normalize_in_place(view.rows, view._norms)
+        if zero_count:
+            warnings.warn(
+                f"view {view.name!r}: {zero_count} zero rows left unnormalized",
+                ZeroRowWarning,
+                stacklevel=2,
+            )
+        view.normalized = True
     return view
 
 
-def l2_normalize(view: EmbeddingView) -> EmbeddingView:
-    """Scale every nonzero row to unit L2 norm, in a new view.
-
-    Zero rows stay zero and are reported through a ZeroRowWarning; their
-    cosine with anything is defined as 0 downstream. Idempotent: rows that
-    are already unit-norm are returned bitwise unchanged.
-    """
-    copy = EmbeddingView(view.name, view.dims, np.array(view.rows, dtype=np.float32, copy=True))
-    _normalize_view(copy)
-    return copy
-
-
-def _normalize_view(view: EmbeddingView) -> None:
-    """Normalize a validated view's rows in place and flag it normalized."""
-    zero_count = _normalize_in_place(view.rows)
-    if zero_count:
-        warnings.warn(
-            f"view {view.name!r}: {zero_count} zero rows left unnormalized",
-            ZeroRowWarning,
-            stacklevel=3,
-        )
-    view.normalized = True
-
-
-def load_manifest(path: str | Path) -> list[UtteranceRecord]:
-    """Parse a JSON-lines manifest; line order defines row order."""
+def load_manifest(path: str | Path) -> Manifest:
+    """Parse a JSON-lines manifest into columns; line order defines row order."""
     path = Path(path)
-    records: list[UtteranceRecord] = []
-    seen: dict[str, int] = {}
+    ids: list[str] = []
+    durations: list[float] = []
+    datasets: list[str] = []
+    seen: set[str] = set()
     with open(path, "rb") as fh:
         data = fh.read()
     _record_read(path, data)
@@ -359,14 +354,17 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
                 raise NonPositiveDuration(duration, lineno)
             if utt_id in seen:
                 raise DuplicateId(utt_id, lineno)
-            seen[utt_id] = lineno
-            records.append(UtteranceRecord(utt_id, float(duration), dataset))
-    return records
+            seen.add(utt_id)
+            ids.append(utt_id)
+            durations.append(duration)
+            datasets.append(dataset)
+    return Manifest(ids, np.array(durations, dtype=np.float64), datasets)
 
 
-def save_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> None:
-    """Write records as JSON lines. The write is atomic."""
-    rows = ({"id": rec.id, "duration_s": rec.duration_s, "dataset": rec.dataset} for rec in records)
+def save_manifest(manifest: Manifest, path: str | Path) -> None:
+    """Write a manifest as JSON lines. The write is atomic."""
+    columns = zip(manifest.ids, manifest.durations.tolist(), manifest.datasets)
+    rows = ({"id": i, "duration_s": d, "dataset": t} for i, d, t in columns)
     _atomic_bytes(Path(path), (json.dumps(row).encode("utf-8") + b"\n" for row in rows))
 
 
@@ -387,8 +385,8 @@ def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) ->
     `views` selects view names (default: every `.emb` file, sorted by name).
     """
     directory = Path(directory)
-    records = load_manifest(directory / "manifest.jsonl")
-    return CorpusManifest(records, {path.stem: load_view(path) for path in _view_files(directory, views)})
+    manifest = load_manifest(directory / "manifest.jsonl")
+    return CorpusManifest(manifest, {path.stem: load_view(path).rows for path in _view_files(directory, views)})
 
 
 def load_targets(directory: str | Path, *, views: Sequence[str] | None = None) -> TargetSet:
@@ -421,7 +419,8 @@ def load_target_durations(directory: str | Path) -> np.ndarray:
     rather than embeddings.
     """
     manifests = (sub / "manifest.jsonl" for sub in _dataset_dirs(directory))
-    durations = [r.duration_s for path in manifests if path.exists() for r in load_manifest(path)]
-    if not durations:
+    found = [load_manifest(path).durations for path in manifests if path.exists()]
+    durations = np.concatenate([np.empty(0), *found])
+    if not durations.size:
         raise EmptyTargets(f"{directory}: no dataset manifest with durations found")
-    return np.array(durations, dtype=np.float64)
+    return durations

@@ -22,9 +22,8 @@ from corpus_select.errors import (
     MissingView,
     SmallPoolWarning,
 )
-from corpus_select.probe import _fit, _source_rows, _stratified_split
+from corpus_select.probe import _fit, _stratified_split
 from corpus_select.relevance import (
-    _as_matrix,
     max_similarity,
     relevance_multi_dataset,
     to_grid,
@@ -133,7 +132,7 @@ def eager_batched_mmr(
     if n == 0:
         raise EmptyCorpus("no candidates to select from")
     weights = _resolve_weights(cfg.weights, views.keys())
-    mats = {name: _as_matrix(views[name]) for name in weights.names}
+    mats = {name: views[name] for name in weights.names}
     for name, mat in mats.items():
         if mat.shape[0] != n:
             raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
@@ -197,7 +196,7 @@ def eager_batched_mmr(
 
 def fit_loss_history(source, labels, cfg) -> list[float]:
     """Training-loss trajectory of the probe fit; non-increasing by construction."""
-    x, _ = _source_rows(source, None)
+    x = np.asarray(source, dtype=np.float64)
     y = np.asarray(labels)
     rng = generator(cfg.seed, "probe-split")
     train_idx, _ = _stratified_split(y, cfg.train_fraction, rng)

@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from corpus_select import cli
 from corpus_select.cli import run
-from corpus_select.relevance import blas_corename, blas_thread_cap
+from corpus_select.relevance import available_cpus, blas_corename, blas_thread_cap
 from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, save_view
 
 # the selection bytes of golden_selection_digest: projection and scoring
@@ -85,22 +86,23 @@ class TestUsageErrors:
 
 
 class TestDefaultThreads:
+    """`--threads` defaults to the CPUs this process may run on."""
+
+    def default_threads(self) -> int:
+        parser, _ = cli._build_parser()
+        return parser.parse_args(["select", "--corpus", "c", "--out", "o"]).threads
+
     def test_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
-        monkeypatch.delenv("CORPUS_SELECT_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert cli._default_threads() == 2
-
-    def test_env_var_overrides_affinity(self, monkeypatch):
-        monkeypatch.setenv("CORPUS_SELECT_THREADS", "5")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        assert cli._default_threads() == 5
+        assert available_cpus() == 2
+        assert self.default_threads() == 2
 
     def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("CORPUS_SELECT_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli._default_threads() == 3
+        assert available_cpus() == 3
+        assert self.default_threads() == 3
 
 
 class TestDataErrors:
@@ -145,12 +147,12 @@ class TestStats:
         corpus, _ = fixture_dirs
         assert run(["stats", "--corpus", str(corpus)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        records = load_manifest(corpus / "manifest.jsonl")
-        durations = np.array([r.duration_s for r in records])
+        manifest = load_manifest(corpus / "manifest.jsonl")
+        tags = np.array(manifest.datasets)
         expected = []
-        for tag in sorted({r.dataset for r in records}):
-            mask = np.array([r.dataset == tag for r in records])
-            expected.append(f"  {tag}  {int(mask.sum())}  {durations[mask].sum() / 3600.0:.2f}h")
+        for tag in sorted(set(manifest.datasets)):
+            mask = tags == tag
+            expected.append(f"  {tag}  {int(mask.sum())}  {manifest.durations[mask].sum() / 3600.0:.2f}h")
         start = lines.index("datasets:") + 1
         assert lines[start : start + len(expected)] == expected
         assert lines[start + len(expected)] == "views:"
@@ -273,6 +275,23 @@ class TestSelect:
         assert manifest["outputs"][str(out)]["sha256"] == sha256(out)
         assert any("manifest.jsonl" in p for p in manifest["inputs"])
         assert "total_s" in manifest["phases"]
+
+    @pytest.mark.parametrize(("method", "loader"), [("mmr", "load_targets"), ("duration", "load_target_durations")])
+    def test_target_loading_counts_as_load(self, fixture_dirs, tmp_path, monkeypatch, method, loader):
+        """Reading the targets is timed in `load_s`, not in `select_s`."""
+        corpus, targets = fixture_dirs
+        original = getattr(cli, loader)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.5)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, loader, slow)
+        out = tmp_path / "sel.jsonl"
+        assert run(self.select_args(corpus, targets, out, ("--method", method))) == 0
+        phases = json.loads((tmp_path / "sel.jsonl.run.json").read_text())["phases"]
+        assert phases["load_s"] >= 0.5
+        assert phases["select_s"] < 0.5
 
     def test_run_manifest_records_the_blas_threads(self, fixture_dirs, tmp_path):
         corpus, targets = fixture_dirs

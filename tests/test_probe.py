@@ -9,19 +9,18 @@ from corpus_select.probe import (
     pseudo_label,
     softmax_loss_and_grad,
 )
-from corpus_select.store import EmbeddingView, _normalize_rows
+from corpus_select.store import _normalize_rows
 from conftest import unit_rows
 from oracles import fit_loss_history
 
 
-def clustered_view(rng, name, n, d, n_clusters, spread=0.05, assignment=None):
-    """Well-separated unit-vector clusters; returns (view, assignment)."""
+def clustered_view(rng, n, d, n_clusters, spread=0.05, assignment=None):
+    """Well-separated unit-vector clusters; returns (rows, assignment)."""
     centers = unit_rows(rng, n_clusters, d).astype(np.float64)
     if assignment is None:
         assignment = rng.integers(0, n_clusters, size=n)
     rows = centers[assignment] + spread * rng.standard_normal((n, d))
-    unit = _normalize_rows(rows.astype(np.float32))
-    return EmbeddingView(name, d, unit, normalized=True), assignment
+    return _normalize_rows(rows.astype(np.float32)), assignment
 
 
 class TestPseudoLabel:
@@ -35,7 +34,7 @@ class TestPseudoLabel:
         assert np.all(labels == 0)
 
     def test_two_blobs_separate(self, rng):
-        view, assignment = clustered_view(rng, "x", 200, 16, 2, spread=0.02)
+        view, assignment = clustered_view(rng, 200, 16, 2, spread=0.02)
         labels = pseudo_label(view, ProbeConfig(clusters=2, seed=0))
         # identical partition up to label swap
         agreement = (labels == assignment).mean()
@@ -74,7 +73,7 @@ class TestSoftmaxGradient:
 
 class TestFitPredict:
     def test_loss_history_non_increasing(self, rng):
-        view, _ = clustered_view(rng, "x", 300, 16, 5)
+        view, _ = clustered_view(rng, 300, 16, 5)
         labels = pseudo_label(view, ProbeConfig(clusters=5, seed=1))
         history = fit_loss_history(view, labels, ProbeConfig(clusters=5, seed=1))
         diffs = np.diff(np.array(history))
@@ -82,10 +81,10 @@ class TestFitPredict:
 
     def test_self_prediction_on_separated_data(self, rng):
         """Predicting a view's own clusters succeeds on separable data."""
-        view, _ = clustered_view(rng, "x", 400, 24, 8)
+        view, _ = clustered_view(rng, 400, 24, 8)
         cfg = ProbeConfig(clusters=8, seed=2)
         labels = pseudo_label(view, cfg)
-        report = fit_predict(view, labels, cfg, label_name="x")
+        report = fit_predict(view, labels, cfg, source_name="x", label_name="x")
         assert report.accuracy >= 0.70
         assert report.source == "x" and report.target == "x"
         assert report.n_train + report.n_heldout == 400
@@ -97,26 +96,25 @@ class TestFitPredict:
         1/clusters; with lumpier labels the majority frequency exceeds what
         any per-sample predictor reaches on pure noise.
         """
-        view, _ = clustered_view(rng, "x", 2000, 16, 100)
+        view, _ = clustered_view(rng, 2000, 16, 100)
         cfg = ProbeConfig(clusters=100, seed=3)
         labels = pseudo_label(view, cfg)
-        noise = EmbeddingView("noise", 16, unit_rows(rng, 2000, 16), normalized=True)
+        noise = unit_rows(rng, 2000, 16)
         report = fit_predict(noise, labels, cfg)
         assert abs(report.accuracy - report.chance) <= 0.03
 
     def test_noisy_copy_keeps_most_accuracy(self, rng):
         """A lightly perturbed copy predicts at >= 0.9x the clean accuracy."""
-        view, _ = clustered_view(rng, "x", 400, 24, 8)
+        view, _ = clustered_view(rng, 400, 24, 8)
         cfg = ProbeConfig(clusters=8, seed=4)
         labels = pseudo_label(view, cfg)
         clean = fit_predict(view, labels, cfg).accuracy
-        noisy_rows = view.rows + 0.01 * rng.standard_normal(view.rows.shape).astype(np.float32)
-        noisy = _normalize_rows(noisy_rows)
-        noisy_acc = fit_predict(EmbeddingView("n", 24, noisy), labels, cfg).accuracy
+        noisy = _normalize_rows(view + 0.01 * rng.standard_normal(view.shape).astype(np.float32))
+        noisy_acc = fit_predict(noisy, labels, cfg).accuracy
         assert noisy_acc >= 0.9 * clean
 
     def test_deterministic(self, rng):
-        view, _ = clustered_view(rng, "x", 200, 12, 4)
+        view, _ = clustered_view(rng, 200, 12, 4)
         cfg = ProbeConfig(clusters=4, seed=5)
         labels = pseudo_label(view, cfg)
         a = fit_predict(view, labels, cfg)
@@ -124,12 +122,12 @@ class TestFitPredict:
         assert a == b
 
     def test_degenerate_split(self, rng):
-        view = EmbeddingView("x", 4, unit_rows(rng, 10, 4), normalized=True)
+        view = unit_rows(rng, 10, 4)
         with pytest.raises(DegenerateSplit):
             fit_predict(view, np.zeros(10, dtype=np.int64), ProbeConfig(clusters=1, seed=0))
 
     def test_chance_is_majority_frequency(self, rng):
-        view, _ = clustered_view(rng, "x", 100, 8, 2)
+        view, _ = clustered_view(rng, 100, 8, 2)
         labels = np.array([0] * 70 + [1] * 30)
         report = fit_predict(view, labels, ProbeConfig(clusters=2, seed=0))
         assert report.chance == pytest.approx(0.7)
@@ -140,7 +138,7 @@ class TestProbeMatrix:
         shared = rng.integers(0, 4, size=200)
         views = {}
         for name in ("a", "b", "c"):
-            views[name], _ = clustered_view(rng, name, 200, 12, 4, assignment=shared)
+            views[name], _ = clustered_view(rng, 200, 12, 4, assignment=shared)
         reports = probe_matrix(views, ProbeConfig(clusters=4, seed=6))
         assert len(reports) == 9
         pairs = [(r.source, r.target) for r in reports]
@@ -148,8 +146,8 @@ class TestProbeMatrix:
 
     def test_duplicate_views_cross_equals_self(self, rng):
         """Identical content means cross-prediction equals self-prediction."""
-        view, _ = clustered_view(rng, "a", 300, 16, 5)
-        twin = EmbeddingView("b", 16, view.rows.copy(), normalized=True)
+        view, _ = clustered_view(rng, 300, 16, 5)
+        twin = view.copy()
         reports = probe_matrix({"a": view, "b": twin}, ProbeConfig(clusters=5, seed=7))
         by_pair = {(r.source, r.target): r.accuracy for r in reports}
         assert by_pair[("a", "b")] == by_pair[("b", "b")]
@@ -158,7 +156,7 @@ class TestProbeMatrix:
     def test_independent_views_off_diagonal_near_chance(self, rng):
         views = {}
         for name in ("a", "b"):
-            views[name], _ = clustered_view(rng, name, 1200, 16, 15)
+            views[name], _ = clustered_view(rng, 1200, 16, 15)
         reports = probe_matrix(views, ProbeConfig(clusters=15, seed=8))
         for r in reports:
             if r.source == r.target:
@@ -169,13 +167,13 @@ class TestProbeMatrix:
     def test_self_beats_cross_on_independent_views(self, rng):
         views = {}
         for name in ("a", "b"):
-            views[name], _ = clustered_view(rng, name, 800, 16, 10)
+            views[name], _ = clustered_view(rng, 800, 16, 10)
         reports = probe_matrix(views, ProbeConfig(clusters=10, seed=9))
         by_pair = {(r.source, r.target): r.accuracy for r in reports}
         assert by_pair[("a", "a")] > by_pair[("b", "a")]
         assert by_pair[("b", "b")] > by_pair[("a", "b")]
 
     def test_needs_two_views(self, rng):
-        view, _ = clustered_view(rng, "a", 50, 8, 3)
+        view, _ = clustered_view(rng, 50, 8, 3)
         with pytest.raises(ValueError):
             probe_matrix({"a": view}, ProbeConfig(clusters=3, seed=0))

@@ -19,9 +19,8 @@ from corpus_select.errors import (
 from corpus_select.store import (
     CorpusManifest,
     EmbeddingView,
+    Manifest,
     TargetDataset,
-    UtteranceRecord,
-    l2_normalize,
     load_manifest,
     load_view,
     recorded_files,
@@ -32,6 +31,7 @@ from corpus_select.store import (
     _normalize_in_place,
     _normalize_rows,
 )
+import corpus_select.store as store
 from corpus_select.errors import EmptyTargets
 from oracles import normalize_rows_gather
 
@@ -108,7 +108,7 @@ class TestViewFile:
 
     def test_normalized_flag_trusted(self, tmp_path, rng):
         """A header-normalized file is loaded as-is, bit for bit."""
-        view = l2_normalize(EmbeddingView("x", 4, rng.standard_normal((6, 4)).astype(np.float32)))
+        view = EmbeddingView("x", 4, _normalize_rows(rng.standard_normal((6, 4))), normalized=True)
         path = tmp_path / "v.emb"
         save_view(view, path)
         loaded = load_view(path)
@@ -123,8 +123,7 @@ class TestViewFile:
         rows[::101] = 0.0
         path = tmp_path / "v.emb"
         save_view(EmbeddingView("x", d, rows), path)
-        with pytest.warns(ZeroRowWarning):
-            expected = l2_normalize(load_view(path, normalize=False))
+        expected = _normalize_rows(load_view(path, normalize=False).rows)
         tracemalloc.start()
         try:
             with pytest.warns(ZeroRowWarning):
@@ -133,8 +132,19 @@ class TestViewFile:
         finally:
             tracemalloc.stop()
         assert loaded.normalized and loaded.name == "v"
-        assert loaded.rows.tobytes() == expected.rows.tobytes()
+        assert loaded.rows.tobytes() == expected.tobytes()
         assert peak < 1.3 * rows.nbytes
+
+    def test_load_takes_the_row_norms_once(self, tmp_path, rng, monkeypatch):
+        """The finite check's norms are the ones the rows are divided by."""
+        path = tmp_path / "v.emb"
+        save_view(EmbeddingView("x", 4, 3.0 * rng.standard_normal((6, 4)).astype(np.float32)), path)
+        calls = []
+        row_norms = store._row_norms
+        monkeypatch.setattr(store, "_row_norms", lambda rows: calls.append(rows.shape) or row_norms(rows))
+        loaded = load_view(path)
+        assert calls == [(6, 4)]
+        assert loaded.rows.tobytes() == _normalize_rows(load_view(path, normalize=False).rows).tobytes()
 
     def test_load_validates_without_a_payload_sized_mask(self, tmp_path, rng):
         """Loading an un-normalized view allocates little beyond the payload itself."""
@@ -156,23 +166,32 @@ class TestViewFile:
             EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32), normalized=True)
 
 
+def load_normalized(tmp_path, rows):
+    """`rows` saved as a raw view, then loaded (and normalized) by `load_view`."""
+    path = tmp_path / "x.emb"
+    save_view(EmbeddingView("x", rows.shape[1], rows), path)
+    return load_view(path)
+
+
 class TestNormalize:
-    def test_three_four_five(self):
-        view = EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32))
-        out = l2_normalize(view)
+    def test_three_four_five(self, tmp_path):
+        rows = np.array([[3.0, 4.0]], dtype=np.float32)
+        np.testing.assert_allclose(_normalize_rows(rows), [[0.6, 0.8]], atol=1e-7)
+        out = load_normalized(tmp_path, rows)
         np.testing.assert_allclose(out.rows, [[0.6, 0.8]], atol=1e-7)
         assert out.normalized
 
-    def test_zero_row_warns_and_passes_through(self):
-        view = EmbeddingView("x", 2, np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32))
+    def test_zero_row_warns_and_passes_through(self, tmp_path):
+        rows = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
         with pytest.warns(ZeroRowWarning, match="1 zero rows"):
-            out = l2_normalize(view)
+            out = load_normalized(tmp_path, rows)
         np.testing.assert_array_equal(out.rows[0], [0.0, 0.0])
+        np.testing.assert_array_equal(_normalize_rows(rows)[0], [0.0, 0.0])
 
-    def test_already_unit_row_untouched(self):
-        view = EmbeddingView("x", 2, np.array([[1.0, 0.0]], dtype=np.float32))
-        out = l2_normalize(view)
-        np.testing.assert_array_equal(out.rows, view.rows)
+    def test_already_unit_row_untouched(self, tmp_path):
+        rows = np.array([[1.0, 0.0]], dtype=np.float32)
+        np.testing.assert_array_equal(_normalize_rows(rows), rows)
+        np.testing.assert_array_equal(load_normalized(tmp_path, rows).rows, rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 16))
@@ -180,17 +199,17 @@ class TestNormalize:
         """normalize(normalize(x)) == normalize(x) exactly."""
         rows = np.random.default_rng(seed).standard_normal((n, d)).astype(np.float32)
         rows *= np.random.default_rng(seed + 1).uniform(1e-3, 1e3, size=(n, 1)).astype(np.float32)
-        once = l2_normalize(EmbeddingView("x", d, rows))
-        twice = l2_normalize(once)
-        np.testing.assert_array_equal(once.rows, twice.rows)
+        once = _normalize_rows(rows)
+        twice = _normalize_rows(once)
+        np.testing.assert_array_equal(once, twice)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_unit_self_dot(self, seed):
         """dot(normalize(r), normalize(r)) stays within 1e-5 of 1 for nonzero rows."""
         rows = np.random.default_rng(seed).standard_normal((8, 6)).astype(np.float32)
-        out = l2_normalize(EmbeddingView("x", 6, rows))
-        dots = np.einsum("ij,ij->i", out.rows, out.rows, dtype=np.float64)
+        out = _normalize_rows(rows)
+        dots = np.einsum("ij,ij->i", out, out, dtype=np.float64)
         assert np.all(np.abs(dots - 1.0) <= 1e-5)
 
 
@@ -231,9 +250,25 @@ class TestManifest:
                 '{"id": "utt-2", "duration_s": 4.0, "dataset": "b"}',
             ],
         )
-        records = load_manifest(path)
-        assert [r.id for r in records] == ["utt-0", "utt-1", "utt-2"]
-        assert records[2].duration_s == 4.0 and records[2].dataset == "b"
+        manifest = load_manifest(path)
+        assert len(manifest) == 3
+        assert manifest.ids == ["utt-0", "utt-1", "utt-2"]
+        assert manifest.durations.dtype == np.float64
+        assert manifest.durations.tolist() == [2.5, 1.0, 4.0]
+        assert manifest.datasets == ["a", "a", "b"]
+
+    def test_save_writes_the_bytes_it_loaded(self, tmp_path):
+        """A manifest in `save_manifest`'s own form comes back byte for byte."""
+        path = self.write(
+            tmp_path,
+            [
+                '{"id": "utt-0", "duration_s": 2.5, "dataset": "a"}',
+                '{"id": "utt-1", "duration_s": 3.0, "dataset": "a"}',
+                '{"id": "utt-2", "duration_s": 0.1, "dataset": "b"}',
+            ],
+        )
+        save_manifest(load_manifest(path), tmp_path / "copy.jsonl")
+        assert (tmp_path / "copy.jsonl").read_bytes() == path.read_bytes()
 
     def test_duplicate_id_reports_line(self, tmp_path):
         path = self.write(
@@ -287,7 +322,7 @@ class TestRecordedFiles:
         rows = 3.0 * rng.standard_normal((5, 4)).astype(np.float32)
         with recorded_files() as files:
             save_view(EmbeddingView("v", 4, rows), view_path)
-            save_manifest([UtteranceRecord("u", 1.5, "a")], manifest_path)
+            save_manifest(Manifest(["u"], [1.5], ["a"]), manifest_path)
             load_view(view_path)
             load_manifest(manifest_path)
         expected = {
@@ -306,14 +341,14 @@ class TestRecordedFiles:
 
 class TestCorpusAssembly:
     def test_view_row_count_must_match_records(self, rng):
-        records = [UtteranceRecord(f"u{i}", 1.0, "a") for i in range(3)]
-        view = EmbeddingView("v", 2, rng.standard_normal((4, 2)).astype(np.float32))
+        manifest = Manifest([f"u{i}" for i in range(3)], np.ones(3), ["a"] * 3)
+        rows = rng.standard_normal((4, 2)).astype(np.float32)
         with pytest.raises(DimensionMismatch, match="4 rows"):
-            CorpusManifest(records, {"v": view})
+            CorpusManifest(manifest, {"v": rows})
 
     def test_at_least_one_view(self):
         with pytest.raises(DimensionMismatch):
-            CorpusManifest([UtteranceRecord("u", 1.0, "a")], {})
+            CorpusManifest(Manifest(["u"], [1.0], ["a"]), {})
 
     def test_target_dataset_rejects_empty_matrix(self):
         with pytest.raises(EmptyTargets):
