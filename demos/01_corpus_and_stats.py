@@ -14,7 +14,9 @@ import numpy as np
 from corpus_select import load_corpus, load_targets, load_view
 from corpus_select.fixture import FixtureSpec, make_fixture
 
-root = Path(tempfile.mkdtemp(prefix="corpus-demo-"))
+# removed at the end of the script (or at exit, if it fails before)
+fixture_dir = tempfile.TemporaryDirectory(prefix="corpus-demo-")
+root = Path(fixture_dir.name)
 corpus_dir, targets_dir = root / "corpus", root / "targets"
 
 spec = FixtureSpec(
@@ -56,3 +58,5 @@ raw = (corpus_dir / "speaker.emb").read_bytes()[:21]
 print(f"\nspeaker.emb header bytes: magic={raw[:4]!r} (then version, flag, N, D)")
 view = load_view(corpus_dir / "speaker.emb")
 print(f"reloading just that view: {view.rows.shape}, header flag normalized={view.normalized}")
+
+fixture_dir.cleanup()

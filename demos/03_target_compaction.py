@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from corpus_select import FusionWeights, KMeansConfig, compact_targets, relevance_fused
+from corpus_select import FusionWeights, KMeansConfig, compact_targets, relevance_multi_dataset
 from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 
 rng = np.random.default_rng(33)
@@ -43,10 +43,10 @@ print(f"centroids are unit vectors: mean norm {np.linalg.norm(cent, axis=1).mean
 
 one_view = FusionWeights({"v": 1.0})
 t0 = time.perf_counter()
-full_scores = relevance_fused({"v": candidates}, {"v": target_rows}, one_view)
+full_scores = relevance_multi_dataset({"v": candidates}, targets, one_view)
 t_full = time.perf_counter() - t0
 t0 = time.perf_counter()
-compact_scores = relevance_fused({"v": candidates}, {"v": cent}, one_view)
+compact_scores = relevance_multi_dataset({"v": candidates}, compacted, one_view)
 t_compact = time.perf_counter() - t0
 
 diff = np.abs(full_scores - compact_scores)

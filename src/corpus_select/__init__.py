@@ -34,7 +34,6 @@ from corpus_select.compaction import Clustering, KMeansConfig, compact_targets, 
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
-    relevance_fused,
     relevance_multi_dataset,
 )
 from corpus_select.selection import (
@@ -88,7 +87,6 @@ __all__ = [
     "project_view",
     "pseudo_label",
     "random_baseline",
-    "relevance_fused",
     "relevance_multi_dataset",
     "save_manifest",
     "save_targets",

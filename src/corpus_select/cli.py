@@ -33,8 +33,8 @@ from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, 
 from corpus_select.relevance import AggregationMode, FusionWeights, available_cpus, blas_corename, blas_thread_cap
 from corpus_select.selection import SelectionConfig, batched_mmr, duration_baseline, random_baseline
 from corpus_select.store import (
-    CorpusManifest,
     _atomic_bytes,
+    _check_row_counts,
     _view_files,
     load_corpus,
     load_manifest,
@@ -44,6 +44,7 @@ from corpus_select.store import (
     recorded_files,
     save_targets,
     save_view,
+    view_header,
 )
 
 
@@ -422,11 +423,11 @@ def _cmd_stats(config: dict) -> dict[str, float]:
         print(json.dumps(summary, indent=2))
         return {"total_s": time.perf_counter() - t0}
 
-    # views as stored, so each prints its header's normalized flag
+    # each view's flag, N and D come from its header; the payload is not read
     directory = Path(config["corpus"])
     manifest = load_manifest(directory / "manifest.jsonl")
-    views = {path.stem: load_view(path, normalize=False) for path in _view_files(directory, None)}
-    CorpusManifest(manifest, {name: view.rows for name, view in views.items()})  # the row-count checks
+    headers = {path.stem: view_header(path) for path in _view_files(directory, None)}
+    _check_row_counts(len(manifest), {name: n for name, (_, n, _) in headers.items()})
     t1 = time.perf_counter()
     print(f"utterances: {len(manifest)}")
     print(f"total-hours: {manifest.durations.sum() / 3600.0:.2f}")
@@ -437,9 +438,9 @@ def _cmd_stats(config: dict) -> dict[str, float]:
     for tag, count, total in zip(tags, counts, seconds):
         print(f"  {tag}  {count}  {total / 3600.0:.2f}h")
     print("views:")
-    for name, view in views.items():
-        flag = "normalized" if view.normalized else "raw"
-        print(f"  {name}  {view.dims} dims  {flag}")
+    for name, (normalized, _, dims) in headers.items():
+        flag = "normalized" if normalized else "raw"
+        print(f"  {name}  {dims} dims  {flag}")
     return {"total_s": t1 - t0}
 
 

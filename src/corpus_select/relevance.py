@@ -7,7 +7,11 @@ datasets the fused scores are aggregated by max or mean. The diversity
 penalty is the mirror image: each view's maximum similarity to the
 already-selected set, fused with the same weights. One kernel,
 `max_similarity`, scores both, and `FusionWeights.fuse` is the only
-place views are combined.
+place views are combined. Views are checked once on the way to the
+kernel: `weighted_views` gives each weighted view's candidate matrix and
+`weighted_targets` its per-dataset target matrices, and relevance, its
+bounds and both selectors take their matrices from them. A single
+target dataset is a one-dataset `TargetSet`.
 
 Rows are assumed unit-L2 (or zero), so cosine is a plain dot product and
 a zero row scores 0 against everything. The kernel rounds both operands
@@ -318,47 +322,34 @@ def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray)
     np.maximum(running, max_similarity(rows, batch, on_grid=True), out=running)
 
 
-def _check_views(
-    views: Mapping[str, np.ndarray],
-    targets: Mapping[str, np.ndarray],
-    weights: FusionWeights,
-) -> None:
+def weighted_views(
+    views: Mapping[str, np.ndarray], weights: FusionWeights, n: int | None = None
+) -> dict[str, np.ndarray]:
+    """Each weighted view's candidate matrix, in weight order.
+
+    The one check on views before the kernel: every weighted view must be
+    present, and all must have the same row count, `n` when given.
+    """
+    mats = {}
     for name in weights.names:
         if name not in views:
             raise MissingView(f"candidates are missing weighted view {name!r}")
-        if name not in targets:
-            raise MissingView(f"targets are missing weighted view {name!r}")
-
-
-def _view_scorer(views, weights: FusionWeights, target_sets, kernel):
-    """`score(name)`: `kernel(rows, target_sets(name))` for view `name`.
-
-    `target_sets(name)` lists the view's target matrices, and `kernel`
-    returns a (sets, N) array. Views are scored only when
-    `FusionWeights.fuse` asks, and must all have N rows.
-    """
-    n = views[weights.names[0]].shape[0]
-
-    def score(name: str) -> np.ndarray:
-        mat = views[name]
+        mats[name] = mat = views[name]
+        n = mat.shape[0] if n is None else n
         if mat.shape[0] != n:
-            raise DimensionMismatch(
-                f"view {name!r} has {mat.shape[0]} rows, expected {n}"
-            )
-        return kernel(mat, target_sets(name))
-
-    return score
+            raise DimensionMismatch(f"view {name!r} has {mat.shape[0]} rows, expected {n}")
+    return mats
 
 
-def _dataset_scorer(views, targets: TargetSet, weights: FusionWeights, kernel):
-    """`_view_scorer` against every dataset of `targets`, in dataset order."""
+def weighted_targets(targets: TargetSet, weights: FusionWeights) -> dict[str, list[np.ndarray]]:
+    """Each weighted view's target matrices, one per dataset in dataset order."""
     if not targets.datasets:
         raise EmptyTargetSet("target set has no datasets")
     for ds in targets.datasets:
-        _check_views(views, ds.views, weights)
-    return _view_scorer(
-        views, weights, lambda name: [ds.views[name] for ds in targets.datasets], kernel
-    )
+        for name in weights.names:
+            if name not in ds.views:
+                raise MissingView(f"targets are missing weighted view {name!r}")
+    return {name: [ds.views[name] for ds in targets.datasets] for name in weights.names}
 
 
 def _aggregate(weights: FusionWeights, mode: AggregationMode, score) -> np.ndarray:
@@ -378,17 +369,6 @@ def _aggregate(weights: FusionWeights, mode: AggregationMode, score) -> np.ndarr
     return total / len(fused)
 
 
-def relevance_fused(
-    views: Mapping[str, np.ndarray],
-    targets: Mapping[str, np.ndarray],
-    weights: FusionWeights,
-) -> np.ndarray:
-    """Weighted sum over views of per-view max cosine to the targets."""
-    _check_views(views, targets, weights)
-    score = _view_scorer(views, weights, lambda name: [targets[name]], _max_similarity_sets)
-    return weights.fuse(score)[0]
-
-
 def relevance_multi_dataset(
     views: Mapping[str, np.ndarray],
     targets: TargetSet,
@@ -406,7 +386,8 @@ def relevance_multi_dataset(
     candidates useful across domains.
     Mean never exceeds max for any candidate.
     """
-    return _aggregate(weights, mode, _dataset_scorer(views, targets, weights, _max_similarity_sets))
+    mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
+    return _aggregate(weights, mode, lambda name: _max_similarity_sets(mats[name], sets[name]))
 
 
 def relevance_bounds(
@@ -421,7 +402,8 @@ def relevance_bounds(
     and its lower and upper bounds go through the same fusion and
     aggregation as the exact scores.
     """
-    bounds = cache(_dataset_scorer(views, targets, weights, _similarity_bounds))
-    lo = _aggregate(weights, mode, lambda name: bounds(name)[0])
-    hi = _aggregate(weights, mode, lambda name: bounds(name)[1])
+    mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
+    bounds = {name: _similarity_bounds(mats[name], sets[name]) for name in mats}
+    lo = _aggregate(weights, mode, lambda name: bounds[name][0])
+    hi = _aggregate(weights, mode, lambda name: bounds[name][1])
     return lo, hi

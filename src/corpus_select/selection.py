@@ -31,6 +31,13 @@ every round.
 batching, and v_i recomputed from scratch against the full selected set
 at every step.
 
+Both MMR selectors take their view matrices from
+`relevance.weighted_views`, with weights uniform over the sorted view
+names unless the config sets them: a weighted view missing from `views`
+raises MissingView, and one whose row count is not the candidate count
+(the durations' for `batched_mmr`, the relevance vector's for
+`greedy_mmr_exact`) raises DimensionMismatch.
+
 `random_baseline` and `duration_baseline` fill the same budget with a
 seeded shuffle and with a target-duration-distribution match.
 
@@ -61,6 +68,7 @@ from corpus_select.relevance import (
     relevance_multi_dataset,
     to_grid,
     update_running_max,
+    weighted_views,
 )
 from corpus_select.rng import generator
 from corpus_select.store import TargetSet
@@ -123,12 +131,6 @@ class SelectionResult:
         return len(self.picks)
 
 
-def _resolve_weights(weights: FusionWeights | None, view_names) -> FusionWeights:
-    if weights is not None:
-        return weights
-    return FusionWeights.uniform(sorted(view_names))
-
-
 def _ranked(indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Indices sorted by score descending, ties toward the lower index."""
     order = np.lexsort((indices, -scores))
@@ -183,8 +185,8 @@ def greedy_mmr_exact(
         raise EmptyCorpus("no candidates to select from")
     if d.shape[0] != n:
         raise ValueError(f"relevance has {n} entries but durations {d.shape[0]}")
-    weights = _resolve_weights(cfg.weights, views.keys())
-    mats = {name: to_grid(views[name]) for name in weights.names}
+    weights = cfg.weights or FusionWeights.uniform(sorted(views))
+    mats = {name: to_grid(mat) for name, mat in weighted_views(views, weights, n).items()}
 
     budget = cfg.alpha * float(d.sum())
     all_idx = np.arange(n)
@@ -242,11 +244,8 @@ def batched_mmr(
         n = d.shape[0]
         if n == 0:
             raise EmptyCorpus("no candidates to select from")
-        weights = _resolve_weights(cfg.weights, views.keys())
-        mats = {name: views[name] for name in weights.names}
-        for name, mat in mats.items():
-            if mat.shape[0] != n:
-                raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
+        weights = cfg.weights or FusionWeights.uniform(sorted(views))
+        mats = weighted_views(views, weights, n)
 
         budget = cfg.alpha * float(d.sum())
         pool_size = min(n, max(1, math.ceil(cfg.rho * n)))

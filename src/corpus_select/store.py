@@ -159,6 +159,15 @@ class Manifest:
         return len(self.ids)
 
 
+def _check_row_counts(lines: int, row_counts: dict[str, int]) -> None:
+    """A corpus has at least one view, and each view one row per manifest line."""
+    if not row_counts:
+        raise DimensionMismatch("a corpus needs at least one view")
+    for name, rows in row_counts.items():
+        if rows != lines:
+            raise DimensionMismatch(f"view {name!r} has {rows} rows but the manifest has {lines} lines")
+
+
 @dataclass
 class CorpusManifest:
     """Manifest columns plus the float32 view matrices aligned to them row for row."""
@@ -167,14 +176,7 @@ class CorpusManifest:
     views: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not self.views:
-            raise DimensionMismatch("a corpus needs at least one view")
-        n = len(self.manifest)
-        for name, rows in self.views.items():
-            if rows.shape[0] != n:
-                raise DimensionMismatch(
-                    f"view {name!r} has {rows.shape[0]} rows but the manifest has {n} lines"
-                )
+        _check_row_counts(len(self.manifest), {name: rows.shape[0] for name, rows in self.views.items()})
 
     def __len__(self) -> int:
         return len(self.manifest)
@@ -275,38 +277,54 @@ def save_view(view: EmbeddingView, path: str | Path) -> None:
     _atomic_bytes(Path(path), (header, np.ascontiguousarray(view.rows, dtype="<f4")))
 
 
-def load_view(path: str | Path, *, normalize: bool = True) -> EmbeddingView:
+def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
+    """The header bytes, normalized flag, N and D of an open EMB1 file.
+
+    Reads only the 21 header bytes, and rejects bad magic, version or
+    flag, zero dimensions and a file size that disagrees with N x D.
+    """
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size or header[:4] != MAGIC:
+        raise BadMagic(f"{path}: not an EMB1 embedding file")
+    _, version, flag, n, d = _HEADER.unpack(header)
+    if version != FORMAT_VERSION:
+        raise BadMagic(f"{path}: unsupported format version {version}")
+    if flag not in (0, 1):
+        raise BadMagic(f"{path}: normalized flag must be 0 or 1, got {flag}")
+    if d == 0:
+        raise DimensionMismatch(f"{path}: header declares zero dimensions")
+    expected = n * d * 4
+    payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if payload != expected:
+        raise DimensionMismatch(
+            f"{path}: header declares {n}x{d} rows ({expected} payload bytes) "
+            f"but the file holds {payload}"
+        )
+    return header, flag, n, d
+
+
+def view_header(path: str | Path) -> tuple[bool, int, int]:
+    """The normalized flag, N and D of an EMB1 file, from its checked header; the payload is not read."""
+    with open(path, "rb") as fh:
+        _, flag, n, d = _read_header(fh, Path(path))
+    return bool(flag), n, d
+
+
+def load_view(path: str | Path) -> EmbeddingView:
     """Load an EMB1 view file; the view is named after the file's stem.
 
     Unless the header marks the rows normalized, rows are L2-normalized on
-    load so that cosine equals dot product downstream; pass
-    `normalize=False` to keep raw rows. Zero rows stay zero and are
-    counted in a ZeroRowWarning; their cosine with anything is 0
+    load so that cosine equals dot product downstream. Zero rows stay zero
+    and are counted in a ZeroRowWarning; their cosine with anything is 0
     downstream.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size or header[:4] != MAGIC:
-            raise BadMagic(f"{path}: not an EMB1 embedding file")
-        _, version, flag, n, d = _HEADER.unpack(header)
-        if version != FORMAT_VERSION:
-            raise BadMagic(f"{path}: unsupported format version {version}")
-        if flag not in (0, 1):
-            raise BadMagic(f"{path}: normalized flag must be 0 or 1, got {flag}")
-        if d == 0:
-            raise DimensionMismatch(f"{path}: header declares zero dimensions")
-        expected = n * d * 4
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if payload != expected:
-            raise DimensionMismatch(
-                f"{path}: header declares {n}x{d} rows ({expected} payload bytes) "
-                f"but the file holds {payload}"
-            )
+        header, flag, n, d = _read_header(fh, path)
         rows = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
     _record_read(path, header, rows)
     view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
-    if normalize and not view.normalized:
+    if not view.normalized:
         # the buffer just read is ours: normalize it in place, with the norms its check took
         zero_count = _normalize_in_place(view.rows, view._norms)
         if zero_count:

@@ -24,10 +24,12 @@ from corpus_select.errors import (
 )
 from corpus_select.probe import _fit, _stratified_split
 from corpus_select.relevance import (
+    FusionWeights,
     max_similarity,
     relevance_multi_dataset,
     to_grid,
     update_running_max,
+    weighted_views,
 )
 from corpus_select.rng import generator
 from corpus_select.selection import (
@@ -35,7 +37,6 @@ from corpus_select.selection import (
     SelectionConfig,
     SelectionResult,
     _ranked,
-    _resolve_weights,
 )
 from corpus_select.store import _NORM_BLOCK, _UNIT_SNAP, TargetSet
 
@@ -131,11 +132,8 @@ def eager_batched_mmr(
     n = d.shape[0]
     if n == 0:
         raise EmptyCorpus("no candidates to select from")
-    weights = _resolve_weights(cfg.weights, views.keys())
-    mats = {name: views[name] for name in weights.names}
-    for name, mat in mats.items():
-        if mat.shape[0] != n:
-            raise ValueError(f"view {name!r} has {mat.shape[0]} rows, durations {n}")
+    weights = cfg.weights or FusionWeights.uniform(sorted(views))
+    mats = weighted_views(views, weights, n)
 
     budget = cfg.alpha * float(d.sum())
     r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation)

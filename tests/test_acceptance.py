@@ -32,7 +32,6 @@ from corpus_select.projection import (
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
-    relevance_fused,
     relevance_multi_dataset,
 )
 from corpus_select.selection import (
@@ -181,7 +180,7 @@ def test_criterion_03_max_aggregation_equals_union():
                 name: np.vstack([ds.views[name] for ds in targets.datasets])
                 for name in views
             }
-            fused = relevance_fused(views, union, weights)
+            fused = relevance_multi_dataset(views, TargetSet([TargetDataset("union", union)]), weights)
             worst = max(worst, float(np.abs(agg - fused).max()))
         assert worst <= 1e-6
         c["detail"] = f"20/20 instances agree (max deviation {worst:.2e})"

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import time
@@ -156,6 +157,38 @@ class TestStats:
         start = lines.index("datasets:") + 1
         assert lines[start : start + len(expected)] == expected
         assert lines[start + len(expected)] == "views:"
+
+
+    def test_reads_only_view_headers(self, fixture_dirs, capsys, monkeypatch):
+        """No view payload is read: every view line prints with `np.fromfile` unusable."""
+        corpus, _ = fixture_dirs
+
+        def no_payload(*args, **kwargs):
+            raise AssertionError("stats read a view payload")
+
+        monkeypatch.setattr(np, "fromfile", no_payload)
+        assert run(["stats", "--corpus", str(corpus)]) == 0
+        out = capsys.readouterr().out
+        assert "  speaker  48 dims  normalized\n" in out
+        assert "  wavlm  48 dims  normalized\n" in out
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (struct.pack("<4sIBQI", b"EMB1", 1, 0, 4, 2), "has 4 rows but the manifest has 5 lines"),
+            (struct.pack("<4sIBQI", b"EMB1", 1, 0, 5, 3), "but the file holds 32"),
+            (struct.pack("<4sIBQI", b"EMB1", 1, 0, 5, 0), "zero dimensions"),
+            (struct.pack("<4sIBQI", b"EMB1", 1, 2, 5, 2), "normalized flag must be 0 or 1"),
+            (struct.pack("<4sIBQI", b"NOPE", 1, 0, 5, 2), "not an EMB1 embedding file"),
+        ],
+        ids=["rows-not-lines", "payload-size", "zero-dims", "bad-flag", "bad-magic"],
+    )
+    def test_rejects_a_bad_view_header(self, tmp_path, capsys, header, message):
+        records = [{"id": f"u{i}", "duration_s": 1.0, "dataset": "a"} for i in range(5)]
+        (tmp_path / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (tmp_path / "v.emb").write_bytes(header + np.ones(8, dtype="<f4").tobytes())
+        assert run(["stats", "--corpus", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestProjectAndAudit:

@@ -19,9 +19,11 @@ QUICK_DEMOS = [
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)
-def test_demo_exits_zero(demo):
+def test_demo_exits_zero(demo, tmp_path):
+    """Each demo runs to completion and leaves nothing in the temp directory."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=ROOT,
@@ -31,3 +33,4 @@ def test_demo_exits_zero(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

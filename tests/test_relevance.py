@@ -7,7 +7,6 @@ from corpus_select.errors import (
     DimensionMismatch,
     EmptyTargets,
     EmptyTargetSet,
-    MissingView,
 )
 from corpus_select.relevance import (
     _TILE_ROWS,
@@ -16,12 +15,16 @@ from corpus_select.relevance import (
     FusionWeights,
     blas_threads,
     max_similarity,
-    relevance_fused,
     relevance_multi_dataset,
 )
 from corpus_select.store import TargetDataset, TargetSet
 from conftest import unit_rows
 from oracles import EmptySelection, brute_max_sim, cosine, diversity_penalty, integer_max_sim
+
+
+def one_dataset(targets):
+    """A TargetSet of one dataset holding `targets`, a view name -> matrix dict."""
+    return TargetSet([TargetDataset("targets", targets)])
 
 
 def brute_fused(views, targets, weights):
@@ -169,7 +172,7 @@ class TestRelevanceFused:
     def test_single_view_reduces_bitwise(self, rng):
         cands = unit_rows(rng, 25, 10)
         targets = unit_rows(rng, 7, 10)
-        fused = relevance_fused({"v": cands}, {"v": targets}, FusionWeights({"v": 1.0}))
+        fused = relevance_multi_dataset({"v": cands}, one_dataset({"v": targets}), FusionWeights({"v": 1.0}))
         single = max_similarity(cands, targets)
         np.testing.assert_array_equal(fused, single)
 
@@ -181,7 +184,7 @@ class TestRelevanceFused:
             "a": np.array([[0.8, 0.6]], dtype=np.float32),
             "b": np.array([[0.4, np.sqrt(1 - 0.16)]], dtype=np.float32),
         }
-        fused = relevance_fused(cands, targets, FusionWeights({"a": 1.0, "b": 1.0}))
+        fused = relevance_multi_dataset(cands, one_dataset(targets), FusionWeights({"a": 1.0, "b": 1.0}))
         assert fused[0] == pytest.approx(0.6, abs=1e-6)
 
     def test_matches_brute_force(self, rng):
@@ -189,22 +192,10 @@ class TestRelevanceFused:
         targets = {f"v{k}": unit_rows(rng, 9, 6 + k) for k in range(3)}
         weights = FusionWeights({"v0": 0.5, "v1": 1.5, "v2": 2.0})
         np.testing.assert_allclose(
-            relevance_fused(views, targets, weights),
+            relevance_multi_dataset(views, one_dataset(targets), weights),
             brute_fused(views, targets, weights),
             atol=1e-6,
         )
-
-    def test_row_count_mismatch(self, rng):
-        views = {"a": unit_rows(rng, 3, 4), "b": unit_rows(rng, 4, 4)}
-        with pytest.raises(DimensionMismatch, match="'b'"):
-            relevance_fused(views, {"a": views["a"], "b": views["a"]},
-                            FusionWeights({"a": 1.0, "b": 1.0}))
-
-    def test_missing_view_named(self, rng):
-        views = {"a": unit_rows(rng, 3, 4)}
-        with pytest.raises(MissingView, match="'b'"):
-            relevance_fused(views, {"a": views["a"], "b": views["a"]},
-                            FusionWeights({"a": 1.0, "b": 1.0}))
 
 
 class TestMultiDataset:
@@ -223,7 +214,7 @@ class TestMultiDataset:
         views = {name: unit_rows(rng, 20, d) for name, d in dims.items()}
         targets = self.build_targets(rng, [5], dims)
         weights = FusionWeights.uniform(["a", "b"])
-        fused = relevance_fused(views, targets.datasets[0].views, weights)
+        fused = relevance_multi_dataset(views, one_dataset(targets.datasets[0].views), weights)
         for mode in AggregationMode:
             np.testing.assert_array_equal(
                 relevance_multi_dataset(views, targets, weights, mode), fused
@@ -253,7 +244,7 @@ class TestMultiDataset:
             for name in dims
         }
         agg = relevance_multi_dataset(views, targets, weights, AggregationMode.MAX)
-        np.testing.assert_allclose(agg, relevance_fused(views, union, weights), atol=1e-6)
+        np.testing.assert_allclose(agg, relevance_multi_dataset(views, one_dataset(union), weights), atol=1e-6)
 
     def test_mean_le_max(self, rng):
         dims = {"a": 8}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_select import selection
-from corpus_select.errors import EmptyCorpus, SmallPoolWarning
+from corpus_select.errors import DimensionMismatch, EmptyCorpus, MissingView, SmallPoolWarning
 from corpus_select.fixture import _clustered_rows
 from corpus_select.relevance import (
     AggregationMode,
@@ -83,6 +83,46 @@ def random_instance(rng, n=60, k_views=2, m_datasets=1, d=8, targets_per=5):
         for m in range(m_datasets)
     ]
     return views, durations, TargetSet(datasets)
+
+
+def _relevance(views, targets, cfg):
+    relevance_multi_dataset(views, targets, cfg.weights)
+
+
+def _batched(views, targets, cfg):
+    batched_mmr(np.ones(3), views, targets, cfg)
+
+
+def _greedy(views, targets, cfg):
+    greedy_mmr_exact(np.zeros(3), views, np.ones(3), cfg)
+
+
+class TestViewCheck:
+    """Relevance and both selectors check their views in one place, before any kernel runs.
+
+    Each call weights views a and b equally against targets that hold
+    both, with 3 candidates (durations, relevance); `rows` gives the row
+    count of each view it passes.
+    """
+
+    @pytest.mark.parametrize(
+        "call, rows, error",
+        [
+            pytest.param(_relevance, {"a": 3}, MissingView, id="relevance-missing-view"),
+            pytest.param(_batched, {"a": 3}, MissingView, id="batched-missing-view"),
+            pytest.param(_greedy, {"a": 3}, MissingView, id="greedy-missing-view"),
+            pytest.param(_relevance, {"a": 3, "b": 4}, DimensionMismatch, id="relevance-rows-differ"),
+            pytest.param(_batched, {"a": 3, "b": 4}, DimensionMismatch, id="batched-rows-not-durations"),
+            pytest.param(_greedy, {"a": 3, "b": 2}, DimensionMismatch, id="greedy-fewer-rows"),
+            pytest.param(_greedy, {"a": 3, "b": 4}, DimensionMismatch, id="greedy-more-rows"),
+        ],
+    )
+    def test_bad_view_is_named(self, rng, call, rows, error):
+        views = {name: unit_rows(rng, n, 4) for name, n in rows.items()}
+        targets = TargetSet([TargetDataset("t", {"a": unit_rows(rng, 2, 4), "b": unit_rows(rng, 2, 4)})])
+        cfg = SelectionConfig(alpha=0.5, rho=1.0, batch_size=1, weights=FusionWeights({"a": 1.0, "b": 1.0}))
+        with pytest.raises(error, match="'b'"):
+            call(views, targets, cfg)
 
 
 class TestGreedyExact:

@@ -33,6 +33,7 @@ from corpus_select.store import (
 )
 import corpus_select.store as store
 from corpus_select.errors import EmptyTargets
+from conftest import load_raw_view
 from oracles import normalize_rows_gather
 
 HEADER = struct.Struct("<4sIBQI")
@@ -49,7 +50,7 @@ class TestViewFile:
         """Header N=3, D=2 plus 24 payload bytes loads as a 3x2 view."""
         path = tmp_path / "v.emb"
         write_raw(path, n=3, d=2)
-        view = load_view(path, normalize=False)
+        view = load_raw_view(path)
         assert view.row_count == 3 and view.dims == 2
         assert view.rows.shape == (3, 2)
 
@@ -91,7 +92,7 @@ class TestViewFile:
         view = EmbeddingView("x", 5, rng.standard_normal((7, 5)).astype(np.float32))
         a, b = tmp_path / "a.emb", tmp_path / "b.emb"
         save_view(view, a)
-        loaded = load_view(a, normalize=False)
+        loaded = load_raw_view(a)
         save_view(loaded, b)
         assert a.read_bytes() == b.read_bytes()
         np.testing.assert_array_equal(loaded.rows, view.rows)
@@ -103,7 +104,7 @@ class TestViewFile:
         assert view.normalized
         norms = np.linalg.norm(view.rows.astype(np.float64), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
-        raw = load_view(path, normalize=False)
+        raw = load_raw_view(path)
         assert not raw.normalized
 
     def test_normalized_flag_trusted(self, tmp_path, rng):
@@ -123,7 +124,7 @@ class TestViewFile:
         rows[::101] = 0.0
         path = tmp_path / "v.emb"
         save_view(EmbeddingView("x", d, rows), path)
-        expected = _normalize_rows(load_view(path, normalize=False).rows)
+        expected = _normalize_rows(load_raw_view(path).rows)
         tracemalloc.start()
         try:
             with pytest.warns(ZeroRowWarning):
@@ -144,7 +145,7 @@ class TestViewFile:
         monkeypatch.setattr(store, "_row_norms", lambda rows: calls.append(rows.shape) or row_norms(rows))
         loaded = load_view(path)
         assert calls == [(6, 4)]
-        assert loaded.rows.tobytes() == _normalize_rows(load_view(path, normalize=False).rows).tobytes()
+        assert loaded.rows.tobytes() == _normalize_rows(load_raw_view(path).rows).tobytes()
 
     def test_load_validates_without_a_payload_sized_mask(self, tmp_path, rng):
         """Loading an un-normalized view allocates little beyond the payload itself."""
