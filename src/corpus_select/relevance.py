@@ -5,9 +5,10 @@ similarity to any target row. With several embedding views the per-view
 maxima are combined by a weighted sum (late fusion); with several target
 datasets the fused scores are aggregated by max or mean. The diversity
 penalty is the mirror image: each view's maximum similarity to the
-already-selected set, fused with the same weights. One kernel,
-`max_similarity`, scores both, and `FusionWeights.fuse` is the only
-place views are combined. Views are checked once on the way to the
+already-selected set, fused with the same weights. One exact kernel
+scores both: `max_similarity`, and `update_running_max`, which scores
+on it only the pairs a float32 screen cannot rule out.
+`FusionWeights.fuse` is the only place views are combined. Views are checked once on the way to the
 kernel: `weighted_views` gives each weighted view's candidate matrix and
 `weighted_targets` its per-dataset target matrices, and relevance, its
 bounds and both selectors take their matrices from them. A single
@@ -51,6 +52,14 @@ like the kernel's scores, and fusion and aggregation are monotone under
 round-to-nearest, so the fused bounds hold bit for bit. The selector
 scores exactly only the rows whose upper bound can reach its pool
 (Rump's filter, then certify).
+
+The running max is screened the same way, tile by tile. A row whose
+float32 max a cannot beat its running max even at a + eps (rounded up
+and clipped) is left alone. For the others only the pairs scoring at
+least a - 2 eps in float32 (rounded down) are scored exactly, as dot
+products of grid rows (integer sums below 2^53, exact in any order).
+The exact argmax is among them: its float32 score is at least the
+exact max minus eps, and that max is at least a - eps.
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ _TILE_ROWS = 2048  # candidate rows per score tile
 _TILE_TARGETS = 4096  # target rows per score tile
 _GRID = 2.0**26
 _SCREEN_MAX_NORM = 2.0**40  # beyond this the float32 screen could overflow
+_PAIR_CHUNK = 256  # pairs scored exactly at a time: small temporaries stay in cache
 _OPENBLAS_CALLS = ("get_num_threads", "set_num_threads", "get_corename")
 
 
@@ -208,11 +218,11 @@ def max_similarity(candidates: np.ndarray, targets: np.ndarray, *, on_grid: bool
 
     Returns a float64 vector of length N, clipped to [-1, 1]. This is the
     one similarity kernel (`_max_similarity_sets` with one target set):
-    relevance, the selector's running max and the exact-greedy oracle all
-    score through it. Both operands are rounded with `to_grid` first, so
-    the result is exact for the rounded rows; `on_grid=True` says both
-    already are `to_grid` output (the selector's pool is rounded once, not
-    once per round).
+    relevance, the selector's seed and the exact-greedy oracle score
+    through it, and the running max folds in its scores. Both operands
+    are rounded with `to_grid` first, so the result is exact for the
+    rounded rows; `on_grid=True` says both already are `to_grid` output
+    (the exact-greedy selector rounds its views once, not once per pick).
     """
     return _max_similarity_sets(candidates, [targets], on_grid=on_grid)[0]
 
@@ -230,13 +240,14 @@ def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
     return cands, sets
 
 
-def _blocked_max(n: int, tile_rows, sets: list[np.ndarray]) -> np.ndarray:
+def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], screen=None) -> np.ndarray:
     """Per-candidate max of `tile_rows(lo, hi) @ targets.T` for each target matrix: (sets, n).
 
     `tile_rows(lo, hi)` gives candidate rows lo:hi in the dtype of the
     target matrices, which is the dtype of the GEMM and of the result.
-    Each tile is reduced into the result before the next GEMM writes the
-    same buffer.
+    Each tile is reduced into the result, and handed with its row max and
+    its first candidate and target row to `screen(sims, a, clo, tlo)`
+    when given, before the next GEMM writes the same buffer.
     """
     dtype = sets[0].dtype
     result = np.empty((len(sets), n), dtype=dtype)
@@ -249,10 +260,11 @@ def _blocked_max(n: int, tile_rows, sets: list[np.ndarray]) -> np.ndarray:
                 tt = tgts[tlo : tlo + _TILE_TARGETS]
                 sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
                 np.matmul(cb, tt.T, out=sims)
-                if tlo == 0:
-                    sims.max(axis=1, out=best)
-                else:
-                    np.maximum(best, sims.max(axis=1), out=best)
+                a = sims.max(axis=1, out=best if tlo == 0 else None)
+                if tlo:
+                    np.maximum(best, a, out=best)
+                if screen is not None:
+                    screen(sims, a, clo, tlo)
     return result
 
 
@@ -274,37 +286,52 @@ def _max_similarity_sets(candidates, target_sets, *, on_grid: bool = False):
 
 
 def _max_norm(mat: np.ndarray) -> float:
-    return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max())
+    return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max(initial=0.0))
+
+
+def _screen_eps(d: int, c: float, t: float, casts: int) -> float:
+    """How far a float32 GEMM score may be from the kernel's (module docstring).
+
+    c and t bound the row norms of the two operands, and `casts` counts
+    those that are not float32. inf where the float32 GEMM could overflow.
+    """
+    if not (c <= _SCREEN_MAX_NORM and t <= _SCREEN_MAX_NORM):
+        return math.inf
+    gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
+    eps = gamma * c * t + 2.0**-27 * math.sqrt(d) * (c + t) + d * 2.0**-54
+    # inputs that are not float32 are cast: at most 2^-24 c t per side,
+    # doubled to cover what the cast does to the norms in the terms above
+    eps += 2.0**-23 * c * t * casts
+    # underflow in the float32 GEMM, and float64 rounding in the kernel and in eps
+    return eps + d * 2.0**-50 * (1.0 + c) * (1.0 + t)
+
+
+def running_max_eps(pool: np.ndarray) -> float:
+    """`update_running_max`'s `eps` for rows of `pool` against rows of `pool`."""
+    c = _max_norm(pool)
+    return _screen_eps(pool.shape[1], c, c, 2 * (pool.dtype != np.float32))
+
+
+def _as_float32(mat: np.ndarray) -> np.ndarray:
+    return np.asarray(mat, dtype=np.float32)
 
 
 def _similarity_bounds(candidates, target_sets) -> np.ndarray:
     """Certified bounds on `_max_similarity_sets(candidates, target_sets)`: (2, sets, N).
 
     `[0]` is a lower and `[1]` an upper bound, both float64 and clipped to
-    [-1, 1], computed from one float32 GEMM per tile and the error bound
-    of the module docstring.
+    [-1, 1], computed from one float32 GEMM per tile and `_screen_eps`.
     """
     cands, sets = _checked(candidates, target_sets)
     n, d = cands.shape
-    approx = _blocked_max(
-        n,
-        lambda lo, hi: np.asarray(cands[lo:hi], dtype=np.float32),
-        [np.asarray(t, dtype=np.float32) for t in sets],
-    )
-    gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
-    c = _max_norm(cands) if n else 0.0
+    approx = _blocked_max(n, lambda lo, hi: _as_float32(cands[lo:hi]), [_as_float32(t) for t in sets])
+    c = _max_norm(cands)
     bounds = np.empty((2, len(sets), n), dtype=np.float64)
     for j, tgts in enumerate(sets):
-        t = _max_norm(tgts)
-        if not (c <= _SCREEN_MAX_NORM and t <= _SCREEN_MAX_NORM):
+        eps = _screen_eps(d, c, _max_norm(tgts), (cands.dtype != np.float32) + (tgts.dtype != np.float32))
+        if eps == math.inf:
             bounds[0, j], bounds[1, j] = -1.0, 1.0
             continue
-        eps = gamma * c * t + 2.0**-27 * math.sqrt(d) * (c + t) + d * 2.0**-54
-        # inputs that are not float32 are cast: at most 2^-24 c t per side,
-        # doubled to cover what the cast does to the norms in the terms above
-        eps += 2.0**-23 * c * t * ((cands.dtype != np.float32) + (tgts.dtype != np.float32))
-        # underflow in the float32 GEMM, and float64 rounding in the kernel and in eps
-        eps += d * 2.0**-50 * (1.0 + c) * (1.0 + t)
         a = approx[j].astype(np.float64)
         bounds[0, j] = np.nextafter(a - eps, -np.inf)
         bounds[1, j] = np.nextafter(a + eps, np.inf)
@@ -312,14 +339,38 @@ def _similarity_bounds(candidates, target_sets) -> np.ndarray:
     return bounds
 
 
-def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray) -> None:
+def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray, *, eps: float) -> None:
     """Fold max similarity against `batch` into `running`, in place.
 
     Used by the batched selector to extend each candidate's maximum
-    similarity to the selected set one committed batch at a time; `rows`
-    and `batch` are `to_grid` output.
+    similarity to the selected set one commit segment at a time.
+    `running` ends bit for bit as `np.maximum(running, max_similarity(rows,
+    batch))` would leave it, but only the pairs that the float32 screen of
+    the module docstring, with `eps` from `running_max_eps`, cannot rule
+    out are scored exactly, then scaled and clipped as the kernel does.
     """
-    np.maximum(running, max_similarity(rows, batch, on_grid=True), out=running)
+
+    def certify(sims, a, clo, tlo):
+        run = running[clo : clo + a.size]
+        a = a.astype(np.float64)
+        live = np.flatnonzero(np.clip(np.nextafter(a + eps, np.inf), -1.0, 1.0) >= run)
+        if not live.size:
+            return
+        # a - 2 eps rounded down, then down again to float32
+        floor = np.nextafter(a[live] - 2.0 * eps, -np.inf).astype(np.float32)
+        floor = np.nextafter(floor, np.float32(-np.inf))
+        i, j = np.divmod(np.flatnonzero(sims[live] >= floor[:, None]), sims.shape[1])
+        exact = np.empty(i.size)
+        for lo in range(0, i.size, _PAIR_CHUNK):
+            pi, pj = clo + live[i[lo : lo + _PAIR_CHUNK]], tlo + j[lo : lo + _PAIR_CHUNK]
+            exact[lo : lo + _PAIR_CHUNK] = np.einsum("ij,ij->i", to_grid(rows[pi]), to_grid(batch[pj]))
+        exact *= 1.0 / (_GRID * _GRID)
+        np.clip(exact, -1.0, 1.0, out=exact)
+        first = np.flatnonzero(np.diff(i, prepend=-1))
+        hit = live[i[first]]
+        run[hit] = np.maximum(run[hit], np.maximum.reduceat(exact, first))
+
+    _blocked_max(rows.shape[0], lambda lo, hi: _as_float32(rows[lo:hi]), [_as_float32(batch)], certify)
 
 
 def weighted_views(

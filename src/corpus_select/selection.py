@@ -22,10 +22,11 @@ widened to every candidate tied with the boundary key, then a sort of
 the head alone), refreshes its first 2B candidates and takes the top B
 by exact score, doubling the head while the first candidate beyond it
 could still tie or beat the B-th at its bound. A refresh folds in only
-the rows committed since the candidate's last one, read as a slice of a
-commit-order buffer of grid rows, and committed rows are never refreshed
-again. Picks and score bits are those of refreshing the whole pool
-every round.
+the rows committed since the candidate's last one, one commit segment
+(the rows committed between two stamps) per call over every candidate
+stamped before it, from a commit-order buffer of the pool's own rows;
+committed rows are never refreshed again. Picks and score bits are those
+of refreshing the whole pool every round.
 
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
@@ -43,10 +44,11 @@ seeded shuffle and with a target-duration-distribution match.
 
 Everything here is deterministic: ties break toward the lower candidate
 index, the batched selector contains no randomness at all, and the
-baselines draw from Philox streams. Every similarity goes through the
-exact grid kernel (`relevance.max_similarity`), so scores, and hence
-picks and output bytes, are bit-identical for any `threads` value, BLAS
-kernel or CPU, and equal ties are real ties.
+baselines draw from Philox streams. Every similarity is exact on the
+kernel's grid (`relevance.max_similarity`; the running max scores
+exactly every pair its float32 screen cannot rule out), so scores, and
+hence picks and output bytes, are bit-identical for any `threads` value,
+BLAS kernel or CPU, and equal ties are real ties.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from corpus_select.relevance import (
     max_similarity,
     relevance_bounds,
     relevance_multi_dataset,
+    running_max_eps,
     to_grid,
     update_running_max,
     weighted_views,
@@ -259,8 +262,8 @@ def batched_mmr(
                 stacklevel=2,
             )
 
-        # rounded onto the kernel's grid once, not once per round
-        pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
+        pool_rows = {name: mats[name][pool] for name in weights.names}
+        eps = {name: running_max_eps(rows) for name, rows in pool_rows.items()}
         lam_r = cfg.lam * r_pool
 
         seed_pos = 0  # pool is sorted by (-relevance, index)
@@ -270,8 +273,8 @@ def batched_mmr(
         committed = np.zeros(pool_size, dtype=bool)
         committed[seed_pos] = True
 
-        # Committed grid rows in commit order, per view (pages are touched only
-        # as rows commit). stamp[i] is how many of them are folded into
+        # Committed rows in commit order, per view (pages are touched only as
+        # rows commit). stamp[i] is how many of them are folded into
         # candidate i's per-view running max vmax; v and m are i's fused
         # diversity and MMR score as of that stamp.
         ncom = 1
@@ -279,22 +282,26 @@ def batched_mmr(
         for name, rows in pool_rows.items():
             commits[name][0] = rows[seed_pos]
         stamp = np.full(pool_size, ncom, dtype=np.int64)
-        vmax = {
-            name: max_similarity(rows, rows[[seed_pos]], on_grid=True)
-            for name, rows in pool_rows.items()
-        }
+        vmax = {name: max_similarity(rows, rows[[seed_pos]]) for name, rows in pool_rows.items()}
         v = weights.fuse(vmax.__getitem__)
         m = lam_r - (1.0 - cfg.lam) * v
 
         def refresh(positions: np.ndarray) -> None:
-            """Fold into each candidate the rows committed since its stamp."""
+            """Fold into each candidate the rows committed since its stamp.
+
+            One call per commit segment (from a stale stamp to the next, the
+            last to ncom) covers every stale row stamped at or before its start.
+            """
             stale = positions[stamp[positions] < ncom]
-            for s in np.unique(stamp[stale]):
-                grp = stale[stamp[stale] == s]
-                for name, rows in pool_rows.items():
-                    running = vmax[name][grp]
-                    update_running_max(rows[grp], commits[name][s:ncom], running)
-                    vmax[name][grp] = running
+            stale = stale[np.argsort(stamp[stale], kind="stable")]
+            edges = np.append(stamp[stale], ncom)
+            ends = np.flatnonzero(edges[1:] != edges[:-1]) + 1
+            for name, rows in pool_rows.items():
+                sub, running = rows[stale], vmax[name][stale]
+                for k in ends:
+                    batch = commits[name][edges[k - 1] : edges[k]]
+                    update_running_max(sub[:k], batch, running[:k], eps=eps[name])
+                vmax[name][stale] = running
             stamp[stale] = ncom
             v[stale] = weights.fuse(lambda name: vmax[name][stale])
             m[stale] = lam_r[stale] - (1.0 - cfg.lam) * v[stale]

@@ -3,8 +3,10 @@
 The similarity oracles loop over rows in float64 and share no code with
 `corpus_select.relevance`, so a test that compares the two checks the
 kernel rather than the kernel against itself. `eager_batched_mmr` is
-the selector's round loop before lazy refresh; it shares the kernel and
-checks only the refresh schedule. `normalize_rows_gather` is the
+the selector's round loop before lazy refresh, folding each batch into
+the running max with the exact kernel (`max_similarity`), so it checks
+both the refresh schedule and the float32 screen of
+`update_running_max`. `normalize_rows_gather` is the
 row normalization's earlier gather-and-scatter formula.
 `fit_loss_history` exposes the probe fit's loss trajectory.
 """
@@ -28,7 +30,6 @@ from corpus_select.relevance import (
     max_similarity,
     relevance_multi_dataset,
     to_grid,
-    update_running_max,
     weighted_views,
 )
 from corpus_select.rng import generator
@@ -124,9 +125,9 @@ def eager_batched_mmr(
     """`selection.batched_mmr` with the eager round loop it replaced.
 
     Every round folds the committed batch into the running max of the
-    whole prefilter pool, committed rows included, then ranks the pool by
-    exact MMR score. The lazy selector must match it pick for pick and
-    bit for bit.
+    whole prefilter pool, committed rows included, with the exact kernel,
+    then ranks the pool by exact MMR score. The lazy, screened selector
+    must match it pick for pick and bit for bit.
     """
     d = np.asarray(durations, dtype=np.float64)
     n = d.shape[0]
@@ -187,7 +188,8 @@ def eager_batched_mmr(
             )
         committed[batch_pos] = True
         for name, rows in pool_rows.items():
-            update_running_max(rows, rows[batch_pos], vmax[name])
+            batch = max_similarity(rows, rows[batch_pos], on_grid=True)
+            np.maximum(vmax[name], batch, out=vmax[name])
 
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
 

@@ -20,7 +20,8 @@ from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, sav
 # the selection bytes of golden_selection_digest: projection and scoring
 # GEMMs are exact, so they are the same under every BLAS kernel, thread
 # count and CPU (TestGoldenPipeline runs the pipeline under three OpenBLAS
-# kernels); the run-twice assert holds regardless of the pinned constant
+# kernels and two numpy SIMD settings); the run-twice assert holds
+# regardless of the pinned constant
 GOLDEN_SELECTION_SHA256 = "05d6ccbbf42108c1631f534afd07fe34c1af5328ecb18144c4bbff3f8cbcc0c6"
 
 
@@ -645,19 +646,41 @@ def _numpy_blas_name():
 
 
 try:
+    from numpy._core._multiarray_umath import __cpu_baseline__ as CPU_BASELINE
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_baseline__ as CPU_BASELINE
     from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 
 # OpenBLAS kernel -> the instruction set it needs
 BLAS_KERNELS = {"Prescott": "SSE3", "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
+# NPY_DISABLE_CPU_FEATURES setting -> the CPU feature whose numpy loops it turns off
+SIMD_SETTINGS = {
+    "AVX512_SPR AVX512_ICL X86_V4": "AVX512_SKX",
+    "AVX512_SPR AVX512_ICL X86_V4 X86_V3": "X86_V3",
+}
 
 _CHILD = (
-    "import sys\n"
+    "import json, sys\n"
     "from pathlib import Path\n"
-    "from test_cli import golden_selection_digest\n"
-    "print(golden_selection_digest(Path(sys.argv[1]), threads=int(sys.argv[2])))\n"
+    "from test_cli import CPU_FEATURES, golden_selection_digest\n"
+    "digest = golden_selection_digest(Path(sys.argv[1]), threads=int(sys.argv[2]))\n"
+    "print(json.dumps(CPU_FEATURES))\n"
+    "print(digest)\n"
 )
+
+
+def child_golden_run(tmp_path, threads, **env) -> tuple[dict, str]:
+    """numpy's CPU features and the golden digest, from a child process with `env` added."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path), str(threads)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    *_, features, digest = child.stdout.splitlines()
+    return json.loads(features), digest
 
 
 class TestGoldenPipeline:
@@ -687,11 +710,14 @@ class TestGoldenPipeline:
     )
     def test_golden_digest_on_every_blas_kernel(self, kernel, threads, tmp_path):
         """The pinned digest holds in a child process forced onto each OpenBLAS kernel."""
-        here = Path(__file__).resolve().parent
-        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(path))
-        child = subprocess.run(
-            [sys.executable, "-c", _CHILD, str(tmp_path), str(threads)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert child.stdout.splitlines()[-1] == GOLDEN_SELECTION_SHA256
+        _, digest = child_golden_run(tmp_path, threads, OPENBLAS_CORETYPE=kernel)
+        assert digest == GOLDEN_SELECTION_SHA256
+
+    @pytest.mark.parametrize("disabled, feature", SIMD_SETTINGS.items())
+    def test_golden_digest_under_numpy_simd_dispatch(self, disabled, feature, tmp_path):
+        """The pinned digest holds with numpy's widest SIMD loops turned off in a child process."""
+        if not CPU_FEATURES.get(feature, False) or set(disabled.split()) & set(CPU_BASELINE):
+            pytest.skip(f"{disabled!r} turns nothing off here: numpy has no {feature} loops on")
+        features, digest = child_golden_run(tmp_path, 2, NPY_DISABLE_CPU_FEATURES=disabled)
+        assert not features[feature]
+        assert digest == GOLDEN_SELECTION_SHA256

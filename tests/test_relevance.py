@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus_select.errors import (
@@ -16,8 +16,10 @@ from corpus_select.relevance import (
     blas_threads,
     max_similarity,
     relevance_multi_dataset,
+    running_max_eps,
+    update_running_max,
 )
-from corpus_select.store import TargetDataset, TargetSet
+from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 from conftest import unit_rows
 from oracles import EmptySelection, brute_max_sim, cosine, diversity_penalty, integer_max_sim
 
@@ -166,6 +168,59 @@ class TestRelevanceSingle:
         base = max_similarity(cands, targets)
         grown = max_similarity(cands, np.vstack([targets, unit_rows(rng, 1, 8)]))
         assert np.all(grown >= base - 1e-12)
+
+
+def near_tie_fold(n, m, d, seed, negative):
+    """rows, batch and running for a running-max fold, full of exact and near ties.
+
+    Up to 40 rows of each side are overwritten with a duplicate of, or a
+    row one float32 ulp from, one of a few rows of either side, or with a
+    zero row. With `negative`, rows lie around u and the batch around -u,
+    variants come from their own side and no row is zero, so every
+    similarity is negative. Each running value is the new max itself, one
+    step below or above it, -1 or uniform in [-1, 1].
+    """
+    rng = np.random.default_rng(seed)
+    if negative:
+        u = unit_rows(rng, 1, d)
+        noisy = [sign * u + 0.2 * rng.standard_normal((k, d)) / np.sqrt(d) for sign, k in ((1, n), (-1, m))]
+        rows, batch = (_normalize_rows(x.astype(np.float32)) for x in noisy)
+    else:
+        rows, batch = unit_rows(rng, n, d), unit_rows(rng, m, d)
+    shared = np.vstack([rows[:2], batch[:2]])
+    for mat in (rows, batch):
+        base = mat[:3].copy() if negative else shared
+        at = rng.choice(mat.shape[0], size=min(mat.shape[0], 40), replace=False)
+        for i, kind in zip(at, rng.integers(0, 2 if negative else 4, at.size)):
+            mat[i] = 0.0 if kind == 3 else base[rng.integers(0, base.shape[0])]
+            if kind in (1, 2):
+                k = rng.integers(0, d)
+                mat[i, k] = np.nextafter(mat[i, k], np.float32(np.inf if kind == 1 else -np.inf))
+    new = integer_max_sim(rows, batch)
+    choices = [new, np.nextafter(new, -np.inf), np.nextafter(new, np.inf), np.full(n, -1.0), rng.uniform(-1, 1, n)]
+    return rows, batch, np.choose(rng.integers(0, len(choices), n), choices), new
+
+
+class TestRunningMax:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 5, 33, _TILE_ROWS - 1, _TILE_ROWS + 1]),
+        m=st.sampled_from([1, 4, 29, _TILE_TARGETS + 1]),
+        d=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        negative=st.booleans(),
+    )
+    @example(n=_TILE_ROWS + 1, m=_TILE_TARGETS + 1, d=8, seed=0, negative=False)
+    @example(n=_TILE_ROWS + 1, m=_TILE_TARGETS + 1, d=8, seed=1, negative=True)
+    def test_screened_fold_equals_the_integer_max(self, n, m, d, seed, negative):
+        """The screened fold leaves `running` bit for bit as the exact integer max would."""
+        assume(d > 1 or n * m < 100_000)  # one dim ties every pair
+        rows, batch, running, new = near_tie_fold(n, m, d, seed, negative)
+        if negative:
+            assert new.max() < 0.0
+        expected = np.maximum(running, new)
+        update_running_max(rows, batch, running, eps=running_max_eps(np.vstack([rows, batch])))
+        assert running.tobytes() == expected.tobytes()
 
 
 class TestRelevanceFused:

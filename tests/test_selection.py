@@ -18,7 +18,6 @@ from corpus_select.relevance import (
     blas_threads,
     relevance_bounds,
     relevance_multi_dataset,
-    to_grid,
     update_running_max,
 )
 from corpus_select.selection import (
@@ -425,9 +424,9 @@ class TestBlasThreadScope:
         before = count()
         seen = []
 
-        def counting(rows, batch, running):
+        def counting(rows, batch, running, **kwargs):
             seen.append(count())
-            update_running_max(rows, batch, running)
+            update_running_max(rows, batch, running, **kwargs)
 
         monkeypatch.setattr(selection, "update_running_max", counting)
         batched_mmr(*self.instance(rng), threads=1)
@@ -439,7 +438,7 @@ class TestBlasThreadScope:
         before = count()
         seen = []
 
-        def failing(rows, batch, running):
+        def failing(rows, batch, running, **kwargs):
             seen.append(count())
             raise RuntimeError("fold failed")
 
@@ -617,25 +616,25 @@ class TestSelectorProperties:
         calls = {"lazy": [], "eager": []}
 
         def counting(log, kernel):
-            def wrapped(rows, batch, running, **kwargs):
+            def wrapped(rows, batch, *args, **kwargs):
                 log.append((rows.copy(), batch.shape[0], batch[-1].copy()))
-                return kernel(rows, batch, running, **kwargs)
+                return kernel(rows, batch, *args, **kwargs)
 
             return wrapped
 
         monkeypatch.setattr(
             selection, "update_running_max", counting(calls["lazy"], selection.update_running_max)
         )
-        monkeypatch.setattr(
-            oracles, "update_running_max", counting(calls["eager"], oracles.update_running_max)
-        )
+        monkeypatch.setattr(oracles, "max_similarity", counting(calls["eager"], oracles.max_similarity))
         lazy = batched_mmr(durations, views, targets, cfg)
         eager = eager_batched_mmr(durations, views, targets, cfg)
         assert selection_bits(lazy) == selection_bits(eager)
         assert lazy.rounds > 5
+        # the eager loop's first kernel call scores the seed, as the lazy one does outside the running max
+        del calls["eager"][0]
 
-        # committed grid rows in commit order; rows are distinct, so bytes identify them
-        committed = [row.tobytes() for row in to_grid(views["v"][lazy.indices])]
+        # the pool's committed rows in commit order; rows are distinct, so bytes identify them
+        committed = [row.tobytes() for row in views["v"][lazy.indices]]
         position = {row: i for i, row in enumerate(committed)}
         for rows, _, last in calls["lazy"]:
             before = set(committed[: position[last.tobytes()] + 1])
