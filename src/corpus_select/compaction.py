@@ -5,7 +5,12 @@ each dataset's per-view matrix with k cluster centroids (re-normalized to
 unit length). Lloyd iterations start from k-means++ seeds and stop on a
 relative centroid-shift threshold; empty clusters are repaired by handing
 them the point farthest from its assigned centroid, which guarantees the
-k-row contract. All distance math runs in float64.
+k-row contract. All distance math runs in float64, and every squared
+distance, the seeding weights included, is `|x|^2 - 2 x.c + |c|^2` clamped
+at 0 (`_assign`): one BLAS product per seed. Rows that this form cannot
+tell from a seed, within its rounding error `2 (D + 2) eps (|x|^2 + |c|^2)`,
+take the elementwise `((x - c) ** 2).sum()` instead, so the seed and its
+duplicates weigh exactly 0 and cannot be drawn while any other row weighs more.
 """
 
 from __future__ import annotations
@@ -53,20 +58,24 @@ class Clustering:
         return self.centroids.shape[0]
 
 
-def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_distances(x: np.ndarray, x2: np.ndarray, idx: int) -> np.ndarray:
+    d2 = _assign(x, x[idx : idx + 1], x2)[1][:, 0]
+    near = np.flatnonzero(d2 <= 2 * (x.shape[1] + 2) * np.finfo(np.float64).eps * (x2 + x2[idx]))
+    d2[near] = ((x[near] - x[idx]) ** 2).sum(axis=1)
+    return d2
+
+
+def _plusplus_init(x: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     idx = int(rng.integers(n))
     centroids[0] = x[idx]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _seed_distances(x, x2, idx)
     for c in range(1, k):
         total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
         centroids[c] = x[idx]
-        np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1), out=d2)
+        np.minimum(d2, _seed_distances(x, x2, idx), out=d2)
     return centroids
 
 
@@ -77,7 +86,7 @@ def _assign(x: np.ndarray, centroids: np.ndarray, x2: np.ndarray):
 
 
 def _means(x: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
-    # one-hot matmul: deterministic regardless of how BLAS parallelizes
+    # one-hot GEMM: sums in the BLAS kernel's order; stable bits are measured, not guaranteed
     onehot = np.zeros((k, x.shape[0]), dtype=np.float64)
     onehot[assignments, np.arange(x.shape[0])] = 1.0
     counts = onehot.sum(axis=1)
@@ -135,8 +144,8 @@ def kmeans(rows: np.ndarray, cfg: KMeansConfig) -> Clustering:
         k = 1
 
     rng = generator(cfg.seed, "kmeans")
-    centroids = _plusplus_init(x, k, rng)
     x2 = np.einsum("ij,ij->i", x, x)
+    centroids = _plusplus_init(x, x2, k, rng)
 
     assignments, d2 = _assign(x, centroids, x2)
     history = [float(d2.min(axis=1).sum())]

@@ -8,6 +8,8 @@ the running max with the exact kernel (`max_similarity`), so it checks
 both the refresh schedule and the float32 screen of
 `update_running_max`. `normalize_rows_gather` is the
 row normalization's earlier gather-and-scatter formula.
+`plusplus_seeds_elementwise` is k-means++ seeding with the earlier
+per-seed `((x - c) ** 2).sum(axis=1)` distances.
 `fit_loss_history` exposes the probe fit's loss trajectory.
 """
 
@@ -114,6 +116,30 @@ def normalize_rows_gather(rows):
                 np.float32
             )
     return out, zero_count
+
+
+def plusplus_seeds_elementwise(x, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds drawn from one elementwise n x D distance pass per seed.
+
+    Same RNG draws as `compaction._plusplus_init`: the first seed uniform,
+    each later one with probability proportional to its squared distance
+    to the nearest seed so far, uniform again when every distance is 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+    idx = int(rng.integers(n))
+    centroids[0] = x[idx]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centroids[c] = x[idx]
+        np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1), out=d2)
+    return centroids
 
 
 def eager_batched_mmr(

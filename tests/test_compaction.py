@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from corpus_select.compaction import Clustering, KMeansConfig, compact_targets, kmeans
+from corpus_select.compaction import Clustering, KMeansConfig, _plusplus_init, compact_targets, kmeans
 from corpus_select.errors import DegenerateInput
+from corpus_select.rng import generator
 from corpus_select.store import TargetDataset, TargetSet
 from conftest import unit_rows
+from oracles import plusplus_seeds_elementwise
 
 
 def assert_valid_clustering(rows, clustering: Clustering):
@@ -82,6 +84,39 @@ class TestKMeans:
         rows = rng.standard_normal((5, 3))
         clustering = kmeans(rows, KMeansConfig(k=10, seed=0))
         assert clustering.k == 5
+
+    def test_seeding_matches_the_elementwise_oracle(self, rng):
+        """The product-form seeding draws the seeds of the elementwise one.
+
+        The duplicate-heavy, k = n and identical-row cases run out of
+        positive weight before k seeds, so they also take the uniform
+        `total == 0` draw; a seed row is drawn again only then.
+        """
+        blobs = np.vstack([rng.normal(0.0, 0.1, (100, 6)) for _ in range(3)])
+        blobs[:100, 0] += 5.0
+        blobs[100:200, 0] -= 5.0
+        cases = {
+            "pipeline shape": (unit_rows(rng, 1000, 512), 100, False),
+            "gaussian": (rng.standard_normal((600, 16)), 12, False),
+            "duplicate-heavy": (np.repeat(unit_rows(rng, 20, 64), 30, axis=0), 30, True),
+            "duplicate-heavy gaussian": (np.repeat(3.0 * rng.standard_normal((15, 100)), 10, axis=0), 40, True),
+            "separated blobs": (blobs, 6, False),
+            "k = n": (np.repeat(rng.standard_normal((7, 33)), 3, axis=0), 21, True),
+            "identical rows": (np.full((10, 4), 0.3), 3, True),
+        }
+        for name, (rows, k, runs_out) in cases.items():
+            x = np.asarray(rows, dtype=np.float64)
+            x2 = np.einsum("ij,ij->i", x, x)
+            for seed in range(3):
+                seeds = _plusplus_init(x, x2, k, generator(seed, "kmeans"))
+                expected = plusplus_seeds_elementwise(x, k, generator(seed, "kmeans"))
+                np.testing.assert_array_equal(seeds, expected, err_msg=f"{name}, seed {seed}")
+                distinct = np.unique(seeds, axis=0).shape[0]
+                assert (distinct < k) == runs_out, f"{name}, seed {seed}"
+                for j in range(1, k):
+                    if (seeds[:j] == seeds[j]).all(axis=1).any():
+                        covered = (x[:, None, :] == seeds[None, :j, :]).all(axis=2).any(axis=1)
+                        assert covered.all(), f"{name}, seed {seed}: seed {j} drawn twice"
 
 
 class TestCompactTargets:

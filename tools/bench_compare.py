@@ -11,9 +11,11 @@ goes first alternating from seed to seed; each `--trace-seeds` seed adds
 one traced run (`--trace 1`) per side for the per-layer numbers. The
 BENCH file gives, per workload, every end-to-end metric as each side's
 median and quartiles over seeds, the change's wins out of the pairs, the
-traced running-max, ranking and input-digest layers, the pick digests
-of both sides, each side's `wc -l src/corpus_select/*.py` and the
-numeric environment of the host.
+traced running-max, ranking, input-digest, projection and compaction
+layers (with the k-means iteration count), the pick digests of both
+sides, whether the pick and output digests agree on every seed, each
+side's `wc -l src/corpus_select/*.py` and the numeric environment of
+the host.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ LAYERS = (
     "store.load_view.s",
     "store.save_view.s",
     "cli.input_digest.mb",
+    "compaction.compact_targets.s",
+    "compaction.iterations",
+    "projection.project_view.s",
 )
 END_TO_END = {
     "wall_s": "lower",
@@ -127,6 +132,7 @@ def summarize(runs: dict[str, list[dict]], traced: dict[str, list[dict]]) -> dic
             "attempted": {side: sum(r[name]["attempted"] for r in runs[side]) for side in runs},
             "pick_digests": {side: [r[name]["pick_digest"] for r in runs[side]] for side in runs},
             "same_picks": all(b["pick_digest"] == c["pick_digest"] for b, c in pairs),
+            "same_outputs": all(b["output_digest"] == c["output_digest"] for b, c in pairs),
         }
     return out
 
@@ -175,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         wall = w["end_to_end"]["wall_s"]
         print(
             f"{name}: wall {wall['base']['median']:.3f} -> {wall['change']['median']:.3f} s "
-            f"(wins {wall['change_wins']}), same picks {w['same_picks']}"
+            f"(wins {wall['change_wins']}), same picks {w['same_picks']}, same outputs {w['same_outputs']}"
         )
     return 0
 
