@@ -154,6 +154,11 @@ class Manifest:
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=np.float64)
+        if self.durations.ndim != 1 or not len(self.ids) == len(self.durations) == len(self.datasets):
+            raise DimensionMismatch(
+                f"manifest columns disagree: {len(self.ids)} ids, durations of shape "
+                f"{self.durations.shape}, {len(self.datasets)} datasets"
+            )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -337,16 +342,66 @@ def load_view(path: str | Path) -> EmbeddingView:
     return view
 
 
+_PARSE_CHUNK = 1 << 16  # bytes of whole lines per `json.loads` call in `_parse_chunks`
+
+
 def load_manifest(path: str | Path) -> Manifest:
-    """Parse a JSON-lines manifest into columns; line order defines row order."""
+    """Parse a JSON-lines manifest into columns; line order defines row order.
+
+    The bytes are parsed a chunk of lines at a time (`_parse_chunks`); on
+    any fault the per-line parser reruns over the same bytes, so a file is
+    accepted or rejected, with the same error and line, as line by line.
+    """
     path = Path(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _record_read(path, data)
+    try:
+        manifest = _parse_chunks(data)
+    except (ValueError, OverflowError, RecursionError):  # JSON, UTF-8, int-size and nesting faults
+        manifest = None
+    return manifest if manifest is not None else _parse_lines(data)
+
+
+def _parse_chunks(data: bytes) -> Manifest | None:
+    """Manifest columns from one `json.loads` per chunk of lines, or None to parse line by line.
+
+    A chunk of k lines is parsed as one array with `null` in place of each
+    line break. No line of the chunk contains `null`, so 2k - 1 values with
+    `None` at the k - 1 odd places mean each line held exactly one value.
+    Chunks with `null` or `\r` (a line break in text mode) and any failed
+    check are left to the per-line parser.
+    """
+    ids, durations, datasets = [], [], []
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _PARSE_CHUNK) + 1 or len(data)
+        chunk, start = data[start:end], end
+        if b"null" in chunk or b"\r" in chunk:
+            return None
+        body = chunk.decode("utf-8").removesuffix("\n")
+        lines = body.count("\n") + 1
+        values = json.loads("[" + body.replace("\n", ",null,") + "]")
+        records = values[::2]
+        if len(values) != 2 * lines - 1 or values[1::2].count(None) != lines - 1 or {*map(type, records)} != {dict}:
+            return None
+        ids += [r.get("id") for r in records]
+        durations += [r.get("duration_s") for r in records]
+        datasets += [r.get("dataset") for r in records]
+    if not ({*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}):
+        return None  # so a duration is not a bool, and every id and dataset is a str
+    column, unique = np.array(durations, dtype=np.float64), set(ids)
+    if "" in unique or len(unique) != len(ids) or not (np.isfinite(column).all() and (column > 0).all()):
+        return None
+    return Manifest(ids, column, datasets)
+
+
+def _parse_lines(data: bytes) -> Manifest:
+    """Parse manifest bytes line by line, raising at the first bad line."""
     ids: list[str] = []
     durations: list[float] = []
     datasets: list[str] = []
     seen: set[str] = set()
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _record_read(path, data)
     # the text layer `open(path, encoding="utf-8")` would add: same newlines, same line numbers
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
         for lineno, line in enumerate(text, start=1):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -236,6 +237,18 @@ class TestNormalize:
         np.testing.assert_array_equal(out[near[snapped]], rows[near[snapped]])
 
 
+def canonical_lines(n, start=0):
+    """`n` manifest lines in `save_manifest`'s form, with ids from `start`."""
+    return [
+        json.dumps({"id": f"utt-{i:05d}", "duration_s": 1.0 + i / 8, "dataset": "a"})
+        for i in range(start, start + n)
+    ]
+
+
+def manifest_text(n, start=0):
+    return "".join(line + "\n" for line in canonical_lines(n, start))
+
+
 class TestManifest:
     def write(self, tmp_path, lines):
         path = tmp_path / "manifest.jsonl"
@@ -296,6 +309,9 @@ class TestManifest:
             '{"duration_s": 1.0, "dataset": "a"}',
             "",
             "[1, 2]",
+            '{"id": "u", "duration_s": 1.0, "dataset": "a"}, {"id": "v", "duration_s": 1.0, "dataset": "a"}',
+            '{"id": "", "duration_s": 1.0, "dataset": "a"}',
+            '{"id": "u", "duration_s": true, "dataset": "a"}',
         ],
     )
     def test_malformed_lines(self, tmp_path, line):
@@ -315,6 +331,105 @@ class TestManifest:
         with pytest.raises(MalformedLine) as err:
             load_manifest(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(manifest_text(3), id="canonical"),
+            pytest.param(manifest_text(3).removesuffix("\n"), id="no-trailing-newline"),
+            pytest.param(
+                '{"id": "a", "duration_s": 2, "dataset": "x"}\n{"id": "b", "duration_s": 7, "dataset": "x"}\n',
+                id="int-durations",
+            ),
+            pytest.param(
+                json.dumps({"id": "señal-音", "duration_s": 1.5, "dataset": "ü"}) + "\n", id="escaped-non-ascii"
+            ),
+            pytest.param('{"id": "null-1", "duration_s": 1.5, "dataset": "a"}\n', id="null-in-id"),
+            pytest.param(
+                manifest_text(2000)
+                + json.dumps({"id": "x" * (2 * store._PARSE_CHUNK), "duration_s": 3.0, "dataset": "a"})
+                + "\n"
+                + manifest_text(2000, start=2000),
+                id="line-longer-than-a-chunk",
+            ),
+            pytest.param("", id="empty"),
+        ],
+    )
+    def test_chunked_parse_matches_the_per_line_parse(self, tmp_path, text):
+        """The per-line parser is the oracle: the same columns, bit for bit."""
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(text, encoding="utf-8")
+        got, want = load_manifest(path), store._parse_lines(path.read_bytes())
+        assert got.ids == want.ids and got.datasets == want.datasets
+        assert got.durations.dtype == want.durations.dtype == np.float64
+        assert got.durations.tobytes() == want.durations.tobytes()
+
+    def test_canonical_file_takes_the_chunked_path(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, canonical_lines(5000))
+        assert path.stat().st_size > 2 * store._PARSE_CHUNK
+
+        def per_line(data):
+            raise AssertionError("fell back to the per-line parser")
+
+        monkeypatch.setattr(store, "_parse_lines", per_line)
+        assert len(load_manifest(path)) == 5000
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            pytest.param(
+                [
+                    '{"id": "a", "duration_s": 1, "dataset": "x", "e": [1',
+                    '2]}',
+                    '{"id": "b", "duration_s": 1, "dataset": "x"}, {"id": "c", "duration_s": 1, "dataset": "x"}',
+                ],
+                id="record-split-then-two-on-a-line",
+            ),
+            pytest.param(['{"id": "a', 'b", "duration_s": 1, "dataset": "x"}'], id="string-split"),
+            pytest.param(
+                [
+                    '{"id": "a", "duration_s": 1, "dataset": "x", "e": [1',
+                    '2]}, null, {"id": "b", "duration_s": 1, "dataset": "x"}',
+                ],
+                id="null-between-records",
+            ),
+            pytest.param(['{"id": "a", "duration_s": 1, "dataset": "x", "e": [1\r, 2]}'], id="record-split-at-cr"),
+        ],
+    )
+    def test_values_spanning_lines_rejected_at_line_one(self, tmp_path, lines):
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(self.write(tmp_path, lines))
+        assert err.value.line == 1
+
+    def test_duplicate_past_the_first_chunk_keeps_its_line(self, tmp_path):
+        lines = canonical_lines(3000)
+        lines[2499] = lines[10]
+        with pytest.raises(DuplicateId) as err:
+            load_manifest(self.write(tmp_path, lines))
+        assert err.value.utterance_id == "utt-00010" and err.value.line == 2500
+
+    def test_nan_duration_past_the_first_chunk_keeps_its_line(self, tmp_path):
+        lines = canonical_lines(3000)
+        lines[2499] = '{"id": "odd", "duration_s": NaN, "dataset": "a"}'
+        with pytest.raises(NonPositiveDuration) as err:
+            load_manifest(self.write(tmp_path, lines))
+        assert err.value.line == 2500
+
+    def test_late_invalid_utf8_after_a_malformed_line(self, tmp_path):
+        """The first bad line is reported before bytes that are not UTF-8 further on."""
+        lines = canonical_lines(3000)
+        lines[1] = "not json"
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + b'{"id": "\xff", "duration_s": 1, "dataset": "a"}\n')
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(path)
+        assert err.value.line == 2
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Manifest(["a", "b"], [1.0], ["x", "y", "z"])
+        with pytest.raises(DimensionMismatch):
+            Manifest(["a", "b"], [[1.0], [2.0]], ["x", "y"])
 
 
 class TestRecordedFiles:

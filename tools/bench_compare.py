@@ -15,7 +15,8 @@ traced running-max, ranking, input-digest, projection and compaction
 layers (with the k-means iteration count), the pick digests of both
 sides, whether the pick and output digests agree on every seed, each
 side's `wc -l src/corpus_select/*.py` and the numeric environment of
-the host.
+the host. Per workload it prints the `wall_s`, `cpu_s` and `peak_rss_mb`
+medians of both sides, the change's median over the base's, and its wins.
 """
 
 from __future__ import annotations
@@ -178,11 +179,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     for name, w in bench["workloads"].items():
-        wall = w["end_to_end"]["wall_s"]
-        print(
-            f"{name}: wall {wall['base']['median']:.3f} -> {wall['change']['median']:.3f} s "
-            f"(wins {wall['change_wins']}), same picks {w['same_picks']}, same outputs {w['same_outputs']}"
-        )
+        parts = []
+        for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+            m = w["end_to_end"][key]
+            parts.append(
+                f"{key} {m['base']['median']:.3f} -> {m['change']['median']:.3f} "
+                f"(x{m['change_over_base']:.3f}, wins {m['change_wins']})"
+            )
+        print(f"{name}: {', '.join(parts)}, same picks {w['same_picks']}, same outputs {w['same_outputs']}")
     return 0
 
 
