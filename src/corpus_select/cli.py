@@ -462,6 +462,20 @@ def _sidecar_path(config: dict, written: dict[str, dict]) -> Path | None:
     return out / "run.json" if out.is_dir() else out.with_name(out.name + ".run.json")
 
 
+def _replay_manifest(path: Path) -> dict:
+    """The run manifest at `path`: a JSON object with an object `config`, whose
+    `inputs` and `outputs`, where present, map paths to objects with a string
+    `sha256`. Anything else raises DataError naming the file."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        entries = [*manifest.get("inputs", {}).values(), *manifest.get("outputs", {}).values()]
+        if isinstance(manifest["config"], dict) and all(isinstance(e["sha256"], str) for e in entries):
+            return manifest
+    except (ValueError, AttributeError, KeyError, TypeError):  # not JSON, or not of that shape
+        pass
+    raise DataError(f"not a run manifest: {path}")
+
+
 def _verify_replay_inputs(manifest: dict) -> None:
     for path_str, entry in manifest.get("inputs", {}).items():
         path = Path(path_str)
@@ -494,10 +508,7 @@ def run(argv: list[str]) -> int:
         replay_manifest = None
         replay_path = getattr(args, "replay", None)
         if replay_path is not None:
-            path = Path(replay_path)
-            if not path.is_file():
-                raise DataError(f"replay manifest missing: {path}")
-            replay_manifest = json.loads(path.read_text(encoding="utf-8"))
+            replay_manifest = _replay_manifest(Path(replay_path))
             recorded = replay_manifest.get("subcommand")
             if recorded != args.subcommand:
                 raise UsageError(

@@ -17,16 +17,16 @@ batches commit, so a candidate's stale MMR score is an upper bound on
 its exact one, bit for bit: the running max is a max over exact grid dot
 products, and the 2^-52 scale, the fusion sum and clip and
 lam*r - (1-lam)*v are all monotone under round-to-nearest. Each round
-takes the head of the remaining pool in stale-score order (argpartition,
-widened to every candidate tied with the boundary key, then a sort of
-the head alone), refreshes its first 2B candidates and takes the top B
-by exact score, doubling the head while the first candidate beyond it
-could still tie or beat the B-th at its bound. A refresh folds in only
-the rows committed since the candidate's last one, one commit segment
-(the rows committed between two stamps) per call over every candidate
-stamped before it, from a commit-order buffer of the pool's own rows;
-committed rows are never refreshed again. Picks and score bits are those
-of refreshing the whole pool every round.
+refreshes in stale order until the top B by current key are all fresh,
+2B first, then doubling; those B are then the top B by exact key, since
+every stale candidate ranks below them at its bound. The head is found
+by argpartition, widened to every candidate tied with the boundary key,
+then a sort of the head alone. A refresh folds in only the rows
+committed since the candidate's last one, one commit segment (the rows
+committed between two stamps) per call over every candidate stamped
+before it, from a commit-order buffer of the pool's own rows; committed
+rows are never refreshed again. Picks and score bits are those of
+refreshing the whole pool every round.
 
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
@@ -307,11 +307,12 @@ def batched_mmr(
             m[stale] = lam_r[stale] - (1.0 - cfg.lam) * v[stale]
 
         def stale_head(positions: np.ndarray, k: int) -> np.ndarray:
-            """The first k of `positions` by stale key (m descending, then pool index), in order.
+            """The first k of `positions` by current key (m descending, then pool index), in order.
 
-            argpartition finds the k-th largest key, and every candidate tied
-            with it stays in the head, so sorting the head alone orders it as
-            sorting all of `positions` would.
+            A round refreshes in stale order until the top B by current key
+            are all fresh, 2B first, then doubling. argpartition finds the
+            k-th largest key; every candidate tied with it stays in the head,
+            so sorting the head alone orders it as sorting all would.
             """
             if k < positions.size:
                 keys = m[positions]
@@ -327,29 +328,16 @@ def batched_mmr(
                 exhausted = True
                 break
             rounds += 1
-            # Stale scores are upper bounds: refresh the head of the stale
-            # order, doubling it until the first candidate beyond it cannot
-            # reach the top B even at its bound. `order` is a sorted prefix
-            # of the stale order, one longer than the head.
-            head = min(2 * cfg.batch_size, remaining.size)
-            order = stale_head(remaining, head + 1)
-            refresh(order[:head])
+            # CELF: stale keys are upper bounds, so a fresh top B by current
+            # key is the top B by exact key.
+            size = 2 * cfg.batch_size
+            refresh(stale_head(remaining, size))
             while True:
-                top = order[:head]
-                batch_pos = top[np.lexsort((pool[top], -m[top]))][: cfg.batch_size]
-                if head == remaining.size:
+                batch_pos = stale_head(remaining, cfg.batch_size)
+                if np.all(stamp[batch_pos] == ncom):
                     break
-                nxt, last = order[head], batch_pos[-1]
-                if (m[nxt], -pool[nxt]) < (m[last], -pool[last]):
-                    break
-                grown = min(2 * head, remaining.size)
-                # rows outside `order` were not refreshed: they keep their stale keys
-                outside = ~committed
-                outside[order] = False
-                more = stale_head(np.flatnonzero(outside), grown + 1 - order.size)
-                order = np.concatenate([order, more])
-                refresh(order[head:grown])
-                head = grown
+                refresh(stale_head(remaining[stamp[remaining] < ncom], size))
+                size *= 2
 
             for pos in batch_pos:
                 idx = int(pool[pos])

@@ -455,6 +455,31 @@ class TestReplay:
             assert "different digest" in capsys.readouterr().err
             assert sidecar.read_bytes() == recorded
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json {",
+            "\udcff",
+            "[1, 2]",
+            '{"subcommand": "select"}',
+            '{"subcommand": "select", "config": [1]}',
+            '{"subcommand": "select", "config": {}, "inputs": ["a.emb"]}',
+            '{"subcommand": "select", "config": {}, "inputs": {"a.emb": {"bytes": 1}}}',
+            '{"subcommand": "select", "config": {}, "outputs": {"o.jsonl": "0000"}}',
+            '{"subcommand": "select", "config": {}, "outputs": {"o.jsonl": {"sha256": 0}}}',
+        ],
+    )
+    def test_malformed_manifest_exits_1_naming_it(self, tmp_path, capsys, text):
+        """A replay of a file that is not a run manifest exits 1 with the path in
+        the message and writes nothing."""
+        path = tmp_path / "bad.run.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert run(["select", "--replay", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and not captured.out
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == text.encode("utf-8", "surrogateescape")
+
     def test_replay_wrong_subcommand(self, fixture_dirs, tmp_path, capsys):
         corpus, targets = fixture_dirs
         out = tmp_path / "r3.jsonl"

@@ -602,8 +602,9 @@ class TestSelectorProperties:
         assert len(scored) == 1 and lazy.pool_size <= scored[0] <= 1.01 * lazy.pool_size
         assert selection_bits(lazy) == selection_bits(eager_batched_mmr(durations, views, targets, cfg))
 
-    def test_lazy_refresh_skips_committed_rows_and_most_work(self, monkeypatch):
-        """On clustered data the running max folds in under 0.7x the eager loop's row pairs."""
+    @staticmethod
+    def clustered_instance():
+        """4,000 distinct rows around 8 centers, B 32: most rounds refresh past 2B."""
         rng = np.random.default_rng(4242)
         n, d = 4000, 16
         centers = unit_rows(rng, 8, d)
@@ -612,6 +613,11 @@ class TestSelectorProperties:
         durations = rng.uniform(1.0, 10.0, size=n)
         targets = TargetSet([TargetDataset("t", {"v": unit_rows(rng, 20, d)})])
         cfg = SelectionConfig(alpha=0.1, rho=0.5, batch_size=32, weights=FusionWeights({"v": 1.0}))
+        return durations, views, targets, cfg
+
+    def test_lazy_refresh_skips_committed_rows_and_most_work(self, monkeypatch):
+        """On clustered data the running max folds in under 0.7x the eager loop's row pairs."""
+        durations, views, targets, cfg = self.clustered_instance()
 
         calls = {"lazy": [], "eager": []}
 
@@ -644,6 +650,31 @@ class TestSelectorProperties:
             for side, log in calls.items()
         }
         assert work["lazy"] < 0.7 * work["eager"]
+
+    def test_refresh_work_is_pinned(self, monkeypatch):
+        """The running max makes the calls and folds the (row, commit) pairs it made
+        before the round loop was stated as CELF's stopping rule, and some round
+        refreshes more than once, so its head grows past 2B."""
+        durations, views, targets, cfg = self.clustered_instance()
+        calls = []
+        kernel = selection.update_running_max
+
+        def counting(rows, batch, running, **kwargs):
+            calls.append((rows.shape[0], batch.shape[0], batch[-1].tobytes()))
+            return kernel(rows, batch, running, **kwargs)
+
+        monkeypatch.setattr(selection, "update_running_max", counting)
+        result = batched_mmr(durations, views, targets, cfg)
+        # measured at commit 3b98ff1, the parent of the CELF-rule round loop
+        assert len(calls) == 153
+        assert sum(rows * batch for rows, batch, _ in calls) == 284_288
+        # A refresh folds its commit segments oldest first, so a call whose last
+        # commit is not later than the previous call's starts a new refresh.
+        # Every round after the first refreshes at least once.
+        position = {row.tobytes(): i for i, row in enumerate(views["v"][result.indices])}
+        last = [position[row] for _, _, row in calls]
+        refreshes = 1 + sum(b <= a for a, b in zip(last, last[1:]))
+        assert refreshes > result.rounds - 1
 
     def test_zero_weight_view_is_not_tracked(self, monkeypatch):
         """A view of weight 0 costs no running-max work: as many calls as without it."""

@@ -11,12 +11,15 @@ goes first alternating from seed to seed; each `--trace-seeds` seed adds
 one traced run (`--trace 1`) per side for the per-layer numbers. The
 BENCH file gives, per workload, every end-to-end metric as each side's
 median and quartiles over seeds, the change's wins out of the pairs, the
-traced running-max, ranking, input-digest, projection and compaction
-layers (with the k-means iteration count), the pick digests of both
-sides, whether the pick and output digests agree on every seed, each
-side's `wc -l src/corpus_select/*.py` and the numeric environment of
-the host. Per workload it prints the `wall_s`, `cpu_s` and `peak_rss_mb`
-medians of both sides, the change's median over the base's, and its wins.
+traced running-max, ranking, relevance, load, projection and compaction
+layers (with the k-means iteration count; `null` where a traced run has
+no such layer), the pick digests of both sides, whether the pick and
+output digests agree on every seed, each side's `wc -l
+src/corpus_select/*.py` and the numeric environment of the host. Per
+workload it prints the `wall_s`, `cpu_s` and `peak_rss_mb` medians of
+both sides, the change's median over the base's, and its wins. It exits
+1, after writing the BENCH file, when the picks or outputs of the two
+sides differ on any workload.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ LAYERS = (
     "store.load_manifest.s",
     "store.load_view.s",
     "store.save_view.s",
-    "cli.input_digest.mb",
     "compaction.compact_targets.s",
     "compaction.iterations",
     "projection.project_view.s",
@@ -102,6 +104,12 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def _layer_median(traced: list[dict], workload: str, key: str) -> float | None:
+    """Median of a layer over traced runs; None if any run lacks it."""
+    values = [t[workload]["per_layer"].get(key) for t in traced]
+    return None if not values or None in values else statistics.median(values)
+
+
 def summarize(runs: dict[str, list[dict]], traced: dict[str, list[dict]]) -> dict:
     """Per workload: end-to-end medians, quartiles and wins, traced layers, digests."""
     out = {}
@@ -119,13 +127,7 @@ def summarize(runs: dict[str, list[dict]], traced: dict[str, list[dict]]) -> dic
                 "base_iqr_over_median": (stats["base"]["q3"] - stats["base"]["q1"]) / stats["base"]["median"],
                 "change_wins": f"{wins}/{len(pairs)}",
             }
-        layers = {
-            key: {
-                side: statistics.median(t[name]["per_layer"].get(key, 0.0) for t in traced[side])
-                for side in ("base", "change")
-            }
-            for key in LAYERS
-        } if traced["base"] else {}
+        layers = {key: {side: _layer_median(traced[side], name, key) for side in traced} for key in LAYERS}
         out[name] = {
             "end_to_end": end_to_end,
             "traced_layers": layers,
@@ -187,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"(x{m['change_over_base']:.3f}, wins {m['change_wins']})"
             )
         print(f"{name}: {', '.join(parts)}, same picks {w['same_picks']}, same outputs {w['same_outputs']}")
-    return 0
+    same = all(w["same_picks"] and w["same_outputs"] for w in bench["workloads"].values())
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
