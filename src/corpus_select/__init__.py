@@ -48,9 +48,7 @@ from corpus_select.selection import (
 from corpus_select.probe import (
     ProbeConfig,
     ProbeReport,
-    fit_predict,
     probe_matrix,
-    pseudo_label,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +73,6 @@ __all__ = [
     "batched_mmr",
     "compact_targets",
     "duration_baseline",
-    "fit_predict",
     "greedy_mmr_exact",
     "kmeans",
     "load_corpus",
@@ -85,7 +82,6 @@ __all__ = [
     "make_projection",
     "probe_matrix",
     "project_view",
-    "pseudo_label",
     "random_baseline",
     "relevance_multi_dataset",
     "save_manifest",

@@ -10,6 +10,11 @@ manifest sidecar (`run.json` in its `--out` directory, else
 flag's `dest`, per-phase wall-clock times, and the digests that
 `store.recorded_files` took of the bytes the run read and wrote. A
 `--replay <run.json>` re-runs from the manifest and checks what it wrote.
+A replay is a run whose flags come from the manifest: each recorded key
+is rendered back into its flag and parsed again, so a bad value exits 2
+naming its flag before any input is read. Keys no flag declares any more
+are ignored; a missing optional key takes today's default, and the output
+digest check catches any change that makes.
 """
 
 from __future__ import annotations
@@ -100,13 +105,13 @@ def emit_run_manifest(
 
 # ---------- flag types (validated before any data is loaded) ----------
 
-def _float_in(lo: float, hi: float, lo_open: bool = False):
+def _float_in(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
     def convert(text: str) -> float:
         value = float(text)
-        ok = (lo < value if lo_open else lo <= value) and value <= hi
+        ok = (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
         if not ok:
-            bracket = "(" if lo_open else "["
-            raise argparse.ArgumentTypeError(f"must be in {bracket}{lo}, {hi}], got {text}")
+            bounds = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+            raise argparse.ArgumentTypeError(f"must be in {bounds}, got {text}")
         return value
 
     return convert
@@ -138,8 +143,8 @@ def _weights_arg(text: str) -> dict[str, float]:
             value = float(raw)
         except ValueError:
             raise argparse.ArgumentTypeError(f"weight for {name!r} is not a number: {raw!r}")
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"weight for {name!r} must be >= 0, got {raw}")
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"weight for {name!r} must be finite and >= 0, got {raw}")
         weights[name.strip()] = value
     if not weights or all(w == 0 for w in weights.values()):
         raise argparse.ArgumentTypeError("at least one weight must be positive")
@@ -163,8 +168,10 @@ def _view_dims_arg(text: str) -> dict[str, int]:
     return dims
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
-    """The parser, and per kind of run the flags it needs.
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, tuple[dict[str, argparse.ArgumentParser], dict[str, list[argparse.Action]]]
+]:
+    """The parser, its subcommands' parsers, and per kind of run the flags it needs.
 
     A flag's dest is its key in the run config. argparse cannot require
     the needed flags itself, because `--replay` supplies the whole config.
@@ -228,7 +235,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Ac
     need("probe", p, "--corpus", metavar="DIR", help="corpus directory")
     p.add_argument("--views", type=_views_arg, default=None, metavar="NAME,...")
     p.add_argument("--clusters", type=_positive_int, default=100)
-    p.add_argument("--train-fraction", type=_float_in(0.0, 1.0, lo_open=True), default=0.8)
+    p.add_argument("--train-fraction", type=_float_in(0.0, 1.0, lo_open=True, hi_open=True), default=0.8)
     p.add_argument("--seed", type=_seed, default=0)
     add_replay(p)
 
@@ -245,7 +252,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Ac
     p.add_argument("--target-rows", type=_positive_int, default=120)
     p.add_argument("--seed", type=_seed, default=0)
 
-    return parser, required
+    return parser, (sub.choices, required)
+
+
+def _config_argv(subparser: argparse.ArgumentParser, config: dict) -> list[str]:
+    """A recorded config as the flags that make it: `--flag=value` for each
+    key the subcommand declares as a dest. None values are left out."""
+    argv = []
+    for action in subparser._actions:  # argparse has no public list of a parser's flags
+        value = config.get(action.dest)
+        if value is None:
+            continue
+        if isinstance(value, dict):  # --weights, the inverse of _weights_arg
+            value = ",".join(f"{name}={weight}" for name, weight in value.items())
+        elif isinstance(value, list):  # --views
+            value = ",".join(map(str, value))
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
 
 
 def _config_from_args(args: argparse.Namespace, required: dict[str, list[argparse.Action]]) -> dict:
@@ -498,13 +521,9 @@ def _verify_replay_outputs(manifest: dict, written: dict[str, dict]) -> None:
 
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, and map errors to exit codes."""
-    parser, required = _build_parser()
+    parser, (subparsers, required) = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         replay_manifest = None
         replay_path = getattr(args, "replay", None)
         if replay_path is not None:
@@ -515,10 +534,11 @@ def run(argv: list[str]) -> int:
                     f"--replay manifest records subcommand {recorded!r}, "
                     f"not {args.subcommand!r}"
                 )
+            flags = _config_argv(subparsers[args.subcommand], replay_manifest["config"])
+            args = parser.parse_args([args.subcommand, *flags])
+        config = _config_from_args(args, required)
+        if replay_manifest is not None:
             _verify_replay_inputs(replay_manifest)
-            config = replay_manifest["config"]
-        else:
-            config = _config_from_args(args, required)
 
         with recorded_files() as files:
             phases = _HANDLERS[args.subcommand](config)
@@ -532,6 +552,8 @@ def run(argv: list[str]) -> int:
         ):
             emit_run_manifest(sidecar, args.subcommand, config, files, phases)
         return 0
+    except SystemExit as exc:  # argparse has printed the usage error, help or version
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

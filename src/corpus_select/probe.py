@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from corpus_select.compaction import KMeansConfig, kmeans
-from corpus_select.errors import DegenerateSplit, DimensionMismatch, TooFewRows
+from corpus_select.errors import DataError, DegenerateSplit, DimensionMismatch, TooFewRows
 from corpus_select.rng import generator, subseed
 
 _L2_PENALTY = 1e-4
@@ -201,7 +201,7 @@ def probe_matrix(views: dict[str, np.ndarray], cfg: ProbeConfig) -> list[ProbeRe
     """
     names = list(views)
     if len(names) < 2:
-        raise ValueError(f"probe matrix needs at least 2 views, got {len(names)}")
+        raise DataError(f"probe matrix needs at least 2 views, got {len(names)}")
     counts = {name: views[name].shape[0] for name in names}
     if len(set(counts.values())) != 1:
         raise DimensionMismatch(f"views must have equal row counts, got {counts}")

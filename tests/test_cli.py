@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_select import cli
 from corpus_select.cli import run
@@ -85,6 +87,17 @@ class TestUsageErrors:
         code = run(["select", "--corpus", "nope", "--targets", "x", "--seed", "-1", "--out", "z"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_names_flag(self, capsys, weight):
+        code = run(["select", "--corpus", "nope", "--targets", "x", "--weights", f"a={weight}", "--out", "z"])
+        assert code == 2
+        assert "--weights" in capsys.readouterr().err
+
+    def test_train_fraction_one_rejected(self, capsys):
+        """The flag's range is ProbeConfig's: (0, 1), open at both ends."""
+        assert run(["probe", "--corpus", "nope", "--train-fraction", "1.0"]) == 2
+        assert "--train-fraction" in capsys.readouterr().err
 
 
 class TestDefaultThreads:
@@ -488,6 +501,98 @@ class TestReplay:
         assert code == 2
 
 
+_PATH = st.text(max_size=8)
+_NAME = st.text(st.characters(exclude_categories=("C", "Z"), exclude_characters=",="), min_size=1, max_size=4)
+_POSITIVE = st.integers(1, 2**31)
+_SEED = st.integers(0, 2**64 - 1)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+_WEIGHTS = st.dictionaries(_NAME, st.floats(0.0, 1e9), min_size=1, max_size=3).filter(lambda w: any(w.values()))
+# per subcommand, the flags it needs and the optional ones, each drawn as the value typed after `=`
+_RUN_FLAGS = {
+    "project": ({"--in": _PATH, "--out": _PATH}, {"--dim": _POSITIVE, "--seed": _SEED}),
+    "audit": ({"--hi": _PATH, "--lo": _PATH}, {"--pairs": _POSITIVE, "--seed": _SEED}),
+    "compact-targets": ({"--targets": _PATH, "--out": _PATH}, {"--k": _POSITIVE, "--seed": _SEED}),
+    "select": (
+        {"--corpus": _PATH, "--targets": _PATH, "--out": _PATH},
+        {
+            "--method": st.sampled_from(["mmr", "random", "duration"]),
+            "--lambda": st.floats(0.0, 1.0),
+            "--alpha": _OPEN_UNIT,
+            "--rho": _OPEN_UNIT,
+            "--batch": _POSITIVE,
+            "--weights": _WEIGHTS.map(lambda w: ",".join(f"{k}={v!r}" for k, v in w.items())),
+            "--aggregate": st.sampled_from(["max", "mean"]),
+            "--seed": _SEED,
+            "--bins": _POSITIVE,
+            "--threads": _POSITIVE,
+        },
+    ),
+    "probe": (
+        {"--corpus": _PATH},
+        {
+            "--views": st.lists(_NAME, min_size=1, max_size=3).map(",".join),
+            "--clusters": _POSITIVE,
+            "--train-fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            "--seed": _SEED,
+        },
+    ),
+}
+
+
+class TestReplayConfig:
+    """A replay renders the recorded config back into flags and parses them with
+    the run's own parser, so a replayed config passes every check a run's does."""
+
+    @pytest.mark.parametrize("subcommand", sorted(_RUN_FLAGS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_replay_parses_the_recorded_config(self, subcommand, data):
+        needed, optional = _RUN_FLAGS[subcommand]
+        flags = data.draw(st.fixed_dictionaries(needed, optional=optional))
+        parser, (subparsers, required) = cli._build_parser()
+        argv = [subcommand, *(f"{flag}={value}" for flag, value in flags.items())]
+        config = cli._config_from_args(parser.parse_args(argv), required)
+        recorded = json.loads(json.dumps(config))
+        replayed = parser.parse_args([subcommand, *cli._config_argv(subparsers[subcommand], recorded)])
+        assert cli._config_from_args(replayed, required) == config
+
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [
+            ("threads", 0, "--threads"),
+            ("threads", -3, "--threads"),
+            ("batch", 0, "--batch"),
+            ("rho", 0.0, "--rho"),
+            ("aggregate", "median", "--aggregate"),
+            ("weights", [1], "--weights"),
+            ("weights", {"speaker": float("nan")}, "--weights"),
+            ("lambda", "a", "--lambda"),
+            (None, {}, "--corpus"),  # the whole config empty
+        ],
+    )
+    def test_bad_recorded_value_exits_2_naming_its_flag(
+        self, fixture_dirs, tmp_path, capsys, monkeypatch, key, value, flag
+    ):
+        """Rejected as the same flag is on the command line: exit 2, the flag
+        named, before any input is hashed, with nothing written."""
+        corpus, targets = fixture_dirs
+        assert run(TestSelect().select_args(corpus, targets, tmp_path / "b.jsonl")) == 0
+        sidecar = tmp_path / "b.jsonl.run.json"
+        manifest = json.loads(sidecar.read_text())
+        if key is None:
+            manifest["config"] = value
+        else:
+            manifest["config"][key] = value
+        sidecar.write_text(json.dumps(manifest))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(cli, "_verify_replay_inputs", lambda manifest: pytest.fail("inputs hashed"))
+        capsys.readouterr()
+        assert run(["select", "--replay", str(sidecar)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 class TestRunManifestInputs:
     @pytest.mark.parametrize("method", ["random", "duration"])
     def test_baselines_read_no_view(self, fixture_dirs, tmp_path, method):
@@ -579,6 +684,11 @@ class TestProbeCommand:
         # fixture views share cluster structure, so the table holds percentages
         rows = [line for line in out.splitlines() if line.startswith(("speaker", "wavlm"))]
         assert len(rows) == 2
+
+    def test_one_view_exits_1(self, fixture_dirs, capsys):
+        corpus, _ = fixture_dirs
+        assert run(["probe", "--corpus", str(corpus), "--views", "speaker"]) == 1
+        assert "at least 2 views" in capsys.readouterr().err
 
 
 class TestAtomicity:

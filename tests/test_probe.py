@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus_select.errors import DegenerateSplit, TooFewRows
+from corpus_select.errors import DataError, DegenerateSplit, TooFewRows
 from corpus_select.probe import (
     ProbeConfig,
     fit_predict,
@@ -175,5 +175,5 @@ class TestProbeMatrix:
 
     def test_needs_two_views(self, rng):
         view, _ = clustered_view(rng, 50, 8, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="at least 2 views"):
             probe_matrix({"a": view}, ProbeConfig(clusters=3, seed=0))
