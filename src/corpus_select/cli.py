@@ -8,8 +8,10 @@ file and atomically renamed. Each run that writes files gets a JSON run
 manifest sidecar (`run.json` in its `--out` directory, else
 `<output>.run.json`): the fully resolved configuration, keyed by each
 flag's `dest`, per-phase wall-clock times, and the digests that
-`store.recorded_files` took of the bytes the run read and wrote. A
-`--replay <run.json>` re-runs from the manifest and checks what it wrote.
+`store.recorded_files` took of the bytes the run read and wrote. With
+`--replay <run.json>`, project, compact-targets and select re-run from
+the manifest and check what they wrote; audit and probe write no file,
+so they leave no manifest to replay.
 A replay is a run whose flags come from the manifest: each recorded key
 is rendered back into its flag and parsed again, so a bad value exits 2
 naming its flag before any input is read. Keys no flag declares any more
@@ -105,9 +107,17 @@ def emit_run_manifest(
 
 # ---------- flag types (validated before any data is loaded) ----------
 
+def _parsed(text: str, kind: type, noun: str):
+    """`kind(text)`, or an error that says what the flag takes; argparse would name the converter."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}") from None
+
+
 def _float_in(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
     def convert(text: str) -> float:
-        value = float(text)
+        value = _parsed(text, float, "a number")
         ok = (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
         if not ok:
             bounds = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
@@ -118,14 +128,14 @@ def _float_in(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(text, int, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _parsed(text, int, "an integer")
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {text}")
     return value
@@ -206,7 +216,6 @@ def _build_parser() -> tuple[
     need("audit", p, "--lo", metavar="VIEW_EMB", help="projected view")
     p.add_argument("--pairs", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    add_replay(p)
 
     p = sub.add_parser("compact-targets", help="k-means compaction of target embeddings")
     need("compact-targets", p, "--targets", metavar="DIR", help="targets directory")
@@ -237,7 +246,6 @@ def _build_parser() -> tuple[
     p.add_argument("--clusters", type=_positive_int, default=100)
     p.add_argument("--train-fraction", type=_float_in(0.0, 1.0, lo_open=True, hi_open=True), default=0.8)
     p.add_argument("--seed", type=_seed, default=0)
-    add_replay(p)
 
     p = sub.add_parser("stats", help="corpus statistics or synthetic fixture generation")
     need("stats", p, "--corpus", metavar="DIR", help="corpus directory to summarize")

@@ -53,6 +53,19 @@ round-to-nearest, so the fused bounds hold bit for bit. The selector
 scores exactly only the rows whose upper bound can reach its pool
 (Rump's filter, then certify).
 
+The screen also certifies where a row's exact max lies. Per target set
+it keeps each row's float32 argmax a and a tie flag, set when any other
+float32 score f reaches a - 2 eps rounded down (`_floor32`). For an
+untied row every other exact score is at most f + eps < a - eps, at most
+the argmax's, so the exact max is that one grid dot product. Tied rows
+go through the kernel. A set is certified only when its target rows
+times the dimensions reach 2^16 per BLAS thread (`_CERTIFY_SIZE`): the
+argmax passes read every screened score on one thread, while the GEMM
+they save grows with that size and is shared by the threads. Timed by
+`tools/certify_crossover.py` (`CROSSOVER_certify.json`), certifying saved
+up to 25% of the prefilter above the rule, except at D 64 (up to 12%
+slower), and cost up to 31% below it.
+
 The running max is screened the same way, tile by tile. A row whose
 float32 max a cannot beat its running max even at a + eps (rounded up
 and clipped) is left alone. For the others only the pairs scoring at
@@ -84,6 +97,7 @@ _TILE_TARGETS = 4096  # target rows per score tile
 _GRID = 2.0**26
 _SCREEN_MAX_NORM = 2.0**40  # beyond this the float32 screen could overflow
 _PAIR_CHUNK = 256  # pairs scored exactly at a time: small temporaries stay in cache
+_CERTIFY_SIZE = 2**16  # target rows x dimensions per BLAS thread from which a set is certified
 _OPENBLAS_CALLS = ("get_num_threads", "set_num_threads", "get_corename")
 
 
@@ -213,7 +227,7 @@ def to_grid(values, scale: float = 1.0) -> np.ndarray:
     return grid
 
 
-def max_similarity(candidates: np.ndarray, targets: np.ndarray, *, on_grid: bool = False) -> np.ndarray:
+def max_similarity(candidates, targets, *, on_grid: bool = False, rows=None) -> np.ndarray:
     """Per-candidate maximum dot product against the target rows.
 
     Returns a float64 vector of length N, clipped to [-1, 1]. This is the
@@ -223,8 +237,10 @@ def max_similarity(candidates: np.ndarray, targets: np.ndarray, *, on_grid: bool
     are rounded with `to_grid` first, so the result is exact for the
     rounded rows; `on_grid=True` says both already are `to_grid` output
     (the exact-greedy selector rounds its views once, not once per pick).
+    Given `rows`, it scores the candidate rows at those indices, read a
+    tile at a time.
     """
-    return _max_similarity_sets(candidates, [targets], on_grid=on_grid)[0]
+    return _max_similarity_sets(candidates, [targets], on_grid=on_grid, rows=rows)[0]
 
 
 def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -240,53 +256,64 @@ def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
     return cands, sets
 
 
-def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], screen=None) -> np.ndarray:
+def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], reduce=None) -> np.ndarray:
     """Per-candidate max of `tile_rows(lo, hi) @ targets.T` for each target matrix: (sets, n).
 
     `tile_rows(lo, hi)` gives candidate rows lo:hi in the dtype of the
     target matrices, which is the dtype of the GEMM and of the result.
-    Each tile is reduced into the result, and handed with its row max and
-    its first candidate and target row to `screen(sims, a, clo, tlo)`
-    when given, before the next GEMM writes the same buffer.
+    Each tile's row max is `sims.max(axis=1)`, or `reduce(sims, best, j,
+    clo, tlo)` when given: `sims` is the tile of set j whose first
+    candidate and target rows are clo and tlo, and `best` holds its
+    candidates' max over the set's earlier target tiles (-inf before the
+    first). The hook may overwrite `sims`, the buffer of the next GEMM.
     """
     dtype = sets[0].dtype
-    result = np.empty((len(sets), n), dtype=dtype)
+    result = np.full((len(sets), n), -np.inf, dtype=dtype)
     width = min(_TILE_TARGETS, max(t.shape[0] for t in sets))
     buf = np.empty(min(_TILE_ROWS, n) * width, dtype=dtype)
     for clo in range(0, n, _TILE_ROWS):
         cb = tile_rows(clo, min(clo + _TILE_ROWS, n))
-        for best, tgts in zip(result[:, clo : clo + cb.shape[0]], sets):
+        for j, (best, tgts) in enumerate(zip(result[:, clo : clo + cb.shape[0]], sets)):
             for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
                 tt = tgts[tlo : tlo + _TILE_TARGETS]
                 sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
                 np.matmul(cb, tt.T, out=sims)
-                a = sims.max(axis=1, out=best if tlo == 0 else None)
-                if tlo:
-                    np.maximum(best, a, out=best)
-                if screen is not None:
-                    screen(sims, a, clo, tlo)
+                a = sims.max(axis=1) if reduce is None else reduce(sims, best, j, clo, tlo)
+                np.maximum(best, a, out=best)
     return result
 
 
-def _max_similarity_sets(candidates, target_sets, *, on_grid: bool = False):
+def _max_similarity_sets(candidates, target_sets, *, on_grid: bool = False, rows: np.ndarray | None = None):
     """`max_similarity` against each target set: a (sets, N) array.
 
     Each candidate tile is rounded once for all sets, so every further
-    target dataset adds only its GEMMs.
+    target dataset adds only its GEMMs. Given `rows`, N is `rows.size`
+    and tiles are read from the candidates by index.
     """
     cands, sets = _checked(candidates, target_sets)
+    n = cands.shape[0] if rows is None else rows.size
+    read = (lambda lo, hi: cands[lo:hi]) if rows is None else (lambda lo, hi: cands[rows[lo:hi]])
     if on_grid:
-        rows, grids = (lambda lo, hi: cands[lo:hi]), sets
+        tile, grids = read, sets
     else:
-        rows, grids = (lambda lo, hi: to_grid(cands[lo:hi])), [to_grid(t) for t in sets]
-    result = _blocked_max(cands.shape[0], rows, grids)
+        tile, grids = (lambda lo, hi: to_grid(read(lo, hi))), [to_grid(t) for t in sets]
+    result = _blocked_max(n, tile, grids)
     result *= 1.0 / (_GRID * _GRID)
     np.clip(result, -1.0, 1.0, out=result)
     return result
 
 
 def _max_norm(mat: np.ndarray) -> float:
-    return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max(initial=0.0))
+    """An upper bound on the largest row norm of `mat`.
+
+    float32 rows are summed in float32: a row's squared norm is at most
+    (s + D 2^-126) / (1 - gamma_D) for its sum s (Higham, with underflow),
+    and 1 - 3 D u < 1 - gamma_D also covers the float64 rounding here.
+    """
+    if mat.dtype != np.float32:
+        return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max(initial=0.0))
+    s, d = float(np.einsum("ij,ij->i", mat, mat).max(initial=0.0)), mat.shape[1]
+    return math.sqrt((s + d * 2.0**-126) / (1.0 - 3.0 * d * 2.0**-24))
 
 
 def _screen_eps(d: int, c: float, t: float, casts: int) -> float:
@@ -306,37 +333,98 @@ def _screen_eps(d: int, c: float, t: float, casts: int) -> float:
     return eps + d * 2.0**-50 * (1.0 + c) * (1.0 + t)
 
 
-def running_max_eps(pool: np.ndarray) -> float:
-    """`update_running_max`'s `eps` for rows of `pool` against rows of `pool`."""
-    c = _max_norm(pool)
-    return _screen_eps(pool.shape[1], c, c, 2 * (pool.dtype != np.float32))
+def running_max_eps(mat: np.ndarray, rows: np.ndarray | None = None) -> float:
+    """`update_running_max`'s `eps` among the rows of `mat` (those at `rows`, read a tile at a time)."""
+    rows = np.arange(mat.shape[0]) if rows is None else rows
+    tiles = (mat[rows[lo : lo + _TILE_ROWS]] for lo in range(0, rows.size, _TILE_ROWS))
+    c = max(map(_max_norm, tiles), default=0.0)
+    return _screen_eps(mat.shape[1], c, c, 2 * (mat.dtype != np.float32))
+
+
+def _floor32(a: np.ndarray, eps: float) -> np.ndarray:
+    """a - 2 eps rounded down, then down again to float32: a float32 score
+    below it is exactly below a - eps."""
+    floor = np.nextafter(np.asarray(a, dtype=np.float64) - 2.0 * eps, -np.inf).astype(np.float32)
+    return np.nextafter(floor, np.float32(-np.inf))
 
 
 def _as_float32(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat, dtype=np.float32)
 
 
-def _similarity_bounds(candidates, target_sets) -> np.ndarray:
-    """Certified bounds on `_max_similarity_sets(candidates, target_sets)`: (2, sets, N).
+def _similarity_bounds(candidates, target_sets) -> tuple[np.ndarray, list]:
+    """Certified bounds on `_max_similarity_sets(candidates, target_sets)`, and the certificate.
 
-    `[0]` is a lower and `[1]` an upper bound, both float64 and clipped to
-    [-1, 1], computed from one float32 GEMM per tile and `_screen_eps`.
+    The bounds are (2, sets, N): `[0]` a lower and `[1]` an upper bound,
+    both float64 and clipped to [-1, 1], from one float32 GEMM per tile and
+    `_screen_eps`. Per set the certificate is each candidate's float32
+    argmax and tie flag (module docstring), or None, which sends every row
+    to the kernel: below the size rule (module docstring), or with an
+    infinite eps.
     """
     cands, sets = _checked(candidates, target_sets)
     n, d = cands.shape
-    approx = _blocked_max(n, lambda lo, hi: _as_float32(cands[lo:hi]), [_as_float32(t) for t in sets])
     c = _max_norm(cands)
+    eps = [_screen_eps(d, c, _max_norm(t), (cands.dtype != np.float32) + (t.dtype != np.float32)) for t in sets]
+    lib = _openblas()
+    size = _CERTIFY_SIZE * (1 if lib is None else lib.scipy_openblas_get_num_threads64_())
+    certs = [
+        (np.empty(n, np.int32), np.empty(n, bool)) if t.shape[0] * d >= size and e < math.inf else None
+        for t, e in zip(sets, eps)
+    ]
+
+    def certify(sims, best, j, clo, tlo):
+        if certs[j] is None:
+            return sims.max(axis=1)
+        k = sims.argmax(axis=1)
+        at = np.arange(k.size)
+        a = sims[at, k]
+        sims[at, k] = -np.inf  # leaves the runner-up as the row max
+        arg, tied = (part[clo : clo + k.size] for part in certs[j])
+        up = a > best  # the tile holds the best so far; tiles within the window of each other tie
+        arg[up] = tlo + k[up]
+        tied[:] = np.where(up, sims.max(axis=1) >= _floor32(a, eps[j]), tied)
+        tied |= np.minimum(a, best) >= _floor32(np.maximum(a, best), eps[j])
+        return a
+
+    approx = _blocked_max(n, lambda lo, hi: _as_float32(cands[lo:hi]), [_as_float32(t) for t in sets], certify)
     bounds = np.empty((2, len(sets), n), dtype=np.float64)
-    for j, tgts in enumerate(sets):
-        eps = _screen_eps(d, c, _max_norm(tgts), (cands.dtype != np.float32) + (tgts.dtype != np.float32))
-        if eps == math.inf:
+    for j, e in enumerate(eps):
+        if e == math.inf:
             bounds[0, j], bounds[1, j] = -1.0, 1.0
             continue
         a = approx[j].astype(np.float64)
-        bounds[0, j] = np.nextafter(a - eps, -np.inf)
-        bounds[1, j] = np.nextafter(a + eps, np.inf)
+        bounds[0, j] = np.nextafter(a - e, -np.inf)
+        bounds[1, j] = np.nextafter(a + e, np.inf)
     np.clip(bounds, -1.0, 1.0, out=bounds)
-    return bounds
+    return bounds, certs
+
+
+def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> np.ndarray:
+    """The kernel's score of each pair (x[xi[k]], y[yi[k]]): a dot product of grid rows
+    (an integer sum below 2^53, exact in any order), scaled and clipped."""
+    out = np.empty(xi.size)
+    for lo in range(0, xi.size, _PAIR_CHUNK):
+        part = slice(lo, lo + _PAIR_CHUNK)
+        out[part] = np.einsum("ij,ij->i", to_grid(x[xi[part]]), to_grid(y[yi[part]]))
+    out *= 1.0 / (_GRID * _GRID)
+    np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
+def _exact_max(cands: np.ndarray, sets: list[np.ndarray], rows: np.ndarray, certs: list) -> np.ndarray:
+    """`_max_similarity_sets(cands[rows], sets)` bit for bit, reading `cands` by index: a row
+    untied in a set's certificate scores one grid dot against it, the rest the kernel."""
+    out = np.empty((len(sets), rows.size))
+    plain = [j for j, cert in enumerate(certs) if cert is None]
+    if plain:
+        out[plain] = _max_similarity_sets(cands, [sets[j] for j in plain], rows=rows)
+    for scores, tgts, cert in zip(out, sets, certs):
+        if cert is not None:
+            arg, tied = cert[0][rows], cert[1][rows]
+            scores[tied] = max_similarity(cands, tgts, rows=rows[tied])
+            scores[~tied] = _grid_dots(cands, rows[~tied], tgts, arg[~tied])
+    return out
 
 
 def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray, *, eps: float) -> None:
@@ -350,25 +438,17 @@ def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray,
     out are scored exactly, then scaled and clipped as the kernel does.
     """
 
-    def certify(sims, a, clo, tlo):
+    def certify(sims, best, j, clo, tlo):
+        a = sims.max(axis=1)
         run = running[clo : clo + a.size]
-        a = a.astype(np.float64)
-        live = np.flatnonzero(np.clip(np.nextafter(a + eps, np.inf), -1.0, 1.0) >= run)
-        if not live.size:
-            return
-        # a - 2 eps rounded down, then down again to float32
-        floor = np.nextafter(a[live] - 2.0 * eps, -np.inf).astype(np.float32)
-        floor = np.nextafter(floor, np.float32(-np.inf))
-        i, j = np.divmod(np.flatnonzero(sims[live] >= floor[:, None]), sims.shape[1])
-        exact = np.empty(i.size)
-        for lo in range(0, i.size, _PAIR_CHUNK):
-            pi, pj = clo + live[i[lo : lo + _PAIR_CHUNK]], tlo + j[lo : lo + _PAIR_CHUNK]
-            exact[lo : lo + _PAIR_CHUNK] = np.einsum("ij,ij->i", to_grid(rows[pi]), to_grid(batch[pj]))
-        exact *= 1.0 / (_GRID * _GRID)
-        np.clip(exact, -1.0, 1.0, out=exact)
-        first = np.flatnonzero(np.diff(i, prepend=-1))
-        hit = live[i[first]]
-        run[hit] = np.maximum(run[hit], np.maximum.reduceat(exact, first))
+        live = np.flatnonzero(np.clip(np.nextafter(a.astype(np.float64) + eps, np.inf), -1.0, 1.0) >= run)
+        if live.size:
+            i, k = np.divmod(np.flatnonzero(sims[live] >= _floor32(a[live], eps)[:, None]), sims.shape[1])
+            exact = _grid_dots(rows, clo + live[i], batch, tlo + k)
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            hit = live[i[first]]
+            run[hit] = np.maximum(run[hit], np.maximum.reduceat(exact, first))
+        return a
 
     _blocked_max(rows.shape[0], lambda lo, hi: _as_float32(rows[lo:hi]), [_as_float32(batch)], certify)
 
@@ -446,15 +526,23 @@ def relevance_bounds(
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit.
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit, and `exact`.
 
     Each view is screened once with a float32 GEMM (`_similarity_bounds`),
     and its lower and upper bounds go through the same fusion and
-    aggregation as the exact scores.
+    aggregation as the exact scores. `exact(rows)` is
+    `relevance_multi_dataset` of the rows at `rows`, bit for bit, read by
+    index and scored from the screen's certificate (`_exact_max`).
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
-    bounds = {name: _similarity_bounds(mats[name], sets[name]) for name in mats}
+    bounds, certs = {}, {}
+    for name, mat in mats.items():
+        bounds[name], certs[name] = _similarity_bounds(mat, sets[name])
     lo = _aggregate(weights, mode, lambda name: bounds[name][0])
     hi = _aggregate(weights, mode, lambda name: bounds[name][1])
-    return lo, hi
+
+    def exact(rows: np.ndarray) -> np.ndarray:
+        return _aggregate(weights, mode, lambda name: _exact_max(mats[name], sets[name], rows, certs[name]))
+
+    return lo, hi, exact

@@ -2,7 +2,9 @@
 
 `batched_mmr` is the production selector: it prefilters candidates to the
 top ceil(rho*N) by relevance (scoring exactly only the rows that
-certified float32 bounds leave in reach of that pool), seeds the
+certified float32 bounds leave in reach of that pool, by one grid dot
+product per target set where the screen certifies the argmax: large
+sets, by a measured size rule), seeds the
 selection with the most relevant candidate, then repeatedly commits the
 top B remaining candidates by MMR score m_i = lam*r_i - (1-lam)*v_i
 until the selected duration reaches the budget T = alpha * total
@@ -24,9 +26,10 @@ by argpartition, widened to every candidate tied with the boundary key,
 then a sort of the head alone. A refresh folds in only the rows
 committed since the candidate's last one, one commit segment (the rows
 committed between two stamps) per call over every candidate stamped
-before it, from a commit-order buffer of the pool's own rows; committed
-rows are never refreshed again. Picks and score bits are those of
-refreshing the whole pool every round.
+before it, from a commit-order buffer; committed rows are never
+refreshed again. Pool rows are read from the views by index, never
+copied whole. Picks and score bits are those of refreshing the whole
+pool every round.
 
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
@@ -152,17 +155,19 @@ def _prefilter(
     Only rows that can reach the pool are scored exactly. `cut` is the
     pool_size-th largest certified lower bound; a row whose upper bound
     is below it scores below at least pool_size rows, so the survivors
-    with upper bound >= cut hold the whole pool. Relevance is exact per
-    row, so the pool and its scores are those of scoring every row.
+    with upper bound >= cut hold the whole pool; the screen's `exact`
+    scores them in place. Relevance is exact per row, so the pool and its
+    scores are those of scoring every row.
     """
     n = next(iter(mats.values())).shape[0]
-    rows, scored = np.arange(n), mats
     if pool_size < n:
-        lo, hi = relevance_bounds(mats, targets, weights, mode)
+        lo, hi, exact = relevance_bounds(mats, targets, weights, mode)
         cut = np.partition(lo, n - pool_size)[n - pool_size]
         rows = np.flatnonzero(hi >= cut)
-        scored = {name: mat[rows] for name, mat in mats.items()}
-    r = relevance_multi_dataset(scored, targets, weights, mode)
+        r = exact(rows)
+    else:
+        rows = np.arange(n)
+        r = relevance_multi_dataset(mats, targets, weights, mode)
     # rows ascend, so ties still break toward the lower candidate index
     top = _ranked(np.arange(rows.size), r)[:pool_size]
     return rows[top], r[top]
@@ -262,8 +267,7 @@ def batched_mmr(
                 stacklevel=2,
             )
 
-        pool_rows = {name: mats[name][pool] for name in weights.names}
-        eps = {name: running_max_eps(rows) for name, rows in pool_rows.items()}
+        eps = {name: running_max_eps(mat, pool) for name, mat in mats.items()}
         lam_r = cfg.lam * r_pool
 
         seed_pos = 0  # pool is sorted by (-relevance, index)
@@ -278,11 +282,11 @@ def batched_mmr(
         # candidate i's per-view running max vmax; v and m are i's fused
         # diversity and MMR score as of that stamp.
         ncom = 1
-        commits = {name: np.empty_like(rows) for name, rows in pool_rows.items()}
-        for name, rows in pool_rows.items():
-            commits[name][0] = rows[seed_pos]
+        commits = {name: np.empty((pool_size, mat.shape[1]), dtype=mat.dtype) for name, mat in mats.items()}
+        for name, mat in mats.items():
+            commits[name][0] = mat[seed_idx]
         stamp = np.full(pool_size, ncom, dtype=np.int64)
-        vmax = {name: max_similarity(rows, rows[[seed_pos]]) for name, rows in pool_rows.items()}
+        vmax = {name: max_similarity(mat, mat[[seed_idx]], rows=pool) for name, mat in mats.items()}
         v = weights.fuse(vmax.__getitem__)
         m = lam_r - (1.0 - cfg.lam) * v
 
@@ -296,8 +300,8 @@ def batched_mmr(
             stale = stale[np.argsort(stamp[stale], kind="stable")]
             edges = np.append(stamp[stale], ncom)
             ends = np.flatnonzero(edges[1:] != edges[:-1]) + 1
-            for name, rows in pool_rows.items():
-                sub, running = rows[stale], vmax[name][stale]
+            for name, mat in mats.items():
+                sub, running = mat[pool[stale]], vmax[name][stale]
                 for k in ends:
                     batch = commits[name][edges[k - 1] : edges[k]]
                     update_running_max(sub[:k], batch, running[:k], eps=eps[name])
@@ -346,8 +350,8 @@ def batched_mmr(
                     Pick(len(picks) + 1, idx, float(r_pool[pos]), float(v[pos]), float(m[pos]), total)
                 )
             committed[batch_pos] = True
-            for name, rows in pool_rows.items():
-                commits[name][ncom : ncom + batch_pos.size] = rows[batch_pos]
+            for name, mat in mats.items():
+                commits[name][ncom : ncom + batch_pos.size] = mat[pool[batch_pos]]
             ncom += batch_pos.size
 
         return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)

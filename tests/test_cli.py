@@ -60,6 +60,34 @@ def fixture_dirs(tmp_path_factory):
     return corpus, targets
 
 
+# every flag with a numeric type: (subcommand, flag, a value whose number is 'a', what the flag takes)
+_NUMERIC_FLAGS = [
+    ("project", "--dim", "a", "an integer"),
+    ("project", "--seed", "a", "an integer"),
+    ("audit", "--pairs", "a", "an integer"),
+    ("audit", "--seed", "a", "an integer"),
+    ("compact-targets", "--k", "a", "an integer"),
+    ("compact-targets", "--seed", "a", "an integer"),
+    ("select", "--lambda", "a", "a number"),
+    ("select", "--alpha", "a", "a number"),
+    ("select", "--rho", "a", "a number"),
+    ("select", "--batch", "a", "an integer"),
+    ("select", "--seed", "a", "an integer"),
+    ("select", "--bins", "a", "an integer"),
+    ("select", "--threads", "a", "an integer"),
+    ("probe", "--clusters", "a", "an integer"),
+    ("probe", "--train-fraction", "a", "a number"),
+    ("probe", "--seed", "a", "an integer"),
+    ("stats", "--utterances", "a", "an integer"),
+    ("stats", "--views", "v:a", "an integer"),
+    ("stats", "--clusters", "a", "an integer"),
+    ("stats", "--spread", "a", "a number"),
+    ("stats", "--target-datasets", "a", "an integer"),
+    ("stats", "--target-rows", "a", "an integer"),
+    ("stats", "--seed", "a", "an integer"),
+]
+
+
 class TestUsageErrors:
     def test_lambda_out_of_range_names_flag(self, capsys):
         code = run(["select", "--corpus", "x", "--targets", "y", "--lambda", "1.3", "--out", "z"])
@@ -93,6 +121,37 @@ class TestUsageErrors:
         code = run(["select", "--corpus", "nope", "--targets", "x", "--weights", f"a={weight}", "--out", "z"])
         assert code == 2
         assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, flag, value, kind", _NUMERIC_FLAGS)
+    def test_non_number_says_what_the_flag_takes(self, capsys, subcommand, flag, value, kind):
+        """argparse would name the converter function (`invalid convert value`)."""
+        assert run([subcommand, flag, value]) == 2
+        assert f"argument {flag}: must be {kind}, got 'a'" in capsys.readouterr().err
+
+    def test_numeric_flag_table_is_complete(self):
+        _, (subparsers, _) = cli._build_parser()
+        listed = {(sub, flag) for sub, flag, _, _ in _NUMERIC_FLAGS}
+        for sub, p in subparsers.items():
+            for action in p._actions:
+                if action.type not in (None, cli._weights_arg, cli._views_arg):
+                    assert (sub, action.option_strings[0]) in listed
+
+    def test_replayed_non_number_says_what_the_flag_takes(self, fixture_dirs, tmp_path, capsys):
+        corpus, targets = fixture_dirs
+        assert run(TestSelect().select_args(corpus, targets, tmp_path / "b.jsonl")) == 0
+        sidecar = tmp_path / "b.jsonl.run.json"
+        manifest = json.loads(sidecar.read_text())
+        manifest["config"]["threads"] = True
+        sidecar.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["select", "--replay", str(sidecar)]) == 2
+        assert "argument --threads: must be an integer, got 'True'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["audit", "probe"])
+    def test_commands_that_write_nothing_take_no_replay(self, capsys, subcommand):
+        """They leave no run manifest, so there is nothing to replay."""
+        assert run([subcommand, "--replay", "run.json"]) == 2
+        assert "unrecognized arguments: --replay" in capsys.readouterr().err
 
     def test_train_fraction_one_rejected(self, capsys):
         """The flag's range is ProbeConfig's: (0, 1), open at both ends."""
@@ -497,8 +556,9 @@ class TestReplay:
         corpus, targets = fixture_dirs
         out = tmp_path / "r3.jsonl"
         assert run(TestSelect().select_args(corpus, targets, out)) == 0
-        code = run(["probe", "--replay", str(tmp_path / "r3.jsonl.run.json")])
+        code = run(["project", "--replay", str(tmp_path / "r3.jsonl.run.json")])
         assert code == 2
+        assert "records subcommand 'select', not 'project'" in capsys.readouterr().err
 
 
 _PATH = st.text(max_size=8)

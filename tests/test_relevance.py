@@ -1,8 +1,13 @@
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corpus_select import relevance
 from corpus_select.errors import (
     DimensionMismatch,
     EmptyTargets,
@@ -15,6 +20,7 @@ from corpus_select.relevance import (
     FusionWeights,
     blas_threads,
     max_similarity,
+    relevance_bounds,
     relevance_multi_dataset,
     running_max_eps,
     update_running_max,
@@ -221,6 +227,87 @@ class TestRunningMax:
         expected = np.maximum(running, new)
         update_running_max(rows, batch, running, eps=running_max_eps(np.vstack([rows, batch])))
         assert running.tobytes() == expected.tobytes()
+
+
+@st.composite
+def certified_instances(draw):
+    """Views with target sets of 1 to 24 rows in 2 to 8 dimensions, with exact
+    ties and near-ties among the targets.
+
+    A target copies one of a few base rows (duplicates), nudged by one
+    float32 ulp, moved by noise of 1e-8 to 1e-5 (near-ties across the
+    2 eps window), or is a fresh random row. A candidate copies a base
+    row, is moved off one, is random, or is zero. Returns the views, the
+    targets, the weights and the rows to score.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 60)), draw(st.integers(2, 8))
+    names = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
+    sizes = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3))
+    views, sets = {}, [{} for _ in sizes]
+    for name in names:
+        bases = unit_rows(rng, 3, d)
+        for mats, size in zip(sets, sizes):
+            t = bases[rng.integers(0, 3, size)]
+            kind, col = rng.integers(0, 4, size), rng.integers(0, d, size)
+            t[kind == 1, col[kind == 1]] = np.nextafter(t[kind == 1, col[kind == 1]], np.float32(np.inf))
+            noise = 10.0 ** rng.uniform(-8, -5, (size, 1)) * rng.standard_normal((size, d))
+            t[kind == 2] = _normalize_rows((t + noise).astype(np.float32))[kind == 2]
+            t[kind == 3] = unit_rows(rng, int((kind == 3).sum()), d)
+            mats[name] = t
+        rows = bases[rng.integers(0, 3, n)]
+        kind = rng.integers(0, 4, n)
+        noise = 10.0 ** rng.uniform(-8, -3, (n, 1)) * rng.standard_normal((n, d))
+        rows[kind == 1] = _normalize_rows((rows + noise).astype(np.float32))[kind == 1]
+        rows[kind == 2] = unit_rows(rng, int((kind == 2).sum()), d)
+        rows[kind == 3] = 0.0
+        views[name] = rows
+    targets = TargetSet([TargetDataset(f"ds{m}", mats) for m, mats in enumerate(sets)])
+    weights = FusionWeights({name: draw(st.sampled_from([0.5, 1.0, 2.0])) for name in names})
+    picked = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0)))
+    return views, targets, weights, picked
+
+
+class TestCertifiedRelevance:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inst=certified_instances(),
+        mode=st.sampled_from(list(AggregationMode)),
+        tile_targets=st.sampled_from([2, 3, 5, _TILE_TARGETS]),
+        tile_rows=st.sampled_from([4, _TILE_ROWS]),
+        certify_size=st.sampled_from([0, 40, math.inf]),
+    )
+    def test_equals_the_kernel_bit_for_bit(self, inst, mode, tile_targets, tile_rows, certify_size):
+        """The screen's `exact(rows)` is `relevance_multi_dataset` of those rows,
+        also when a set spans several target or candidate tiles, and when some
+        sets are certified and others not (`_CERTIFY_SIZE` 40)."""
+        views, targets, weights, rows = inst
+        expected = relevance_multi_dataset({k: v[rows] for k, v in views.items()}, targets, weights, mode)
+        with mock.patch.object(relevance, "_TILE_TARGETS", tile_targets), mock.patch.object(
+            relevance, "_TILE_ROWS", tile_rows
+        ), mock.patch.object(relevance, "_CERTIFY_SIZE", certify_size):
+            _, _, exact = relevance_bounds(views, targets, weights, mode)
+            got = exact(rows)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_certifies_sets_of_two_to_the_16_target_values_per_blas_thread(self, rng):
+        cands = unit_rows(rng, 4, 256)
+        with blas_threads(1):
+            _, certs = relevance._similarity_bounds(cands, [unit_rows(rng, 255, 256), unit_rows(rng, 256, 256)])
+        assert certs[0] is None and certs[1] is not None
+
+
+class TestMaxNorm:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), scale=st.integers(-150, 64))
+    def test_float32_bound_holds(self, seed, d, scale):
+        """The float32 sum, rounded outward, bounds every exact row norm: unit,
+        subnormal and overflowing rows alike."""
+        rng = np.random.default_rng(seed)
+        mat = _normalize_rows(rng.standard_normal((4, d)).astype(np.float32)) * np.float32(2.0**scale)
+        bound = relevance._max_norm(mat)
+        exact = max(sum(Fraction(float(x)) ** 2 for x in row) for row in mat)
+        assert bound == math.inf or Fraction(bound) ** 2 >= exact
 
 
 class TestRelevanceFused:

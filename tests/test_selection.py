@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_select import selection
+from corpus_select import relevance, selection
 from corpus_select.errors import DimensionMismatch, EmptyCorpus, MissingView, SmallPoolWarning
 from corpus_select.fixture import _clustered_rows
 from corpus_select.relevance import (
@@ -569,7 +570,7 @@ class TestSelectorProperties:
         n = next(iter(views.values())).shape[0]
         pool_size = min(n, max(1, math.ceil(rho * n)))
         r = relevance_multi_dataset(views, targets, weights, aggregation)
-        lo, hi = relevance_bounds(views, targets, weights, aggregation)
+        lo, hi, _ = relevance_bounds(views, targets, weights, aggregation)
         assert np.all(lo <= r) and np.all(r <= hi)
         pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size)
         expected = _ranked(np.arange(n), r)[:pool_size]
@@ -590,17 +591,43 @@ class TestSelectorProperties:
         )
         durations = rng.uniform(1.0, 10.0, size=n)
         scored = []
-        kernel = selection.relevance_multi_dataset
+        exact_max = relevance._exact_max
 
-        def counting(views, *args, **kwargs):
-            scored.append(views["v"].shape[0])
-            return kernel(views, *args, **kwargs)
+        def counting(cands, sets, rows, certs):
+            scored.append(rows.size)
+            return exact_max(cands, sets, rows, certs)
 
-        monkeypatch.setattr(selection, "relevance_multi_dataset", counting)
+        monkeypatch.setattr(relevance, "_exact_max", counting)
         cfg = SelectionConfig(alpha=0.01, rho=0.15, batch_size=100, weights=FusionWeights({"v": 1.0}))
         lazy = batched_mmr(durations, views, targets, cfg)
         assert len(scored) == 1 and lazy.pool_size <= scored[0] <= 1.01 * lazy.pool_size
         assert selection_bits(lazy) == selection_bits(eager_batched_mmr(durations, views, targets, cfg))
+
+    @pytest.mark.parametrize("certify_size", [0, math.inf])
+    def test_reads_the_pool_and_survivors_in_place(self, monkeypatch, certify_size):
+        """The traced peak stays below two pools of rows, with the screen's
+        certificate and without. The commit buffer is one, so neither the
+        pool nor the rows left to score are copied whole."""
+        monkeypatch.setattr(relevance, "_CERTIFY_SIZE", certify_size)
+        rng = np.random.default_rng(32)
+        n, d, clusters = 40000, 128, 16
+        centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
+        views = {"v": _clustered_rows(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
+        targets = TargetSet(
+            [
+                TargetDataset(f"t{m}", {"v": _clustered_rows(centers, np.full(200, m), 0.4, rng)})
+                for m in range(2)
+            ]
+        )
+        durations = rng.uniform(1.0, 10.0, size=n)
+        cfg = SelectionConfig(alpha=0.01, rho=0.5, batch_size=50, weights=FusionWeights({"v": 1.0}))
+        tracemalloc.start()
+        try:
+            result = batched_mmr(durations, views, targets, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * result.pool_size * d * 4
 
     @staticmethod
     def clustered_instance():
