@@ -14,7 +14,8 @@ the manifest and check what they wrote; audit and probe write no file,
 so they leave no manifest to replay.
 A replay is a run whose flags come from the manifest: each recorded key
 is rendered back into its flag and parsed again, so a bad value exits 2
-naming its flag before any input is read. Keys no flag declares any more
+naming its flag before any input is read. Any other flag given with
+`--replay` exits 2 naming it. Keys no flag declares any more
 are ignored; a missing optional key takes today's default, and the output
 digest check catches any change that makes.
 """
@@ -141,41 +142,36 @@ def _seed(text: str) -> int:
     return value
 
 
-def _weights_arg(text: str) -> dict[str, float]:
-    weights: dict[str, float] = {}
+def _named(text: str, sep: str = "") -> dict[str, str]:
+    """The comma-separated parts of `text` as name -> value, split at `sep`
+    (without one the part is the name). Names must be nonempty and distinct."""
+    pairs: dict[str, str] = {}
     for part in text.split(","):
-        if "=" not in part:
-            raise argparse.ArgumentTypeError(
-                f"expected name=value pairs separated by commas, got {part!r}"
-            )
-        name, _, raw = part.partition("=")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"weight for {name!r} is not a number: {raw!r}")
-        if not 0 <= value < float("inf"):
-            raise argparse.ArgumentTypeError(f"weight for {name!r} must be finite and >= 0, got {raw}")
-        weights[name.strip()] = value
-    if not weights or all(w == 0 for w in weights.values()):
-        raise argparse.ArgumentTypeError("at least one weight must be positive")
+        name, found, value = part.partition(sep) if sep else (part, "", "")
+        name = name.strip()
+        if sep and not found:
+            raise argparse.ArgumentTypeError(f"expected name{sep}value pairs separated by commas, got {part!r}")
+        if not name or name in pairs:
+            raise argparse.ArgumentTypeError(f"repeated name {name!r}" if name else f"empty name in {text!r}")
+        pairs[name] = value
+    return pairs
+
+
+def _weights_arg(text: str) -> dict[str, float]:
+    weights = {name: _parsed(raw, float, "a number") for name, raw in _named(text, "=").items()}
+    try:
+        FusionWeights(weights)  # finite, >= 0 and one positive: the selector's own check
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return weights
 
 
 def _views_arg(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of view names")
-    return names
+    return list(_named(text))
 
 
 def _view_dims_arg(text: str) -> dict[str, int]:
-    dims: dict[str, int] = {}
-    for part in text.split(","):
-        name, sep, raw = part.partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"expected name:dim pairs, got {part!r}")
-        dims[name.strip()] = _positive_int(raw)
-    return dims
+    return {name: _positive_int(raw) for name, raw in _named(text, ":").items()}
 
 
 def _build_parser() -> tuple[
@@ -277,6 +273,14 @@ def _config_argv(subparser: argparse.ArgumentParser, config: dict) -> list[str]:
             value = ",".join(map(str, value))
         argv.append(f"{action.option_strings[0]}={value}")
     return argv
+
+
+def _flags_given(subparser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """The flags besides --replay that `argv`, a subcommand's arguments, sets, also at their defaults."""
+    unset = object()
+    args = subparser.parse_args(argv, argparse.Namespace(**{a.dest: unset for a in subparser._actions}))
+    given = [a for a in subparser._actions if getattr(args, a.dest) is not unset and a.dest != "replay"]
+    return [a.option_strings[0] for a in given]
 
 
 def _config_from_args(args: argparse.Namespace, required: dict[str, list[argparse.Action]]) -> dict:
@@ -535,15 +539,15 @@ def run(argv: list[str]) -> int:
         replay_manifest = None
         replay_path = getattr(args, "replay", None)
         if replay_path is not None:
+            sub = subparsers[args.subcommand]
+            given = _flags_given(sub, argv[argv.index(args.subcommand) + 1 :])
+            if given:
+                raise UsageError(f"--replay takes its flags from the manifest; drop {', '.join(given)}")
             replay_manifest = _replay_manifest(Path(replay_path))
             recorded = replay_manifest.get("subcommand")
             if recorded != args.subcommand:
-                raise UsageError(
-                    f"--replay manifest records subcommand {recorded!r}, "
-                    f"not {args.subcommand!r}"
-                )
-            flags = _config_argv(subparsers[args.subcommand], replay_manifest["config"])
-            args = parser.parse_args([args.subcommand, *flags])
+                raise UsageError(f"--replay manifest records subcommand {recorded!r}, not {args.subcommand!r}")
+            args = parser.parse_args([args.subcommand, *_config_argv(sub, replay_manifest["config"])])
         config = _config_from_args(args, required)
         if replay_manifest is not None:
             _verify_replay_inputs(replay_manifest)

@@ -51,28 +51,18 @@ bounds a - eps and a + eps are rounded outward in float64 and clipped
 like the kernel's scores, and fusion and aggregation are monotone under
 round-to-nearest, so the fused bounds hold bit for bit. The selector
 scores exactly only the rows whose upper bound can reach its pool
-(Rump's filter, then certify).
+(Rump's filter, then the exact step below).
 
-The screen also certifies where a row's exact max lies. Per target set
-it keeps each row's float32 argmax a and a tie flag, set when any other
-float32 score f reaches a - 2 eps rounded down (`_floor32`). For an
-untied row every other exact score is at most f + eps < a - eps, at most
-the argmax's, so the exact max is that one grid dot product. Tied rows
-go through the kernel. A set is certified only when its target rows
-times the dimensions reach 2^16 per BLAS thread (`_CERTIFY_SIZE`): the
-argmax passes read every screened score on one thread, while the GEMM
-they save grows with that size and is shared by the threads. Timed by
-`tools/certify_crossover.py` (`CROSSOVER_certify.json`), certifying saved
-up to 25% of the prefilter above the rule, except at D 64 (up to 12%
-slower), and cost up to 31% below it.
-
-The running max is screened the same way, tile by tile. A row whose
-float32 max a cannot beat its running max even at a + eps (rounded up
-and clipped) is left alone. For the others only the pairs scoring at
-least a - 2 eps in float32 (rounded down) are scored exactly, as dot
-products of grid rows (integer sums below 2^53, exact in any order).
-The exact argmax is among them: its float32 score is at least the
-exact max minus eps, and that max is at least a - eps.
+One rule scores exactly (`_fold_max`): a target set is folded into a
+running max tile by tile. A row whose float32 max a cannot beat its
+running max even at a + eps (rounded up and clipped) is left alone. For
+the others only the pairs scoring at least a - 2 eps in float32 (rounded
+down) are scored exactly, as dot products of grid rows (integer sums
+below 2^53, exact in any order). The exact argmax is among them: its
+float32 score is at least the exact max minus eps, and that max is at
+least a - eps. The selector's running max is this fold, and so is a
+survivor's exact relevance to a set, folded from -inf with the eps of
+that set's screen. Only an infinite eps goes through the kernel.
 """
 
 from __future__ import annotations
@@ -97,7 +87,6 @@ _TILE_TARGETS = 4096  # target rows per score tile
 _GRID = 2.0**26
 _SCREEN_MAX_NORM = 2.0**40  # beyond this the float32 screen could overflow
 _PAIR_CHUNK = 256  # pairs scored exactly at a time: small temporaries stay in cache
-_CERTIFY_SIZE = 2**16  # target rows x dimensions per BLAS thread from which a set is certified
 _OPENBLAS_CALLS = ("get_num_threads", "set_num_threads", "get_corename")
 
 
@@ -261,11 +250,9 @@ def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], reduce=None) -> np.n
 
     `tile_rows(lo, hi)` gives candidate rows lo:hi in the dtype of the
     target matrices, which is the dtype of the GEMM and of the result.
-    Each tile's row max is `sims.max(axis=1)`, or `reduce(sims, best, j,
-    clo, tlo)` when given: `sims` is the tile of set j whose first
-    candidate and target rows are clo and tlo, and `best` holds its
-    candidates' max over the set's earlier target tiles (-inf before the
-    first). The hook may overwrite `sims`, the buffer of the next GEMM.
+    Each tile's row max is `sims.max(axis=1)`, or `reduce(sims, clo, tlo)`
+    when given: `sims` is the tile whose first candidate and target rows
+    are clo and tlo.
     """
     dtype = sets[0].dtype
     result = np.full((len(sets), n), -np.inf, dtype=dtype)
@@ -273,12 +260,12 @@ def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], reduce=None) -> np.n
     buf = np.empty(min(_TILE_ROWS, n) * width, dtype=dtype)
     for clo in range(0, n, _TILE_ROWS):
         cb = tile_rows(clo, min(clo + _TILE_ROWS, n))
-        for j, (best, tgts) in enumerate(zip(result[:, clo : clo + cb.shape[0]], sets)):
+        for best, tgts in zip(result[:, clo : clo + cb.shape[0]], sets):
             for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
                 tt = tgts[tlo : tlo + _TILE_TARGETS]
                 sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
                 np.matmul(cb, tt.T, out=sims)
-                a = sims.max(axis=1) if reduce is None else reduce(sims, best, j, clo, tlo)
+                a = sims.max(axis=1) if reduce is None else reduce(sims, clo, tlo)
                 np.maximum(best, a, out=best)
     return result
 
@@ -348,56 +335,26 @@ def _floor32(a: np.ndarray, eps: float) -> np.ndarray:
     return np.nextafter(floor, np.float32(-np.inf))
 
 
-def _as_float32(mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat, dtype=np.float32)
-
-
-def _similarity_bounds(candidates, target_sets) -> tuple[np.ndarray, list]:
-    """Certified bounds on `_max_similarity_sets(candidates, target_sets)`, and the certificate.
+def _similarity_bounds(candidates, target_sets) -> tuple[np.ndarray, list[float]]:
+    """Certified bounds on `_max_similarity_sets(candidates, target_sets)`, and each set's eps.
 
     The bounds are (2, sets, N): `[0]` a lower and `[1]` an upper bound,
     both float64 and clipped to [-1, 1], from one float32 GEMM per tile and
-    `_screen_eps`. Per set the certificate is each candidate's float32
-    argmax and tie flag (module docstring), or None, which sends every row
-    to the kernel: below the size rule (module docstring), or with an
-    infinite eps.
+    the set's `_screen_eps`; an infinite eps leaves bounds of -1 and 1.
     """
     cands, sets = _checked(candidates, target_sets)
     n, d = cands.shape
     c = _max_norm(cands)
     eps = [_screen_eps(d, c, _max_norm(t), (cands.dtype != np.float32) + (t.dtype != np.float32)) for t in sets]
-    lib = _openblas()
-    size = _CERTIFY_SIZE * (1 if lib is None else lib.scipy_openblas_get_num_threads64_())
-    certs = [
-        (np.empty(n, np.int32), np.empty(n, bool)) if t.shape[0] * d >= size and e < math.inf else None
-        for t, e in zip(sets, eps)
-    ]
-
-    def certify(sims, best, j, clo, tlo):
-        if certs[j] is None:
-            return sims.max(axis=1)
-        k = sims.argmax(axis=1)
-        at = np.arange(k.size)
-        a = sims[at, k]
-        sims[at, k] = -np.inf  # leaves the runner-up as the row max
-        arg, tied = (part[clo : clo + k.size] for part in certs[j])
-        up = a > best  # the tile holds the best so far; tiles within the window of each other tie
-        arg[up] = tlo + k[up]
-        tied[:] = np.where(up, sims.max(axis=1) >= _floor32(a, eps[j]), tied)
-        tied |= np.minimum(a, best) >= _floor32(np.maximum(a, best), eps[j])
-        return a
-
-    approx = _blocked_max(n, lambda lo, hi: _as_float32(cands[lo:hi]), [_as_float32(t) for t in sets], certify)
+    sets32 = [np.asarray(t, np.float32) for t in sets]
+    approx = _blocked_max(n, lambda lo, hi: np.asarray(cands[lo:hi], np.float32), sets32)
     bounds = np.empty((2, len(sets), n), dtype=np.float64)
     for j, e in enumerate(eps):
-        if e == math.inf:
-            bounds[0, j], bounds[1, j] = -1.0, 1.0
-            continue
         a = approx[j].astype(np.float64)
-        bounds[0, j] = np.nextafter(a - e, -np.inf)
-        bounds[1, j] = np.nextafter(a + e, np.inf)
+        bounds[0, j] = np.nextafter(a - e, -np.inf) if e < math.inf else -1.0
+        bounds[1, j] = np.nextafter(a + e, np.inf) if e < math.inf else 1.0
     np.clip(bounds, -1.0, 1.0, out=bounds)
-    return bounds, certs
+    return bounds, eps
 
 
 def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> np.ndarray:
@@ -412,18 +369,43 @@ def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> 
     return out
 
 
-def _exact_max(cands: np.ndarray, sets: list[np.ndarray], rows: np.ndarray, certs: list) -> np.ndarray:
-    """`_max_similarity_sets(cands[rows], sets)` bit for bit, reading `cands` by index: a row
-    untied in a set's certificate scores one grid dot against it, the rest the kernel."""
-    out = np.empty((len(sets), rows.size))
-    plain = [j for j, cert in enumerate(certs) if cert is None]
-    if plain:
-        out[plain] = _max_similarity_sets(cands, [sets[j] for j in plain], rows=rows)
-    for scores, tgts, cert in zip(out, sets, certs):
-        if cert is not None:
-            arg, tied = cert[0][rows], cert[1][rows]
-            scores[tied] = max_similarity(cands, tgts, rows=rows[tied])
-            scores[~tied] = _grid_dots(cands, rows[~tied], tgts, arg[~tied])
+def _fold_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, eps: float, rows=None) -> None:
+    """Fold each candidate's max similarity against `tgts` into `running`, in place.
+
+    The candidates are the rows of `cands`, or those at `rows`, read a
+    tile at a time. `running` ends bit for bit as `np.maximum(running,
+    max_similarity(cands[rows], tgts))` would leave it, but only the pairs
+    that the float32 screen cannot rule out are scored exactly (module
+    docstring); `eps` bounds the screen's error on these operands.
+    """
+    at, n = (lambda k: k, cands.shape[0]) if rows is None else (rows.__getitem__, rows.size)
+
+    def reduce(sims, clo, tlo):
+        a = sims.max(axis=1)
+        run = running[clo : clo + a.size]
+        live = np.flatnonzero(np.clip(np.nextafter(a.astype(np.float64) + eps, np.inf), -1.0, 1.0) >= run)
+        if live.size:
+            part = sims if live.size == a.size else sims[live]  # every row is live from -inf: no gather
+            i, k = np.divmod(np.flatnonzero(part >= _floor32(a[live], eps)[:, None]), sims.shape[1])
+            i = live[i]
+            exact = _grid_dots(cands, at(clo + i), tgts, tlo + k)
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            run[i[first]] = np.maximum(run[i[first]], np.maximum.reduceat(exact, first))
+        return a
+
+    tgts32 = np.asarray(tgts, np.float32)
+    _blocked_max(n, lambda lo, hi: np.asarray(cands[at(slice(lo, hi))], np.float32), [tgts32], reduce)
+
+
+def _exact_max(cands: np.ndarray, sets: list[np.ndarray], rows: np.ndarray, eps: list[float]) -> np.ndarray:
+    """`_max_similarity_sets(cands[rows], sets)` bit for bit, reading `cands` by index: per set,
+    the running max folded from -inf with the set's eps, or the kernel where eps is infinite."""
+    out = np.full((len(sets), rows.size), -np.inf)
+    for scores, tgts, e in zip(out, sets, eps):
+        if e < math.inf:
+            _fold_max(cands, tgts, scores, e, rows)
+        else:
+            scores[:] = max_similarity(cands, tgts, rows=rows)
     return out
 
 
@@ -433,24 +415,10 @@ def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray,
     Used by the batched selector to extend each candidate's maximum
     similarity to the selected set one commit segment at a time.
     `running` ends bit for bit as `np.maximum(running, max_similarity(rows,
-    batch))` would leave it, but only the pairs that the float32 screen of
-    the module docstring, with `eps` from `running_max_eps`, cannot rule
-    out are scored exactly, then scaled and clipped as the kernel does.
+    batch))` would leave it (`_fold_max`, with `eps` from
+    `running_max_eps`).
     """
-
-    def certify(sims, best, j, clo, tlo):
-        a = sims.max(axis=1)
-        run = running[clo : clo + a.size]
-        live = np.flatnonzero(np.clip(np.nextafter(a.astype(np.float64) + eps, np.inf), -1.0, 1.0) >= run)
-        if live.size:
-            i, k = np.divmod(np.flatnonzero(sims[live] >= _floor32(a[live], eps)[:, None]), sims.shape[1])
-            exact = _grid_dots(rows, clo + live[i], batch, tlo + k)
-            first = np.flatnonzero(np.diff(i, prepend=-1))
-            hit = live[i[first]]
-            run[hit] = np.maximum(run[hit], np.maximum.reduceat(exact, first))
-        return a
-
-    _blocked_max(rows.shape[0], lambda lo, hi: _as_float32(rows[lo:hi]), [_as_float32(batch)], certify)
+    _fold_max(rows, batch, running, eps)
 
 
 def weighted_views(
@@ -533,16 +501,16 @@ def relevance_bounds(
     and its lower and upper bounds go through the same fusion and
     aggregation as the exact scores. `exact(rows)` is
     `relevance_multi_dataset` of the rows at `rows`, bit for bit, read by
-    index and scored from the screen's certificate (`_exact_max`).
+    index: each set's running max folded from -inf (`_exact_max`).
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
-    bounds, certs = {}, {}
+    bounds, eps = {}, {}
     for name, mat in mats.items():
-        bounds[name], certs[name] = _similarity_bounds(mat, sets[name])
+        bounds[name], eps[name] = _similarity_bounds(mat, sets[name])
     lo = _aggregate(weights, mode, lambda name: bounds[name][0])
     hi = _aggregate(weights, mode, lambda name: bounds[name][1])
 
     def exact(rows: np.ndarray) -> np.ndarray:
-        return _aggregate(weights, mode, lambda name: _exact_max(mats[name], sets[name], rows, certs[name]))
+        return _aggregate(weights, mode, lambda name: _exact_max(mats[name], sets[name], rows, eps[name]))
 
     return lo, hi, exact

@@ -2,16 +2,14 @@
 
 `batched_mmr` is the production selector: it prefilters candidates to the
 top ceil(rho*N) by relevance (scoring exactly only the rows that
-certified float32 bounds leave in reach of that pool, by one grid dot
-product per target set where the screen certifies the argmax: large
-sets, by a measured size rule), seeds the
-selection with the most relevant candidate, then repeatedly commits the
-top B remaining candidates by MMR score m_i = lam*r_i - (1-lam)*v_i
-until the selected duration reaches the budget T = alpha * total
-duration. The diversity penalty v_i counts only candidates committed in
-*previous* rounds, so diversity inside a committed batch is deliberately
-not enforced; with B=1 and rho=1 the procedure reduces exactly to greedy
-MMR.
+certified float32 bounds leave in reach of that pool, with the running
+max's screened fold), seeds the selection with the most relevant
+candidate, then repeatedly commits the top B remaining candidates by MMR
+score m_i = lam*r_i - (1-lam)*v_i until the selected duration reaches
+the budget T = alpha * total duration. The diversity penalty v_i counts
+only candidates committed in *previous* rounds, so diversity inside a
+committed batch is deliberately not enforced; with B=1 and rho=1 the
+procedure reduces exactly to greedy MMR.
 
 Rounds refresh lazily: the accelerated greedy of Minoux (1978), also
 known as CELF (Leskovec et al., 2007), applied to MMR. v only grows as
@@ -156,8 +154,8 @@ def _prefilter(
     pool_size-th largest certified lower bound; a row whose upper bound
     is below it scores below at least pool_size rows, so the survivors
     with upper bound >= cut hold the whole pool; the screen's `exact`
-    scores them in place. Relevance is exact per row, so the pool and its
-    scores are those of scoring every row.
+    scores them by index, with the running max's fold. Relevance is exact
+    per row, so the pool and its scores are those of scoring every row.
     """
     n = next(iter(mats.values())).shape[0]
     if pool_size < n:

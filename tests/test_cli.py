@@ -122,6 +122,22 @@ class TestUsageErrors:
         assert code == 2
         assert "--weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["select", "--weights", "=1"], "argument --weights: empty name in '=1'"),
+            (["select", "--weights", "speaker=1, speaker=0"], "argument --weights: repeated name 'speaker'"),
+            (["stats", "--make-fixture", "--views", "a:4,a:8"], "argument --views: repeated name 'a'"),
+            (["stats", "--make-fixture", "--views", ":4"], "argument --views: empty name in ':4'"),
+            (["probe", "--views", "speaker,speaker"], "argument --views: repeated name 'speaker'"),
+            (["probe", "--views", "a,,b"], "argument --views: empty name in 'a,,b'"),
+        ],
+    )
+    def test_empty_or_repeated_name_exits_2_naming_it(self, capsys, argv, message):
+        """Name lists are checked as they are parsed, before any file is read."""
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand, flag, value, kind", _NUMERIC_FLAGS)
     def test_non_number_says_what_the_flag_takes(self, capsys, subcommand, flag, value, kind):
         """argparse would name the converter function (`invalid convert value`)."""
@@ -552,6 +568,28 @@ class TestReplay:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == text.encode("utf-8", "surrogateescape")
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--out", "other.jsonl", "--alpha", "0.5"], ["--out", "--alpha"]),
+            (["--threads=1"], ["--threads"]),
+            (["--lambda", "0.7"], ["--lambda"]),  # the recorded value
+        ],
+    )
+    def test_other_flags_exit_2_naming_them(self, fixture_dirs, tmp_path, capsys, monkeypatch, extra, named):
+        """A flag given with --replay, even at its recorded value, exits 2 naming
+        it, before any input is hashed and with nothing written."""
+        corpus, targets = fixture_dirs
+        assert run(TestSelect().select_args(corpus, targets, tmp_path / "s.jsonl")) == 0
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_verify_replay_inputs", lambda manifest: pytest.fail("inputs hashed"))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(["select", "--replay", "s.jsonl.run.json", *extra]) == 2
+        captured = capsys.readouterr()
+        assert all(flag in captured.err for flag in named) and not captured.out
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_replay_wrong_subcommand(self, fixture_dirs, tmp_path, capsys):
         corpus, targets = fixture_dirs
         out = tmp_path / "r3.jsonl"
@@ -590,7 +628,7 @@ _RUN_FLAGS = {
     "probe": (
         {"--corpus": _PATH},
         {
-            "--views": st.lists(_NAME, min_size=1, max_size=3).map(",".join),
+            "--views": st.lists(_NAME, min_size=1, max_size=3, unique=True).map(",".join),
             "--clusters": _POSITIVE,
             "--train-fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
             "--seed": _SEED,

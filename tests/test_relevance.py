@@ -275,26 +275,35 @@ class TestCertifiedRelevance:
         mode=st.sampled_from(list(AggregationMode)),
         tile_targets=st.sampled_from([2, 3, 5, _TILE_TARGETS]),
         tile_rows=st.sampled_from([4, _TILE_ROWS]),
-        certify_size=st.sampled_from([0, 40, math.inf]),
     )
-    def test_equals_the_kernel_bit_for_bit(self, inst, mode, tile_targets, tile_rows, certify_size):
+    def test_equals_the_kernel_bit_for_bit(self, inst, mode, tile_targets, tile_rows):
         """The screen's `exact(rows)` is `relevance_multi_dataset` of those rows,
-        also when a set spans several target or candidate tiles, and when some
-        sets are certified and others not (`_CERTIFY_SIZE` 40)."""
+        also when a set spans several target or candidate tiles."""
         views, targets, weights, rows = inst
         expected = relevance_multi_dataset({k: v[rows] for k, v in views.items()}, targets, weights, mode)
         with mock.patch.object(relevance, "_TILE_TARGETS", tile_targets), mock.patch.object(
             relevance, "_TILE_ROWS", tile_rows
-        ), mock.patch.object(relevance, "_CERTIFY_SIZE", certify_size):
+        ):
             _, _, exact = relevance_bounds(views, targets, weights, mode)
             got = exact(rows)
         assert got.tobytes() == expected.tobytes()
 
-    def test_certifies_sets_of_two_to_the_16_target_values_per_blas_thread(self, rng):
-        cands = unit_rows(rng, 4, 256)
-        with blas_threads(1):
-            _, certs = relevance._similarity_bounds(cands, [unit_rows(rng, 255, 256), unit_rows(rng, 256, 256)])
-        assert certs[0] is None and certs[1] is not None
+    @pytest.mark.parametrize("mode", list(AggregationMode))
+    def test_scores_survivors_by_the_running_max_fold_alone(self, rng, mode):
+        """With the kernel patched to fail, `exact(rows)` still equals
+        `relevance_multi_dataset` bit for bit, for a small target set and a
+        large one: every finite-eps set goes through the fold."""
+        views = {"v": unit_rows(rng, 300, 64)}
+        targets = TargetSet(
+            [TargetDataset("small", {"v": unit_rows(rng, 3, 64)}), TargetDataset("large", {"v": unit_rows(rng, 5000, 64)})]
+        )
+        weights = FusionWeights({"v": 1.0})
+        rows = np.flatnonzero(rng.random(300) < 0.5)
+        expected = relevance_multi_dataset({"v": views["v"][rows]}, targets, weights, mode)
+        _, _, exact = relevance_bounds(views, targets, weights, mode)
+        with mock.patch.object(relevance, "_max_similarity_sets", side_effect=AssertionError("kernel called")):
+            got = exact(rows)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMaxNorm:

@@ -591,24 +591,23 @@ class TestSelectorProperties:
         )
         durations = rng.uniform(1.0, 10.0, size=n)
         scored = []
-        exact_max = relevance._exact_max
+        fold = relevance._fold_max
 
-        def counting(cands, sets, rows, certs):
-            scored.append(rows.size)
-            return exact_max(cands, sets, rows, certs)
+        def counting(cands, tgts, running, eps, rows=None):
+            if rows is not None:  # the exact step: update_running_max passes no rows
+                scored.append(rows.size)
+            return fold(cands, tgts, running, eps, rows)
 
-        monkeypatch.setattr(relevance, "_exact_max", counting)
+        monkeypatch.setattr(relevance, "_fold_max", counting)
         cfg = SelectionConfig(alpha=0.01, rho=0.15, batch_size=100, weights=FusionWeights({"v": 1.0}))
         lazy = batched_mmr(durations, views, targets, cfg)
-        assert len(scored) == 1 and lazy.pool_size <= scored[0] <= 1.01 * lazy.pool_size
+        assert len(scored) == 2 and scored[0] == scored[1]  # one fold per target set
+        assert lazy.pool_size <= scored[0] <= 1.01 * lazy.pool_size
         assert selection_bits(lazy) == selection_bits(eager_batched_mmr(durations, views, targets, cfg))
 
-    @pytest.mark.parametrize("certify_size", [0, math.inf])
-    def test_reads_the_pool_and_survivors_in_place(self, monkeypatch, certify_size):
-        """The traced peak stays below two pools of rows, with the screen's
-        certificate and without. The commit buffer is one, so neither the
-        pool nor the rows left to score are copied whole."""
-        monkeypatch.setattr(relevance, "_CERTIFY_SIZE", certify_size)
+    def test_reads_the_pool_and_survivors_in_place(self):
+        """The traced peak stays below two pools of rows. The commit buffer is
+        one, so neither the pool nor the rows left to score are copied whole."""
         rng = np.random.default_rng(32)
         n, d, clusters = 40000, 128, 16
         centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
