@@ -605,9 +605,21 @@ class TestSelectorProperties:
         assert lazy.pool_size <= scored[0] <= 1.01 * lazy.pool_size
         assert selection_bits(lazy) == selection_bits(eager_batched_mmr(durations, views, targets, cfg))
 
-    def test_reads_the_pool_and_survivors_in_place(self):
-        """The traced peak stays below two pools of rows. The commit buffer is
-        one, so neither the pool nor the rows left to score are copied whole."""
+    @pytest.mark.parametrize("widen", [0, math.inf])
+    def test_reads_the_pool_and_survivors_in_place(self, monkeypatch, widen):
+        """The traced peak stays below two pools of rows, with the screen's
+        eps and with an infinite one, where every row survives and the
+        kernel scores them by index. The commit buffer is one, so neither
+        the pool nor the rows left to score are copied whole."""
+        bounds_of = relevance._similarity_bounds
+
+        def widened(cands, sets):
+            bounds, eps = bounds_of(cands, sets)
+            bounds[0], bounds[1] = -1.0, 1.0  # an infinite eps's bounds
+            return bounds, [e + widen for e in eps]
+
+        if widen:
+            monkeypatch.setattr(relevance, "_similarity_bounds", widened)
         rng = np.random.default_rng(32)
         n, d, clusters = 40000, 128, 16
         centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
