@@ -155,8 +155,9 @@ def kmeans(rows: np.ndarray, cfg: KMeansConfig) -> Clustering:
     for _ in range(_MAX_ITERS):
         iterations += 1
         new_centroids = _means(x, assignments, k)
-        denom = max(float(np.linalg.norm(centroids)), 1e-12)
-        shift = float(np.linalg.norm(new_centroids - centroids)) / denom
+        # numpy sums, not BLAS norms: the kernel and thread count cannot move the iteration count
+        denom = max(float(np.sqrt(np.square(centroids).sum())), 1e-12)
+        shift = float(np.sqrt(np.square(new_centroids - centroids).sum())) / denom
         centroids = new_centroids
         assignments, d2 = _assign(x, centroids, x2)
         history.append(float(d2.min(axis=1).sum()))

@@ -26,6 +26,10 @@ class NonFiniteEntry(DataError):
         super().__init__(f"non-finite value at row {self.row}, col {self.col}{where}")
 
 
+class NonUnitRow(DataError):
+    """A row's L2 norm is out of the range unit (or zero) rows keep to."""
+
+
 class DuplicateId(DataError):
     """An utterance id appears more than once in a manifest."""
 

@@ -8,7 +8,7 @@ are re-normalized because downstream kernels assume unit rows.
 
 The product is exact, so projected bytes do not depend on the BLAS
 kernel, its blocking or its threads: the unit input rows go onto the
-2^-26 grid of the similarity kernel (`relevance.to_grid`), the matrix
+2^-26 grid of the similarity scores (`relevance.to_grid`), the matrix
 onto the same grid scaled by the power of two above its largest column
 norm, and the float64 GEMM of the two then sums integers below 2^53.
 

@@ -5,64 +5,62 @@ similarity to any target row. With several embedding views the per-view
 maxima are combined by a weighted sum (late fusion); with several target
 datasets the fused scores are aggregated by max or mean. The diversity
 penalty is the mirror image: each view's maximum similarity to the
-already-selected set, fused with the same weights. One exact kernel
-scores both: `max_similarity`, and `update_running_max`, which scores
-on it only the pairs a float32 screen cannot rule out.
-`FusionWeights.fuse` is the only place views are combined. Views are checked once on the way to the
-kernel: `weighted_views` gives each weighted view's candidate matrix and
-`weighted_targets` its per-dataset target matrices, and relevance, its
-bounds and both selectors take their matrices from them. A single
-target dataset is a one-dataset `TargetSet`.
+already-selected set, fused with the same weights. `FusionWeights.fuse`
+is the only place views are combined.
+
+Views are checked once on the way to the scorer: `weighted_views` gives
+each weighted view's candidate matrix and `weighted_targets` its
+per-dataset target matrices, and relevance, its bounds and both
+selectors take their matrices from them. A single target dataset is a
+one-dataset `TargetSet`.
 
 Rows are assumed unit-L2 (or zero), so cosine is a plain dot product and
-a zero row scores 0 against everything. The kernel rounds both operands
-to integers at scale 2^26 (`to_grid`, a grid of step 2^-26) and
-multiplies them in float64. For rows of norm at most 1, every product
-and partial sum of the GEMM is an integer below (2^26 + sqrt(D)/2)^2,
-which is under 2^53 at any D (Cauchy-Schwarz), so the GEMM is exact: its
-result does not depend on summation order, FMA use, BLAS blocking, the
-BLAS kernel or the thread count. The bound leaves room for norms up to
-about 1.4, far beyond float32 rounding of unit rows. The price is a
+a zero row scores 0 against everything. A score is exact on a grid:
+both rows are rounded to integers at scale 2^26 (`to_grid`, a grid of
+step 2^-26), and their dot product is an integer sum. For rows of norm
+at most c and t, every product and partial sum is below
+(2^26 c + sqrt(D)/2) (2^26 t + sqrt(D)/2) (Cauchy-Schwarz), and while
+that is under 2^53 the float64 sum is exact in any order: it does not
+depend on summation order, FMA use, the BLAS kernel or the thread count.
+Unit rows are well inside that at any D (norms up to about 1.4 are);
+rows beyond it, NaN rows included, raise NonUnitRow. The price is a
 score error of about sqrt(D) * 2^-26 at most against the unrounded rows
 (2.4e-7 at D = 256).
 
-Candidates are scored in tiles of at most 2,048 candidate rows by 4,096
-target rows, and each tile is reduced to its row max before the next
-GEMM, so no more than one tile of scores (64 MB in float64, 32 MB in
-float32) exists at a time and the full candidate-by-target matrix is
-never materialized. The BLAS library parallelises each GEMM itself;
-`blas_threads` scopes how many threads it may use, and the exact
-kernel's scores do not depend on that count.
-
-The same blocked loop also runs a float32 GEMM, the screen behind
-`relevance_bounds`. For any summation order, blocking or FMA use, a
-float32 dot product of D terms is within gamma_D * |x| |y| of the exact
-one, gamma_D = D u / (1 - D u) with u = 2^-24 (Higham, *Accuracy and
-Stability of Numerical Algorithms*, section 3.1), and the grid rounding
-moves a score by at most 2^-27 sqrt(D) (|x| + |y|) + D 2^-54. With c and
-t the largest candidate and target row norms, the exact kernel's score
-therefore lies within
+One blocked loop (`_blocked_max`) runs a float32 GEMM, the screen, in
+tiles of at most 2,048 candidate rows by 4,096 target rows; each tile is
+reduced to its row max before the next GEMM, so no more than one tile of
+scores (32 MB) exists at a time and the full candidate-by-target matrix
+is never materialized. The BLAS library parallelises each GEMM itself;
+`blas_threads` scopes how many threads it may use. For any summation
+order, blocking or FMA use, a float32 dot product of D terms is within
+gamma_D * |x| |y| of the exact one, gamma_D = D u / (1 - D u) with
+u = 2^-24 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+section 3.1), and the grid rounding moves a score by at most
+2^-27 sqrt(D) (|x| + |y|) + D 2^-54. With c and t the largest candidate
+and target row norms, the exact score therefore lies within
 
     eps = gamma_D c t + 2^-27 sqrt(D) (c + t) + D 2^-54
 
 of the float32 row max (plus the float32 cast error of inputs that are
-not float32, and a slack term for underflow and float64 rounding). The
-bounds a - eps and a + eps are rounded outward in float64 and clipped
-like the kernel's scores, and fusion and aggregation are monotone under
-round-to-nearest, so the fused bounds hold bit for bit. The selector
-scores exactly only the rows whose upper bound can reach its pool
-(Rump's filter, then the exact step below).
+not float32, and a slack term for underflow and float64 rounding).
+
+`relevance_bounds` widens the screen's row max by eps: the bounds a - eps
+and a + eps are rounded outward in float64 and clipped like exact
+scores, and fusion and aggregation are monotone under round-to-nearest,
+so the fused bounds hold bit for bit. The selector scores exactly only
+the rows whose upper bound can reach its pool (Rump's filter, then the
+exact step below).
 
 One rule scores exactly (`_fold_max`): a target set is folded into a
 running max tile by tile. A row whose float32 max a cannot beat its
 running max even at a + eps (rounded up and clipped) is left alone. For
 the others only the pairs scoring at least a - 2 eps in float32 (rounded
-down) are scored exactly, as dot products of grid rows (integer sums
-below 2^53, exact in any order). The exact argmax is among them: its
-float32 score is at least the exact max minus eps, and that max is at
-least a - eps. The selector's running max is this fold, and so is a
-survivor's exact relevance to a set, folded from -inf with the eps of
-that set's screen. Only an infinite eps goes through the kernel.
+down) are scored exactly, as dot products of grid rows. The exact argmax
+is among them: its float32 score is at least the exact max minus eps,
+and that max is at least a - eps. Every exact score is this fold:
+`max_similarity` and relevance fold a target set from -inf, and the
+selector's running max folds in each commit segment.
 """
 
 from __future__ import annotations
@@ -79,13 +77,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView
+from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView, NonUnitRow
 from corpus_select.store import TargetSet
 
 _TILE_ROWS = 2048  # candidate rows per score tile
 _TILE_TARGETS = 4096  # target rows per score tile
 _GRID = 2.0**26
-_SCREEN_MAX_NORM = 2.0**40  # beyond this the float32 screen could overflow
 _PAIR_CHUNK = 256  # pairs scored exactly at a time: small temporaries stay in cache
 _OPENBLAS_CALLS = ("get_num_threads", "set_num_threads", "get_corename")
 
@@ -207,8 +204,6 @@ def to_grid(values, scale: float = 1.0) -> np.ndarray:
     so that scaling is exact, and no less than the largest row (or
     column) norm, so that products of two such operands stay exact; unit
     rows use scale 1.
-    `max_similarity(a, b)` equals `max_similarity(to_grid(a), to_grid(b),
-    on_grid=True)` bit for bit.
     """
     grid = np.array(values, dtype=np.float64)
     grid *= _GRID / scale
@@ -216,20 +211,21 @@ def to_grid(values, scale: float = 1.0) -> np.ndarray:
     return grid
 
 
-def max_similarity(candidates, targets, *, on_grid: bool = False, rows=None) -> np.ndarray:
-    """Per-candidate maximum dot product against the target rows.
+def max_similarity(candidates, targets, *, rows=None) -> np.ndarray:
+    """Per-candidate maximum dot product against the target rows, exact on the grid.
 
-    Returns a float64 vector of length N, clipped to [-1, 1]. This is the
-    one similarity kernel (`_max_similarity_sets` with one target set):
-    relevance, the selector's seed and the exact-greedy oracle score
-    through it, and the running max folds in its scores. Both operands
-    are rounded with `to_grid` first, so the result is exact for the
-    rounded rows; `on_grid=True` says both already are `to_grid` output
-    (the exact-greedy selector rounds its views once, not once per pick).
-    Given `rows`, it scores the candidate rows at those indices, read a
-    tile at a time.
+    Returns a float64 vector of length N, clipped to [-1, 1]: the running
+    max folded from -inf (`_fold_max`) with the pair's `_screen_eps`.
+    Relevance, the selector's seed and the exact-greedy oracle score
+    through it. Given `rows`, it scores the candidate rows at those
+    indices, read a tile at a time.
     """
-    return _max_similarity_sets(candidates, [targets], on_grid=on_grid, rows=rows)[0]
+    cands, (tgts,) = _checked(candidates, [targets])
+    casts = (cands.dtype != np.float32) + (tgts.dtype != np.float32)
+    eps = _screen_eps(cands.shape[1], _max_norm(cands, rows), _max_norm(tgts), casts)
+    out = np.full(cands.shape[0] if rows is None else rows.size, -np.inf)
+    _fold_max(cands, tgts, out, eps, rows)
+    return out
 
 
 def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -245,22 +241,24 @@ def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
     return cands, sets
 
 
-def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], reduce=None) -> np.ndarray:
-    """Per-candidate max of `tile_rows(lo, hi) @ targets.T` for each target matrix: (sets, n).
+def _blocked_max(cands: np.ndarray, rows, sets: list[np.ndarray], reduce=None) -> np.ndarray:
+    """Per-candidate float32 max of `cands[rows] @ targets.T` for each target matrix: (sets, n).
 
-    `tile_rows(lo, hi)` gives candidate rows lo:hi in the dtype of the
-    target matrices, which is the dtype of the GEMM and of the result.
+    The candidates are the rows of `cands`, or those at `rows`; each tile
+    of them, and each target matrix, is cast to float32 for the GEMM.
     Each tile's row max is `sims.max(axis=1)`, or `reduce(sims, clo, tlo)`
     when given: `sims` is the tile whose first candidate and target rows
     are clo and tlo.
     """
-    dtype = sets[0].dtype
-    result = np.full((len(sets), n), -np.inf, dtype=dtype)
+    n = cands.shape[0] if rows is None else rows.size
+    sets = [np.asarray(t, np.float32) for t in sets]
+    result = np.full((len(sets), n), -np.inf, dtype=np.float32)
     width = min(_TILE_TARGETS, max(t.shape[0] for t in sets))
-    buf = np.empty(min(_TILE_ROWS, n) * width, dtype=dtype)
+    buf = np.empty(min(_TILE_ROWS, n) * width, dtype=np.float32)
     for clo in range(0, n, _TILE_ROWS):
-        cb = tile_rows(clo, min(clo + _TILE_ROWS, n))
-        for best, tgts in zip(result[:, clo : clo + cb.shape[0]], sets):
+        part = slice(clo, min(clo + _TILE_ROWS, n))
+        cb = np.asarray(cands[part if rows is None else rows[part]], np.float32)
+        for best, tgts in zip(result[:, part], sets):
             for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
                 tt = tgts[tlo : tlo + _TILE_TARGETS]
                 sims = buf[: cb.shape[0] * tt.shape[0]].reshape(cb.shape[0], tt.shape[0])
@@ -270,33 +268,17 @@ def _blocked_max(n: int, tile_rows, sets: list[np.ndarray], reduce=None) -> np.n
     return result
 
 
-def _max_similarity_sets(candidates, target_sets, *, on_grid: bool = False, rows: np.ndarray | None = None):
-    """`max_similarity` against each target set: a (sets, N) array.
-
-    Each candidate tile is rounded once for all sets, so every further
-    target dataset adds only its GEMMs. Given `rows`, N is `rows.size`
-    and tiles are read from the candidates by index.
-    """
-    cands, sets = _checked(candidates, target_sets)
-    n = cands.shape[0] if rows is None else rows.size
-    read = (lambda lo, hi: cands[lo:hi]) if rows is None else (lambda lo, hi: cands[rows[lo:hi]])
-    if on_grid:
-        tile, grids = read, sets
-    else:
-        tile, grids = (lambda lo, hi: to_grid(read(lo, hi))), [to_grid(t) for t in sets]
-    result = _blocked_max(n, tile, grids)
-    result *= 1.0 / (_GRID * _GRID)
-    np.clip(result, -1.0, 1.0, out=result)
-    return result
-
-
-def _max_norm(mat: np.ndarray) -> float:
-    """An upper bound on the largest row norm of `mat`.
+def _max_norm(mat: np.ndarray, rows=None) -> float:
+    """An upper bound on the largest norm among the rows of `mat` (those at `rows`, read a tile at a time).
 
     float32 rows are summed in float32: a row's squared norm is at most
     (s + D 2^-126) / (1 - gamma_D) for its sum s (Higham, with underflow),
     and 1 - 3 D u < 1 - gamma_D also covers the float64 rounding here.
+    NaN rows give NaN.
     """
+    if rows is not None:
+        tiles = (mat[rows[lo : lo + _TILE_ROWS]] for lo in range(0, rows.size, _TILE_ROWS))
+        return float(np.max([0.0, *map(_max_norm, tiles)]))  # np.max keeps a NaN, max() may not
     if mat.dtype != np.float32:
         return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max(initial=0.0))
     s, d = float(np.einsum("ij,ij->i", mat, mat).max(initial=0.0)), mat.shape[1]
@@ -304,27 +286,30 @@ def _max_norm(mat: np.ndarray) -> float:
 
 
 def _screen_eps(d: int, c: float, t: float, casts: int) -> float:
-    """How far a float32 GEMM score may be from the kernel's (module docstring).
+    """How far a float32 GEMM score may be from the exact one (module docstring).
 
     c and t bound the row norms of the two operands, and `casts` counts
-    those that are not float32. inf where the float32 GEMM could overflow.
+    those that are not float32. Raises NonUnitRow where grid products of
+    such rows could reach 2^53, NaN norms included.
     """
-    if not (c <= _SCREEN_MAX_NORM and t <= _SCREEN_MAX_NORM):
-        return math.inf
+    half = math.sqrt(d) / 2.0
+    if not (_GRID * c + half) * (_GRID * t + half) < 2.0**53:
+        raise NonUnitRow(
+            f"rows of L2 norm up to {c:.6g} against rows of norm up to {t:.6g}: "
+            "exact scores need unit (or zero) rows"
+        )
     gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
     eps = gamma * c * t + 2.0**-27 * math.sqrt(d) * (c + t) + d * 2.0**-54
     # inputs that are not float32 are cast: at most 2^-24 c t per side,
     # doubled to cover what the cast does to the norms in the terms above
     eps += 2.0**-23 * c * t * casts
-    # underflow in the float32 GEMM, and float64 rounding in the kernel and in eps
+    # underflow in the float32 GEMM, and float64 rounding in the fold and in eps
     return eps + d * 2.0**-50 * (1.0 + c) * (1.0 + t)
 
 
 def running_max_eps(mat: np.ndarray, rows: np.ndarray | None = None) -> float:
     """`update_running_max`'s `eps` among the rows of `mat` (those at `rows`, read a tile at a time)."""
-    rows = np.arange(mat.shape[0]) if rows is None else rows
-    tiles = (mat[rows[lo : lo + _TILE_ROWS]] for lo in range(0, rows.size, _TILE_ROWS))
-    c = max(map(_max_norm, tiles), default=0.0)
+    c = _max_norm(mat, rows)
     return _screen_eps(mat.shape[1], c, c, 2 * (mat.dtype != np.float32))
 
 
@@ -335,30 +320,25 @@ def _floor32(a: np.ndarray, eps: float) -> np.ndarray:
     return np.nextafter(floor, np.float32(-np.inf))
 
 
-def _similarity_bounds(candidates, target_sets) -> tuple[np.ndarray, list[float]]:
-    """Certified bounds on `_max_similarity_sets(candidates, target_sets)`, and each set's eps.
+def _similarity_bounds(candidates, target_sets) -> np.ndarray:
+    """Certified bounds on `max_similarity(candidates, t)` for each target set t.
 
     The bounds are (2, sets, N): `[0]` a lower and `[1]` an upper bound,
     both float64 and clipped to [-1, 1], from one float32 GEMM per tile and
-    the set's `_screen_eps`; an infinite eps leaves bounds of -1 and 1.
+    the set's `_screen_eps`.
     """
     cands, sets = _checked(candidates, target_sets)
-    n, d = cands.shape
-    c = _max_norm(cands)
-    eps = [_screen_eps(d, c, _max_norm(t), (cands.dtype != np.float32) + (t.dtype != np.float32)) for t in sets]
-    sets32 = [np.asarray(t, np.float32) for t in sets]
-    approx = _blocked_max(n, lambda lo, hi: np.asarray(cands[lo:hi], np.float32), sets32)
-    bounds = np.empty((2, len(sets), n), dtype=np.float64)
-    for j, e in enumerate(eps):
-        a = approx[j].astype(np.float64)
-        bounds[0, j] = np.nextafter(a - e, -np.inf) if e < math.inf else -1.0
-        bounds[1, j] = np.nextafter(a + e, np.inf) if e < math.inf else 1.0
+    c, d = _max_norm(cands), cands.shape[1]
+    casts = [(cands.dtype != np.float32) + (t.dtype != np.float32) for t in sets]
+    eps = np.array([[_screen_eps(d, c, _max_norm(t), k)] for t, k in zip(sets, casts)])
+    a = _blocked_max(cands, None, sets).astype(np.float64)
+    bounds = np.stack([np.nextafter(a - eps, -np.inf), np.nextafter(a + eps, np.inf)])
     np.clip(bounds, -1.0, 1.0, out=bounds)
-    return bounds, eps
+    return bounds
 
 
 def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> np.ndarray:
-    """The kernel's score of each pair (x[xi[k]], y[yi[k]]): a dot product of grid rows
+    """The exact score of each pair (x[xi[k]], y[yi[k]]): a dot product of grid rows
     (an integer sum below 2^53, exact in any order), scaled and clipped."""
     out = np.empty(xi.size)
     for lo in range(0, xi.size, _PAIR_CHUNK):
@@ -370,15 +350,14 @@ def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> 
 
 
 def _fold_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, eps: float, rows=None) -> None:
-    """Fold each candidate's max similarity against `tgts` into `running`, in place.
+    """Fold each candidate's exact max similarity against `tgts` into `running`, in place.
 
     The candidates are the rows of `cands`, or those at `rows`, read a
-    tile at a time. `running` ends bit for bit as `np.maximum(running,
-    max_similarity(cands[rows], tgts))` would leave it, but only the pairs
-    that the float32 screen cannot rule out are scored exactly (module
-    docstring); `eps` bounds the screen's error on these operands.
+    tile at a time. Only the pairs that the float32 screen cannot rule
+    out are scored exactly (module docstring); `eps` bounds the screen's
+    error on these operands.
     """
-    at, n = (lambda k: k, cands.shape[0]) if rows is None else (rows.__getitem__, rows.size)
+    at = (lambda k: k) if rows is None else rows.__getitem__
 
     def reduce(sims, clo, tlo):
         a = sims.max(axis=1)
@@ -393,20 +372,7 @@ def _fold_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, eps: flo
             run[i[first]] = np.maximum(run[i[first]], np.maximum.reduceat(exact, first))
         return a
 
-    tgts32 = np.asarray(tgts, np.float32)
-    _blocked_max(n, lambda lo, hi: np.asarray(cands[at(slice(lo, hi))], np.float32), [tgts32], reduce)
-
-
-def _exact_max(cands: np.ndarray, sets: list[np.ndarray], rows: np.ndarray, eps: list[float]) -> np.ndarray:
-    """`_max_similarity_sets(cands[rows], sets)` bit for bit, reading `cands` by index: per set,
-    the running max folded from -inf with the set's eps, or the kernel where eps is infinite."""
-    out = np.full((len(sets), rows.size), -np.inf)
-    for scores, tgts, e in zip(out, sets, eps):
-        if e < math.inf:
-            _fold_max(cands, tgts, scores, e, rows)
-        else:
-            scores[:] = max_similarity(cands, tgts, rows=rows)
-    return out
+    _blocked_max(cands, rows, [tgts], reduce)
 
 
 def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray, *, eps: float) -> None:
@@ -426,7 +392,7 @@ def weighted_views(
 ) -> dict[str, np.ndarray]:
     """Each weighted view's candidate matrix, in weight order.
 
-    The one check on views before the kernel: every weighted view must be
+    The one check on views before scoring: every weighted view must be
     present, and all must have the same row count, `n` when given.
     """
     mats = {}
@@ -468,6 +434,11 @@ def _aggregate(weights: FusionWeights, mode: AggregationMode, score) -> np.ndarr
     return total / len(fused)
 
 
+def _fold_sets(mat: np.ndarray, sets: list[np.ndarray], rows=None) -> np.ndarray:
+    """`max_similarity` of the rows of `mat` (those at `rows`) against each target set: (sets, N)."""
+    return np.array([max_similarity(mat, tgts, rows=rows) for tgts in sets])
+
+
 def relevance_multi_dataset(
     views: Mapping[str, np.ndarray],
     targets: TargetSet,
@@ -478,15 +449,15 @@ def relevance_multi_dataset(
 
     Max mode takes each view's maximum similarity across every dataset's
     rows before fusing, which equals fused relevance over the union of
-    all target rows bit for bit, because the kernel is exact: a
-    candidate scores by its best match anywhere. Mean mode averages the
+    all target rows bit for bit, because scores are exact: a candidate
+    scores by its best match anywhere. Mean mode averages the
     per-dataset fused scores (the weighted sum distributes over the
     average, so fusing before or after the mean is the same), favoring
     candidates useful across domains.
     Mean never exceeds max for any candidate.
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
-    return _aggregate(weights, mode, lambda name: _max_similarity_sets(mats[name], sets[name]))
+    return _aggregate(weights, mode, lambda name: _fold_sets(mats[name], sets[name]))
 
 
 def relevance_bounds(
@@ -501,16 +472,14 @@ def relevance_bounds(
     and its lower and upper bounds go through the same fusion and
     aggregation as the exact scores. `exact(rows)` is
     `relevance_multi_dataset` of the rows at `rows`, bit for bit, read by
-    index: each set's running max folded from -inf (`_exact_max`).
+    index.
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
-    bounds, eps = {}, {}
-    for name, mat in mats.items():
-        bounds[name], eps[name] = _similarity_bounds(mat, sets[name])
+    bounds = {name: _similarity_bounds(mat, sets[name]) for name, mat in mats.items()}
     lo = _aggregate(weights, mode, lambda name: bounds[name][0])
     hi = _aggregate(weights, mode, lambda name: bounds[name][1])
 
     def exact(rows: np.ndarray) -> np.ndarray:
-        return _aggregate(weights, mode, lambda name: _exact_max(mats[name], sets[name], rows, eps[name]))
+        return _aggregate(weights, mode, lambda name: _fold_sets(mats[name], sets[name], rows))
 
     return lo, hi, exact

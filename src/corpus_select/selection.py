@@ -31,7 +31,7 @@ pool every round.
 
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
-at every step.
+at every step, with the unselected rows read from the views by index.
 
 Both MMR selectors take their view matrices from
 `relevance.weighted_views`, with weights uniform over the sorted view
@@ -46,10 +46,11 @@ seeded shuffle and with a target-duration-distribution match.
 Everything here is deterministic: ties break toward the lower candidate
 index, the batched selector contains no randomness at all, and the
 baselines draw from Philox streams. Every similarity is exact on the
-kernel's grid (`relevance.max_similarity`; the running max scores
-exactly every pair its float32 screen cannot rule out), so scores, and
-hence picks and output bytes, are bit-identical for any `threads` value,
-BLAS kernel or CPU, and equal ties are real ties.
+grid: relevance, the seed's, the running max's and the oracle's are one
+screened fold (`relevance.max_similarity`), which scores exactly every
+pair its float32 screen cannot rule out. So scores, and hence picks and
+output bytes, are bit-identical for any `threads` value, BLAS kernel or
+CPU, and equal ties are real ties.
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ from corpus_select.relevance import (
     blas_threads,
     max_similarity,
     relevance_bounds,
-    relevance_multi_dataset,
     running_max_eps,
-    to_grid,
     update_running_max,
     weighted_views,
 )
@@ -154,18 +153,15 @@ def _prefilter(
     pool_size-th largest certified lower bound; a row whose upper bound
     is below it scores below at least pool_size rows, so the survivors
     with upper bound >= cut hold the whole pool; the screen's `exact`
-    scores them by index, with the running max's fold. Relevance is exact
-    per row, so the pool and its scores are those of scoring every row.
+    scores them by index, with the running max's fold. When the pool is
+    every row, the cut is the smallest lower bound and every row
+    survives. Relevance is exact per row, so the pool and its scores are
+    those of scoring every row.
     """
-    n = next(iter(mats.values())).shape[0]
-    if pool_size < n:
-        lo, hi, exact = relevance_bounds(mats, targets, weights, mode)
-        cut = np.partition(lo, n - pool_size)[n - pool_size]
-        rows = np.flatnonzero(hi >= cut)
-        r = exact(rows)
-    else:
-        rows = np.arange(n)
-        r = relevance_multi_dataset(mats, targets, weights, mode)
+    lo, hi, exact = relevance_bounds(mats, targets, weights, mode)
+    cut = np.partition(lo, lo.size - pool_size)[lo.size - pool_size]
+    rows = np.flatnonzero(hi >= cut)
+    r = exact(rows)
     # rows ascend, so ties still break toward the lower candidate index
     top = _ranked(np.arange(rows.size), r)[:pool_size]
     return rows[top], r[top]
@@ -181,7 +177,8 @@ def greedy_mmr_exact(
 
     Seeds with the argmax-relevance candidate, then each step picks the
     unselected candidate maximizing lam*r_i - (1-lam)*v_i, recomputing
-    v_i (fused max similarity to the whole selected set) from scratch.
+    v_i (fused max similarity to the whole selected set) from scratch
+    with `max_similarity`, which reads the unselected rows by index.
     Stops once cumulative duration reaches alpha * total duration.
     """
     r = np.asarray(relevance, dtype=np.float64)
@@ -192,7 +189,7 @@ def greedy_mmr_exact(
     if d.shape[0] != n:
         raise ValueError(f"relevance has {n} entries but durations {d.shape[0]}")
     weights = cfg.weights or FusionWeights.uniform(sorted(views))
-    mats = {name: to_grid(mat) for name, mat in weighted_views(views, weights, n).items()}
+    mats = weighted_views(views, weights, n)
 
     budget = cfg.alpha * float(d.sum())
     all_idx = np.arange(n)
@@ -211,9 +208,7 @@ def greedy_mmr_exact(
         if remaining.size == 0:
             exhausted = True
             break
-        v = weights.fuse(
-            lambda name: max_similarity(mats[name][remaining], mats[name][selected], on_grid=True)
-        )
+        v = weights.fuse(lambda name: max_similarity(mats[name], mats[name][selected], rows=remaining))
         m = cfg.lam * r[remaining] - (1.0 - cfg.lam) * v
         local = np.lexsort((remaining, -m))[0]
         idx = int(remaining[local])

@@ -53,6 +53,7 @@ from corpus_select.errors import (
     MalformedLine,
     NonFiniteEntry,
     NonPositiveDuration,
+    NonUnitRow,
     ZeroRowWarning,
 )
 
@@ -132,7 +133,7 @@ class EmbeddingView:
         if self.normalized:
             off = np.flatnonzero((norms != 0.0) & (np.abs(norms - 1.0) > 1e-4))
             if off.size:
-                raise ValueError(
+                raise NonUnitRow(
                     f"view {self.name!r} flagged normalized but row {off[0]} "
                     f"has L2 norm {norms[off[0]]:.6f}"
                 )
@@ -328,7 +329,10 @@ def load_view(path: str | Path) -> EmbeddingView:
         header, flag, n, d = _read_header(fh, path)
         rows = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
     _record_read(path, header, rows)
-    view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
+    try:
+        view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
+    except NonUnitRow as exc:
+        raise NonUnitRow(f"{path}: {exc}") from None
     if not view.normalized:
         # the buffer just read is ours: normalize it in place, with the norms its check took
         zero_count = _normalize_in_place(view.rows, view._norms)

@@ -1,12 +1,15 @@
 """Reference implementations that tests hold the library to.
 
-The similarity oracles loop over rows in float64 and share no code with
-`corpus_select.relevance`, so a test that compares the two checks the
-kernel rather than the kernel against itself. `eager_batched_mmr` is
-the selector's round loop before lazy refresh, folding each batch into
-the running max with the exact kernel (`max_similarity`), so it checks
-both the refresh schedule and the float32 screen of
-`update_running_max`. `normalize_rows_gather` is the
+The similarity oracles share no code with `corpus_select.relevance`'s
+scorers, so a test that compares the two checks the scorer rather than
+the scorer against itself: `brute_max_sim` loops over rows in float64,
+and `integer_max_sim` computes the exact grid score in int64, as does
+`integer_relevance`, relevance fused and aggregated from it.
+`eager_batched_mmr` is the selector's round loop before lazy refresh,
+ranking by `integer_relevance` and folding each batch into the running
+max with `integer_max_sim`, so it checks the prefilter's screen, the
+refresh schedule and the float32 screen of `update_running_max`.
+`normalize_rows_gather` is the
 row normalization's earlier gather-and-scatter formula.
 `plusplus_seeds_elementwise` is k-means++ seeding with the earlier
 per-seed `((x - c) ** 2).sum(axis=1)` distances.
@@ -27,13 +30,7 @@ from corpus_select.errors import (
     SmallPoolWarning,
 )
 from corpus_select.probe import _fit, _stratified_split
-from corpus_select.relevance import (
-    FusionWeights,
-    max_similarity,
-    relevance_multi_dataset,
-    to_grid,
-    weighted_views,
-)
+from corpus_select.relevance import AggregationMode, FusionWeights, weighted_views
 from corpus_select.rng import generator
 from corpus_select.selection import (
     Pick,
@@ -80,6 +77,34 @@ def integer_max_sim(cands, targets) -> np.ndarray:
     b = np.rint(np.asarray(targets, dtype=np.float64) * 2.0**26).astype(np.int64)
     best = (a @ b.T).max(axis=1)
     return np.clip(best.astype(np.float64) * 2.0**-52, -1.0, 1.0)
+
+
+def integer_relevance(views, targets: TargetSet, weights: FusionWeights, mode=AggregationMode.MAX) -> np.ndarray:
+    """Relevance as README step 1 states it, from `integer_max_sim`.
+
+    Per view, the max similarity to each target dataset. Views are fused
+    by a weighted sum in weight order, clipped to [-1, 1]; max mode takes
+    each view's best dataset before fusing, and mean mode averages the
+    fused per-dataset scores in dataset order.
+    """
+    per_view = {
+        name: np.array([integer_max_sim(views[name], ds.views[name]) for ds in targets.datasets])
+        for name in weights.names
+    }
+
+    def fuse(scores):
+        total = 0.0
+        for name, w in weights.weights.items():
+            total = total + w * scores[name]
+        return np.clip(total, -1.0, 1.0)
+
+    if mode is AggregationMode.MAX:
+        return fuse({name: s.max(axis=0) for name, s in per_view.items()})
+    fused = fuse(per_view)
+    total = fused[0]
+    for row in fused[1:]:
+        total = total + row
+    return total / len(fused)
 
 
 def diversity_penalty(candidate, selected, views, weights) -> float:
@@ -151,8 +176,9 @@ def eager_batched_mmr(
     """`selection.batched_mmr` with the eager round loop it replaced.
 
     Every round folds the committed batch into the running max of the
-    whole prefilter pool, committed rows included, with the exact kernel,
-    then ranks the pool by exact MMR score. The lazy, screened selector
+    whole prefilter pool, committed rows included, with `integer_max_sim`,
+    then ranks the pool by exact MMR score. Relevance is
+    `integer_relevance` of every row. The lazy, screened selector
     must match it pick for pick and bit for bit.
     """
     d = np.asarray(durations, dtype=np.float64)
@@ -163,7 +189,7 @@ def eager_batched_mmr(
     mats = weighted_views(views, weights, n)
 
     budget = cfg.alpha * float(d.sum())
-    r = relevance_multi_dataset(mats, targets, weights, cfg.aggregation)
+    r = integer_relevance(mats, targets, weights, cfg.aggregation)
 
     pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
     pool = _ranked(np.arange(n), r)[:pool_size]
@@ -176,8 +202,7 @@ def eager_batched_mmr(
             stacklevel=2,
         )
 
-    # rounded onto the kernel's grid once, not once per round
-    pool_rows = {name: to_grid(mats[name][pool]) for name in weights.names}
+    pool_rows = {name: mats[name][pool] for name in weights.names}
     r_pool = r[pool]
 
     seed_pos = 0  # pool is sorted by (-relevance, index)
@@ -188,10 +213,7 @@ def eager_batched_mmr(
     committed[seed_pos] = True
 
     # per-view running max similarity to the committed set
-    vmax = {
-        name: max_similarity(rows, rows[[seed_pos]], on_grid=True)
-        for name, rows in pool_rows.items()
-    }
+    vmax = {name: integer_max_sim(rows, rows[[seed_pos]]) for name, rows in pool_rows.items()}
 
     rounds = 0
     exhausted = False
@@ -214,7 +236,7 @@ def eager_batched_mmr(
             )
         committed[batch_pos] = True
         for name, rows in pool_rows.items():
-            batch = max_similarity(rows, rows[batch_pos], on_grid=True)
+            batch = integer_max_sim(rows, rows[batch_pos])
             np.maximum(vmax[name], batch, out=vmax[name])
 
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from corpus_select import cli
 from corpus_select.cli import run
 from corpus_select.relevance import available_cpus, blas_corename, blas_thread_cap
-from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, save_view
+from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, load_view, save_view
 
 # the selection bytes of golden_selection_digest: projection and scoring
 # GEMMs are exact, so they are the same under every BLAS kernel, thread
@@ -208,6 +208,26 @@ class TestDataErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert "line 1" in captured.err
+
+    @pytest.mark.parametrize("subcommand", ["select", "project"])
+    def test_view_flagged_normalized_with_a_non_unit_row_exits_1(self, fixture_dirs, tmp_path, capsys, subcommand):
+        """A view file flagged normalized whose row 5 has norm 2 exits 1 with one
+        `error:` line naming the file and the row."""
+        corpus, targets = fixture_dirs
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        rows = load_view(corpus / "speaker.emb").rows.copy()
+        rows[5] *= 2.0
+        header = struct.pack("<4sIBQI", b"EMB1", 1, 1, *rows.shape)
+        (bad / "speaker.emb").write_bytes(header + rows.astype("<f4").tobytes())
+        argv = {
+            "select": ["--corpus", str(bad), "--targets", str(targets), "--alpha", "0.05", "--out", str(tmp_path / "s.jsonl")],
+            "project": ["--in", str(bad / "speaker.emb"), "--out", str(tmp_path / "p.emb"), "--dim", "16"],
+        }[subcommand]
+        assert run([subcommand, *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(bad / "speaker.emb") in err[0] and "row 5" in err[0]
 
 
 class TestStats:

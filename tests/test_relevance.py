@@ -12,6 +12,7 @@ from corpus_select.errors import (
     DimensionMismatch,
     EmptyTargets,
     EmptyTargetSet,
+    NonUnitRow,
 )
 from corpus_select.relevance import (
     _TILE_ROWS,
@@ -25,9 +26,10 @@ from corpus_select.relevance import (
     running_max_eps,
     update_running_max,
 )
+from corpus_select.selection import SelectionConfig, batched_mmr
 from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 from conftest import unit_rows
-from oracles import EmptySelection, brute_max_sim, cosine, diversity_penalty, integer_max_sim
+from oracles import EmptySelection, brute_max_sim, cosine, diversity_penalty, integer_max_sim, integer_relevance
 
 
 def one_dataset(targets):
@@ -277,10 +279,10 @@ class TestCertifiedRelevance:
         tile_rows=st.sampled_from([4, _TILE_ROWS]),
     )
     def test_equals_the_kernel_bit_for_bit(self, inst, mode, tile_targets, tile_rows):
-        """The screen's `exact(rows)` is `relevance_multi_dataset` of those rows,
+        """The screen's `exact(rows)` is the integer relevance of those rows,
         also when a set spans several target or candidate tiles."""
         views, targets, weights, rows = inst
-        expected = relevance_multi_dataset({k: v[rows] for k, v in views.items()}, targets, weights, mode)
+        expected = integer_relevance({k: v[rows] for k, v in views.items()}, targets, weights, mode)
         with mock.patch.object(relevance, "_TILE_TARGETS", tile_targets), mock.patch.object(
             relevance, "_TILE_ROWS", tile_rows
         ):
@@ -290,20 +292,51 @@ class TestCertifiedRelevance:
 
     @pytest.mark.parametrize("mode", list(AggregationMode))
     def test_scores_survivors_by_the_running_max_fold_alone(self, rng, mode):
-        """With the kernel patched to fail, `exact(rows)` still equals
-        `relevance_multi_dataset` bit for bit, for a small target set and a
-        large one: every finite-eps set goes through the fold."""
+        """`exact(rows)`, the running max's fold from -inf, equals the integer
+        relevance bit for bit, for a small target set and a large one."""
         views = {"v": unit_rows(rng, 300, 64)}
         targets = TargetSet(
             [TargetDataset("small", {"v": unit_rows(rng, 3, 64)}), TargetDataset("large", {"v": unit_rows(rng, 5000, 64)})]
         )
         weights = FusionWeights({"v": 1.0})
         rows = np.flatnonzero(rng.random(300) < 0.5)
-        expected = relevance_multi_dataset({"v": views["v"][rows]}, targets, weights, mode)
+        expected = integer_relevance({"v": views["v"][rows]}, targets, weights, mode)
         _, _, exact = relevance_bounds(views, targets, weights, mode)
-        with mock.patch.object(relevance, "_max_similarity_sets", side_effect=AssertionError("kernel called")):
-            got = exact(rows)
-        assert got.tobytes() == expected.tobytes()
+        assert exact(rows).tobytes() == expected.tobytes()
+
+
+class TestRowRange:
+    """Scores are exact while (2^26 c + sqrt(D)/2) (2^26 t + sqrt(D)/2) < 2^53 for
+    row norms c and t; rows beyond that, NaN rows included, raise on every path."""
+
+    @staticmethod
+    def paths(cands, targets):
+        """`max_similarity`, `relevance_bounds` and `batched_mmr` on the rows, as calls."""
+        views, tset, weights = {"v": cands}, one_dataset({"v": targets}), FusionWeights({"v": 1.0})
+        cfg = SelectionConfig(alpha=0.2, rho=0.5, batch_size=4)
+        return (
+            lambda: max_similarity(cands, targets),
+            lambda: relevance_bounds(views, tset, weights),
+            lambda: batched_mmr(np.ones(cands.shape[0]), views, tset, cfg),
+        )
+
+    @pytest.mark.parametrize("bad", ["nan-row", "norm-2.5"])
+    def test_rejects_rows_out_of_range(self, rng, bad):
+        cands, targets = unit_rows(rng, 40, 16), unit_rows(rng, 7, 16)
+        if bad == "nan-row":
+            cands[5, 3] = np.nan
+        else:
+            cands *= np.float32(2.5)
+        for path in self.paths(cands, targets):
+            with pytest.raises(NonUnitRow):
+                path()
+
+    def test_accepts_unit_rows_at_3072_dims_and_zero_rows(self, rng):
+        cands, targets = unit_rows(rng, 40, 3072), unit_rows(rng, 7, 3072)
+        cands[3], targets[2] = 0.0, 0.0
+        scores, _, result = (path() for path in self.paths(cands, targets))
+        assert scores.tobytes() == integer_max_sim(cands, targets).tobytes()
+        assert len(result.picks) > 1
 
 
 class TestMaxNorm:

@@ -569,7 +569,7 @@ class TestSelectorProperties:
         views, targets, weights = inst
         n = next(iter(views.values())).shape[0]
         pool_size = min(n, max(1, math.ceil(rho * n)))
-        r = relevance_multi_dataset(views, targets, weights, aggregation)
+        r = oracles.integer_relevance(views, targets, weights, aggregation)
         lo, hi, _ = relevance_bounds(views, targets, weights, aggregation)
         assert np.all(lo <= r) and np.all(r <= hi)
         pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size)
@@ -594,7 +594,7 @@ class TestSelectorProperties:
         fold = relevance._fold_max
 
         def counting(cands, tgts, running, eps, rows=None):
-            if rows is not None:  # the exact step: update_running_max passes no rows
+            if tgts.shape[0] == 300:  # a target set's fold, not the seed's or the running max's
                 scored.append(rows.size)
             return fold(cands, tgts, running, eps, rows)
 
@@ -608,15 +608,15 @@ class TestSelectorProperties:
     @pytest.mark.parametrize("widen", [0, math.inf])
     def test_reads_the_pool_and_survivors_in_place(self, monkeypatch, widen):
         """The traced peak stays below two pools of rows, with the screen's
-        eps and with an infinite one, where every row survives and the
-        kernel scores them by index. The commit buffer is one, so neither
-        the pool nor the rows left to score are copied whole."""
+        bounds and with bounds widened to -1 and 1, where every row survives
+        and is folded by index. The commit buffer is one, so neither the
+        pool nor the rows left to score are copied whole."""
         bounds_of = relevance._similarity_bounds
 
         def widened(cands, sets):
-            bounds, eps = bounds_of(cands, sets)
-            bounds[0], bounds[1] = -1.0, 1.0  # an infinite eps's bounds
-            return bounds, [e + widen for e in eps]
+            bounds = bounds_of(cands, sets)
+            bounds[0], bounds[1] = -1.0, 1.0  # the screen's eps is kept for the fold
+            return bounds
 
         if widen:
             monkeypatch.setattr(relevance, "_similarity_bounds", widened)
@@ -669,13 +669,14 @@ class TestSelectorProperties:
         monkeypatch.setattr(
             selection, "update_running_max", counting(calls["lazy"], selection.update_running_max)
         )
-        monkeypatch.setattr(oracles, "max_similarity", counting(calls["eager"], oracles.max_similarity))
+        monkeypatch.setattr(oracles, "integer_max_sim", counting(calls["eager"], oracles.integer_max_sim))
         lazy = batched_mmr(durations, views, targets, cfg)
         eager = eager_batched_mmr(durations, views, targets, cfg)
         assert selection_bits(lazy) == selection_bits(eager)
         assert lazy.rounds > 5
-        # the eager loop's first kernel call scores the seed, as the lazy one does outside the running max
-        del calls["eager"][0]
+        # the eager loop's first call scores relevance against the one target set, and its
+        # second the seed, as the lazy one does outside the running max
+        del calls["eager"][:2]
 
         # the pool's committed rows in commit order; rows are distinct, so bytes identify them
         committed = [row.tobytes() for row in views["v"][lazy.indices]]

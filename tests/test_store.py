@@ -15,6 +15,7 @@ from corpus_select.errors import (
     MalformedLine,
     NonFiniteEntry,
     NonPositiveDuration,
+    NonUnitRow,
     ZeroRowWarning,
 )
 from corpus_select.store import (
@@ -164,7 +165,7 @@ class TestViewFile:
         assert peak < 1.1 * rows.nbytes
 
     def test_normalized_flag_validated(self):
-        with pytest.raises(ValueError, match="flagged normalized"):
+        with pytest.raises(NonUnitRow, match="flagged normalized but row 0"):
             EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32), normalized=True)
 
 
