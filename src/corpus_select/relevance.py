@@ -49,18 +49,18 @@ not float32, and a slack term for underflow and float64 rounding).
 and a + eps are rounded outward in float64 and clipped like exact
 scores, and fusion and aggregation are monotone under round-to-nearest,
 so the fused bounds hold bit for bit. The selector scores exactly only
-the rows whose upper bound can reach its pool (Rump's filter, then the
-exact step below).
+the rows whose upper bound can reach its pool (Rump's filter), with
+`relevance_multi_dataset(..., rows=)`.
 
-One rule scores exactly (`_fold_max`): a target set is folded into a
-running max tile by tile. A row whose float32 max a cannot beat its
-running max even at a + eps (rounded up and clipped) is left alone. For
-the others only the pairs scoring at least a - 2 eps in float32 (rounded
-down) are scored exactly, as dot products of grid rows. The exact argmax
-is among them: its float32 score is at least the exact max minus eps,
-and that max is at least a - eps. Every exact score is this fold:
-`max_similarity` and relevance fold a target set from -inf, and the
-selector's running max folds in each commit segment.
+One rule scores exactly, `update_running_max`: a target set is folded
+into a running max tile by tile. A row whose float32 max a cannot beat
+its running max even at a + eps (rounded up and clipped) is left alone.
+For the others only the pairs scoring at least a - 2 eps in float32
+(rounded down) are scored exactly, as dot products of grid rows. The
+exact argmax is among them: its float32 score is at least the exact max
+minus eps, and that max is at least a - eps. Every exact score is this
+fold: `max_similarity`, and relevance through it, fold a target set
+from -inf, and the selector's running max folds in each commit segment.
 """
 
 from __future__ import annotations
@@ -215,16 +215,16 @@ def max_similarity(candidates, targets, *, rows=None) -> np.ndarray:
     """Per-candidate maximum dot product against the target rows, exact on the grid.
 
     Returns a float64 vector of length N, clipped to [-1, 1]: the running
-    max folded from -inf (`_fold_max`) with the pair's `_screen_eps`.
-    Relevance, the selector's seed and the exact-greedy oracle score
-    through it. Given `rows`, it scores the candidate rows at those
-    indices, read a tile at a time.
+    max folded from -inf by `update_running_max` with the pair's
+    `_screen_eps`. Relevance, the selector's seed and the exact-greedy
+    oracle score through it. Given `rows`, it scores the candidate rows at
+    those indices, read a tile at a time.
     """
     cands, (tgts,) = _checked(candidates, [targets])
     casts = (cands.dtype != np.float32) + (tgts.dtype != np.float32)
     eps = _screen_eps(cands.shape[1], _max_norm(cands, rows), _max_norm(tgts), casts)
     out = np.full(cands.shape[0] if rows is None else rows.size, -np.inf)
-    _fold_max(cands, tgts, out, eps, rows)
+    update_running_max(cands, tgts, out, eps=eps, rows=rows)
     return out
 
 
@@ -320,23 +320,6 @@ def _floor32(a: np.ndarray, eps: float) -> np.ndarray:
     return np.nextafter(floor, np.float32(-np.inf))
 
 
-def _similarity_bounds(candidates, target_sets) -> np.ndarray:
-    """Certified bounds on `max_similarity(candidates, t)` for each target set t.
-
-    The bounds are (2, sets, N): `[0]` a lower and `[1]` an upper bound,
-    both float64 and clipped to [-1, 1], from one float32 GEMM per tile and
-    the set's `_screen_eps`.
-    """
-    cands, sets = _checked(candidates, target_sets)
-    c, d = _max_norm(cands), cands.shape[1]
-    casts = [(cands.dtype != np.float32) + (t.dtype != np.float32) for t in sets]
-    eps = np.array([[_screen_eps(d, c, _max_norm(t), k)] for t, k in zip(sets, casts)])
-    a = _blocked_max(cands, None, sets).astype(np.float64)
-    bounds = np.stack([np.nextafter(a - eps, -np.inf), np.nextafter(a + eps, np.inf)])
-    np.clip(bounds, -1.0, 1.0, out=bounds)
-    return bounds
-
-
 def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> np.ndarray:
     """The exact score of each pair (x[xi[k]], y[yi[k]]): a dot product of grid rows
     (an integer sum below 2^53, exact in any order), scaled and clipped."""
@@ -349,13 +332,16 @@ def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> 
     return out
 
 
-def _fold_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, eps: float, rows=None) -> None:
+def update_running_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, *, eps: float, rows=None) -> None:
     """Fold each candidate's exact max similarity against `tgts` into `running`, in place.
 
     The candidates are the rows of `cands`, or those at `rows`, read a
-    tile at a time. Only the pairs that the float32 screen cannot rule
-    out are scored exactly (module docstring); `eps` bounds the screen's
-    error on these operands.
+    tile at a time. `running` ends bit for bit as `np.maximum(running,
+    max_similarity(cands, tgts, rows=rows))` would leave it: only the
+    pairs that the float32 screen cannot rule out are scored exactly
+    (module docstring), and `eps` bounds the screen's error on these
+    operands (`running_max_eps`). The batched selector folds in each
+    commit segment with it; `max_similarity` folds from -inf.
     """
     at = (lambda k: k) if rows is None else rows.__getitem__
 
@@ -373,18 +359,6 @@ def _fold_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, eps: flo
         return a
 
     _blocked_max(cands, rows, [tgts], reduce)
-
-
-def update_running_max(rows: np.ndarray, batch: np.ndarray, running: np.ndarray, *, eps: float) -> None:
-    """Fold max similarity against `batch` into `running`, in place.
-
-    Used by the batched selector to extend each candidate's maximum
-    similarity to the selected set one commit segment at a time.
-    `running` ends bit for bit as `np.maximum(running, max_similarity(rows,
-    batch))` would leave it (`_fold_max`, with `eps` from
-    `running_max_eps`).
-    """
-    _fold_max(rows, batch, running, eps)
 
 
 def weighted_views(
@@ -434,30 +408,30 @@ def _aggregate(weights: FusionWeights, mode: AggregationMode, score) -> np.ndarr
     return total / len(fused)
 
 
-def _fold_sets(mat: np.ndarray, sets: list[np.ndarray], rows=None) -> np.ndarray:
-    """`max_similarity` of the rows of `mat` (those at `rows`) against each target set: (sets, N)."""
-    return np.array([max_similarity(mat, tgts, rows=rows) for tgts in sets])
-
-
 def relevance_multi_dataset(
     views: Mapping[str, np.ndarray],
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
+    *,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Aggregate fused relevance over target datasets by max or mean.
 
-    Max mode takes each view's maximum similarity across every dataset's
-    rows before fusing, which equals fused relevance over the union of
-    all target rows bit for bit, because scores are exact: a candidate
-    scores by its best match anywhere. Mean mode averages the
-    per-dataset fused scores (the weighted sum distributes over the
-    average, so fusing before or after the mean is the same), favoring
-    candidates useful across domains.
-    Mean never exceeds max for any candidate.
+    Each view scores the candidates, or those at `rows` (read by index),
+    with `max_similarity` against each dataset. Max mode takes each
+    view's maximum across the datasets before fusing, which equals fused
+    relevance over the union of all target rows bit for bit, because
+    scores are exact: a candidate scores by its best match anywhere. Mean
+    mode averages the per-dataset fused scores (the weighted sum
+    distributes over the average, so fusing before or after the mean is
+    the same), favoring candidates useful across domains. Mean never
+    exceeds max for any candidate.
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
-    return _aggregate(weights, mode, lambda name: _fold_sets(mats[name], sets[name]))
+    return _aggregate(
+        weights, mode, lambda name: np.array([max_similarity(mats[name], t, rows=rows) for t in sets[name]])
+    )
 
 
 def relevance_bounds(
@@ -465,21 +439,24 @@ def relevance_bounds(
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit, and `exact`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit.
 
-    Each view is screened once with a float32 GEMM (`_similarity_bounds`),
-    and its lower and upper bounds go through the same fusion and
-    aggregation as the exact scores. `exact(rows)` is
-    `relevance_multi_dataset` of the rows at `rows`, bit for bit, read by
-    index.
+    Each view is screened once with a float32 GEMM per tile. Its row max
+    a against each target set, widened to a -/+ that set's `_screen_eps`
+    (rounded outward and clipped to [-1, 1]), goes through the same
+    fusion and aggregation as the exact scores.
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
-    bounds = {name: _similarity_bounds(mat, sets[name]) for name, mat in mats.items()}
+    bounds = {}
+    for name, mat in mats.items():
+        cands, tsets = _checked(mat, sets[name])
+        c, d = _max_norm(cands), cands.shape[1]
+        casts = [(cands.dtype != np.float32) + (t.dtype != np.float32) for t in tsets]
+        eps = np.array([[_screen_eps(d, c, _max_norm(t), k)] for t, k in zip(tsets, casts)])
+        a = _blocked_max(cands, None, tsets).astype(np.float64)
+        b = np.stack([np.nextafter(a - eps, -np.inf), np.nextafter(a + eps, np.inf)])
+        bounds[name] = np.clip(b, -1.0, 1.0, out=b)
     lo = _aggregate(weights, mode, lambda name: bounds[name][0])
     hi = _aggregate(weights, mode, lambda name: bounds[name][1])
-
-    def exact(rows: np.ndarray) -> np.ndarray:
-        return _aggregate(weights, mode, lambda name: _fold_sets(mats[name], sets[name], rows))
-
-    return lo, hi, exact
+    return lo, hi

@@ -1,15 +1,15 @@
 """Duration-budgeted subset selectors.
 
 `batched_mmr` is the production selector: it prefilters candidates to the
-top ceil(rho*N) by relevance (scoring exactly only the rows that
-certified float32 bounds leave in reach of that pool, with the running
-max's screened fold), seeds the selection with the most relevant
-candidate, then repeatedly commits the top B remaining candidates by MMR
-score m_i = lam*r_i - (1-lam)*v_i until the selected duration reaches
-the budget T = alpha * total duration. The diversity penalty v_i counts
-only candidates committed in *previous* rounds, so diversity inside a
-committed batch is deliberately not enforced; with B=1 and rho=1 the
-procedure reduces exactly to greedy MMR.
+top ceil(rho*N) by relevance (scoring exactly, by index, only the rows
+that certified float32 bounds leave in reach of that pool), seeds the
+selection with the most relevant candidate, then repeatedly commits the
+top B remaining candidates by MMR score m_i = lam*r_i - (1-lam)*v_i
+until the selected duration reaches the budget T = alpha * total
+duration. The diversity penalty v_i counts only candidates committed in
+*previous* rounds, so diversity inside a committed batch is deliberately
+not enforced; with B=1 and rho=1 the procedure reduces exactly to greedy
+MMR.
 
 Rounds refresh lazily: the accelerated greedy of Minoux (1978), also
 known as CELF (Leskovec et al., 2007), applied to MMR. v only grows as
@@ -47,10 +47,10 @@ Everything here is deterministic: ties break toward the lower candidate
 index, the batched selector contains no randomness at all, and the
 baselines draw from Philox streams. Every similarity is exact on the
 grid: relevance, the seed's, the running max's and the oracle's are one
-screened fold (`relevance.max_similarity`), which scores exactly every
-pair its float32 screen cannot rule out. So scores, and hence picks and
-output bytes, are bit-identical for any `threads` value, BLAS kernel or
-CPU, and equal ties are real ties.
+screened fold (`relevance.update_running_max`), which scores exactly
+every pair its float32 screen cannot rule out. So scores, and hence
+picks and output bytes, are bit-identical for any `threads` value, BLAS
+kernel or CPU, and equal ties are real ties.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from corpus_select.relevance import (
     blas_threads,
     max_similarity,
     relevance_bounds,
+    relevance_multi_dataset,
     running_max_eps,
     update_running_max,
     weighted_views,
@@ -150,18 +151,18 @@ def _prefilter(
     """The top `pool_size` rows by relevance, ranked, and their relevance.
 
     Only rows that can reach the pool are scored exactly. `cut` is the
-    pool_size-th largest certified lower bound; a row whose upper bound
-    is below it scores below at least pool_size rows, so the survivors
-    with upper bound >= cut hold the whole pool; the screen's `exact`
-    scores them by index, with the running max's fold. When the pool is
-    every row, the cut is the smallest lower bound and every row
-    survives. Relevance is exact per row, so the pool and its scores are
-    those of scoring every row.
+    pool_size-th largest certified lower bound from `relevance_bounds`; a
+    row whose upper bound is below it scores below at least pool_size
+    rows, so the survivors with upper bound >= cut hold the whole pool,
+    and `relevance_multi_dataset(..., rows=)` scores them by index. When
+    the pool is every row, the cut is the smallest lower bound and every
+    row survives. Relevance is exact per row, so the pool and its scores
+    are those of scoring every row.
     """
-    lo, hi, exact = relevance_bounds(mats, targets, weights, mode)
+    lo, hi = relevance_bounds(mats, targets, weights, mode)
     cut = np.partition(lo, lo.size - pool_size)[lo.size - pool_size]
     rows = np.flatnonzero(hi >= cut)
-    r = exact(rows)
+    r = relevance_multi_dataset(mats, targets, weights, mode, rows=rows)
     # rows ascend, so ties still break toward the lower candidate index
     top = _ranked(np.arange(rows.size), r)[:pool_size]
     return rows[top], r[top]

@@ -331,8 +331,9 @@ def load_view(path: str | Path) -> EmbeddingView:
     _record_read(path, header, rows)
     try:
         view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
-    except NonUnitRow as exc:
-        raise NonUnitRow(f"{path}: {exc}") from None
+    except (NonFiniteEntry, NonUnitRow) as exc:
+        exc.args = (f"{path}: {exc}",)  # corpus and target views may share a name
+        raise
     if not view.normalized:
         # the buffer just read is ours: normalize it in place, with the norms its check took
         zero_count = _normalize_in_place(view.rows, view._norms)

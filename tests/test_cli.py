@@ -229,6 +229,29 @@ class TestDataErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(bad / "speaker.emb") in err[0] and "row 5" in err[0]
 
+    @pytest.mark.parametrize("subcommand", ["project", "select", "compact-targets"])
+    def test_view_with_a_non_finite_entry_exits_1_naming_the_file(self, fixture_dirs, tmp_path, capsys, subcommand):
+        """A view file with a NaN at row 7, col 2 exits 1 with one `error:` line naming
+        the file and the entry. `select` reads a corpus and a target view of the
+        same name, and the bad one is the target's."""
+        corpus, targets = fixture_dirs
+        source = corpus if subcommand == "project" else targets
+        bad = tmp_path / source.name
+        shutil.copytree(source, bad)
+        path = bad / "speaker.emb" if subcommand == "project" else bad / "target-0" / "speaker.emb"
+        rows = load_view(path).rows.copy()
+        rows[7, 2] = np.nan
+        path.write_bytes(struct.pack("<4sIBQI", b"EMB1", 1, 0, *rows.shape) + rows.astype("<f4").tobytes())
+        argv = {
+            "project": ["--in", str(path), "--out", str(tmp_path / "p.emb"), "--dim", "16"],
+            "select": ["--corpus", str(corpus), "--targets", str(bad), "--alpha", "0.05", "--out", str(tmp_path / "s.jsonl")],
+            "compact-targets": ["--targets", str(bad), "--k", "4", "--out", str(tmp_path / "c")],
+        }[subcommand]
+        assert run([subcommand, *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(path) in err[0] and "row 7, col 2" in err[0]
+
 
 class TestStats:
     def test_summary_fields(self, fixture_dirs, capsys):

@@ -221,13 +221,20 @@ class TestRunningMax:
     @example(n=_TILE_ROWS + 1, m=_TILE_TARGETS + 1, d=8, seed=0, negative=False)
     @example(n=_TILE_ROWS + 1, m=_TILE_TARGETS + 1, d=8, seed=1, negative=True)
     def test_screened_fold_equals_the_integer_max(self, n, m, d, seed, negative):
-        """The screened fold leaves `running` bit for bit as the exact integer max would."""
+        """The screened fold leaves `running` bit for bit as the exact integer max would,
+        also when it reads a subset of the rows by index, four rows per tile."""
         assume(d > 1 or n * m < 100_000)  # one dim ties every pair
         rows, batch, running, new = near_tie_fold(n, m, d, seed, negative)
         if negative:
             assert new.max() < 0.0
         expected = np.maximum(running, new)
-        update_running_max(rows, batch, running, eps=running_max_eps(np.vstack([rows, batch])))
+        eps = running_max_eps(np.vstack([rows, batch]))
+        at = np.random.default_rng(seed).permutation(n)[: max(1, n // 2)]
+        subset = running[at]
+        with mock.patch.object(relevance, "_TILE_ROWS", 4):
+            update_running_max(rows, batch, subset, eps=eps, rows=at)
+        assert subset.tobytes() == expected[at].tobytes()
+        update_running_max(rows, batch, running, eps=eps)
         assert running.tobytes() == expected.tobytes()
 
 
@@ -279,21 +286,20 @@ class TestCertifiedRelevance:
         tile_rows=st.sampled_from([4, _TILE_ROWS]),
     )
     def test_equals_the_kernel_bit_for_bit(self, inst, mode, tile_targets, tile_rows):
-        """The screen's `exact(rows)` is the integer relevance of those rows,
-        also when a set spans several target or candidate tiles."""
+        """`relevance_multi_dataset(..., rows=rows)` is the integer relevance of those
+        rows, also when a set spans several target or candidate tiles."""
         views, targets, weights, rows = inst
         expected = integer_relevance({k: v[rows] for k, v in views.items()}, targets, weights, mode)
         with mock.patch.object(relevance, "_TILE_TARGETS", tile_targets), mock.patch.object(
             relevance, "_TILE_ROWS", tile_rows
         ):
-            _, _, exact = relevance_bounds(views, targets, weights, mode)
-            got = exact(rows)
+            got = relevance_multi_dataset(views, targets, weights, mode, rows=rows)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", list(AggregationMode))
     def test_scores_survivors_by_the_running_max_fold_alone(self, rng, mode):
-        """`exact(rows)`, the running max's fold from -inf, equals the integer
-        relevance bit for bit, for a small target set and a large one."""
+        """Relevance of the rows at `rows`, the running max's fold from -inf, equals
+        the integer relevance bit for bit, for a small target set and a large one."""
         views = {"v": unit_rows(rng, 300, 64)}
         targets = TargetSet(
             [TargetDataset("small", {"v": unit_rows(rng, 3, 64)}), TargetDataset("large", {"v": unit_rows(rng, 5000, 64)})]
@@ -301,8 +307,8 @@ class TestCertifiedRelevance:
         weights = FusionWeights({"v": 1.0})
         rows = np.flatnonzero(rng.random(300) < 0.5)
         expected = integer_relevance({"v": views["v"][rows]}, targets, weights, mode)
-        _, _, exact = relevance_bounds(views, targets, weights, mode)
-        assert exact(rows).tobytes() == expected.tobytes()
+        got = relevance_multi_dataset(views, targets, weights, mode, rows=rows)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRowRange:

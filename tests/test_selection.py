@@ -570,7 +570,7 @@ class TestSelectorProperties:
         n = next(iter(views.values())).shape[0]
         pool_size = min(n, max(1, math.ceil(rho * n)))
         r = oracles.integer_relevance(views, targets, weights, aggregation)
-        lo, hi, _ = relevance_bounds(views, targets, weights, aggregation)
+        lo, hi = relevance_bounds(views, targets, weights, aggregation)
         assert np.all(lo <= r) and np.all(r <= hi)
         pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size)
         expected = _ranked(np.arange(n), r)[:pool_size]
@@ -591,14 +591,14 @@ class TestSelectorProperties:
         )
         durations = rng.uniform(1.0, 10.0, size=n)
         scored = []
-        fold = relevance._fold_max
+        fold = relevance.update_running_max
 
-        def counting(cands, tgts, running, eps, rows=None):
-            if tgts.shape[0] == 300:  # a target set's fold, not the seed's or the running max's
+        def counting(cands, tgts, running, *, eps, rows=None):
+            if tgts.shape[0] == 300:  # a target set's fold, not the seed's
                 scored.append(rows.size)
-            return fold(cands, tgts, running, eps, rows)
+            return fold(cands, tgts, running, eps=eps, rows=rows)
 
-        monkeypatch.setattr(relevance, "_fold_max", counting)
+        monkeypatch.setattr(relevance, "update_running_max", counting)
         cfg = SelectionConfig(alpha=0.01, rho=0.15, batch_size=100, weights=FusionWeights({"v": 1.0}))
         lazy = batched_mmr(durations, views, targets, cfg)
         assert len(scored) == 2 and scored[0] == scored[1]  # one fold per target set
@@ -611,15 +611,15 @@ class TestSelectorProperties:
         bounds and with bounds widened to -1 and 1, where every row survives
         and is folded by index. The commit buffer is one, so neither the
         pool nor the rows left to score are copied whole."""
-        bounds_of = relevance._similarity_bounds
+        bounds_of = selection.relevance_bounds
 
-        def widened(cands, sets):
-            bounds = bounds_of(cands, sets)
-            bounds[0], bounds[1] = -1.0, 1.0  # the screen's eps is kept for the fold
-            return bounds
+        def widened(*args):
+            lo, hi = bounds_of(*args)
+            lo[:], hi[:] = -1.0, 1.0
+            return lo, hi
 
         if widen:
-            monkeypatch.setattr(relevance, "_similarity_bounds", widened)
+            monkeypatch.setattr(selection, "relevance_bounds", widened)
         rng = np.random.default_rng(32)
         n, d, clusters = 40000, 128, 16
         centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))

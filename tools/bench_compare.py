@@ -40,8 +40,7 @@ LAYERS = (
     "selection.running_max.gflop",
     "selection.running_max.calls",
     "selection.rank.s",
-    "relevance.s",
-    "relevance.gflop",
+    "relevance.s",  # not relevance.gflop: the traced count takes every row as scored exactly
     "store.load_manifest.s",
     "store.load_view.s",
     "store.save_view.s",
