@@ -6,6 +6,8 @@ cluster assignment per utterance: rows are unit vectors scattered around
 per-cluster unit centers, so target-guided selection has real structure
 to find. Target datasets are drawn around single clusters (dataset m uses
 cluster m mod clusters), which makes domain-recovery behavior visible.
+Views are drawn and written a block of about 2^20 entries at a time, so memory does not
+grow with the corpus; Philox is a counter-based stream, so the bytes are those of one draw.
 """
 
 from __future__ import annotations
@@ -15,19 +17,21 @@ from pathlib import Path
 
 import numpy as np
 
+from corpus_select.errors import NonFiniteEntry
 from corpus_select.rng import generator
 from corpus_select.store import (
-    EmbeddingView,
     Manifest,
     TargetDataset,
     TargetSet,
+    _normalize_in_place,
     _normalize_rows,
+    _write_view,
     save_manifest,
     save_targets,
-    save_view,
 )
 
 _SOURCE_TAGS = ("web-a", "web-b", "podcast-c")
+_BLOCK_ENTRIES = 1 << 20  # float64 entries drawn per block of a view
 
 
 @dataclass(frozen=True)
@@ -51,21 +55,33 @@ class FixtureSpec:
             raise ValueError("need at least one view")
 
 
+def _clustered_blocks(centers: np.ndarray, assignment: np.ndarray, spread: float, rng: np.random.Generator):
+    """Unit or zero float32 rows around `centers[assignment]`, yielded `_BLOCK_ENTRIES // D` rows at a time."""
+    # spread is the expected noise norm around each unit center, so tightness does not depend on D
+    dim = centers.shape[1]
+    step = max(1, _BLOCK_ENTRIES // dim)
+    for lo in range(0, assignment.size, step):
+        rows = rng.standard_normal((min(step, assignment.size - lo), dim))
+        rows *= spread / np.sqrt(dim)
+        rows += centers[assignment[lo : lo + step]]
+        block = rows.astype(np.float32)
+        if not np.isfinite(block).all():
+            r, c = np.argwhere(~np.isfinite(block))[0]
+            raise NonFiniteEntry(lo + r, c, context="a fixture view")
+        _normalize_in_place(block)
+        yield block
+
+
 def _clustered_rows(
     centers: np.ndarray, assignment: np.ndarray, spread: float, rng: np.random.Generator
 ) -> np.ndarray:
-    # spread is the expected noise norm per vector (centers are unit), so
-    # cluster tightness does not depend on the view's dimensionality
-    dim = centers.shape[1]
-    noise = rng.standard_normal((assignment.size, dim)) * (spread / np.sqrt(dim))
-    rows = centers[assignment] + noise
-    return _normalize_rows(rows.astype(np.float32))
+    """The rows of `_clustered_blocks` as one matrix."""
+    return np.concatenate(list(_clustered_blocks(centers, assignment, spread, rng)))
 
 
 def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureSpec) -> dict:
     """Write a corpus directory and a targets directory; returns a summary."""
-    corpus_dir = Path(corpus_dir)
-    targets_dir = Path(targets_dir)
+    corpus_dir, targets_dir = Path(corpus_dir), Path(targets_dir)
     rng = generator(spec.seed, "fixture")
     n = spec.utterances
 
@@ -80,24 +96,15 @@ def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureS
     for view_name, dim in spec.view_dims.items():
         c = _normalize_rows(rng.standard_normal((spec.clusters, dim)).astype(np.float32))
         centers[view_name] = c.astype(np.float64)
-        rows = _clustered_rows(centers[view_name], cluster_of, spec.cluster_spread, rng)
-        save_view(
-            EmbeddingView(view_name, dim, rows, normalized=True),
-            corpus_dir / f"{view_name}.emb",
-        )
+        blocks = _clustered_blocks(centers[view_name], cluster_of, spec.cluster_spread, rng)
+        _write_view(corpus_dir / f"{view_name}.emb", True, n, dim, blocks)
 
     datasets = []
     target_manifests: dict[str, Manifest] = {}
     for m in range(spec.target_datasets):
         name = f"target-{m}"
-        home_cluster = m % spec.clusters
-        assignment = np.full(spec.target_rows, home_cluster)
-        views = {
-            view_name: _clustered_rows(
-                centers[view_name], assignment, spec.cluster_spread * 0.8, rng
-            )
-            for view_name in spec.view_dims
-        }
+        assignment, spread = np.full(spec.target_rows, m % spec.clusters), spec.cluster_spread * 0.8
+        views = {v: _clustered_rows(centers[v], assignment, spread, rng) for v in centers}
         datasets.append(TargetDataset(name, views))
         tdur = np.clip(rng.lognormal(mean=1.6, sigma=0.45, size=spec.target_rows), 0.5, 30.0)
         tids = [f"{name}-utt-{i:04d}" for i in range(spec.target_rows)]

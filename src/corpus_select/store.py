@@ -31,7 +31,6 @@ is treated as a single dataset named after the directory.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -40,6 +39,7 @@ import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -47,6 +47,7 @@ import numpy as np
 
 from corpus_select.errors import (
     BadMagic,
+    DataError,
     DimensionMismatch,
     DuplicateId,
     EmptyTargets,
@@ -279,8 +280,23 @@ def _atomic_bytes(path: Path, chunks) -> None:
 
 def save_view(view: EmbeddingView, path: str | Path) -> None:
     """Write a view in the EMB1 format. The write is atomic."""
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, int(view.normalized), view.row_count, view.dims)
-    _atomic_bytes(Path(path), (header, np.ascontiguousarray(view.rows, dtype="<f4")))
+    _write_view(path, view.normalized, view.row_count, view.dims, [view.rows])
+
+
+def _write_view(path: str | Path, normalized: bool, n: int, d: int, blocks) -> None:
+    """Write N x D rows from row blocks as an atomic EMB1 file; blocks that disagree with N x D leave no file."""
+    def chunks():
+        yield _HEADER.pack(MAGIC, FORMAT_VERSION, int(normalized), n, d)
+        rows = 0
+        for block in blocks:
+            if block.ndim != 2 or block.shape[1] != d or rows + block.shape[0] > n:
+                raise DimensionMismatch(f"{path}: a block of shape {block.shape} overruns the header's {n}x{d}")
+            rows += block.shape[0]
+            yield np.ascontiguousarray(block, dtype="<f4")
+        if rows != n:
+            raise DimensionMismatch(f"{path}: the header declares {n} rows but the blocks hold {rows}")
+
+    _atomic_bytes(Path(path), chunks())
 
 
 def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
@@ -348,24 +364,28 @@ def load_view(path: str | Path) -> EmbeddingView:
 
 
 _PARSE_CHUNK = 1 << 16  # bytes of whole lines per `json.loads` call in `_parse_chunks`
+_WRITE_CHUNK = 1 << 14  # lines per write in `save_manifest`
 
 
 def load_manifest(path: str | Path) -> Manifest:
     """Parse a JSON-lines manifest into columns; line order defines row order.
 
-    The bytes are parsed a chunk of lines at a time (`_parse_chunks`); on
-    any fault the per-line parser reruns over the same bytes, so a file is
-    accepted or rejected, with the same error and line, as line by line.
-    """
+    The bytes are parsed a chunk of lines at a time (`_parse_chunks`); on any
+    fault the per-line parser reruns over the same bytes, so a file is accepted
+    or rejected, with the same error and line, as line by line, and the error names the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
     _record_read(path, data)
     try:
         manifest = _parse_chunks(data)
-    except (ValueError, OverflowError, RecursionError):  # JSON, UTF-8, int-size and nesting faults
+    except (ValueError, OverflowError, RecursionError, DataError):  # JSON, UTF-8, int-size, nesting, record faults
         manifest = None
-    return manifest if manifest is not None else _parse_lines(data)
+    try:
+        return manifest if manifest is not None else _parse_lines(data)
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _parse_chunks(data: bytes) -> Manifest | None:
@@ -374,9 +394,8 @@ def _parse_chunks(data: bytes) -> Manifest | None:
     A chunk of k lines is parsed as one array with `null` in place of each
     line break. No line of the chunk contains `null`, so 2k - 1 values with
     `None` at the k - 1 odd places mean each line held exactly one value.
-    Chunks with `null` or `\r` (a line break in text mode) and any failed
-    check are left to the per-line parser.
-    """
+    Chunks with `null` or `\r` (a line break in text mode) are left to the
+    per-line parser, and so is a record that fails `_check_columns`."""
     ids, durations, datasets = [], [], []
     start = 0
     while start < len(data):
@@ -393,57 +412,71 @@ def _parse_chunks(data: bytes) -> Manifest | None:
         ids += [r.get("id") for r in records]
         durations += [r.get("duration_s") for r in records]
         datasets += [r.get("dataset") for r in records]
-    if not ({*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}):
-        return None  # so a duration is not a bool, and every id and dataset is a str
-    column, unique = np.array(durations, dtype=np.float64), set(ids)
-    if "" in unique or len(unique) != len(ids) or not (np.isfinite(column).all() and (column > 0).all()):
-        return None
-    return Manifest(ids, column, datasets)
+    return Manifest(ids, _check_columns(ids, durations, datasets), datasets)
+
+
+def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
+    """Raise the DataError of a manifest record that is not valid on `line`; else add its id to `seen`."""
+    if not isinstance(utt_id, str) or not utt_id:
+        raise MalformedLine(line, "field 'id' must be a nonempty string")
+    if isinstance(duration, bool) or not isinstance(duration, (int, float)):
+        raise MalformedLine(line, "field 'duration_s' must be a number")
+    if not isinstance(dataset, str):
+        raise MalformedLine(line, "field 'dataset' must be a string")
+    if not math.isfinite(duration) or duration <= 0:
+        raise NonPositiveDuration(duration, line)
+    if utt_id in seen:
+        raise DuplicateId(utt_id, line)
+    seen.add(utt_id)
+
+
+def _check_columns(ids: list, durations: list, datasets: list) -> np.ndarray:
+    """The float64 durations once each row i passes `_check_record` as line i + 1; the first bad row raises."""
+    if {*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}:
+        column, unique = np.array(durations, dtype=np.float64), set(ids)
+        if "" not in unique and len(unique) == len(ids) and np.isfinite(column).all() and (column > 0).all():
+            return column
+    seen: set[str] = set()
+    for line, record in enumerate(zip(ids, durations, datasets), start=1):
+        _check_record(line, *record, seen)
+    return np.array(durations, dtype=np.float64)
 
 
 def _parse_lines(data: bytes) -> Manifest:
     """Parse manifest bytes line by line, raising at the first bad line."""
-    ids: list[str] = []
-    durations: list[float] = []
-    datasets: list[str] = []
-    seen: set[str] = set()
-    # the text layer `open(path, encoding="utf-8")` would add: same newlines, same line numbers
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
-        for lineno, line in enumerate(text, start=1):
-            line = line.strip()
-            if not line:
-                raise MalformedLine(lineno, "blank line")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(lineno, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise MalformedLine(lineno, "record must be a JSON object")
-            utt_id = obj.get("id")
-            duration = obj.get("duration_s")
-            dataset = obj.get("dataset")
-            if not isinstance(utt_id, str) or not utt_id:
-                raise MalformedLine(lineno, "field 'id' must be a nonempty string")
-            if isinstance(duration, bool) or not isinstance(duration, (int, float)):
-                raise MalformedLine(lineno, "field 'duration_s' must be a number")
-            if not isinstance(dataset, str):
-                raise MalformedLine(lineno, "field 'dataset' must be a string")
-            if not math.isfinite(duration) or duration <= 0:
-                raise NonPositiveDuration(duration, lineno)
-            if utt_id in seen:
-                raise DuplicateId(utt_id, lineno)
-            seen.add(utt_id)
-            ids.append(utt_id)
-            durations.append(duration)
-            datasets.append(dataset)
+    records, seen = [], set()
+    # `bytes.splitlines` breaks lines where text mode does: at "\n", "\r\n" and "\r"
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise MalformedLine(lineno, "not valid UTF-8") from None
+        if not line:
+            raise MalformedLine(lineno, "blank line")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise MalformedLine(lineno, "record must be a JSON object")
+        records.append((obj.get("id"), obj.get("duration_s"), obj.get("dataset")))
+        _check_record(lineno, *records[-1], seen)
+    ids, durations, datasets = ([record[k] for record in records] for k in range(3))
     return Manifest(ids, np.array(durations, dtype=np.float64), datasets)
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write a manifest as JSON lines. The write is atomic."""
-    columns = zip(manifest.ids, manifest.durations.tolist(), manifest.datasets)
-    rows = ({"id": i, "duration_s": d, "dataset": t} for i, d, t in columns)
-    _atomic_bytes(Path(path), (json.dumps(row).encode("utf-8") + b"\n" for row in rows))
+    """Write a manifest as JSON lines, `_WRITE_CHUNK` lines per write. The write is atomic.
+
+    Each line is the bytes `json.dumps` gives its record. A manifest that `load_manifest`
+    would refuse raises its DataError, naming the line, and nothing is written."""
+    ids, durations, datasets = manifest.ids, manifest.durations.tolist(), manifest.datasets
+    _check_columns(ids, durations, datasets)
+    quote = json.encoder.encode_basestring_ascii
+    rows = zip(ids, durations, datasets)
+    lines = (f'{{"id": {quote(i)}, "duration_s": {d!r}, "dataset": {quote(t)}}}\n' for i, d, t in rows)
+    chunks = ("".join(islice(lines, _WRITE_CHUNK)).encode("ascii") for _ in range(0, len(ids), _WRITE_CHUNK))
+    _atomic_bytes(Path(path), chunks)
 
 
 def _view_files(directory: Path, views: Sequence[str] | None) -> list[Path]:

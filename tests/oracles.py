@@ -11,6 +11,8 @@ max with `integer_max_sim`, so it checks the prefilter's screen, the
 refresh schedule and the float32 screen of `update_running_max`.
 `normalize_rows_gather` is the
 row normalization's earlier gather-and-scatter formula.
+`clustered_rows_one_draw` is the fixture's clustered rows from one draw
+of the whole matrix, as the fixture made them before it drew by blocks.
 `plusplus_seeds_elementwise` is k-means++ seeding with the earlier
 per-seed `((x - c) ** 2).sum(axis=1)` distances.
 `fit_loss_history` exposes the probe fit's loss trajectory.
@@ -141,6 +143,13 @@ def normalize_rows_gather(rows):
                 np.float32
             )
     return out, zero_count
+
+
+def clustered_rows_one_draw(centers, assignment, spread, rng):
+    """Unit float32 rows around `centers[assignment]`, the noise drawn as one N x D matrix."""
+    dim = centers.shape[1]
+    noise = rng.standard_normal((assignment.size, dim)) * (spread / np.sqrt(dim))
+    return normalize_rows_gather((centers[assignment] + noise).astype(np.float32))[0]
 
 
 def plusplus_seeds_elementwise(x, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -207,7 +207,37 @@ class TestDataErrors:
         code = run(["stats", "--corpus", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "line 1" in captured.err
+        assert f"{tmp_path / 'manifest.jsonl'}: line 1" in captured.err
+
+    @pytest.mark.parametrize("subcommand", ["select", "stats", "probe"])
+    def test_manifest_that_is_not_utf8_exits_1_naming_the_line(self, fixture_dirs, tmp_path, capsys, subcommand):
+        """Bytes `ff fe` in place of `utt-000003` give one `error:` line naming the file and line 4."""
+        corpus, targets = fixture_dirs
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        path = bad / "manifest.jsonl"
+        path.write_bytes(path.read_bytes().replace(b"utt-000003", b"\xff\xfe"))
+        argv = {
+            "select": ["--corpus", str(bad), "--targets", str(targets), "--alpha", "0.05", "--out", str(tmp_path / "s.jsonl")],
+            "stats": ["--corpus", str(bad)],
+            "probe": ["--corpus", str(bad), "--views", "speaker,wavlm"],
+        }[subcommand]
+        assert run([subcommand, *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: line 4: not valid UTF-8"]
+
+    def test_bad_target_manifest_line_names_its_file(self, fixture_dirs, tmp_path, capsys):
+        """The duration baseline reads every target manifest; the error says which one is bad."""
+        corpus, targets = fixture_dirs
+        bad = tmp_path / "targets"
+        shutil.copytree(targets, bad)
+        path = bad / "target-1" / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(", ", " ", 1)
+        path.write_text("".join(lines))
+        argv = ["--corpus", str(corpus), "--targets", str(bad), "--method", "duration", "--alpha", "0.05"]
+        assert run(["select", *argv, "--out", str(tmp_path / "s.jsonl")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: line 3: invalid JSON (Expecting ',' delimiter)"]
 
     @pytest.mark.parametrize("subcommand", ["select", "project"])
     def test_view_flagged_normalized_with_a_non_unit_row_exits_1(self, fixture_dirs, tmp_path, capsys, subcommand):

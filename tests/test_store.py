@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from corpus_select.errors import (
     BadMagic,
+    DataError,
     DimensionMismatch,
     DuplicateId,
     MalformedLine,
@@ -98,6 +100,28 @@ class TestViewFile:
         save_view(loaded, b)
         assert a.read_bytes() == b.read_bytes()
         np.testing.assert_array_equal(loaded.rows, view.rows)
+
+    def test_blocks_write_the_bytes_of_one_view(self, tmp_path, rng):
+        rows = rng.standard_normal((10, 3)).astype(np.float32)
+        save_view(EmbeddingView("x", 3, rows), tmp_path / "one.emb")
+        store._write_view(tmp_path / "blocks.emb", False, 10, 3, [rows[:4], rows[4:4], rows[4:]])
+        assert (tmp_path / "blocks.emb").read_bytes() == (tmp_path / "one.emb").read_bytes()
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ([(4, 3), (5, 3)], "declares 10 rows but the blocks hold 9"),
+            ([(4, 3), (7, 3)], "a block of shape (7, 3) overruns the header's 10x3"),
+            ([(4, 3), (6, 2)], "a block of shape (6, 2) overruns"),
+            ([(10,)], "a block of shape (10,) overruns"),
+        ],
+        ids=["short", "long", "narrow", "flat"],
+    )
+    def test_blocks_that_disagree_with_the_header_leave_no_file(self, tmp_path, shapes, message):
+        path = tmp_path / "v.emb"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            store._write_view(path, False, 10, 3, (np.zeros(shape, np.float32) for shape in shapes))
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_normalizes_by_default(self, tmp_path, rng):
         path = tmp_path / "v.emb"
@@ -425,6 +449,80 @@ class TestManifest:
         with pytest.raises(MalformedLine) as err:
             load_manifest(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("lineno", [4, 2500])
+    def test_invalid_utf8_is_a_malformed_line(self, tmp_path, lineno):
+        """Bytes that are not UTF-8 are refused at their line, in the first chunk or a later one."""
+        lines = canonical_lines(3000)
+        path = tmp_path / "manifest.jsonl"
+        data = ("\n".join(lines) + "\n").encode()
+        path.write_bytes(data.replace(lines[lineno - 1].encode(), lines[lineno - 1].encode().replace(b"utt", b"\xff\xfe")))
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(path)
+        assert err.value.line == lineno
+        assert str(err.value) == f"{path}: line {lineno}: not valid UTF-8"
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("not json", "line 3: invalid JSON (Expecting value)"),
+            ('{"id": "utt-00000", "duration_s": 1.0, "dataset": "a"}', "duplicate utterance id 'utt-00000' on line 3"),
+        ],
+    )
+    def test_errors_name_the_file(self, tmp_path, line, error):
+        lines = canonical_lines(5)
+        lines[2] = line
+        path = self.write(tmp_path, lines)
+        with pytest.raises(DataError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["plain", 'quo"te', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "señal-音", "astral-\U0001f600", "null"],
+    )
+    @pytest.mark.parametrize("duration", [0.1, 3, 1e16, 1e-300, 5e-324])
+    def test_save_writes_the_bytes_of_json_dumps(self, tmp_path, text, duration):
+        """Each line is `json.dumps` of its record, for escaped, non-ASCII and astral text."""
+        manifest = Manifest([text, text + "-2", "u"], [duration, 2.5, duration], ["a", text, text])
+        path = tmp_path / "manifest.jsonl"
+        save_manifest(manifest, path)
+        records = zip(manifest.ids, manifest.durations.tolist(), manifest.datasets)
+        want = "".join(json.dumps({"id": i, "duration_s": d, "dataset": t}) + "\n" for i, d, t in records)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_save_writes_many_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store, "_WRITE_CHUNK", 7)
+        path = self.write(tmp_path, canonical_lines(50))
+        save_manifest(load_manifest(path), tmp_path / "copy.jsonl")
+        assert (tmp_path / "copy.jsonl").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(("u2", float("nan"), "a"), id="nan"),
+            pytest.param(("u2", float("inf"), "a"), id="inf"),
+            pytest.param(("u2", 0.0, "a"), id="zero"),
+            pytest.param(("u2", -1.5, "a"), id="negative"),
+            pytest.param((7, 1.0, "a"), id="int-id"),
+            pytest.param((None, 1.0, "a"), id="no-id"),
+            pytest.param(("", 1.0, "a"), id="empty-id"),
+            pytest.param(("u2", 1.0, 3), id="int-dataset"),
+            pytest.param(("u0", 1.0, "a"), id="duplicate-id"),
+        ],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, row):
+        """The error `load_manifest` gives for the line `json.dumps` would write, and no file."""
+        records = [("u0", 1.0, "a"), ("u1", 2.0, "a"), row, ("u3", 3.0, "b")]
+        dumped = self.write(tmp_path, [json.dumps({"id": i, "duration_s": d, "dataset": t}) for i, d, t in records])
+        with pytest.raises(DataError) as load_err:
+            load_manifest(dumped)
+        out = tmp_path / "out" / "manifest.jsonl"
+        with pytest.raises(type(load_err.value)) as save_err:
+            save_manifest(Manifest(*map(list, zip(*records))), out)
+        assert f"{dumped}: {save_err.value}" == str(load_err.value)
+        assert "line 3" in str(save_err.value)
+        assert not out.parent.exists()
 
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -11,13 +11,13 @@ goes first alternating from seed to seed; each `--trace-seeds` seed adds
 one traced run (`--trace 1`) per side for the per-layer numbers. The
 BENCH file gives, per workload, every end-to-end metric as each side's
 median and quartiles over seeds, the change's wins out of the pairs, the
-traced running-max, ranking, relevance, load, projection and compaction
-layers (with the k-means iteration count; `null` where a traced run has
-no such layer), the pick digests of both sides, whether the pick and
+traced running-max, ranking, relevance, load, projection, compaction
+and fixture layers (with the k-means iteration count; `null` where a
+traced run has no such layer), the pick digests of both sides, whether the pick and
 output digests agree on every seed, each side's `wc -l
 src/corpus_select/*.py` and the numeric environment of the host. Per
-workload it prints the `wall_s`, `cpu_s` and `peak_rss_mb` medians of
-both sides, the change's median over the base's, and its wins. It exits
+workload it prints the `wall_s`, `cpu_s`, `peak_rss_mb` and `setup_s`
+medians of both sides, the change's median over the base's, and its wins. It exits
 1, after writing the BENCH file, when the picks or outputs of the two
 sides differ on any workload.
 """
@@ -47,6 +47,7 @@ LAYERS = (
     "compaction.compact_targets.s",
     "compaction.iterations",
     "projection.project_view.s",
+    "fixture.make_fixture.s",
 )
 END_TO_END = {
     "wall_s": "lower",
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     for name, w in bench["workloads"].items():
         parts = []
-        for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+        for key in ("wall_s", "cpu_s", "peak_rss_mb", "setup_s"):
             m = w["end_to_end"][key]
             parts.append(
                 f"{key} {m['base']['median']:.3f} -> {m['change']['median']:.3f} "
