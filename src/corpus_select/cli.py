@@ -3,15 +3,16 @@
 Subcommands: project, audit, compact-targets, select, probe, stats. Every
 numeric flag is range-validated at parse time, before any data is loaded.
 Exit codes: 0 success, 1 data errors (with file/line context), 2 usage
-errors (naming the offending flag). Output files are written to a temp
-file and atomically renamed. Each run that writes files gets a JSON run
-manifest sidecar (`run.json` in its `--out` directory, else
-`<output>.run.json`): the fully resolved configuration, keyed by each
-flag's `dest`, per-phase wall-clock times, and the digests that
-`store.recorded_files` took of the bytes the run read and wrote. With
-`--replay <run.json>`, project, compact-targets and select re-run from
-the manifest and check what they wrote; audit and probe write no file,
-so they leave no manifest to replay.
+errors (naming the offending flag, also a flag of the other `stats`
+mode: a summary takes only `--corpus`, `--make-fixture` every other
+flag). Output files are written to a temp file and atomically renamed.
+Each run that writes files gets a JSON run manifest sidecar (`run.json`
+in its `--out` directory, else `<output>.run.json`): the fully resolved
+configuration, keyed by each flag's `dest`, per-phase wall-clock times,
+and the digests that `store.recorded_files` took of the bytes the run
+read and wrote. With `--replay <run.json>`, project, compact-targets and
+select re-run from the manifest and check what they wrote; audit and
+probe write no file, so they leave no manifest to replay.
 A replay is a run whose flags come from the manifest: each recorded key
 is rendered back into its flag and parsed again, so a bad value exits 2
 naming its flag before any input is read. Any other flag given with
@@ -536,11 +537,11 @@ def run(argv: list[str]) -> int:
     parser, (subparsers, required) = _build_parser()
     try:
         args = parser.parse_args(argv)
+        sub, own = subparsers[args.subcommand], argv[argv.index(args.subcommand) + 1 :]
         replay_manifest = None
         replay_path = getattr(args, "replay", None)
         if replay_path is not None:
-            sub = subparsers[args.subcommand]
-            given = _flags_given(sub, argv[argv.index(args.subcommand) + 1 :])
+            given = _flags_given(sub, own)
             if given:
                 raise UsageError(f"--replay takes its flags from the manifest; drop {', '.join(given)}")
             replay_manifest = _replay_manifest(Path(replay_path))
@@ -548,6 +549,11 @@ def run(argv: list[str]) -> int:
             if recorded != args.subcommand:
                 raise UsageError(f"--replay manifest records subcommand {recorded!r}, not {args.subcommand!r}")
             args = parser.parse_args([args.subcommand, *_config_argv(sub, replay_manifest["config"])])
+        if args.subcommand == "stats":  # a summary takes --corpus alone, a fixture every other flag
+            stray = [flag for flag in _flags_given(sub, own) if (flag == "--corpus") == args.make_fixture]
+            if stray:
+                mode = "with" if args.make_fixture else "without"
+                raise UsageError(f"stats {mode} --make-fixture does not take {', '.join(stray)}")
         config = _config_from_args(args, required)
         if replay_manifest is not None:
             _verify_replay_inputs(replay_manifest)

@@ -6,8 +6,10 @@ cluster assignment per utterance: rows are unit vectors scattered around
 per-cluster unit centers, so target-guided selection has real structure
 to find. Target datasets are drawn around single clusters (dataset m uses
 cluster m mod clusters), which makes domain-recovery behavior visible.
-Views are drawn and written a block of about 2^20 entries at a time, so memory does not
-grow with the corpus; Philox is a counter-based stream, so the bytes are those of one draw.
+Every view, corpus and target alike, is drawn and written a block of about
+2^20 entries at a time (`_clustered_blocks` into `store._write_view`), so
+memory does not grow with the corpus or the target sets; Philox is a
+counter-based stream, so the bytes are those of one draw.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ import numpy as np
 
 from corpus_select.errors import NonFiniteEntry
 from corpus_select.rng import generator
-from corpus_select.store import (
-    Manifest,
-    TargetDataset,
-    TargetSet,
-    _normalize_in_place,
-    _normalize_rows,
-    _write_view,
-    save_manifest,
-    save_targets,
-)
+from corpus_select.store import Manifest, _normalize_in_place, _normalize_rows, _write_view, save_manifest
 
 _SOURCE_TAGS = ("web-a", "web-b", "podcast-c")
 _BLOCK_ENTRIES = 1 << 20  # float64 entries drawn per block of a view
@@ -72,13 +65,6 @@ def _clustered_blocks(centers: np.ndarray, assignment: np.ndarray, spread: float
         yield block
 
 
-def _clustered_rows(
-    centers: np.ndarray, assignment: np.ndarray, spread: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The rows of `_clustered_blocks` as one matrix."""
-    return np.concatenate(list(_clustered_blocks(centers, assignment, spread, rng)))
-
-
 def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureSpec) -> dict:
     """Write a corpus directory and a targets directory; returns a summary."""
     corpus_dir, targets_dir = Path(corpus_dir), Path(targets_dir)
@@ -99,27 +85,22 @@ def make_fixture(corpus_dir: str | Path, targets_dir: str | Path, spec: FixtureS
         blocks = _clustered_blocks(centers[view_name], cluster_of, spec.cluster_spread, rng)
         _write_view(corpus_dir / f"{view_name}.emb", True, n, dim, blocks)
 
-    datasets = []
-    target_manifests: dict[str, Manifest] = {}
-    for m in range(spec.target_datasets):
-        name = f"target-{m}"
-        assignment, spread = np.full(spec.target_rows, m % spec.clusters), spec.cluster_spread * 0.8
-        views = {v: _clustered_rows(centers[v], assignment, spread, rng) for v in centers}
-        datasets.append(TargetDataset(name, views))
+    names = [f"target-{m}" for m in range(spec.target_datasets)]
+    for m, name in enumerate(names):
+        assignment = np.full(spec.target_rows, m % spec.clusters)
+        for view_name, c in centers.items():
+            blocks = _clustered_blocks(c, assignment, spec.cluster_spread * 0.8, rng)
+            _write_view(targets_dir / name / f"{view_name}.emb", True, spec.target_rows, c.shape[1], blocks)
         tdur = np.clip(rng.lognormal(mean=1.6, sigma=0.45, size=spec.target_rows), 0.5, 30.0)
         tids = [f"{name}-utt-{i:04d}" for i in range(spec.target_rows)]
-        target_manifests[name] = Manifest(tids, tdur, [name] * spec.target_rows)
-
-    save_targets(TargetSet(datasets), targets_dir)
-    for name, manifest in target_manifests.items():
-        save_manifest(manifest, targets_dir / name / "manifest.jsonl")
+        save_manifest(Manifest(tids, tdur, [name] * spec.target_rows), targets_dir / name / "manifest.jsonl")
 
     return {
         "utterances": n,
         "total_duration_s": float(durations.sum()),
         "views": dict(spec.view_dims),
         "clusters": spec.clusters,
-        "target_datasets": [ds.name for ds in datasets],
+        "target_datasets": names,
         "target_rows": spec.target_rows,
         "seed": spec.seed,
     }

@@ -14,8 +14,11 @@ per-dataset target matrices, and relevance, its bounds and both
 selectors take their matrices from them. A single target dataset is a
 one-dataset `TargetSet`.
 
-Rows are assumed unit-L2 (or zero), so cosine is a plain dot product and
-a zero row scores 0 against everything. A score is exact on a grid:
+Rows are float32 and assumed unit-L2 (or zero), so cosine is a plain dot
+product and a zero row scores 0 against everything. Candidates are cast
+to float32 where they enter (`weighted_views`, `_checked`,
+`update_running_max`), as `TargetDataset` casts targets, so rows of any
+other dtype score as their float32 cast. A score is exact on a grid:
 both rows are rounded to integers at scale 2^26 (`to_grid`, a grid of
 step 2^-26), and their dot product is an integer sum. For rows of norm
 at most c and t, every product and partial sum is below
@@ -42,8 +45,8 @@ and target row norms, the exact score therefore lies within
 
     eps = gamma_D c t + 2^-27 sqrt(D) (c + t) + D 2^-54
 
-of the float32 row max (plus the float32 cast error of inputs that are
-not float32, and a slack term for underflow and float64 rounding).
+of the float32 row max (plus a slack term for underflow and float64
+rounding).
 
 `relevance_bounds` widens the screen's row max by eps: the bounds a - eps
 and a + eps are rounded outward in float64 and clipped like exact
@@ -221,16 +224,15 @@ def max_similarity(candidates, targets, *, rows=None) -> np.ndarray:
     those indices, read a tile at a time.
     """
     cands, (tgts,) = _checked(candidates, [targets])
-    casts = (cands.dtype != np.float32) + (tgts.dtype != np.float32)
-    eps = _screen_eps(cands.shape[1], _max_norm(cands, rows), _max_norm(tgts), casts)
+    eps = _screen_eps(cands.shape[1], _max_norm(cands, rows), _max_norm(tgts))
     out = np.full(cands.shape[0] if rows is None else rows.size, -np.inf)
     update_running_max(cands, tgts, out, eps=eps, rows=rows)
     return out
 
 
 def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
-    cands = np.asarray(candidates)
-    sets = [np.asarray(t) for t in target_sets]
+    cands = np.asarray(candidates, np.float32)
+    sets = [np.asarray(t, np.float32) for t in target_sets]
     for tgts in sets:
         if tgts.ndim != 2 or tgts.shape[0] == 0:
             raise EmptyTargets("target matrix has no rows")
@@ -244,20 +246,18 @@ def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
 def _blocked_max(cands: np.ndarray, rows, sets: list[np.ndarray], reduce=None) -> np.ndarray:
     """Per-candidate float32 max of `cands[rows] @ targets.T` for each target matrix: (sets, n).
 
-    The candidates are the rows of `cands`, or those at `rows`; each tile
-    of them, and each target matrix, is cast to float32 for the GEMM.
-    Each tile's row max is `sims.max(axis=1)`, or `reduce(sims, clo, tlo)`
-    when given: `sims` is the tile whose first candidate and target rows
-    are clo and tlo.
+    The candidates are the float32 rows of `cands`, or those at `rows`,
+    and the target matrices are float32. Each tile's row max is
+    `sims.max(axis=1)`, or `reduce(sims, clo, tlo)` when given: `sims` is
+    the tile whose first candidate and target rows are clo and tlo.
     """
     n = cands.shape[0] if rows is None else rows.size
-    sets = [np.asarray(t, np.float32) for t in sets]
     result = np.full((len(sets), n), -np.inf, dtype=np.float32)
     width = min(_TILE_TARGETS, max(t.shape[0] for t in sets))
     buf = np.empty(min(_TILE_ROWS, n) * width, dtype=np.float32)
     for clo in range(0, n, _TILE_ROWS):
         part = slice(clo, min(clo + _TILE_ROWS, n))
-        cb = np.asarray(cands[part if rows is None else rows[part]], np.float32)
+        cb = cands[part if rows is None else rows[part]]
         for best, tgts in zip(result[:, part], sets):
             for tlo in range(0, tgts.shape[0], _TILE_TARGETS):
                 tt = tgts[tlo : tlo + _TILE_TARGETS]
@@ -269,9 +269,9 @@ def _blocked_max(cands: np.ndarray, rows, sets: list[np.ndarray], reduce=None) -
 
 
 def _max_norm(mat: np.ndarray, rows=None) -> float:
-    """An upper bound on the largest norm among the rows of `mat` (those at `rows`, read a tile at a time).
+    """An upper bound on the largest norm among the float32 rows of `mat` (those at `rows`, read a tile at a time).
 
-    float32 rows are summed in float32: a row's squared norm is at most
+    The rows are summed in float32: a row's squared norm is at most
     (s + D 2^-126) / (1 - gamma_D) for its sum s (Higham, with underflow),
     and 1 - 3 D u < 1 - gamma_D also covers the float64 rounding here.
     NaN rows give NaN.
@@ -279,18 +279,16 @@ def _max_norm(mat: np.ndarray, rows=None) -> float:
     if rows is not None:
         tiles = (mat[rows[lo : lo + _TILE_ROWS]] for lo in range(0, rows.size, _TILE_ROWS))
         return float(np.max([0.0, *map(_max_norm, tiles)]))  # np.max keeps a NaN, max() may not
-    if mat.dtype != np.float32:
-        return math.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64).max(initial=0.0))
     s, d = float(np.einsum("ij,ij->i", mat, mat).max(initial=0.0)), mat.shape[1]
     return math.sqrt((s + d * 2.0**-126) / (1.0 - 3.0 * d * 2.0**-24))
 
 
-def _screen_eps(d: int, c: float, t: float, casts: int) -> float:
+def _screen_eps(d: int, c: float, t: float) -> float:
     """How far a float32 GEMM score may be from the exact one (module docstring).
 
-    c and t bound the row norms of the two operands, and `casts` counts
-    those that are not float32. Raises NonUnitRow where grid products of
-    such rows could reach 2^53, NaN norms included.
+    c and t bound the row norms of the two float32 operands. Raises
+    NonUnitRow where grid products of such rows could reach 2^53, NaN
+    norms included.
     """
     half = math.sqrt(d) / 2.0
     if not (_GRID * c + half) * (_GRID * t + half) < 2.0**53:
@@ -300,17 +298,14 @@ def _screen_eps(d: int, c: float, t: float, casts: int) -> float:
         )
     gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
     eps = gamma * c * t + 2.0**-27 * math.sqrt(d) * (c + t) + d * 2.0**-54
-    # inputs that are not float32 are cast: at most 2^-24 c t per side,
-    # doubled to cover what the cast does to the norms in the terms above
-    eps += 2.0**-23 * c * t * casts
     # underflow in the float32 GEMM, and float64 rounding in the fold and in eps
     return eps + d * 2.0**-50 * (1.0 + c) * (1.0 + t)
 
 
 def running_max_eps(mat: np.ndarray, rows: np.ndarray | None = None) -> float:
-    """`update_running_max`'s `eps` among the rows of `mat` (those at `rows`, read a tile at a time)."""
+    """`update_running_max`'s `eps` among the float32 rows of `mat` (those at `rows`, read a tile at a time)."""
     c = _max_norm(mat, rows)
-    return _screen_eps(mat.shape[1], c, c, 2 * (mat.dtype != np.float32))
+    return _screen_eps(mat.shape[1], c, c)
 
 
 def _floor32(a: np.ndarray, eps: float) -> np.ndarray:
@@ -336,13 +331,14 @@ def update_running_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray,
     """Fold each candidate's exact max similarity against `tgts` into `running`, in place.
 
     The candidates are the rows of `cands`, or those at `rows`, read a
-    tile at a time. `running` ends bit for bit as `np.maximum(running,
-    max_similarity(cands, tgts, rows=rows))` would leave it: only the
-    pairs that the float32 screen cannot rule out are scored exactly
-    (module docstring), and `eps` bounds the screen's error on these
-    operands (`running_max_eps`). The batched selector folds in each
+    tile at a time; both operands are cast to float32. `running` ends bit
+    for bit as `np.maximum(running, max_similarity(cands, tgts,
+    rows=rows))` would leave it: only the pairs that the float32 screen
+    cannot rule out are scored exactly (module docstring), and `eps`
+    bounds the screen's error on these operands (`running_max_eps`). The batched selector folds in each
     commit segment with it; `max_similarity` folds from -inf.
     """
+    cands, tgts = np.asarray(cands, np.float32), np.asarray(tgts, np.float32)
     at = (lambda k: k) if rows is None else rows.__getitem__
 
     def reduce(sims, clo, tlo):
@@ -367,13 +363,14 @@ def weighted_views(
     """Each weighted view's candidate matrix, in weight order.
 
     The one check on views before scoring: every weighted view must be
-    present, and all must have the same row count, `n` when given.
+    present, and all must have the same row count, `n` when given. Each
+    matrix is cast to float32 (a float32 one is taken as it is).
     """
     mats = {}
     for name in weights.names:
         if name not in views:
             raise MissingView(f"candidates are missing weighted view {name!r}")
-        mats[name] = mat = views[name]
+        mats[name] = mat = np.asarray(views[name], np.float32)
         n = mat.shape[0] if n is None else n
         if mat.shape[0] != n:
             raise DimensionMismatch(f"view {name!r} has {mat.shape[0]} rows, expected {n}")
@@ -452,8 +449,7 @@ def relevance_bounds(
     for name, mat in mats.items():
         cands, tsets = _checked(mat, sets[name])
         c, d = _max_norm(cands), cands.shape[1]
-        casts = [(cands.dtype != np.float32) + (t.dtype != np.float32) for t in tsets]
-        eps = np.array([[_screen_eps(d, c, _max_norm(t), k)] for t, k in zip(tsets, casts)])
+        eps = np.array([[_screen_eps(d, c, _max_norm(t))] for t in tsets])
         a = _blocked_max(cands, None, tsets).astype(np.float64)
         b = np.stack([np.nextafter(a - eps, -np.inf), np.nextafter(a + eps, np.inf)])
         bounds[name] = np.clip(b, -1.0, 1.0, out=b)

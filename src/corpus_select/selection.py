@@ -41,7 +41,9 @@ raises MissingView, and one whose row count is not the candidate count
 `greedy_mmr_exact`) raises DimensionMismatch.
 
 `random_baseline` and `duration_baseline` fill the same budget with a
-seeded shuffle and with a target-duration-distribution match.
+seeded shuffle and with a target-duration-distribution match. Both are
+one fill (`_fill`) of seeded per-bin shuffles: the random baseline is
+its one-bin case.
 
 Everything here is deterministic: ties break toward the lower candidate
 index, the batched selector contains no randomness at all, and the
@@ -130,9 +132,6 @@ class SelectionResult:
     @property
     def indices(self) -> np.ndarray:
         return np.array([p.index for p in self.picks], dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.picks)
 
 
 def _ranked(indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -351,25 +350,23 @@ def batched_mmr(
         return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
 
 
-def random_baseline(durations: np.ndarray, alpha: float, seed: int) -> SelectionResult:
-    """Seeded uniform shuffle, taking the prefix that fills the budget."""
+def _budget(durations: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The durations as float64 and the budget alpha * total duration."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     d = np.asarray(durations, dtype=np.float64)
-    n = d.shape[0]
-    if n == 0:
+    if d.shape[0] == 0:
         raise EmptyCorpus("no candidates to select from")
-    budget = alpha * float(d.sum())
-    perm = generator(seed, "baseline").permutation(n)
-    picks: list[Pick] = []
-    total = 0.0
-    for idx in perm:
-        idx = int(idx)
-        total += float(d[idx])
-        picks.append(Pick(len(picks) + 1, idx, 0.0, 0.0, 0.0, total))
-        if total >= budget:
-            break
-    return SelectionResult(picks, budget, total, pool_size=n, rounds=0, exhausted=total < budget)
+    return d, alpha * float(d.sum())
+
+
+def random_baseline(durations: np.ndarray, alpha: float, seed: int) -> SelectionResult:
+    """Seeded uniform shuffle, taking the prefix that fills the budget.
+
+    This is `duration_baseline`'s fill with one bin, which holds every row.
+    """
+    d, budget = _budget(durations, alpha)
+    return _fill(d, budget, np.zeros(d.shape[0], dtype=np.int64), np.ones(1), seed)
 
 
 def duration_baseline(
@@ -388,98 +385,55 @@ def duration_baseline(
     to the nearest bin with rows left (ties toward the lower bin). With
     bins=1 this reduces to `random_baseline` under the same seed.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    d = np.asarray(durations, dtype=np.float64)
-    n = d.shape[0]
-    if n == 0:
-        raise EmptyCorpus("no candidates to select from")
+    d, budget = _budget(durations, alpha)
     t = np.asarray(target_durations, dtype=np.float64)
     if t.size == 0:
         raise EmptyTargets("duration baseline needs target durations")
 
-    budget = alpha * float(d.sum())
-    edges = np.quantile(t, np.linspace(0.0, 1.0, bins + 1))
-    inner = edges[1:-1]
+    inner = np.quantile(t, np.linspace(0.0, 1.0, bins + 1))[1:-1]
     # left-closed bins: ties in the quantile edges keep items equal to a
     # point-mass target in that bin rather than lumping everything above it
-    target_bin = np.searchsorted(inner, t, side="left")
-    source_bin = np.searchsorted(inner, d, side="left")
-
     mass = np.zeros(bins, dtype=np.float64)
-    np.add.at(mass, target_bin, t)
-    mass /= mass.sum()
-    alloc = budget * mass
+    np.add.at(mass, np.searchsorted(inner, t, side="left"), t)
+    return _fill(d, budget, np.searchsorted(inner, d, side="left"), mass / mass.sum(), seed)
 
+
+def _fill(d: np.ndarray, budget: float, source_bin: np.ndarray, mass: np.ndarray, seed: int) -> SelectionResult:
+    """Spend `budget * mass[q]` on bin q's rows, drawn by seeded shuffle.
+
+    Bins are filled in order, each until its share is met or it runs out.
+    Then each bin's shortfall is drawn from the nearest bins with rows
+    left (ties toward the lower bin), and float crumbs of the split from
+    the lowest bins with rows left, until the budget is met.
+    """
     rng = generator(seed, "baseline")
-    queues: dict[int, np.ndarray] = {}
-    cursors: dict[int, int] = {}
-    for q in range(bins):
-        members = np.flatnonzero(source_bin == q)
-        if members.size:
-            queues[q] = rng.permutation(members)
-            cursors[q] = 0
+    queues = [iter(rng.permutation(np.flatnonzero(source_bin == q))) for q in range(mass.size)]
+    picks: list[Pick] = []
 
-    picked: list[int] = []
-    total = 0.0
+    def spent() -> float:
+        return picks[-1].cumulative_duration_s if picks else 0.0
 
-    def _take_from(q: int) -> float | None:
-        cur = cursors.get(q)
-        if cur is None or cur >= queues[q].size:
+    def draw(q: int) -> float | None:
+        """Pick bin q's next row and return its duration, or None if the bin has run out."""
+        idx = next(queues[q], None)
+        if idx is None:
             return None
-        idx = int(queues[q][cur])
-        cursors[q] = cur + 1
-        picked.append(idx)
+        picks.append(Pick(len(picks) + 1, int(idx), 0.0, 0.0, 0.0, spent() + float(d[idx])))
         return float(d[idx])
 
-    shortfall = np.zeros(bins, dtype=np.float64)
-    for q in range(bins):
+    shortfall = []
+    for q, share in enumerate(budget * mass):
         got = 0.0
-        while got < alloc[q]:
-            dur = _take_from(q)
-            if dur is None:
-                break
+        while got < share and (dur := draw(q)) is not None:
             got += dur
-            total += dur
-        shortfall[q] = max(alloc[q] - got, 0.0)
-
-    def _spill_order(q: int):
-        for dist in range(1, bins):
-            if q - dist >= 0:
-                yield q - dist
-            if q + dist < bins:
-                yield q + dist
-
-    for q in range(bins):
-        need = shortfall[q]
-        if need <= 1e-12:
-            continue
-        for nb in _spill_order(q):
-            while need > 1e-12:
-                dur = _take_from(nb)
-                if dur is None:
-                    break
+        shortfall.append(max(share - got, 0.0))
+    for q, need in enumerate(shortfall):
+        for nb in sorted((b for b in range(mass.size) if b != q), key=lambda b: (abs(b - q), b)):
+            while need > 1e-12 and (dur := draw(nb)) is not None:
                 need -= dur
-                total += dur
-            if need <= 1e-12:
-                break
-
-    # guard against float crumbs in the allocation split
-    scan = 0
-    while total < budget and scan < bins:
-        dur = _take_from(scan)
-        if dur is None:
-            scan += 1
-            continue
-        total += dur
-
-    picks = []
-    cum = 0.0
-    for rank, idx in enumerate(picked, start=1):
-        cum += float(d[idx])
-        picks.append(Pick(rank, idx, 0.0, 0.0, 0.0, cum))
-    return SelectionResult(
-        picks, budget, total, pool_size=n, rounds=0, exhausted=total < budget
-    )
+    for q in range(mass.size):
+        while spent() < budget and draw(q) is not None:
+            pass
+    return SelectionResult(picks, budget, spent(), pool_size=d.shape[0], rounds=0, exhausted=spent() < budget)

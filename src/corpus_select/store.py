@@ -37,7 +37,7 @@ import os
 import secrets
 import struct
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -155,7 +155,11 @@ class Manifest:
     datasets: list[str]
 
     def __post_init__(self):
-        self.durations = np.asarray(self.durations, dtype=np.float64)
+        try:
+            self.durations = np.asarray(self.durations, dtype=np.float64)
+        except OverflowError:  # an int beyond float range: the row check raises at the first bad line
+            _check_columns(self.ids, list(self.durations), self.datasets)
+            raise
         if self.durations.ndim != 1 or not len(self.ids) == len(self.durations) == len(self.datasets):
             raise DimensionMismatch(
                 f"manifest columns disagree: {len(self.ids)} ids, durations of shape "
@@ -185,9 +189,6 @@ class CorpusManifest:
     def __post_init__(self):
         _check_row_counts(len(self.manifest), {name: rows.shape[0] for name, rows in self.views.items()})
 
-    def __len__(self) -> int:
-        return len(self.manifest)
-
 
 @dataclass
 class TargetDataset:
@@ -212,9 +213,6 @@ class TargetSet:
     """Ordered target datasets."""
 
     datasets: list[TargetDataset]
-
-    def __len__(self) -> int:
-        return len(self.datasets)
 
 
 _recording: list[dict[str, dict]] = []  # the logs of the open recorded_files() blocks
@@ -423,7 +421,11 @@ def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
         raise MalformedLine(line, "field 'duration_s' must be a number")
     if not isinstance(dataset, str):
         raise MalformedLine(line, "field 'dataset' must be a string")
-    if not math.isfinite(duration) or duration <= 0:
+    try:
+        seconds = float(duration)
+    except OverflowError:  # an int beyond float range
+        raise MalformedLine(line, "field 'duration_s' is beyond float range") from None
+    if not math.isfinite(seconds) or seconds <= 0:
         raise NonPositiveDuration(duration, line)
     if utt_id in seen:
         raise DuplicateId(utt_id, line)
@@ -432,10 +434,11 @@ def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
 
 def _check_columns(ids: list, durations: list, datasets: list) -> np.ndarray:
     """The float64 durations once each row i passes `_check_record` as line i + 1; the first bad row raises."""
-    if {*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}:
-        column, unique = np.array(durations, dtype=np.float64), set(ids)
-        if "" not in unique and len(unique) == len(ids) and np.isfinite(column).all() and (column > 0).all():
-            return column
+    with suppress(OverflowError):  # an int beyond float range: the row check names its line
+        if {*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}:
+            column, unique = np.array(durations, dtype=np.float64), set(ids)
+            if "" not in unique and len(unique) == len(ids) and np.isfinite(column).all() and (column > 0).all():
+                return column
     seen: set[str] = set()
     for line, record in enumerate(zip(ids, durations, datasets), start=1):
         _check_record(line, *record, seen)
@@ -455,8 +458,8 @@ def _parse_lines(data: bytes) -> Manifest:
             raise MalformedLine(lineno, "blank line")
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(lineno, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # not JSON, an int of too many digits, deep nesting
+            raise MalformedLine(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise MalformedLine(lineno, "record must be a JSON object")
         records.append((obj.get("id"), obj.get("duration_s"), obj.get("dataset")))

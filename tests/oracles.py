@@ -15,6 +15,8 @@ row normalization's earlier gather-and-scatter formula.
 of the whole matrix, as the fixture made them before it drew by blocks.
 `plusplus_seeds_elementwise` is k-means++ seeding with the earlier
 per-seed `((x - c) ** 2).sum(axis=1)` distances.
+`random_baseline_loop` is the random baseline's own prefix loop, from
+before it became the one-bin case of the duration baseline's fill.
 `fit_loss_history` exposes the probe fit's loss trajectory.
 """
 
@@ -249,6 +251,20 @@ def eager_batched_mmr(
             np.maximum(vmax[name], batch, out=vmax[name])
 
     return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
+
+
+def random_baseline_loop(durations, alpha: float, seed: int) -> SelectionResult:
+    """The shuffle's prefix that fills alpha * total duration, the first pick taken before any budget test."""
+    d = np.asarray(durations, dtype=np.float64)
+    budget = alpha * float(d.sum())
+    picks: list[Pick] = []
+    total = 0.0
+    for idx in generator(seed, "baseline").permutation(d.shape[0]):
+        total += float(d[idx])
+        picks.append(Pick(len(picks) + 1, int(idx), 0.0, 0.0, 0.0, total))
+        if total >= budget:
+            break
+    return SelectionResult(picks, budget, total, pool_size=d.shape[0], rounds=0, exhausted=total < budget)
 
 
 def fit_loss_history(source, labels, cfg) -> list[float]:

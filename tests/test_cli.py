@@ -225,6 +225,25 @@ class TestDataErrors:
         assert run([subcommand, *argv]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: line 4: not valid UTF-8"]
 
+    @pytest.mark.parametrize("subcommand", ["select", "stats"])
+    def test_duration_beyond_float_range_exits_1_naming_the_line(self, fixture_dirs, tmp_path, capsys, subcommand):
+        """A duration written as 1 and 400 zeros gives one `error:` line naming the file and line 3, and no output."""
+        corpus, targets = fixture_dirs
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        path = bad / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = '{"id": "a", "duration_s": 1' + "0" * 400 + ', "dataset": "x"}\n'
+        path.write_text("".join(lines))
+        out = tmp_path / "s.jsonl"
+        argv = {
+            "select": ["--corpus", str(bad), "--targets", str(targets), "--alpha", "0.05", "--out", str(out)],
+            "stats": ["--corpus", str(bad)],
+        }[subcommand]
+        assert run([subcommand, *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: line 3: field 'duration_s' is beyond float range"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
     def test_bad_target_manifest_line_names_its_file(self, fixture_dirs, tmp_path, capsys):
         """The duration baseline reads every target manifest; the error says which one is bad."""
         corpus, targets = fixture_dirs
@@ -292,6 +311,25 @@ class TestStats:
         assert "total-hours:" in out
         assert "speaker  48 dims" in out and "wavlm  48 dims" in out
         assert "web-a" in out
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--utterances", "7", "--spread", "3", "--out", "x"],
+                "stats without --make-fixture does not take --out, --utterances, --spread",
+            ),
+            (["--make-fixture", "--out", "x", "--targets-out", "y"], "stats with --make-fixture does not take --corpus"),
+        ],
+        ids=["summary", "make-fixture"],
+    )
+    def test_flags_of_the_other_mode_exit_2_naming_them(self, fixture_dirs, tmp_path, capsys, monkeypatch, extra, message):
+        """A summary takes only --corpus, a fixture every flag but --corpus; nothing is written."""
+        corpus, _ = fixture_dirs
+        monkeypatch.chdir(tmp_path)
+        assert run(["stats", "--corpus", str(corpus), *extra]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_views_show_their_stored_flag(self, tmp_path, capsys):
         """A view stored un-normalized is reported raw, though selection would normalize it."""

@@ -358,6 +358,27 @@ class TestMaxNorm:
         assert bound == math.inf or Fraction(bound) ** 2 >= exact
 
 
+class TestFloat32Boundary:
+    def test_float64_rows_score_as_their_float32_cast(self, rng):
+        """Rows of another dtype are cast to float32 where they enter the scorer, so
+        each entry point returns, bit for bit, what it returns for the cast rows."""
+        wide = rng.standard_normal((300, 24)) + 0.3
+        wide /= np.linalg.norm(wide, axis=1, keepdims=True)
+        cands, targets = wide[:260], wide[260:]
+        assert not np.array_equal(cands, cands.astype(np.float32))
+        rows = np.arange(0, 260, 3)
+        for kwargs in ({}, {"rows": rows}):
+            expected = max_similarity(cands.astype(np.float32), targets.astype(np.float32), **kwargs)
+            assert max_similarity(cands, targets, **kwargs).tobytes() == expected.tobytes()
+            weights, ts = FusionWeights({"v": 1.0}), one_dataset({"v": targets})
+            expected = relevance_multi_dataset({"v": cands.astype(np.float32)}, ts, weights, **kwargs)
+            assert relevance_multi_dataset({"v": cands}, ts, weights, **kwargs).tobytes() == expected.tobytes()
+        durations = rng.uniform(1.0, 10.0, size=260)
+        cfg = SelectionConfig(alpha=0.2, rho=0.5, batch_size=8)
+        expected = batched_mmr(durations, {"v": cands.astype(np.float32)}, one_dataset({"v": targets}), cfg)
+        assert batched_mmr(durations, {"v": cands}, one_dataset({"v": targets}), cfg) == expected
+
+
 class TestRelevanceFused:
     def test_single_view_reduces_bitwise(self, rng):
         cands = unit_rows(rng, 25, 10)

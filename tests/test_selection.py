@@ -4,12 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus_select import relevance, selection
 from corpus_select.errors import DimensionMismatch, EmptyCorpus, MissingView, SmallPoolWarning
-from corpus_select.fixture import _clustered_rows
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
@@ -33,7 +32,7 @@ from corpus_select.selection import (
 from corpus_select.store import EmbeddingView, TargetDataset, TargetSet, _normalize_rows
 from conftest import unit_rows
 import oracles
-from oracles import eager_batched_mmr
+from oracles import clustered_rows_one_draw, eager_batched_mmr
 
 
 # ---------- independent reference: a straightforward, stateless rendering
@@ -582,10 +581,10 @@ class TestSelectorProperties:
         rng = np.random.default_rng(31)
         n, d, clusters = 20000, 64, 16
         centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
-        views = {"v": _clustered_rows(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
+        views = {"v": clustered_rows_one_draw(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
         targets = TargetSet(
             [
-                TargetDataset(f"t{m}", {"v": _clustered_rows(centers, np.full(300, m), 0.4, rng)})
+                TargetDataset(f"t{m}", {"v": clustered_rows_one_draw(centers, np.full(300, m), 0.4, rng)})
                 for m in range(2)
             ]
         )
@@ -623,10 +622,10 @@ class TestSelectorProperties:
         rng = np.random.default_rng(32)
         n, d, clusters = 40000, 128, 16
         centers = _normalize_rows(rng.standard_normal((clusters, d)).astype(np.float32))
-        views = {"v": _clustered_rows(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
+        views = {"v": clustered_rows_one_draw(centers, rng.integers(0, clusters, size=n), 0.5, rng)}
         targets = TargetSet(
             [
-                TargetDataset(f"t{m}", {"v": _clustered_rows(centers, np.full(200, m), 0.4, rng)})
+                TargetDataset(f"t{m}", {"v": clustered_rows_one_draw(centers, np.full(200, m), 0.4, rng)})
                 for m in range(2)
             ]
         )
@@ -788,12 +787,43 @@ class TestDurationBaseline:
         picked = {p.index for p in result.picks}
         assert set(range(50)) <= picked
 
-    def test_one_bin_equals_random_baseline(self, rng):
-        durations = rng.uniform(0.5, 20.0, size=400)
-        target = rng.uniform(0.5, 20.0, size=50)
-        a = duration_baseline(durations, target, alpha=0.1, seed=5, bins=1)
-        b = random_baseline(durations, 0.1, seed=5)
-        assert [p.index for p in a.picks] == [p.index for p in b.picks]
+    @settings(max_examples=300, deadline=None)
+    @given(
+        durations=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=80),
+        target=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5),
+        alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_one_bin_equals_random_baseline(self, durations, target, alpha, seed):
+        """With one bin both baselines are the earlier prefix loop, pick for pick
+        and bit for bit, also where alpha 1's budget, the pairwise sum, is not met."""
+        expected = oracles.random_baseline_loop(durations, alpha, seed)
+        assume(expected.budget_s > 0.0)  # test_zero_budget_takes_no_row
+        assert duration_baseline(durations, target, alpha, seed, bins=1) == expected
+        assert random_baseline(durations, alpha, seed) == expected
+
+    def test_zero_budget_takes_no_row(self):
+        """alpha * total duration underflows to 0: the fill meets it with no pick,
+        where the earlier prefix loop took a first row before testing the budget."""
+        for result in (random_baseline([0.25], 5e-324, seed=0), duration_baseline([0.25], [1.0], 5e-324, seed=0)):
+            assert (result.budget_s, result.picks, result.exhausted) == (0.0, [], False)
+
+    def test_a_bin_that_runs_out_spills_to_a_lower_bin(self):
+        """The shares are 2 s and 10 s of the 12 s budget. Bin 1 holds one 5 s row,
+        so its 5 s shortfall is drawn from bin 0. Picks taken from the earlier fill."""
+        result = duration_baseline([1.0] * 10 + [5.0], [1.0, 1.0, 5.0, 5.0], alpha=0.8, seed=3, bins=2)
+        assert [p.index for p in result.picks] == [4, 6, 10, 8, 7, 0, 5, 1]
+        assert (result.total_selected_s, result.budget_s, result.exhausted) == (12.0, 12.0, False)
+
+    def test_float_crumbs_are_drawn_last(self):
+        """The target is one value, so bin 0 takes the whole budget, 0.5 * 24.8, but holds
+        only row 3. Its shortfall spills to bin 4 (bins 1-3 are empty) until the need is
+        within 1e-12; the sum then falls short of the budget by rounding, and one more draw
+        covers it. Picks taken from the earlier fill."""
+        result = duration_baseline([3.3, 6.0, 7.3, 1.8, 6.4], [3.2], alpha=0.5, seed=5137, bins=5)
+        assert [p.index for p in result.picks] == [3, 0, 2, 4]
+        assert result.picks[-2].cumulative_duration_s < result.budget_s <= result.total_selected_s
+        assert not result.exhausted
 
     def test_total_meets_budget(self, rng):
         source = rng.uniform(1, 10, size=2000)

@@ -337,6 +337,9 @@ class TestManifest:
             '{"id": "u", "duration_s": 1.0, "dataset": "a"}, {"id": "v", "duration_s": 1.0, "dataset": "a"}',
             '{"id": "", "duration_s": 1.0, "dataset": "a"}',
             '{"id": "u", "duration_s": true, "dataset": "a"}',
+            pytest.param('{"id": "u", "duration_s": 1' + "0" * 400 + ', "dataset": "a"}', id="int-beyond-float"),
+            pytest.param('{"id": "u", "duration_s": 1' + "0" * 5000 + ', "dataset": "a"}', id="int-of-5001-digits"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
         ],
     )
     def test_malformed_lines(self, tmp_path, line):
@@ -509,6 +512,7 @@ class TestManifest:
             pytest.param(("", 1.0, "a"), id="empty-id"),
             pytest.param(("u2", 1.0, 3), id="int-dataset"),
             pytest.param(("u0", 1.0, "a"), id="duplicate-id"),
+            pytest.param(("u2", 10**400, "a"), id="int-beyond-float"),
         ],
     )
     def test_save_refuses_what_load_refuses(self, tmp_path, row):
