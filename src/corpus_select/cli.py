@@ -24,6 +24,7 @@ digest check catches any change that makes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -35,7 +36,7 @@ import numpy as np
 
 from corpus_select import __version__
 from corpus_select.compaction import KMeansConfig, compact_targets
-from corpus_select.errors import DataError
+from corpus_select.errors import DataError, MissingView
 from corpus_select.fixture import FixtureSpec, make_fixture
 from corpus_select.probe import ProbeConfig, probe_matrix
 from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, make_projection, project_view
@@ -44,12 +45,14 @@ from corpus_select.selection import SelectionConfig, batched_mmr, duration_basel
 from corpus_select.store import (
     _atomic_bytes,
     _check_row_counts,
+    _dataset_dirs,
     _view_files,
     load_corpus,
     load_manifest,
     load_target_durations,
     load_targets,
     load_view,
+    open_corpus,
     recorded_files,
     save_targets,
     save_view,
@@ -376,33 +379,38 @@ def _cmd_select(config: dict) -> dict[str, float]:
     method = config["method"]
     weights = FusionWeights(config["weights"]) if config["weights"] else None
     view_names = weights.names if weights is not None else None
-    if method == "mmr":
-        corpus = load_corpus(config["corpus"], views=view_names)
-        manifest = corpus.manifest
-        targets = load_targets(config["targets"], views=view_names)
-    else:
-        manifest = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
-        if method == "duration":
-            target_durations = load_target_durations(config["targets"])
-    t1 = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        if method == "mmr":
+            # corpus views stay on disk: the selector screens them a block at a time
+            manifest, views = stack.enter_context(open_corpus(config["corpus"], views=view_names))
+            targets = load_targets(config["targets"], views=view_names)
+            for directory, dataset in zip(_dataset_dirs(config["targets"]), targets.datasets):
+                lacking = [name for name in views if name not in dataset.views]
+                if lacking:
+                    raise MissingView(f"{directory}: targets are missing weighted view {lacking[0]!r}")
+        else:
+            manifest = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
+            if method == "duration":
+                target_durations = load_target_durations(config["targets"])
+        t1 = time.perf_counter()
 
-    if method == "mmr":
-        cfg = SelectionConfig(
-            alpha=config["alpha"],
-            lam=config["lambda"],
-            rho=config["rho"],
-            batch_size=config["batch"],
-            weights=weights,
-            aggregation=AggregationMode.from_name(config["aggregate"]),
-        )
-        result = batched_mmr(manifest.durations, corpus.views, targets, cfg, threads=config["threads"])
-    elif method == "random":
-        result = random_baseline(manifest.durations, config["alpha"], config["seed"])
-    else:
-        result = duration_baseline(
-            manifest.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
-        )
-    t2 = time.perf_counter()
+        if method == "mmr":
+            cfg = SelectionConfig(
+                alpha=config["alpha"],
+                lam=config["lambda"],
+                rho=config["rho"],
+                batch_size=config["batch"],
+                weights=weights,
+                aggregation=AggregationMode.from_name(config["aggregate"]),
+            )
+            result = batched_mmr(manifest.durations, views, targets, cfg, threads=config["threads"])
+        elif method == "random":
+            result = random_baseline(manifest.durations, config["alpha"], config["seed"])
+        else:
+            result = duration_baseline(
+                manifest.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
+            )
+        t2 = time.perf_counter()
 
     _write_selection(result, manifest.ids, Path(config["out"]))
     t3 = time.perf_counter()

@@ -16,7 +16,7 @@ one-dataset `TargetSet`.
 
 Rows are float32 and assumed unit-L2 (or zero), so cosine is a plain dot
 product and a zero row scores 0 against everything. Candidates are cast
-to float32 where they enter (`weighted_views`, `_checked`,
+to float32 where they enter (`weighted_views`, `max_similarity`,
 `update_running_max`), as `TargetDataset` casts targets, so rows of any
 other dtype score as their float32 cast. A score is exact on a grid:
 both rows are rounded to integers at scale 2^26 (`to_grid`, a grid of
@@ -51,8 +51,11 @@ rounding).
 `relevance_bounds` widens the screen's row max by eps: the bounds a - eps
 and a + eps are rounded outward in float64 and clipped like exact
 scores, and fusion and aggregation are monotone under round-to-nearest,
-so the fused bounds hold bit for bit. The selector scores exactly only
-the rows whose upper bound can reach its pool (Rump's filter), with
+so the fused bounds hold bit for bit. It takes eps per block of rows: a
+view given as a `store.ViewFile` is read, checked and normalized by its
+screen a block at a time and never held whole, and an in-memory matrix
+is one block. The selector scores exactly only the rows whose upper
+bound can reach its pool (Rump's filter), with
 `relevance_multi_dataset(..., rows=)`.
 
 One rule scores exactly, `update_running_max`: a target set is folded
@@ -81,7 +84,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView, NonUnitRow
-from corpus_select.store import TargetSet
+from corpus_select.store import TargetSet, ViewFile
 
 _TILE_ROWS = 2048  # candidate rows per score tile
 _TILE_TARGETS = 4096  # target rows per score tile
@@ -223,24 +226,23 @@ def max_similarity(candidates, targets, *, rows=None) -> np.ndarray:
     oracle score through it. Given `rows`, it scores the candidate rows at
     those indices, read a tile at a time.
     """
-    cands, (tgts,) = _checked(candidates, [targets])
+    cands = np.asarray(candidates, np.float32)
+    (tgts,) = _checked_targets(cands.shape[1], [targets])
     eps = _screen_eps(cands.shape[1], _max_norm(cands, rows), _max_norm(tgts))
     out = np.full(cands.shape[0] if rows is None else rows.size, -np.inf)
     update_running_max(cands, tgts, out, eps=eps, rows=rows)
     return out
 
 
-def _checked(candidates, target_sets) -> tuple[np.ndarray, list[np.ndarray]]:
-    cands = np.asarray(candidates, np.float32)
+def _checked_targets(d: int, target_sets) -> list[np.ndarray]:
+    """The target matrices as float32, each nonempty 2-D with the candidates' `d` columns."""
     sets = [np.asarray(t, np.float32) for t in target_sets]
     for tgts in sets:
         if tgts.ndim != 2 or tgts.shape[0] == 0:
             raise EmptyTargets("target matrix has no rows")
-        if cands.shape[1] != tgts.shape[1]:
-            raise DimensionMismatch(
-                f"candidates have {cands.shape[1]} dims, targets {tgts.shape[1]}"
-            )
-    return cands, sets
+        if d != tgts.shape[1]:
+            raise DimensionMismatch(f"candidates have {d} dims, targets {tgts.shape[1]}")
+    return sets
 
 
 def _blocked_max(cands: np.ndarray, rows, sets: list[np.ndarray], reduce=None) -> np.ndarray:
@@ -358,19 +360,22 @@ def update_running_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray,
 
 
 def weighted_views(
-    views: Mapping[str, np.ndarray], weights: FusionWeights, n: int | None = None
-) -> dict[str, np.ndarray]:
-    """Each weighted view's candidate matrix, in weight order.
+    views: Mapping[str, np.ndarray | ViewFile], weights: FusionWeights, n: int | None = None
+) -> dict[str, np.ndarray | ViewFile]:
+    """Each weighted view's candidate matrix, or its file, in weight order.
 
     The one check on views before scoring: every weighted view must be
     present, and all must have the same row count, `n` when given. Each
-    matrix is cast to float32 (a float32 one is taken as it is).
+    matrix is cast to float32 (a float32 one is taken as it is); a
+    `store.ViewFile` is taken as it is, and its rows are checked as they
+    are read.
     """
     mats = {}
     for name in weights.names:
         if name not in views:
             raise MissingView(f"candidates are missing weighted view {name!r}")
-        mats[name] = mat = np.asarray(views[name], np.float32)
+        view = views[name]
+        mats[name] = mat = view if isinstance(view, ViewFile) else np.asarray(view, np.float32)
         n = mat.shape[0] if n is None else n
         if mat.shape[0] != n:
             raise DimensionMismatch(f"view {name!r} has {mat.shape[0]} rows, expected {n}")
@@ -432,27 +437,35 @@ def relevance_multi_dataset(
 
 
 def relevance_bounds(
-    views: Mapping[str, np.ndarray],
+    views: Mapping[str, np.ndarray | ViewFile],
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode = AggregationMode.MAX,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified (lo, hi) with lo <= `relevance_multi_dataset(...)` <= hi, bit for bit.
 
-    Each view is screened once with a float32 GEMM per tile. Its row max
-    a against each target set, widened to a -/+ that set's `_screen_eps`
-    (rounded outward and clipped to [-1, 1]), goes through the same
-    fusion and aggregation as the exact scores.
+    Each view is screened once with a float32 GEMM per tile, a block of
+    rows at a time: a `store.ViewFile`'s blocks (read, checked and
+    normalized here), or an in-memory matrix as one block. Each row's max
+    a against each target set, widened to a -/+ the `_screen_eps` of its
+    block and that set (rounded outward and clipped to [-1, 1]), goes
+    through the same fusion and aggregation as the exact scores. Only
+    these bounds are kept.
     """
     mats, sets = weighted_views(views, weights), weighted_targets(targets, weights)
     bounds = {}
     for name, mat in mats.items():
-        cands, tsets = _checked(mat, sets[name])
-        c, d = _max_norm(cands), cands.shape[1]
-        eps = np.array([[_screen_eps(d, c, _max_norm(t))] for t in tsets])
-        a = _blocked_max(cands, None, tsets).astype(np.float64)
-        b = np.stack([np.nextafter(a - eps, -np.inf), np.nextafter(a + eps, np.inf)])
-        bounds[name] = np.clip(b, -1.0, 1.0, out=b)
+        (n, d), tsets = mat.shape, _checked_targets(mat.shape[1], sets[name])
+        t = [_max_norm(tgts) for tgts in tsets]
+        b = bounds[name] = np.empty((2, len(tsets), n))
+        # a file is read, checked and normalized a block at a time; a matrix is one block
+        for lo, block in mat.blocks() if isinstance(mat, ViewFile) else [(0, mat)]:
+            c, part = _max_norm(block), slice(lo, lo + block.shape[0])
+            eps = np.array([[_screen_eps(d, c, tn)] for tn in t])
+            a = _blocked_max(block, None, tsets).astype(np.float64)
+            np.nextafter(a - eps, -np.inf, out=b[0, :, part])
+            np.nextafter(a + eps, np.inf, out=b[1, :, part])
+        np.clip(b, -1.0, 1.0, out=b)
     lo = _aggregate(weights, mode, lambda name: bounds[name][0])
     hi = _aggregate(weights, mode, lambda name: bounds[name][1])
     return lo, hi

@@ -25,9 +25,18 @@ then a sort of the head alone. A refresh folds in only the rows
 committed since the candidate's last one, one commit segment (the rows
 committed between two stamps) per call over every candidate stamped
 before it, from a commit-order buffer; committed rows are never
-refreshed again. Pool rows are read from the views by index, never
-copied whole. Picks and score bits are those of refreshing the whole
+refreshed again. Picks and score bits are those of refreshing the whole
 pool every round.
+
+`batched_mmr` takes each view as an in-memory matrix or as a
+`store.ViewFile`, as `cli select` passes them, on one code path. The
+prefilter's screen reads a file a block of rows at a time (checking and
+normalizing each block) and keeps only per-row bounds. After the cut,
+in-memory views are read in place, by index, and never copied; once any
+view is a file, the survivors of each view are gathered once, by
+offset, into one matrix. That gather is the only branch: the exact
+step, the seed, the running max and the commit buffer then index the
+survivors' rows wherever they are.
 
 `greedy_mmr_exact` is the reference selector for tests: no prefilter, no
 batching, and v_i recomputed from scratch against the full selected set
@@ -77,7 +86,7 @@ from corpus_select.relevance import (
     weighted_views,
 )
 from corpus_select.rng import generator
-from corpus_select.store import TargetSet
+from corpus_select.store import TargetSet, ViewFile
 
 
 @dataclass
@@ -141,13 +150,13 @@ def _ranked(indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def _prefilter(
-    mats: Mapping[str, np.ndarray],
+    mats: Mapping[str, np.ndarray | ViewFile],
     targets: TargetSet,
     weights: FusionWeights,
     mode: AggregationMode,
     pool_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The top `pool_size` rows by relevance, ranked, and their relevance.
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """The top `pool_size` rows by relevance, ranked, their relevance, and where their rows are.
 
     Only rows that can reach the pool are scored exactly. `cut` is the
     pool_size-th largest certified lower bound from `relevance_bounds`; a
@@ -157,14 +166,21 @@ def _prefilter(
     the pool is every row, the cut is the smallest lower bound and every
     row survives. Relevance is exact per row, so the pool and its scores
     are those of scoring every row.
+
+    The survivors' rows are the views' own when every view is in memory,
+    and else one gathered matrix per view. Returns the pool, its
+    relevance, those matrices, and the pool's rows in them.
     """
     lo, hi = relevance_bounds(mats, targets, weights, mode)
     cut = np.partition(lo, lo.size - pool_size)[lo.size - pool_size]
-    rows = np.flatnonzero(hi >= cut)
-    r = relevance_multi_dataset(mats, targets, weights, mode, rows=rows)
+    rows = at = np.flatnonzero(hi >= cut)
+    if any(isinstance(mat, ViewFile) for mat in mats.values()):
+        mats = {name: mat.take(rows) if isinstance(mat, ViewFile) else mat[rows] for name, mat in mats.items()}
+        at = np.arange(rows.size)
+    r = relevance_multi_dataset(mats, targets, weights, mode, rows=at)
     # rows ascend, so ties still break toward the lower candidate index
     top = _ranked(np.arange(rows.size), r)[:pool_size]
-    return rows[top], r[top]
+    return rows[top], r[top], mats, at[top]
 
 
 def greedy_mmr_exact(
@@ -224,7 +240,7 @@ def greedy_mmr_exact(
 
 def batched_mmr(
     durations: np.ndarray,
-    views: Mapping[str, np.ndarray],
+    views: Mapping[str, np.ndarray | ViewFile],
     targets: TargetSet,
     cfg: SelectionConfig,
     *,
@@ -238,7 +254,9 @@ def batched_mmr(
     the diversity penalty evolves as batches commit, tracked as a
     per-view running max that each new batch folds into. The seed pick
     counts toward the budget before the first round's budget test. BLAS
-    runs on `threads` threads (`relevance.blas_threads`).
+    runs on `threads` threads (`relevance.blas_threads`). A view may be a
+    `store.ViewFile`: it is screened a block at a time and only its
+    survivors are held (module docstring).
     """
     with blas_threads(threads):
         d = np.asarray(durations, dtype=np.float64)
@@ -250,7 +268,8 @@ def batched_mmr(
 
         budget = cfg.alpha * float(d.sum())
         pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
-        pool, r_pool = _prefilter(mats, targets, weights, cfg.aggregation, pool_size)
+        # mats[name][at[k]] is the row of pool[k]
+        pool, r_pool, mats, at = _prefilter(mats, targets, weights, cfg.aggregation, pool_size)
         expected_picks = math.ceil(cfg.alpha * n)
         if pool_size < 2 * expected_picks:
             warnings.warn(
@@ -260,7 +279,7 @@ def batched_mmr(
                 stacklevel=2,
             )
 
-        eps = {name: running_max_eps(mat, pool) for name, mat in mats.items()}
+        eps = {name: running_max_eps(mat, at) for name, mat in mats.items()}
         lam_r = cfg.lam * r_pool
 
         seed_pos = 0  # pool is sorted by (-relevance, index)
@@ -277,9 +296,9 @@ def batched_mmr(
         ncom = 1
         commits = {name: np.empty((pool_size, mat.shape[1]), dtype=mat.dtype) for name, mat in mats.items()}
         for name, mat in mats.items():
-            commits[name][0] = mat[seed_idx]
+            commits[name][0] = mat[at[seed_pos]]
         stamp = np.full(pool_size, ncom, dtype=np.int64)
-        vmax = {name: max_similarity(mat, mat[[seed_idx]], rows=pool) for name, mat in mats.items()}
+        vmax = {name: max_similarity(mat, mat[at[[seed_pos]]], rows=at) for name, mat in mats.items()}
         v = weights.fuse(vmax.__getitem__)
         m = lam_r - (1.0 - cfg.lam) * v
 
@@ -294,7 +313,7 @@ def batched_mmr(
             edges = np.append(stamp[stale], ncom)
             ends = np.flatnonzero(edges[1:] != edges[:-1]) + 1
             for name, mat in mats.items():
-                sub, running = mat[pool[stale]], vmax[name][stale]
+                sub, running = mat[at[stale]], vmax[name][stale]
                 for k in ends:
                     batch = commits[name][edges[k - 1] : edges[k]]
                     update_running_max(sub[:k], batch, running[:k], eps=eps[name])
@@ -344,7 +363,7 @@ def batched_mmr(
                 )
             committed[batch_pos] = True
             for name, mat in mats.items():
-                commits[name][ncom : ncom + batch_pos.size] = mat[pool[batch_pos]]
+                commits[name][ncom : ncom + batch_pos.size] = mat[at[batch_pos]]
             ncom += batch_pos.size
 
         return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)

@@ -15,11 +15,21 @@ Manifests are UTF-8 JSON lines, one record per line with fields "id",
 i of the manifest owns row i of every view, and row counts are
 cross-checked when a corpus is assembled.
 
+One block reader, `ViewFile`, reads every view payload. It reads the
+rows in file order, a block of about 2 MB at a time, into one reused
+buffer with `readinto` (no memory map: mapped pages count toward RSS),
+and per block updates the file's sha256, runs the finite check, and runs
+the unit check or normalizes the block. `take(rows)` gathers rows by
+offset through the same open file. `open_corpus` opens a corpus's views
+as readers, and `select` screens them through it, so it never holds one
+whole.
+
 In memory, `EmbeddingView` is one `.emb` file as `load_view` returns it:
-its rows and its normalized flag. A loaded corpus (`CorpusManifest`) is
-the manifest columns plus one unit float32 matrix per view, and a target
-dataset is one float32 matrix per view; everything downstream of the
-store takes plain matrices.
+its rows and its normalized flag; `load_view` is the block reader
+filling one matrix, and checks each row once. A loaded corpus
+(`CorpusManifest`) is the manifest columns plus one unit float32 matrix
+per view, and a target dataset is one float32 matrix per view;
+everything downstream of the store takes plain matrices or readers.
 
 A corpus directory holds one `manifest.jsonl` plus one `<view>.emb` file
 per view. A targets directory holds one subdirectory per target dataset,
@@ -37,11 +47,11 @@ import os
 import secrets
 import struct
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +77,8 @@ _HEADER = struct.Struct("<4sIBQI")  # magic, version, normalized flag, N, D
 _UNIT_SNAP = 2e-7
 
 _NORM_BLOCK = 65536
+
+_BLOCK_BYTES = 1 << 21  # payload bytes per block of `ViewFile.blocks`
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -102,6 +114,25 @@ def _normalize_in_place(rows: np.ndarray, norms: np.ndarray | None = None) -> in
     return zero_count
 
 
+def _check_block(rows: np.ndarray, lo: int, name: str, normalized: bool) -> tuple[np.ndarray, str | None]:
+    """The float64 row norms of a block of a view whose first row is `lo`, and,
+    for a view flagged normalized, what is wrong with its first non-unit row.
+
+    Raises NonFiniteEntry at the block's first non-finite entry.
+    """
+    # a float64 sum of squares of float32 entries cannot overflow, so
+    # it is finite exactly when every entry of its row is
+    norms = _row_norms(rows)
+    if not np.isfinite(norms).all():
+        r, c = np.argwhere(~np.isfinite(rows))[0]
+        raise NonFiniteEntry(lo + r, c, context=f"view {name!r}")
+    if normalized:
+        off = np.flatnonzero((norms != 0.0) & (np.abs(norms - 1.0) > 1e-4))
+        if off.size:
+            return norms, f"view {name!r} flagged normalized but row {lo + off[0]} has L2 norm {norms[off[0]]:.6f}"
+    return norms, None
+
+
 @dataclass
 class EmbeddingView:
     """A named N x D float32 matrix, one row per utterance.
@@ -125,21 +156,17 @@ class EmbeddingView:
             raise DimensionMismatch(
                 f"view {self.name!r}: dims={self.dims} but rows have {rows.shape[1]} columns"
             )
-        # a float64 sum of squares of float32 entries cannot overflow, so
-        # it is finite exactly when every entry of its row is
-        norms = _row_norms(rows)
-        if not np.isfinite(norms).all():
-            r, c = np.argwhere(~np.isfinite(rows))[0]
-            raise NonFiniteEntry(r, c, context=f"view {self.name!r}")
-        if self.normalized:
-            off = np.flatnonzero((norms != 0.0) & (np.abs(norms - 1.0) > 1e-4))
-            if off.size:
-                raise NonUnitRow(
-                    f"view {self.name!r} flagged normalized but row {off[0]} "
-                    f"has L2 norm {norms[off[0]]:.6f}"
-                )
+        _, off_unit = _check_block(rows, 0, self.name, self.normalized)
+        if off_unit:
+            raise NonUnitRow(off_unit)
         self.rows = rows
-        self._norms = norms  # the row norms as built; `load_view` normalizes with them
+
+    @classmethod
+    def _from_blocks(cls, name: str, rows: np.ndarray) -> "EmbeddingView":
+        """A view of unit rows that `ViewFile.blocks` has checked: they are not checked again."""
+        view = object.__new__(cls)
+        view.name, view.dims, view.rows, view.normalized = name, rows.shape[1], rows, True
+        return view
 
     @property
     def row_count(self) -> int:
@@ -235,13 +262,8 @@ def recorded_files():
         _recording.remove(log)
 
 
-def _record_read(path: Path, *chunks) -> None:
-    if _recording:
-        digest = hashlib.sha256()
-        for chunk in chunks:
-            digest.update(chunk)
-        size = sum(memoryview(chunk).nbytes for chunk in chunks)
-        _recording[-1]["read"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
+def _record_read(path: Path, digest, size: int) -> None:
+    _recording[-1]["read"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
 
 
 def _atomic_bytes(path: Path, chunks) -> None:
@@ -330,35 +352,117 @@ def view_header(path: str | Path) -> tuple[bool, int, int]:
     return bool(flag), n, d
 
 
+def _block_rows(d: int) -> int:
+    return max(1, _BLOCK_BYTES // (4 * d))
+
+
+class ViewFile:
+    """An EMB1 view file, read a block of rows at a time and never held whole.
+
+    Opening reads and checks the header (`_read_header`) and keeps the
+    file open until the end of a `with` block; `name`,
+    `normalized` (the header flag) and `shape` come from the header.
+    `blocks()` reads the payload and `take(rows)` gathers rows from it.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.name = self.path.stem
+        self._fh = open(self.path, "rb")
+        try:
+            self._header, flag, n, d = _read_header(self._fh, self.path)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.normalized = bool(flag)
+        self.shape = (n, d)
+
+    def __enter__(self) -> "ViewFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def blocks(self, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """`(lo, block)` for each block of rows in file order, checked and unit.
+
+        Each block is read with `readinto` into one reused buffer, valid
+        until the next block, or into its rows of `out`, an N x D "<f4"
+        matrix. Per block, the file's sha256 is updated (inside
+        `recorded_files()`, where the read is recorded once the last block
+        is in), the finite check runs, and then the unit check, if the
+        header marks the rows normalized, or normalization. Zero rows stay
+        zero and are counted in one ZeroRowWarning. The errors are those of
+        checking the whole view at once, and name the file: a non-finite
+        entry in any row is reported before a non-unit row, so after a
+        non-unit row the rest is read for the finite check only.
+        """
+        n, d = self.shape
+        step = _block_rows(d)
+        buf = np.empty((min(step, n), d), "<f4") if out is None else out
+        digest = hashlib.sha256(self._header) if _recording else None
+        zero_count, off_unit = 0, None
+        self._fh.seek(_HEADER.size)
+        for lo in range(0, n, step):
+            block = buf[lo : lo + step] if out is not None else buf[: min(step, n - lo)]
+            if self._fh.readinto(block) != block.nbytes:
+                raise DimensionMismatch(f"{self.path}: the file ends before row {lo + block.shape[0]}")
+            if digest is not None:
+                digest.update(block)
+            try:
+                norms, off = _check_block(block, lo, self.name, self.normalized)
+            except NonFiniteEntry as exc:
+                exc.args = (f"{self.path}: {exc}",)  # corpus and target views may share a name
+                raise
+            off_unit = off_unit or off
+            if off_unit is None:
+                if not self.normalized:
+                    # the buffer just read is ours: normalize it in place, with the norms its check took
+                    zero_count += _normalize_in_place(block, norms)
+                yield lo, block
+        if off_unit is not None:
+            raise NonUnitRow(f"{self.path}: {off_unit}")
+        if digest is not None:
+            _record_read(self.path, digest, _HEADER.size + n * d * 4)
+        if zero_count:
+            warnings.warn(
+                f"view {self.name!r}: {zero_count} zero rows left unnormalized", ZeroRowWarning, stacklevel=2
+            )
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The rows at the ascending indices `rows`, as `blocks()` gives them, in one new matrix.
+
+        Each run of consecutive rows, up to a block, is one `preadv` at its
+        offset through the open file. The rows are normalized like the
+        blocks; `blocks()` has checked them.
+        """
+        d, size = self.shape[1], 4 * self.shape[1]
+        out = np.empty((rows.size, d), "<f4")
+        buf, fd = memoryview(out.view(np.uint8).reshape(-1)), self._fh.fileno()
+        starts = np.flatnonzero((np.diff(rows, prepend=-2) != 1) | (np.arange(rows.size) % _block_rows(d) == 0))
+        ends = np.append(starts[1:], rows.size)
+        for lo, hi, row in zip(starts.tolist(), ends.tolist(), rows[starts].tolist()):
+            if os.preadv(fd, [buf[lo * size : hi * size]], _HEADER.size + row * size) != (hi - lo) * size:
+                raise DimensionMismatch(f"{self.path}: the file ends before row {row + hi - lo}")
+        if not self.normalized:
+            _normalize_in_place(out)
+        return out
+
+
 def load_view(path: str | Path) -> EmbeddingView:
     """Load an EMB1 view file; the view is named after the file's stem.
 
-    Unless the header marks the rows normalized, rows are L2-normalized on
-    load so that cosine equals dot product downstream. Zero rows stay zero
-    and are counted in a ZeroRowWarning; their cosine with anything is 0
+    This is `ViewFile.blocks()` filling one matrix: unless the header
+    marks the rows normalized, rows are L2-normalized on load so that
+    cosine equals dot product downstream. Zero rows stay zero and are
+    counted in a ZeroRowWarning; their cosine with anything is 0
     downstream.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header, flag, n, d = _read_header(fh, path)
-        rows = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
-    _record_read(path, header, rows)
-    try:
-        view = EmbeddingView(path.stem, d, rows, normalized=bool(flag))
-    except (NonFiniteEntry, NonUnitRow) as exc:
-        exc.args = (f"{path}: {exc}",)  # corpus and target views may share a name
-        raise
-    if not view.normalized:
-        # the buffer just read is ours: normalize it in place, with the norms its check took
-        zero_count = _normalize_in_place(view.rows, view._norms)
-        if zero_count:
-            warnings.warn(
-                f"view {view.name!r}: {zero_count} zero rows left unnormalized",
-                ZeroRowWarning,
-                stacklevel=2,
-            )
-        view.normalized = True
-    return view
+    with ViewFile(path) as reader:
+        rows = np.empty(reader.shape, "<f4")
+        for _ in reader.blocks(out=rows):
+            pass
+    return EmbeddingView._from_blocks(reader.name, rows)
 
 
 _PARSE_CHUNK = 1 << 16  # bytes of whole lines per `json.loads` call in `_parse_chunks`
@@ -374,7 +478,8 @@ def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    _record_read(path, data)
+    if _recording:
+        _record_read(path, hashlib.sha256(data), len(data))
     try:
         manifest = _parse_chunks(data)
     except (ValueError, OverflowError, RecursionError, DataError):  # JSON, UTF-8, int-size, nesting, record faults
@@ -503,18 +608,36 @@ def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) ->
     return CorpusManifest(manifest, {path.stem: load_view(path).rows for path in _view_files(directory, views)})
 
 
+@contextmanager
+def open_corpus(directory: str | Path, *, views: Sequence[str] | None = None):
+    """`manifest.jsonl` and the view files of a corpus directory, opened as `ViewFile`s.
+
+    Yields `(manifest, {name: ViewFile})`; `views` selects view names as
+    in `load_corpus`. Each view's header is checked against the manifest's
+    row count; the payloads are read later, a block at a time, by whoever
+    scores them. The files are closed when the block ends.
+    """
+    directory = Path(directory)
+    manifest = load_manifest(directory / "manifest.jsonl")
+    with ExitStack() as stack:
+        files = {path.stem: stack.enter_context(ViewFile(path)) for path in _view_files(directory, views)}
+        _check_row_counts(len(manifest), {name: file.shape[0] for name, file in files.items()})
+        yield manifest, files
+
+
 def load_targets(directory: str | Path, *, views: Sequence[str] | None = None) -> TargetSet:
     """Load a targets directory into a TargetSet.
 
     Subdirectories become datasets in sorted name order; a flat directory
     of `.emb` files becomes a single dataset named after the directory.
+    A dataset directory without any `.emb` file raises EmptyTargets naming it.
     """
-    return TargetSet(
-        [
-            TargetDataset(sub.name, {path.stem: load_view(path).rows for path in _view_files(sub, views)})
-            for sub in _dataset_dirs(directory)
-        ]
-    )
+    datasets = []
+    for sub in _dataset_dirs(directory):
+        if next(sub.glob("*.emb"), None) is None:
+            raise EmptyTargets(f"{sub}: the targets directory holds no view (.emb) file")
+        datasets.append(TargetDataset(sub.name, {path.stem: load_view(path).rows for path in _view_files(sub, views)}))
+    return TargetSet(datasets)
 
 
 def save_targets(targets: TargetSet, directory: str | Path) -> None:

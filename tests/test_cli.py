@@ -18,6 +18,7 @@ from corpus_select import cli
 from corpus_select.cli import run
 from corpus_select.relevance import available_cpus, blas_corename, blas_thread_cap
 from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, load_view, save_view
+from conftest import cli_own_peak
 
 # the selection bytes of golden_selection_digest: projection and scoring
 # GEMMs are exact, so they are the same under every BLAS kernel, thread
@@ -302,6 +303,99 @@ class TestDataErrors:
         assert str(path) in err[0] and "row 7, col 2" in err[0]
 
 
+def _select(corpus, targets, out, *extra):
+    return ["select", "--corpus", str(corpus), "--targets", str(targets), "--batch", "16", "--out", str(out), *extra]
+
+
+def _without_targets(method):
+    def case(corpus, targets, tmp_path, out):
+        argv = ["select", "--corpus", str(corpus), "--method", method, "--out", str(out)]
+        return argv, 2, f"usage error: argument --targets is required for method {method!r}", None
+
+    return case
+
+
+def _replay_input_changed(corpus, targets, tmp_path, out):
+    copy = tmp_path / "targets"
+    shutil.copytree(targets, copy)
+    first = tmp_path / "first.jsonl"
+    assert run(_select(corpus, copy, first)) == 0
+    first.unlink()  # a replay writes the recorded --out again
+    changed = copy / "target-1" / "wavlm.emb"
+    shutil.copyfile(copy / "target-0" / "wavlm.emb", changed)
+    argv = ["select", "--replay", str(tmp_path / "first.jsonl.run.json")]
+    return argv, 1, "error: replay input changed since the recorded run", changed
+
+
+def _no_target_durations(corpus, targets, tmp_path, out):
+    bare = tmp_path / "targets"
+    shutil.copytree(targets, bare, ignore=shutil.ignore_patterns("manifest.jsonl"))
+    argv = _select(corpus, bare, out, "--method", "duration")
+    return argv, 1, f"error: {bare}: no dataset manifest with durations found", bare
+
+
+def _zero_row_corpus(corpus, targets, tmp_path, out):
+    empty = tmp_path / "corpus"
+    empty.mkdir()
+    (empty / "manifest.jsonl").write_bytes(b"")
+    for name in ("speaker", "wavlm"):
+        (empty / f"{name}.emb").write_bytes(struct.pack("<4sIBQI", b"EMB1", 1, 0, 0, 48))
+    return _select(empty, targets, out), 1, "error: no candidates to select from", None
+
+
+def _target_dataset_lacking_a_view(corpus, targets, tmp_path, out):
+    copy = tmp_path / "targets"
+    shutil.copytree(targets, copy)
+    (copy / "target-1" / "wavlm.emb").unlink()
+    return _select(corpus, copy, out), 1, f"error: {copy / 'target-1'}: targets are missing weighted view 'wavlm'", copy / "target-1"
+
+
+def _empty_targets_directory(corpus, targets, tmp_path, out):
+    empty = tmp_path / "targets"
+    empty.mkdir()
+    return _select(corpus, empty, out), 1, f"error: {empty}: the targets directory holds no view (.emb) file", empty
+
+
+def _compact_empty_targets_directory(corpus, targets, tmp_path, out):
+    empty = tmp_path / "targets"
+    empty.mkdir()
+    argv = ["compact-targets", "--targets", str(empty), "--k", "4", "--out", str(tmp_path / "compact")]
+    return argv, 1, f"error: {empty}: the targets directory holds no view (.emb) file", empty
+
+
+class TestErrorContract:
+    """One table of error paths: each exits with its code and one stderr line,
+    `error:` or `usage error:`, naming the path where there is one, with no
+    traceback and no output file or sidecar left behind."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(_without_targets("mmr"), id="mmr-without-targets"),
+            pytest.param(_without_targets("duration"), id="duration-without-targets"),
+            pytest.param(_replay_input_changed, id="replay-input-changed"),
+            pytest.param(_no_target_durations, id="duration-without-target-manifests"),
+            pytest.param(_zero_row_corpus, id="zero-row-corpus"),
+            pytest.param(_target_dataset_lacking_a_view, id="target-dataset-lacking-a-view"),
+            pytest.param(_empty_targets_directory, id="empty-targets-directory"),
+            pytest.param(_compact_empty_targets_directory, id="compact-empty-targets-directory"),
+        ],
+    )
+    def test_error_path(self, fixture_dirs, tmp_path, capsys, case):
+        corpus, targets = fixture_dirs
+        out = tmp_path / "s.jsonl"
+        argv, code, message, path = case(corpus, targets, tmp_path, out)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+        assert path is None or str(path) in lines[0]
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestStats:
     def test_summary_fields(self, fixture_dirs, capsys):
         corpus, _ = fixture_dirs
@@ -552,6 +646,18 @@ class TestSelect:
         manifests[0]["outputs"] = {"x": manifests[0]["outputs"]["a.jsonl"]}
         manifests[1]["outputs"] = {"x": manifests[1]["outputs"]["b.jsonl"]}
         assert manifests[0] == manifests[1]
+
+
+def test_select_peak_stays_below_the_corpus_view(tmp_path):
+    """`select` on a 100,000 x 512 corpus view (205 MB) peaks below the view's
+    size: the screen reads it a block at a time and only survivors are held."""
+    corpus, targets = tmp_path / "corpus", tmp_path / "targets"
+    fixture = ["stats", "--make-fixture", "--out", str(corpus), "--targets-out", str(targets)]
+    assert run([*fixture, "--utterances", "100000", "--views", "v:512", "--seed", "3"]) == 0
+    peak = cli_own_peak(["select", "--corpus", str(corpus), "--targets", str(targets), "--out", str(tmp_path / "s.jsonl")])
+    view = (corpus / "v.emb").stat().st_size
+    assert view == 21 + 100_000 * 512 * 4
+    assert peak < view
 
 
 class TestReplay:

@@ -1,7 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +7,7 @@ import pytest
 import corpus_select.fixture as fixture
 from corpus_select.errors import NonFiniteEntry
 from corpus_select.fixture import FixtureSpec, make_fixture
+from conftest import cli_own_peak
 from oracles import clustered_rows_one_draw
 
 
@@ -86,36 +84,10 @@ def test_non_finite_rows_are_refused_and_leave_no_view(tmp_path, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "corpus").iterdir()) == ["manifest.jsonl"]
 
 
-_PEAK_CHILD = (
-    "import sys\n"
-    "from corpus_select.cli import run\n"
-    "code = run(sys.argv[1:])\n"
-    "with open('/proc/self/status') as fh:\n"
-    "    print([line.split()[1] for line in fh if line.startswith('VmHWM:')][0])\n"
-    "sys.exit(code)\n"
-)
-
-
 def test_make_fixture_peak_stays_below_the_view_it_writes(tmp_path):
-    """A 100,000 x 512 fixture is made in less memory than its 205 MB view file.
-
-    The child reads its own `VmHWM`; `ru_maxrss` would carry the peak of
-    the process that started it.
-    """
-    try:
-        with open("/proc/self/status") as fh:
-            if not any(line.startswith("VmHWM:") for line in fh):
-                pytest.skip("/proc/self/status has no VmHWM")
-    except OSError:
-        pytest.skip("/proc/self/status cannot be read")
-    src = Path(fixture.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    """A 100,000 x 512 fixture is made in less memory than its 205 MB view file."""
     argv = ["stats", "--make-fixture", "--out", str(tmp_path / "corpus"), "--targets-out", str(tmp_path / "targets")]
-    argv += ["--utterances", "100000", "--views", "v:512"]
-    child = subprocess.run(
-        [sys.executable, "-c", _PEAK_CHILD, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    peak = int(child.stdout.split()[-1]) * 1024
+    peak = cli_own_peak([*argv, "--utterances", "100000", "--views", "v:512"])
     view = (tmp_path / "corpus" / "v.emb").stat().st_size
     assert view == 21 + 100_000 * 512 * 4
     assert peak < view

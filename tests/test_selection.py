@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus_select import relevance, selection
+from corpus_select import relevance, selection, store
 from corpus_select.errors import DimensionMismatch, EmptyCorpus, MissingView, SmallPoolWarning
 from corpus_select.relevance import (
     AggregationMode,
@@ -29,7 +29,7 @@ from corpus_select.selection import (
     greedy_mmr_exact,
     random_baseline,
 )
-from corpus_select.store import EmbeddingView, TargetDataset, TargetSet, _normalize_rows
+from corpus_select.store import EmbeddingView, TargetDataset, TargetSet, _normalize_rows, load_view, save_view
 from conftest import unit_rows
 import oracles
 from oracles import clustered_rows_one_draw, eager_batched_mmr
@@ -571,7 +571,7 @@ class TestSelectorProperties:
         r = oracles.integer_relevance(views, targets, weights, aggregation)
         lo, hi = relevance_bounds(views, targets, weights, aggregation)
         assert np.all(lo <= r) and np.all(r <= hi)
-        pool, r_pool = _prefilter(views, targets, weights, aggregation, pool_size)
+        pool, r_pool, _, _ = _prefilter(views, targets, weights, aggregation, pool_size)
         expected = _ranked(np.arange(n), r)[:pool_size]
         np.testing.assert_array_equal(pool, expected)
         assert r_pool.tobytes() == r[expected].tobytes()
@@ -638,6 +638,30 @@ class TestSelectorProperties:
         finally:
             tracemalloc.stop()
         assert peak < 2 * result.pool_size * d * 4
+
+    @pytest.mark.parametrize("kinds", ["files", "file-and-array"])
+    def test_view_files_select_as_the_loaded_views(self, tmp_path, monkeypatch, kinds):
+        """Views given as `store.ViewFile`s of un-normalized rows, screened in
+        blocks of 64 rows and gathered after the cut, give the bits of the same
+        views loaded whole; so does a file next to an in-memory view."""
+        rng = np.random.default_rng(33)
+        n, dims = 3000, {"a": 16, "b": 24}
+        for name, d in dims.items():
+            rows = clustered_rows_one_draw(unit_rows(rng, 8, d), rng.integers(0, 8, size=n), 0.5, rng)
+            rows *= rng.uniform(0.5, 3.0, size=(n, 1)).astype(np.float32)
+            save_view(EmbeddingView(name, d, rows), tmp_path / f"{name}.emb")
+        loaded = {name: load_view(tmp_path / f"{name}.emb").rows for name in dims}
+        targets = TargetSet(
+            [TargetDataset(f"t{m}", {name: unit_rows(rng, 40, d) for name, d in dims.items()}) for m in range(2)]
+        )
+        durations = rng.uniform(1.0, 10.0, size=n)
+        weights = FusionWeights({"a": 1.0, "b": 2.0})
+        cfg = SelectionConfig(alpha=0.05, rho=0.2, batch_size=16, weights=weights, aggregation=AggregationMode.MEAN)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 64 * 16 * 4)
+        with store.ViewFile(tmp_path / "a.emb") as a, store.ViewFile(tmp_path / "b.emb") as b:
+            views = {"a": a, "b": b} if kinds == "files" else {"a": a, "b": loaded["b"]}
+            streamed = batched_mmr(durations, views, targets, cfg)
+        assert selection_bits(streamed) == selection_bits(batched_mmr(durations, loaded, targets, cfg))
 
     @staticmethod
     def clustered_instance():

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,97 @@ class TestViewFile:
     def test_normalized_flag_validated(self):
         with pytest.raises(NonUnitRow, match="flagged normalized but row 0"):
             EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32), normalized=True)
+
+
+class TestBlockReader:
+    """`ViewFile` reads a payload a block at a time; `load_view` is it filling one matrix."""
+
+    @staticmethod
+    def raw_view(tmp_path, rng, n=23, d=4, flag=0):
+        rows = rng.standard_normal((n, d)).astype("<f4")
+        if flag:
+            rows = _normalize_rows(rows)
+        else:
+            rows *= rng.uniform(1e-2, 1e2, size=(n, 1)).astype("<f4")
+            rows[[0, 9, 10]] = 0.0
+        path = tmp_path / "v.emb"
+        write_raw(path, flag=flag, n=n, d=d, payload=rows.tobytes())
+        return path, rows
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_blocks_are_the_rows_load_view_gives(self, tmp_path, rng, monkeypatch, flag):
+        """Blocks of 3 rows, read into one reused buffer, hold the bytes of a
+        whole-view load; the digest covers the file, and zero rows warn once."""
+        path, rows = self.raw_view(tmp_path, rng, flag=flag)
+        expected = rows if flag else _normalize_rows(rows)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 3 * 4 * 4)
+        seen, buffers = [], set()
+        with recorded_files() as files, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with store.ViewFile(path) as reader:
+                assert (reader.name, reader.normalized, reader.shape) == ("v", bool(flag), (23, 4))
+                for lo, block in reader.blocks():
+                    seen.append((lo, block.copy()))
+                    buffers.add(block.__array_interface__["data"][0])
+        assert [lo for lo, _ in seen] == list(range(0, 23, 3)) and len(buffers) == 1
+        assert np.concatenate([block for _, block in seen]).tobytes() == expected.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroRowWarning)
+            assert load_view(path).rows.tobytes() == expected.tobytes()
+        assert files["read"] == {str(path): {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "bytes": path.stat().st_size}}
+        zero_warnings = [w for w in caught if issubclass(w.category, ZeroRowWarning)]
+        assert [str(w.message) for w in zero_warnings] == ([] if flag else ["view 'v': 3 zero rows left unnormalized"])
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_take_gathers_rows_as_the_blocks_give_them(self, tmp_path, rng, monkeypatch, flag):
+        """Runs of consecutive rows, across block edges, single rows and the last row."""
+        path, rows = self.raw_view(tmp_path, rng, flag=flag)
+        expected = rows if flag else _normalize_rows(rows)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 3 * 4 * 4)
+        index = np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 20, 22])
+        with store.ViewFile(path) as reader:
+            assert reader.take(index).tobytes() == expected[index].tobytes()
+            assert reader.take(np.arange(0)).shape == (0, 4)
+
+    def test_a_non_finite_entry_names_the_file_and_its_row(self, tmp_path, rng, monkeypatch):
+        path, rows = self.raw_view(tmp_path, rng)
+        rows[17, 2] = np.inf
+        write_raw(path, n=23, d=4, payload=rows.tobytes())
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 3 * 4 * 4)
+        with pytest.raises(NonFiniteEntry, match=re.escape(f"{path}: non-finite value at row 17, col 2 in view 'v'")):
+            load_view(path)
+
+    def test_a_non_finite_entry_is_reported_before_an_earlier_non_unit_row(self, tmp_path, rng, monkeypatch):
+        """As a whole-view check reports it: a non-unit row in the first block
+        does not hide a NaN in a later one, and alone it names the file and row."""
+        path, rows = self.raw_view(tmp_path, rng, flag=1)
+        rows[4] *= 2.0
+        write_raw(path, flag=1, n=23, d=4, payload=rows.tobytes())
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 3 * 4 * 4)
+        with pytest.raises(NonUnitRow, match=re.escape(f"{path}: view 'v' flagged normalized but row 4 has L2 norm 2.0")):
+            load_view(path)
+        with store.ViewFile(path) as reader, pytest.raises(NonUnitRow):
+            assert [lo for lo, _ in reader.blocks()] == [0]  # the bad row's block is not given out
+        rows[19, 1] = np.nan
+        write_raw(path, flag=1, n=23, d=4, payload=rows.tobytes())
+        with pytest.raises(NonFiniteEntry, match="row 19, col 1"):
+            load_view(path)
+
+    def test_a_pass_holds_one_block(self, tmp_path, rng):
+        """Reading a payload of eight blocks allocates about one block, not the payload."""
+        n, d = 16384, 256
+        rows = 3.0 * rng.standard_normal((n, d)).astype(np.float32)
+        path = tmp_path / "v.emb"
+        save_view(EmbeddingView("x", d, rows), path)
+        tracemalloc.start()
+        try:
+            with store.ViewFile(path) as reader:
+                total = sum(float(block[:, 0].sum()) for _, block in reader.blocks())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(total) and rows.nbytes == 8 * store._BLOCK_BYTES
+        assert peak < 2 * store._BLOCK_BYTES
 
 
 def load_normalized(tmp_path, rows):

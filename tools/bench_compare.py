@@ -6,27 +6,40 @@
 Run from the root of a checkout. The base commit is exported with
 `git archive` into a scratch directory (a `git worktree` would register
 itself in the repository). For each seed, `perfbench/run.py --workload
-all --trace 0` runs once on each side, one at a time, with the side that
-goes first alternating from seed to seed; each `--trace-seeds` seed adds
-one traced run (`--trace 1`) per side for the per-layer numbers. The
+NAME --trace 0` runs once per workload on each side, one at a time, with
+the side that goes first alternating from seed to seed; each
+`--trace-seeds` seed adds one traced run (`--trace 1`) per side for the
+per-layer numbers. Each workload runs in its own harness process, as the
+benchmark runs them: a harness that has run and checked another workload
+holds more memory, and every job's `peak_rss_mb` includes it. The
 BENCH file gives, per workload, every end-to-end metric as each side's
 median and quartiles over seeds, the change's wins out of the pairs, the
 traced running-max, ranking, relevance, load, projection, compaction
 and fixture layers (with the k-means iteration count; `null` where a
 traced run has no such layer), the pick digests of both sides, whether the pick and
 output digests agree on every seed, each side's `wc -l
-src/corpus_select/*.py` and the numeric environment of the host. Per
-workload it prints the `wall_s`, `cpu_s`, `peak_rss_mb` and `setup_s`
-medians of both sides, the change's median over the base's, and its wins. It exits
-1, after writing the BENCH file, when the picks or outputs of the two
-sides differ on any workload.
+src/corpus_select/*.py` and the numeric environment of the host.
+
+The harness reads a job's `peak_rss_mb` from `os.wait4`, and Linux carries
+the starting process's RSS high-water mark into a child across fork and
+exec, so that value is at least the harness's own RSS. So per workload the
+BENCH file also gives `own_peak_mb`: the job's own peak, from one set-up and
+one job per side on the first seed, the job started from a small launcher
+(`_LAUNCHER`, a few MB) that reads the child's `ru_maxrss`.
+
+Per workload it prints the `wall_s`, `cpu_s`, `peak_rss_mb` and `setup_s`
+medians of both sides, the change's median over the base's, its wins,
+and the own peaks. It exits 1, after writing the BENCH file, when the
+picks or outputs of the two sides differ on any workload.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,6 +48,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
 LAYERS = (
     "selection.running_max.s",
     "selection.running_max.gflop",
@@ -81,20 +97,49 @@ def source_lines(checkout: Path) -> dict[str, int]:
 
 
 def run_bench(checkout: Path, seed: int, seconds: float, trace: int) -> dict[str, dict]:
-    """One `perfbench/run.py --workload all` run; the result of each workload by name."""
-    cmd = [
-        sys.executable, "perfbench/run.py", "--workload", "all",
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-    ]
-    print(f"[{checkout}] {' '.join(cmd[1:])}", file=sys.stderr, flush=True)
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"{checkout}: exit {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    """One `perfbench/run.py --workload NAME` run per workload; the result of each workload by name."""
     results = {}
-    for path in (checkout / ".perfbench" / "results").glob(f"*-seed{seed}-trace{trace}.json"):
-        result = json.loads(path.read_text())
-        results[result["workload"]] = result
+    for name in WORKLOADS:
+        cmd = [
+            sys.executable, "perfbench/run.py", "--workload", name,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        ]  # fmt: skip
+        print(f"[{checkout}] {' '.join(cmd[1:])}", file=sys.stderr, flush=True)
+        done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{checkout}: exit {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+        path = checkout / ".perfbench" / "results" / f"{name}-seed{seed}-trace{trace}.json"
+        results[name] = json.loads(path.read_text())
     return results
+
+
+# Starts `python3 ARGS...` and prints the child's peak RSS (KiB) and exit code.
+_LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))\n"
+)
+
+
+def own_peaks(checkout: Path, seed: int, work_root: Path) -> dict[str, float]:
+    """Each workload's job peak RSS in MB as the job's own process has it: one
+    `job.py setup` and one `job.py run`, started from `_LAUNCHER`, per workload."""
+    peaks = {}
+    for name, workload in WORKLOADS.items():
+        work = work_root / name
+        work.mkdir(parents=True)
+        job = {"workload": name, "seed": seed, "params": workload.params, "select": dataclasses.asdict(workload.select)}
+        (work / "job.json").write_text(json.dumps(job), encoding="utf-8")
+        subprocess.run([sys.executable, "perfbench/job.py", "setup", str(work)], cwd=checkout, check=True, capture_output=True)
+        launch = [sys.executable, "-S", "-c", _LAUNCHER, "perfbench/job.py", "run", str(work)]
+        done = subprocess.run(launch, cwd=checkout, check=True, capture_output=True, text=True)
+        maxrss_kib, code = map(int, done.stdout.split()[-2:])
+        if code != 0:
+            raise RuntimeError(f"{checkout}: the {name} job exited with {code}\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+        peaks[name] = maxrss_kib / 1024.0
+        shutil.rmtree(work)
+    return peaks
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -162,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
         for seed in args.trace_seeds:
             for side in ("base", "change"):
                 traced[side].append(run_bench(sides[side], seed, args.seconds, 1))
+        with tempfile.TemporaryDirectory(prefix="bench-peak-", dir=args.scratch) as work_root:
+            own = {side: own_peaks(checkout, args.seeds[0], Path(work_root) / side) for side, checkout in sides.items()}
 
     environment = next(iter(runs["change"][0].values()))["environment"]
     command = ["python3", "tools/bench_compare.py", "--base", args.base, "--seeds", *map(str, args.seeds)]
@@ -173,12 +220,14 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "trace_seeds": args.trace_seeds,
         "seconds": args.seconds,
-        "pairs": "one untraced `perfbench/run.py --workload all` run per side per seed, "
+        "pairs": "one untraced `perfbench/run.py --workload NAME` run per workload per side per seed, "
         "alternating which side runs first; quartiles are over seeds",
         "environment": environment,
         "src_lines": src_lines,
         "workloads": summarize(runs, traced),
     }
+    for name, w in bench["workloads"].items():
+        w["own_peak_mb"] = {"seed": args.seeds[0], **{side: own[side][name] for side in own}}
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     for name, w in bench["workloads"].items():
         parts = []
@@ -188,6 +237,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{key} {m['base']['median']:.3f} -> {m['change']['median']:.3f} "
                 f"(x{m['change_over_base']:.3f}, wins {m['change_wins']})"
             )
+        peak = w["own_peak_mb"]
+        parts.append(f"own peak {peak['base']:.1f} -> {peak['change']:.1f} MB")
         print(f"{name}: {', '.join(parts)}, same picks {w['same_picks']}, same outputs {w['same_outputs']}")
     same = all(w["same_picks"] and w["same_outputs"] for w in bench["workloads"].values())
     return 0 if same else 1
