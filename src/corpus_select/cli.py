@@ -5,7 +5,8 @@ numeric flag is range-validated at parse time, before any data is loaded.
 Exit codes: 0 success, 1 data errors (with file/line context), 2 usage
 errors (naming the offending flag, also a flag of the other `stats`
 mode: a summary takes only `--corpus`, `--make-fixture` every other
-flag). Output files are written to a temp file and atomically renamed.
+flag). Each warning is one `warning:` line on stderr. Output files are
+written to a temp file and atomically renamed.
 Each run that writes files gets a JSON run manifest sidecar (`run.json`
 in its `--out` directory, else `<output>.run.json`): the fully resolved
 configuration, keyed by each flag's `dest`, per-phase wall-clock times,
@@ -30,13 +31,14 @@ import itertools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from corpus_select import __version__
 from corpus_select.compaction import KMeansConfig, compact_targets
-from corpus_select.errors import DataError, MissingView
+from corpus_select.errors import DataError
 from corpus_select.fixture import FixtureSpec, make_fixture
 from corpus_select.probe import ProbeConfig, probe_matrix
 from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, make_projection, project_view
@@ -44,9 +46,6 @@ from corpus_select.relevance import AggregationMode, FusionWeights, available_cp
 from corpus_select.selection import SelectionConfig, batched_mmr, duration_baseline, random_baseline
 from corpus_select.store import (
     _atomic_bytes,
-    _check_row_counts,
-    _dataset_dirs,
-    _view_files,
     load_corpus,
     load_manifest,
     load_target_durations,
@@ -56,7 +55,6 @@ from corpus_select.store import (
     recorded_files,
     save_targets,
     save_view,
-    view_header,
 )
 
 
@@ -382,12 +380,9 @@ def _cmd_select(config: dict) -> dict[str, float]:
     with contextlib.ExitStack() as stack:
         if method == "mmr":
             # corpus views stay on disk: the selector screens them a block at a time
-            manifest, views = stack.enter_context(open_corpus(config["corpus"], views=view_names))
-            targets = load_targets(config["targets"], views=view_names)
-            for directory, dataset in zip(_dataset_dirs(config["targets"]), targets.datasets):
-                lacking = [name for name in views if name not in dataset.views]
-                if lacking:
-                    raise MissingView(f"{directory}: targets are missing weighted view {lacking[0]!r}")
+            corpus = stack.enter_context(open_corpus(config["corpus"], views=view_names))
+            manifest, views = corpus.manifest, corpus.views
+            targets = load_targets(config["targets"], views={name: view.shape[1] for name, view in views.items()})
         else:
             manifest = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
             if method == "duration":
@@ -467,11 +462,9 @@ def _cmd_stats(config: dict) -> dict[str, float]:
         print(json.dumps(summary, indent=2))
         return {"total_s": time.perf_counter() - t0}
 
-    # each view's flag, N and D come from its header; the payload is not read
-    directory = Path(config["corpus"])
-    manifest = load_manifest(directory / "manifest.jsonl")
-    headers = {path.stem: view_header(path) for path in _view_files(directory, None)}
-    _check_row_counts(len(manifest), {name: n for name, (_, n, _) in headers.items()})
+    # each view's flag and D come from its header; the payload is not read
+    with open_corpus(config["corpus"]) as corpus:
+        manifest, views = corpus.manifest, corpus.views
     t1 = time.perf_counter()
     print(f"utterances: {len(manifest)}")
     print(f"total-hours: {manifest.durations.sum() / 3600.0:.2f}")
@@ -482,9 +475,9 @@ def _cmd_stats(config: dict) -> dict[str, float]:
     for tag, count, total in zip(tags, counts, seconds):
         print(f"  {tag}  {count}  {total / 3600.0:.2f}h")
     print("views:")
-    for name, (normalized, _, dims) in headers.items():
-        flag = "normalized" if normalized else "raw"
-        print(f"  {name}  {dims} dims  {flag}")
+    for name, view in views.items():
+        flag = "normalized" if view.normalized else "raw"
+        print(f"  {name}  {view.shape[1]} dims  {flag}")
     return {"total_s": t1 - t0}
 
 
@@ -566,7 +559,8 @@ def run(argv: list[str]) -> int:
         if replay_manifest is not None:
             _verify_replay_inputs(replay_manifest)
 
-        with recorded_files() as files:
+        with recorded_files() as files, warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             phases = _HANDLERS[args.subcommand](config)
 
         if replay_manifest is not None:

@@ -12,24 +12,22 @@ Embedding file layout (little-endian throughout):
 Manifests are UTF-8 JSON lines, one record per line with fields "id",
 "duration_s" and "dataset"; `load_manifest` returns them as columns (a
 `Manifest`). Alignment between metadata and matrices is positional: line
-i of the manifest owns row i of every view, and row counts are
-cross-checked when a corpus is assembled.
+i of the manifest owns row i of every view, as `CorpusManifest` checks.
 
 One block reader, `ViewFile`, reads every view payload. It reads the
 rows in file order, a block of about 2 MB at a time, into one reused
 buffer with `readinto` (no memory map: mapped pages count toward RSS),
 and per block updates the file's sha256, runs the finite check, and runs
-the unit check or normalizes the block. `take(rows)` gathers rows by
-offset through the same open file. `open_corpus` opens a corpus's views
-as readers, and `select` screens them through it, so it never holds one
-whole.
+the unit check or normalizes the block. `read()` is the blocks filling
+one matrix; `take(rows)` gathers rows by offset through the same file.
 
-In memory, `EmbeddingView` is one `.emb` file as `load_view` returns it:
-its rows and its normalized flag; `load_view` is the block reader
-filling one matrix, and checks each row once. A loaded corpus
-(`CorpusManifest`) is the manifest columns plus one unit float32 matrix
-per view, and a target dataset is one float32 matrix per view;
-everything downstream of the store takes plain matrices or readers.
+One opener, `open_corpus`, opens a corpus: the manifest columns and the
+views as readers, every header checked and no payload read. `stats`
+prints from the headers alone, `select` screens the views a block at a
+time, and `load_corpus` is the opener reading each view whole. In
+memory, `EmbeddingView` is one `.emb` file as `load_view` returns it,
+a loaded corpus is the manifest columns plus one unit float32 matrix per
+view, and a target dataset is one float32 matrix per view.
 
 A corpus directory holds one `manifest.jsonl` plus one `<view>.emb` file
 per view. A targets directory holds one subdirectory per target dataset,
@@ -51,7 +49,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +60,7 @@ from corpus_select.errors import (
     DuplicateId,
     EmptyTargets,
     MalformedLine,
+    MissingView,
     NonFiniteEntry,
     NonPositiveDuration,
     NonUnitRow,
@@ -197,24 +196,24 @@ class Manifest:
         return len(self.ids)
 
 
-def _check_row_counts(lines: int, row_counts: dict[str, int]) -> None:
-    """A corpus has at least one view, and each view one row per manifest line."""
-    if not row_counts:
-        raise DimensionMismatch("a corpus needs at least one view")
-    for name, rows in row_counts.items():
-        if rows != lines:
-            raise DimensionMismatch(f"view {name!r} has {rows} rows but the manifest has {lines} lines")
-
-
 @dataclass
 class CorpusManifest:
-    """Manifest columns plus the float32 view matrices aligned to them row for row."""
+    """Manifest columns plus at least one view aligned to them row for row:
+    float32 matrices, or `ViewFile`s (whose row-count error names the file)."""
 
     manifest: Manifest
-    views: dict[str, np.ndarray]
+    views: dict[str, np.ndarray | ViewFile]
 
     def __post_init__(self):
-        _check_row_counts(len(self.manifest), {name: rows.shape[0] for name, rows in self.views.items()})
+        if not self.views:
+            raise DimensionMismatch("a corpus needs at least one view")
+        lines = len(self.manifest)
+        for name, view in self.views.items():
+            if view.shape[0] != lines:
+                where = f"{view.path}: " if isinstance(view, ViewFile) else ""
+                raise DimensionMismatch(
+                    f"{where}view {name!r} has {view.shape[0]} rows but the manifest has {lines} lines"
+                )
 
 
 @dataclass
@@ -345,13 +344,6 @@ def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
     return header, flag, n, d
 
 
-def view_header(path: str | Path) -> tuple[bool, int, int]:
-    """The normalized flag, N and D of an EMB1 file, from its checked header; the payload is not read."""
-    with open(path, "rb") as fh:
-        _, flag, n, d = _read_header(fh, Path(path))
-    return bool(flag), n, d
-
-
 def _block_rows(d: int) -> int:
     return max(1, _BLOCK_BYTES // (4 * d))
 
@@ -362,7 +354,8 @@ class ViewFile:
     Opening reads and checks the header (`_read_header`) and keeps the
     file open until the end of a `with` block; `name`,
     `normalized` (the header flag) and `shape` come from the header.
-    `blocks()` reads the payload and `take(rows)` gathers rows from it.
+    `blocks()` reads the payload, `read()` the whole of it, and
+    `take(rows)` gathers rows from it.
     """
 
     def __init__(self, path: str | Path):
@@ -425,9 +418,15 @@ class ViewFile:
         if digest is not None:
             _record_read(self.path, digest, _HEADER.size + n * d * 4)
         if zero_count:
-            warnings.warn(
-                f"view {self.name!r}: {zero_count} zero rows left unnormalized", ZeroRowWarning, stacklevel=2
-            )
+            message = f"{self.path}: view {self.name!r}: {zero_count} zero rows left unnormalized"
+            warnings.warn(message, ZeroRowWarning, stacklevel=2)
+
+    def read(self) -> np.ndarray:
+        """The whole payload as one N x D matrix: `blocks()` filling it, so each row is checked once."""
+        rows = np.empty(self.shape, "<f4")
+        for _ in self.blocks(out=rows):
+            pass
+        return rows
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The rows at the ascending indices `rows`, as `blocks()` gives them, in one new matrix.
@@ -452,17 +451,13 @@ class ViewFile:
 def load_view(path: str | Path) -> EmbeddingView:
     """Load an EMB1 view file; the view is named after the file's stem.
 
-    This is `ViewFile.blocks()` filling one matrix: unless the header
-    marks the rows normalized, rows are L2-normalized on load so that
-    cosine equals dot product downstream. Zero rows stay zero and are
-    counted in a ZeroRowWarning; their cosine with anything is 0
-    downstream.
+    This is `ViewFile.read()`: unless the header marks the rows
+    normalized, rows are L2-normalized on load so that cosine equals dot
+    product downstream. Zero rows stay zero and are counted in a
+    ZeroRowWarning; their cosine with anything is 0 downstream.
     """
     with ViewFile(path) as reader:
-        rows = np.empty(reader.shape, "<f4")
-        for _ in reader.blocks(out=rows):
-            pass
-    return EmbeddingView._from_blocks(reader.name, rows)
+        return EmbeddingView._from_blocks(reader.name, reader.read())
 
 
 _PARSE_CHUNK = 1 << 16  # bytes of whole lines per `json.loads` call in `_parse_chunks`
@@ -598,45 +593,51 @@ def _dataset_dirs(directory: str | Path) -> list[Path]:
     return sorted(p for p in directory.iterdir() if p.is_dir()) or [directory]
 
 
-def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) -> CorpusManifest:
-    """Load `manifest.jsonl` plus view files from a corpus directory.
-
-    `views` selects view names (default: every `.emb` file, sorted by name).
-    """
-    directory = Path(directory)
-    manifest = load_manifest(directory / "manifest.jsonl")
-    return CorpusManifest(manifest, {path.stem: load_view(path).rows for path in _view_files(directory, views)})
-
-
 @contextmanager
-def open_corpus(directory: str | Path, *, views: Sequence[str] | None = None):
-    """`manifest.jsonl` and the view files of a corpus directory, opened as `ViewFile`s.
+def open_corpus(directory: str | Path, *, views: Sequence[str] | None = None) -> Iterator[CorpusManifest]:
+    """A corpus directory's `manifest.jsonl` and view files as a `CorpusManifest` of open `ViewFile`s.
 
-    Yields `(manifest, {name: ViewFile})`; `views` selects view names as
-    in `load_corpus`. Each view's header is checked against the manifest's
-    row count; the payloads are read later, a block at a time, by whoever
-    scores them. The files are closed when the block ends.
+    `views` selects view names (default: every `.emb` file, sorted by
+    name). Headers are checked against the manifest and no payload is
+    read. The files are closed when the block ends.
     """
     directory = Path(directory)
     manifest = load_manifest(directory / "manifest.jsonl")
     with ExitStack() as stack:
         files = {path.stem: stack.enter_context(ViewFile(path)) for path in _view_files(directory, views)}
-        _check_row_counts(len(manifest), {name: file.shape[0] for name, file in files.items()})
-        yield manifest, files
+        yield CorpusManifest(manifest, files)
 
 
-def load_targets(directory: str | Path, *, views: Sequence[str] | None = None) -> TargetSet:
+def load_corpus(directory: str | Path, *, views: Sequence[str] | None = None) -> CorpusManifest:
+    """`open_corpus` with each view read whole (`ViewFile.read`) into a unit float32 matrix."""
+    with open_corpus(directory, views=views) as corpus:
+        return CorpusManifest(corpus.manifest, {name: view.read() for name, view in corpus.views.items()})
+
+
+def load_targets(directory: str | Path, *, views: Mapping[str, int] | None = None) -> TargetSet:
     """Load a targets directory into a TargetSet.
 
     Subdirectories become datasets in sorted name order; a flat directory
     of `.emb` files becomes a single dataset named after the directory.
-    A dataset directory without any `.emb` file raises EmptyTargets naming it.
+    `views` maps the names to load to their D (default: every `.emb` file).
+    A dataset without a `.emb` file or a view without rows raises EmptyTargets,
+    a missing view MissingView, a view of another D DimensionMismatch; each names its path.
     """
     datasets = []
     for sub in _dataset_dirs(directory):
         if next(sub.glob("*.emb"), None) is None:
             raise EmptyTargets(f"{sub}: the targets directory holds no view (.emb) file")
-        datasets.append(TargetDataset(sub.name, {path.stem: load_view(path).rows for path in _view_files(sub, views)}))
+        mats = {}
+        for path in _view_files(sub, views):
+            if not path.exists():
+                raise MissingView(f"{sub}: targets are missing weighted view {path.stem!r}")
+            mats[path.stem] = rows = load_view(path).rows
+            d = rows.shape[1] if views is None else views[path.stem]
+            if rows.shape[0] == 0:
+                raise EmptyTargets(f"{path}: the target view has no rows")
+            if rows.shape[1] != d:
+                raise DimensionMismatch(f"{path}: the target view has {rows.shape[1]} dims, the corpus view {d}")
+        datasets.append(TargetDataset(sub.name, mats))
     return TargetSet(datasets)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import corpus_select
-from corpus_select.store import _HEADER, EmbeddingView, _normalize_rows, view_header
+from corpus_select.store import _HEADER, EmbeddingView, ViewFile, _normalize_rows
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -17,10 +17,10 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 def load_raw_view(path) -> EmbeddingView:
     """An EMB1 file's view as stored: its header flag and its rows as written, not normalized."""
-    path = Path(path)
-    normalized, n, d = view_header(path)
+    with ViewFile(path) as view:
+        name, normalized, (n, d) = view.name, view.normalized, view.shape
     rows = np.fromfile(path, dtype="<f4", offset=_HEADER.size).reshape(n, d)
-    return EmbeddingView(path.stem, d, rows, normalized=normalized)
+    return EmbeddingView(name, d, rows, normalized=normalized)
 
 
 _PEAK_CHILD = (

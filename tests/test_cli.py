@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_select import cli
+from corpus_select import cli, store
 from corpus_select.cli import run
 from corpus_select.relevance import available_cpus, blas_corename, blas_thread_cap
 from corpus_select.store import EmbeddingView, _atomic_bytes, load_manifest, load_view, save_view
@@ -363,6 +363,89 @@ def _compact_empty_targets_directory(corpus, targets, tmp_path, out):
     return argv, 1, f"error: {empty}: the targets directory holds no view (.emb) file", empty
 
 
+def _raw_view(path, rows, flag=0):
+    path.write_bytes(struct.pack("<4sIBQI", b"EMB1", 1, flag, *rows.shape) + rows.astype("<f4").tobytes())
+
+
+def _manifest_short_a_line(corpus, targets):
+    manifest = corpus / "manifest.jsonl"
+    manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:-1]))
+    path = corpus / "speaker.emb"
+    return path, f"{path}: view 'speaker' has 600 rows but the manifest has 599 lines"
+
+
+def _target_of_other_dims(corpus, targets):
+    path = targets / "target-0" / "speaker.emb"
+    _raw_view(path, np.ones((60, 5), np.float32))
+    return path, f"{path}: the target view has 5 dims, the corpus view 48"
+
+
+def _target_without_rows(corpus, targets):
+    path = targets / "target-0" / "speaker.emb"
+    _raw_view(path, np.ones((0, 48), np.float32))
+    return path, f"{path}: the target view has no rows"
+
+
+def _truncated_corpus_view(corpus, targets):
+    path = corpus / "speaker.emb"
+    path.write_bytes(path.read_bytes()[:-100])
+    return path, f"{path}: header declares 600x48 rows (115200 payload bytes) but the file holds 115100"
+
+
+def _target_flagged_normalized_not_unit(corpus, targets):
+    path = targets / "target-0" / "speaker.emb"
+    rows = load_view(path).rows.copy()
+    rows[5] *= 2.0
+    _raw_view(path, rows, flag=1)
+    return path, f"{path}: view 'speaker' flagged normalized but row 5 has L2 norm 2.000000"
+
+
+def _manifest_with_a_bom(corpus, targets):
+    path = corpus / "manifest.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return path, f"{path}: line 1: invalid JSON (Unexpected UTF-8 BOM"
+
+
+def _directory_as_view(where):
+    def corrupt(corpus, targets):
+        path = {"corpus": corpus, "targets": targets / "target-0"}[where] / "wavlm.emb"
+        path.unlink()
+        path.mkdir()
+        return path, f"[Errno 21] Is a directory: '{path}'"
+
+    return corrupt
+
+
+def _corrupted(corrupt, subcommand):
+    """A case: `subcommand` reading copies of the fixture, one of them corrupted by `corrupt`."""
+
+    def case(corpus, targets, tmp_path, out):
+        corpus, targets = shutil.copytree(corpus, tmp_path / "corpus"), shutil.copytree(targets, tmp_path / "targets")
+        path, message = corrupt(corpus, targets)
+        argv = {
+            "select": _select(corpus, targets, out),
+            "stats": ["stats", "--corpus", str(corpus)],
+            "probe": ["probe", "--corpus", str(corpus), "--views", "speaker,wavlm"],
+            "project": ["project", "--in", str(corpus / "speaker.emb"), "--out", str(tmp_path / "p.emb"), "--dim", "16"],
+            "compact-targets": ["compact-targets", "--targets", str(targets), "--k", "4", "--out", str(tmp_path / "c")],
+        }[subcommand]
+        return argv, 1, f"error: {message}", path
+
+    return case
+
+
+_CORRUPTIONS = [
+    ("manifest-short-a-line", _manifest_short_a_line, ["select", "stats", "probe"]),
+    ("target-of-other-dims", _target_of_other_dims, ["select"]),
+    ("target-without-rows", _target_without_rows, ["select", "compact-targets"]),
+    ("truncated-corpus-view", _truncated_corpus_view, ["select", "probe", "project"]),
+    ("target-flagged-normalized-not-unit", _target_flagged_normalized_not_unit, ["select", "compact-targets"]),
+    ("manifest-with-a-bom", _manifest_with_a_bom, ["select", "stats", "probe"]),
+    ("corpus-view-is-a-directory", _directory_as_view("corpus"), ["select", "stats", "probe"]),
+    ("target-view-is-a-directory", _directory_as_view("targets"), ["compact-targets"]),
+]
+
+
 class TestErrorContract:
     """One table of error paths: each exits with its code and one stderr line,
     `error:` or `usage error:`, naming the path where there is one, with no
@@ -379,6 +462,11 @@ class TestErrorContract:
             pytest.param(_target_dataset_lacking_a_view, id="target-dataset-lacking-a-view"),
             pytest.param(_empty_targets_directory, id="empty-targets-directory"),
             pytest.param(_compact_empty_targets_directory, id="compact-empty-targets-directory"),
+            *[
+                pytest.param(_corrupted(corrupt, subcommand), id=f"{name}-{subcommand}")
+                for name, corrupt, subcommands in _CORRUPTIONS
+                for subcommand in subcommands
+            ],
         ],
     )
     def test_error_path(self, fixture_dirs, tmp_path, capsys, case):
@@ -394,6 +482,30 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith(message)
         assert path is None or str(path) in lines[0]
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestWarnings:
+    """A warning prints as one `warning:` line on stderr, and the run exits 0."""
+
+    def test_small_pool(self, fixture_dirs, tmp_path, capsys):
+        corpus, targets = fixture_dirs
+        capsys.readouterr()
+        assert run(_select(corpus, targets, tmp_path / "s.jsonl", "--alpha", "1", "--rho", "0.01")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: prefilter pool (6) is below twice the expected pick count (600); selection may exhaust it"
+        ]
+
+    def test_zero_row_in_a_corpus_view_names_its_file(self, fixture_dirs, tmp_path, capsys):
+        """A corpus and a target view may share a name: the warning names the file."""
+        corpus, targets = fixture_dirs
+        corpus = shutil.copytree(corpus, tmp_path / "corpus")
+        path = corpus / "speaker.emb"
+        rows = load_view(path).rows.copy()
+        rows[3] = 0.0
+        _raw_view(path, rows)
+        capsys.readouterr()
+        assert run(_select(corpus, targets, tmp_path / "s.jsonl", "--alpha", "0.05")) == 0
+        assert capsys.readouterr().err.splitlines() == [f"warning: {path}: view 'speaker': 1 zero rows left unnormalized"]
 
 
 class TestStats:
@@ -454,13 +566,16 @@ class TestStats:
 
 
     def test_reads_only_view_headers(self, fixture_dirs, capsys, monkeypatch):
-        """No view payload is read: every view line prints with `np.fromfile` unusable."""
+        """No view payload is read: every view line prints with the block reader
+        (`ViewFile.blocks`, `ViewFile.take`) and `np.fromfile` unusable."""
         corpus, _ = fixture_dirs
 
         def no_payload(*args, **kwargs):
             raise AssertionError("stats read a view payload")
 
         monkeypatch.setattr(np, "fromfile", no_payload)
+        monkeypatch.setattr(store.ViewFile, "blocks", no_payload)
+        monkeypatch.setattr(store.ViewFile, "take", no_payload)
         assert run(["stats", "--corpus", str(corpus)]) == 0
         out = capsys.readouterr().out
         assert "  speaker  48 dims  normalized\n" in out

@@ -231,7 +231,7 @@ class TestBlockReader:
             assert load_view(path).rows.tobytes() == expected.tobytes()
         assert files["read"] == {str(path): {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "bytes": path.stat().st_size}}
         zero_warnings = [w for w in caught if issubclass(w.category, ZeroRowWarning)]
-        assert [str(w.message) for w in zero_warnings] == ([] if flag else ["view 'v': 3 zero rows left unnormalized"])
+        assert [str(w.message) for w in zero_warnings] == ([] if flag else [f"{path}: view 'v': 3 zero rows left unnormalized"])
 
     @pytest.mark.parametrize("flag", [0, 1])
     def test_take_gathers_rows_as_the_blocks_give_them(self, tmp_path, rng, monkeypatch, flag):
