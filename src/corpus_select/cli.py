@@ -12,14 +12,15 @@ in its `--out` directory, else `<output>.run.json`): the fully resolved
 configuration, keyed by each flag's `dest`, per-phase wall-clock times,
 and the digests that `store.recorded_files` took of the bytes the run
 read and wrote. With `--replay <run.json>`, project, compact-targets and
-select re-run from the manifest and check what they wrote; audit and
-probe write no file, so they leave no manifest to replay.
+select re-run from the manifest, and each output's digest is checked
+before it replaces the file, so a failed replay leaves the output as it
+was; audit and probe write no file, so they leave no manifest to replay.
 A replay is a run whose flags come from the manifest: each recorded key
 is rendered back into its flag and parsed again, so a bad value exits 2
 naming its flag before any input is read. Any other flag given with
-`--replay` exits 2 naming it. Keys no flag declares any more
-are ignored; a missing optional key takes today's default, and the output
-digest check catches any change that makes.
+`--replay` exits 2 naming it. Keys no flag declares any more (`bins`,
+`normalize`) are ignored; a missing optional key takes today's default,
+and the output digest check catches any change that makes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from corpus_select import __version__
 from corpus_select.compaction import KMeansConfig, compact_targets
-from corpus_select.errors import DataError
+from corpus_select.errors import DataError, EmptyCorpus
 from corpus_select.fixture import FixtureSpec, make_fixture
 from corpus_select.probe import ProbeConfig, probe_matrix
 from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, make_projection, project_view
@@ -56,6 +57,9 @@ from corpus_select.store import (
     save_targets,
     save_view,
 )
+
+
+_FIXTURE_SPREAD = 0.25  # `stats --make-fixture`'s noise norm around each cluster center
 
 
 class UsageError(Exception):
@@ -233,7 +237,6 @@ def _build_parser() -> tuple[
     p.add_argument("--weights", type=_weights_arg, default=None, metavar="NAME=W,...")
     p.add_argument("--aggregate", choices=("max", "mean"), default="max")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--bins", type=_positive_int, default=20, help="duration-baseline bins")
     need("select", p, "--out", metavar="JSONL", help="selection output file")
     p.add_argument("--threads", type=_positive_int, default=available_cpus())
     add_replay(p)
@@ -242,7 +245,6 @@ def _build_parser() -> tuple[
     need("probe", p, "--corpus", metavar="DIR", help="corpus directory")
     p.add_argument("--views", type=_views_arg, default=None, metavar="NAME,...")
     p.add_argument("--clusters", type=_positive_int, default=100)
-    p.add_argument("--train-fraction", type=_float_in(0.0, 1.0, lo_open=True, hi_open=True), default=0.8)
     p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("stats", help="corpus statistics or synthetic fixture generation")
@@ -253,8 +255,6 @@ def _build_parser() -> tuple[
     p.add_argument("--utterances", type=_positive_int, default=2000)
     p.add_argument("--views", dest="view_dims", type=_view_dims_arg, default=None, metavar="NAME:DIM,...")
     p.add_argument("--clusters", type=_positive_int, default=10)
-    p.add_argument("--spread", type=_float_in(0.0, 10.0), default=0.25)
-    p.add_argument("--target-datasets", type=_positive_int, default=2)
     p.add_argument("--target-rows", type=_positive_int, default=120)
     p.add_argument("--seed", type=_seed, default=0)
 
@@ -377,6 +377,7 @@ def _cmd_select(config: dict) -> dict[str, float]:
     method = config["method"]
     weights = FusionWeights(config["weights"]) if config["weights"] else None
     view_names = weights.names if weights is not None else None
+    manifest_path = Path(config["corpus"]) / "manifest.jsonl"
     with contextlib.ExitStack() as stack:
         if method == "mmr":
             # corpus views stay on disk: the selector screens them a block at a time
@@ -384,9 +385,11 @@ def _cmd_select(config: dict) -> dict[str, float]:
             manifest, views = corpus.manifest, corpus.views
             targets = load_targets(config["targets"], views={name: view.shape[1] for name, view in views.items()})
         else:
-            manifest = load_manifest(Path(config["corpus"]) / "manifest.jsonl")
+            manifest = load_manifest(manifest_path)
             if method == "duration":
                 target_durations = load_target_durations(config["targets"])
+        if not len(manifest):
+            raise EmptyCorpus(f"no candidates to select from: {manifest_path} is empty")
         t1 = time.perf_counter()
 
         if method == "mmr":
@@ -402,9 +405,7 @@ def _cmd_select(config: dict) -> dict[str, float]:
         elif method == "random":
             result = random_baseline(manifest.durations, config["alpha"], config["seed"])
         else:
-            result = duration_baseline(
-                manifest.durations, target_durations, config["alpha"], config["seed"], bins=config["bins"]
-            )
+            result = duration_baseline(manifest.durations, target_durations, config["alpha"], config["seed"])
         t2 = time.perf_counter()
 
     _write_selection(result, manifest.ids, Path(config["out"]))
@@ -422,12 +423,7 @@ def _cmd_probe(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
     corpus = load_corpus(config["corpus"], views=config["views"])
     t1 = time.perf_counter()
-    probe_cfg = ProbeConfig(
-        clusters=config["clusters"],
-        train_fraction=config["train_fraction"],
-        seed=config["seed"],
-    )
-    reports = probe_matrix(corpus.views, probe_cfg)
+    reports = probe_matrix(corpus.views, ProbeConfig(clusters=config["clusters"], seed=config["seed"]))
     t2 = time.perf_counter()
 
     names = list(corpus.views)
@@ -453,8 +449,7 @@ def _cmd_stats(config: dict) -> dict[str, float]:
             utterances=config["utterances"],
             view_dims=config["view_dims"],
             clusters=config["clusters"],
-            cluster_spread=config["spread"],
-            target_datasets=config["target_datasets"],
+            cluster_spread=_FIXTURE_SPREAD,
             target_rows=config["target_rows"],
             seed=config["seed"],
         )
@@ -523,13 +518,10 @@ def _verify_replay_inputs(manifest: dict) -> None:
 
 
 def _verify_replay_outputs(manifest: dict, written: dict[str, dict]) -> None:
-    for path_str, entry in manifest.get("outputs", {}).items():
-        digest = written.get(path_str, {}).get("sha256")
-        if digest != entry["sha256"]:
-            raise DataError(
-                f"replay produced a different digest for {path_str}: "
-                f"{digest} != recorded {entry['sha256']}"
-            )
+    """Every recorded output was written; each write checked its digest (`store._atomic_bytes`)."""
+    for path_str in manifest.get("outputs", {}):
+        if path_str not in written:
+            raise DataError(f"replay did not write {path_str}, a recorded output")
     print("replay: outputs match recorded digests")
 
 
@@ -560,6 +552,8 @@ def run(argv: list[str]) -> int:
             _verify_replay_inputs(replay_manifest)
 
         with recorded_files() as files, warnings.catch_warnings():
+            if replay_manifest is not None:
+                files["expected"] = replay_manifest.get("outputs", {})
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             phases = _HANDLERS[args.subcommand](config)
 

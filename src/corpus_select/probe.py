@@ -33,21 +33,17 @@ _MAX_EPOCHS = 200
 _LEARNING_RATE = 0.1
 _PLATEAU_REL = 1e-6
 _MIN_LR = 1e-10
+_TRAIN_FRACTION = 0.8  # share of each class in the train split
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
     clusters: int = 100
-    train_fraction: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
         if self.clusters < 1:
             raise ValueError(f"clusters must be positive, got {self.clusters}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
 
 
 @dataclass(frozen=True)
@@ -105,10 +101,8 @@ def softmax_loss_and_grad(
     return float(loss), grad_w, grad_b
 
 
-def _stratified_split(
-    labels: np.ndarray, train_fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class split; singleton classes go to the train side."""
+def _stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class split, `_TRAIN_FRACTION` of each class to train; singleton classes go to the train side."""
     train: list[np.ndarray] = []
     held: list[np.ndarray] = []
     for cls in np.unique(labels):
@@ -116,7 +110,7 @@ def _stratified_split(
         if members.size == 1:
             train.append(members)
             continue
-        n_train = int(round(train_fraction * members.size))
+        n_train = int(round(_TRAIN_FRACTION * members.size))
         n_train = min(max(n_train, 1), members.size - 1)
         train.append(members[:n_train])
         held.append(members[n_train:])
@@ -171,7 +165,7 @@ def fit_predict(
         raise DimensionMismatch(f"source has {x.shape[0]} rows but labels {y.shape[0]}")
 
     rng = generator(cfg.seed, "probe-split")
-    train_idx, held_idx = _stratified_split(y, cfg.train_fraction, rng)
+    train_idx, held_idx = _stratified_split(y, rng)
     if (
         np.unique(y[train_idx]).size < 2
         or held_idx.size == 0

@@ -6,7 +6,8 @@ maxima are combined by a weighted sum (late fusion); with several target
 datasets the fused scores are aggregated by max or mean. The diversity
 penalty is the mirror image: each view's maximum similarity to the
 already-selected set, fused with the same weights. `FusionWeights.fuse`
-is the only place views are combined.
+is the only place views are combined, always in view-name order, so the
+order in which a caller lists the views does not change a score bit.
 
 Views are checked once on the way to the scorer: `weighted_views` gives
 each weighted view's candidate matrix and `weighted_targets` its
@@ -109,18 +110,20 @@ class AggregationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """Nonnegative per-view weights, stored normalized to sum to 1.
+    """Nonnegative per-view weights, stored normalized to sum to 1 and sorted by view name.
 
     Normalizing keeps the MMR trade-off comparable across view counts and
     makes the weights scale-invariant: multiplying all raw weights by any
     c > 0 yields the same FusionWeights. Views of weight 0 are dropped, so
-    `names` lists only the views that are loaded, scored and tracked.
+    `names` lists only the views that are loaded, scored and tracked, in
+    name order: fusion and every loop over views follow it, whatever
+    order the caller gave.
     """
 
     weights: Mapping[str, float]
 
     def __post_init__(self):
-        items = dict(self.weights)
+        items = dict(sorted(self.weights.items()))
         if not items:
             raise ValueError("at least one fusion weight is required")
         for name, w in items.items():
@@ -143,7 +146,7 @@ class FusionWeights:
     def fuse(self, score: Callable[[str], np.ndarray]) -> np.ndarray:
         """Weighted sum of `score(name)` over the views, clipped to [-1, 1].
 
-        Views are visited in weight order, so every caller sums the same
+        Views are visited in name order, so every caller sums the same
         terms in the same order.
         """
         total = 0.0
@@ -362,7 +365,7 @@ def update_running_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray,
 def weighted_views(
     views: Mapping[str, np.ndarray | ViewFile], weights: FusionWeights, n: int | None = None
 ) -> dict[str, np.ndarray | ViewFile]:
-    """Each weighted view's candidate matrix, or its file, in weight order.
+    """Each weighted view's candidate matrix, or its file, in view-name order.
 
     The one check on views before scoring: every weighted view must be
     present, and all must have the same row count, `n` when given. Each

@@ -43,8 +43,8 @@ batching, and v_i recomputed from scratch against the full selected set
 at every step, with the unselected rows read from the views by index.
 
 Both MMR selectors take their view matrices from
-`relevance.weighted_views`, with weights uniform over the sorted view
-names unless the config sets them: a weighted view missing from `views`
+`relevance.weighted_views`, with weights uniform over the views unless
+the config sets them, in view-name order: a weighted view missing from `views`
 raises MissingView, and one whose row count is not the candidate count
 (the durations' for `batched_mmr`, the relevance vector's for
 `greedy_mmr_exact`) raises DimensionMismatch.
@@ -204,7 +204,7 @@ def greedy_mmr_exact(
         raise EmptyCorpus("no candidates to select from")
     if d.shape[0] != n:
         raise ValueError(f"relevance has {n} entries but durations {d.shape[0]}")
-    weights = cfg.weights or FusionWeights.uniform(sorted(views))
+    weights = cfg.weights or FusionWeights.uniform(views)
     mats = weighted_views(views, weights, n)
 
     budget = cfg.alpha * float(d.sum())
@@ -263,7 +263,7 @@ def batched_mmr(
         n = d.shape[0]
         if n == 0:
             raise EmptyCorpus("no candidates to select from")
-        weights = cfg.weights or FusionWeights.uniform(sorted(views))
+        weights = cfg.weights or FusionWeights.uniform(views)
         mats = weighted_views(views, weights, n)
 
         budget = cfg.alpha * float(d.sum())

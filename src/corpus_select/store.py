@@ -251,7 +251,7 @@ def recorded_files():
     Yields `{"read": {...}, "written": {...}}`, filled as `load_view`,
     `load_manifest` and the atomic writers run. Each digest is taken from
     the bytes the call itself read or wrote; outside a block nothing is
-    hashed.
+    hashed. A replay adds `"expected"`, the outputs its manifest records.
     """
     log: dict[str, dict] = {"read": {}, "written": {}}
     _recording.append(log)
@@ -269,7 +269,8 @@ def _atomic_bytes(path: Path, chunks) -> None:
     """Write an iterable of bytes-like chunks via temp-and-rename.
 
     An interrupted run leaves no partial file; inside `recorded_files()`
-    the chunks are digested as they are written.
+    the chunks are digested as they are written, and a digest that differs
+    from the path's `expected` one raises DataError, leaving the file as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -286,6 +287,9 @@ def _atomic_bytes(path: Path, chunks) -> None:
                     digest.update(chunk)
             fh.flush()
             os.fsync(fh.fileno())
+        recorded = _recording[-1].get("expected", {}).get(str(path), {}).get("sha256") if _recording else None
+        if recorded is not None and recorded != (written := digest.hexdigest()):
+            raise DataError(f"replay produced a different digest for {path}: {written} != recorded {recorded}")
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -598,11 +602,14 @@ def open_corpus(directory: str | Path, *, views: Sequence[str] | None = None) ->
     """A corpus directory's `manifest.jsonl` and view files as a `CorpusManifest` of open `ViewFile`s.
 
     `views` selects view names (default: every `.emb` file, sorted by
-    name). Headers are checked against the manifest and no payload is
-    read. The files are closed when the block ends.
+    name); a directory with no `.emb` file raises, naming it. Headers are
+    checked against the manifest and no payload is read. The files are
+    closed when the block ends.
     """
     directory = Path(directory)
     manifest = load_manifest(directory / "manifest.jsonl")
+    if next(directory.glob("*.emb"), None) is None:
+        raise DimensionMismatch(f"{directory}: the corpus directory holds no view (.emb) file")
     with ExitStack() as stack:
         files = {path.stem: stack.enter_context(ViewFile(path)) for path in _view_files(directory, views)}
         yield CorpusManifest(manifest, files)

@@ -272,6 +272,6 @@ def fit_loss_history(source, labels, cfg) -> list[float]:
     x = np.asarray(source, dtype=np.float64)
     y = np.asarray(labels)
     rng = generator(cfg.seed, "probe-split")
-    train_idx, _ = _stratified_split(y, cfg.train_fraction, rng)
+    train_idx, _ = _stratified_split(y, rng)
     _, _, history = _fit(x[train_idx], y[train_idx], int(y.max()) + 1)
     return history

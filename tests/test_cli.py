@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -74,16 +75,12 @@ _NUMERIC_FLAGS = [
     ("select", "--rho", "a", "a number"),
     ("select", "--batch", "a", "an integer"),
     ("select", "--seed", "a", "an integer"),
-    ("select", "--bins", "a", "an integer"),
     ("select", "--threads", "a", "an integer"),
     ("probe", "--clusters", "a", "an integer"),
-    ("probe", "--train-fraction", "a", "a number"),
     ("probe", "--seed", "a", "an integer"),
     ("stats", "--utterances", "a", "an integer"),
     ("stats", "--views", "v:a", "an integer"),
     ("stats", "--clusters", "a", "an integer"),
-    ("stats", "--spread", "a", "a number"),
-    ("stats", "--target-datasets", "a", "an integer"),
     ("stats", "--target-rows", "a", "an integer"),
     ("stats", "--seed", "a", "an integer"),
 ]
@@ -170,8 +167,18 @@ class TestUsageErrors:
         assert run([subcommand, "--replay", "run.json"]) == 2
         assert "unrecognized arguments: --replay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [("select", "--bins"), ("probe", "--train-fraction"), ("stats", "--spread"), ("stats", "--target-datasets")],
+    )
+    def test_deleted_flags_exit_2_naming_them(self, capsys, subcommand, flag):
+        """No caller set these flags; the duration baseline's 20 bins, the probe's 0.8
+        train share, the fixture's spread of 0.25 and its 2 target datasets are fixed."""
+        assert run([subcommand, flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_train_fraction_one_rejected(self, capsys):
-        """The flag's range is ProbeConfig's: (0, 1), open at both ends."""
+        """--train-fraction is no flag any more: any value of it exits 2 naming it."""
         assert run(["probe", "--corpus", "nope", "--train-fraction", "1.0"]) == 2
         assert "--train-fraction" in capsys.readouterr().err
 
@@ -343,6 +350,17 @@ def _zero_row_corpus(corpus, targets, tmp_path, out):
     return _select(empty, targets, out), 1, "error: no candidates to select from", None
 
 
+def _empty_manifest(method):
+    """The zero-row corpus under `method`: the error names the empty manifest."""
+
+    def case(corpus, targets, tmp_path, out):
+        argv, code, message, _ = _zero_row_corpus(corpus, targets, tmp_path, out)
+        path = tmp_path / "corpus" / "manifest.jsonl"
+        return [*argv, "--method", method], code, f"{message}: {path} is empty", path
+
+    return case
+
+
 def _target_dataset_lacking_a_view(corpus, targets, tmp_path, out):
     copy = tmp_path / "targets"
     shutil.copytree(targets, copy)
@@ -406,6 +424,62 @@ def _manifest_with_a_bom(corpus, targets):
     return path, f"{path}: line 1: invalid JSON (Unexpected UTF-8 BOM"
 
 
+def _corpus_without_a_view(corpus, targets):
+    for path in corpus.glob("*.emb"):
+        path.unlink()
+    return corpus, f"{corpus}: the corpus directory holds no view (.emb) file"
+
+
+def _view_path(corpus, targets, where):
+    return {"corpus": corpus, "target": targets / "target-0"}[where] / "speaker.emb"
+
+
+# a view header fault: (field of the header to set, its value, the message)
+_HEADER_FAULTS = {
+    "bad-magic": (0, b"NOPE", "not an EMB1 embedding file"),
+    "version-2": (1, 2, "unsupported format version 2"),
+    "flag-2": (2, 2, "normalized flag must be 0 or 1, got 2"),
+    "zero-dims": (4, 0, "header declares zero dimensions"),
+}
+
+
+def _view_header(where, fault):
+    def corrupt(corpus, targets):
+        path = _view_path(corpus, targets, where)
+        field, value, message = _HEADER_FAULTS[fault]
+        data = path.read_bytes()
+        header = list(struct.unpack("<4sIBQI", data[:21]))
+        header[field] = value
+        path.write_bytes(struct.pack("<4sIBQI", *header) + data[21:])
+        return path, f"{path}: {message}"
+
+    return corrupt
+
+
+def _inf_entry(where):
+    def corrupt(corpus, targets):
+        path = _view_path(corpus, targets, where)
+        rows = load_view(path).rows.copy()
+        rows[7, 2] = np.inf
+        _raw_view(path, rows)
+        return path, f"{path}: non-finite value at row 7, col 2"
+
+    return corrupt
+
+
+def _manifest_line(k, rewrite, message):
+    """Line k + 1 of the corpus manifest becomes `rewrite(line)`; the error names the file and `message`."""
+
+    def corrupt(corpus, targets):
+        path = corpus / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[k] = rewrite(lines[k])
+        path.write_text("".join(lines))
+        return path, f"{path}: {message}"
+
+    return corrupt
+
+
 def _directory_as_view(where):
     def corrupt(corpus, targets):
         path = {"corpus": corpus, "targets": targets / "target-0"}[where] / "wavlm.emb"
@@ -424,9 +498,11 @@ def _corrupted(corrupt, subcommand):
         path, message = corrupt(corpus, targets)
         argv = {
             "select": _select(corpus, targets, out),
+            "select-random": [*_select(corpus, targets, out), "--method", "random"],
             "stats": ["stats", "--corpus", str(corpus)],
             "probe": ["probe", "--corpus", str(corpus), "--views", "speaker,wavlm"],
             "project": ["project", "--in", str(corpus / "speaker.emb"), "--out", str(tmp_path / "p.emb"), "--dim", "16"],
+            "audit": ["audit", "--hi", str(corpus / "speaker.emb"), "--lo", str(corpus / "wavlm.emb"), "--pairs", "100"],
             "compact-targets": ["compact-targets", "--targets", str(targets), "--k", "4", "--out", str(tmp_path / "c")],
         }[subcommand]
         return argv, 1, f"error: {message}", path
@@ -443,6 +519,24 @@ _CORRUPTIONS = [
     ("manifest-with-a-bom", _manifest_with_a_bom, ["select", "stats", "probe"]),
     ("corpus-view-is-a-directory", _directory_as_view("corpus"), ["select", "stats", "probe"]),
     ("target-view-is-a-directory", _directory_as_view("targets"), ["compact-targets"]),
+    ("corpus-without-a-view", _corpus_without_a_view, ["select", "stats", "probe"]),
+    *[
+        (f"{where}-view-{fault}", _view_header(where, fault), subcommands)
+        for where, subcommands in [("corpus", ["select", "probe", "project", "audit"]), ("target", ["select", "compact-targets"])]
+        for fault in _HEADER_FAULTS
+    ],
+    ("corpus-view-inf-entry", _inf_entry("corpus"), ["select", "probe", "project", "audit"]),
+    ("target-view-inf-entry", _inf_entry("target"), ["select", "compact-targets"]),
+    *[
+        (f"manifest-{fault}", _manifest_line(k, rewrite, message), ["select", "stats", "select-random"])
+        for fault, k, rewrite, message in [
+            ("blank-line", 2, lambda line: "\n" + line, "line 3: blank line"),
+            ("nul", 3, lambda line: line.replace("utt-", "utt-\0"), "line 4: invalid JSON (Invalid control character"),
+            ("line-not-an-object", 2, lambda line: "[1, 2]\n", "line 3: record must be a JSON object"),
+            ("duplicate-id", 2, lambda line: line.replace("utt-000002", "utt-000000"), "duplicate utterance id 'utt-000000' on line 3"),
+            ("zero-duration", 2, lambda line: json.dumps({**json.loads(line), "duration_s": 0}) + "\n", "duration_s must be > 0, got 0 on line 3"),
+        ]
+    ],
 ]
 
 
@@ -459,6 +553,7 @@ class TestErrorContract:
             pytest.param(_replay_input_changed, id="replay-input-changed"),
             pytest.param(_no_target_durations, id="duration-without-target-manifests"),
             pytest.param(_zero_row_corpus, id="zero-row-corpus"),
+            *[pytest.param(_empty_manifest(method), id=f"empty-manifest-{method}") for method in ("mmr", "random", "duration")],
             pytest.param(_target_dataset_lacking_a_view, id="target-dataset-lacking-a-view"),
             pytest.param(_empty_targets_directory, id="empty-targets-directory"),
             pytest.param(_compact_empty_targets_directory, id="compact-empty-targets-directory"),
@@ -522,8 +617,8 @@ class TestStats:
         "extra, message",
         [
             (
-                ["--utterances", "7", "--spread", "3", "--out", "x"],
-                "stats without --make-fixture does not take --out, --utterances, --spread",
+                ["--utterances", "7", "--target-rows", "3", "--out", "x"],
+                "stats without --make-fixture does not take --out, --utterances, --target-rows",
             ),
             (["--make-fixture", "--out", "x", "--targets-out", "y"], "stats with --make-fixture does not take --corpus"),
         ],
@@ -875,6 +970,23 @@ class TestReplay:
             assert "different digest" in capsys.readouterr().err
             assert sidecar.read_bytes() == recorded
 
+    def test_failed_replay_leaves_the_output_as_it_was(self, fixture_dirs, tmp_path, capsys):
+        """A replay whose recorded alpha was changed writes other bytes: it exits 1
+        naming the output, and every file keeps its bytes, with no temp file left."""
+        corpus, targets = fixture_dirs
+        out = tmp_path / "a.jsonl"
+        assert run(TestSelect().select_args(corpus, targets, out)) == 0
+        sidecar = tmp_path / "a.jsonl.run.json"
+        manifest = json.loads(sidecar.read_text())
+        manifest["config"]["alpha"] = 0.1
+        sidecar.write_text(json.dumps(manifest))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(["select", "--replay", str(sidecar)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: replay produced a different digest for {out}: ")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -931,6 +1043,80 @@ class TestReplay:
         assert "records subcommand 'select', not 'project'" in capsys.readouterr().err
 
 
+class TestViewOrder:
+    """The order `--weights` lists the views in sets nothing: views fuse in name order."""
+
+    @pytest.fixture(scope="class")
+    def three_views(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("three-views")
+        corpus, targets = root / "corpus", root / "targets"
+        fixture = ["stats", "--make-fixture", "--out", str(corpus), "--targets-out", str(targets)]
+        views = ["--views", "speaker:32,wavlm:32,sbert:24", "--clusters", "8", "--target-rows", "60"]
+        assert run([*fixture, "--utterances", "600", *views, "--seed", "31"]) == 0
+        return corpus, targets
+
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_permuted_weights_write_the_same_bytes(self, three_views, tmp_path, aggregate):
+        corpus, targets = three_views
+        digests = set()
+        for k, order in enumerate(itertools.permutations(["speaker=0.33", "wavlm=0.33", "sbert=0.34"])):
+            out = tmp_path / f"s{k}.jsonl"
+            assert run(_select(corpus, targets, out, "--weights", ",".join(order), "--aggregate", aggregate)) == 0
+            digests.add(sha256(out))
+        assert len(digests) == 1
+
+    def test_replay_of_unsorted_weights_exits_0(self, three_views, tmp_path, capsys):
+        """run.json records the weights with sorted keys; the replay writes the recorded bytes."""
+        corpus, targets = three_views
+        out = tmp_path / "s.jsonl"
+        assert run(_select(corpus, targets, out, "--weights", "speaker=0.33,wavlm=0.33,sbert=0.34")) == 0
+        capsys.readouterr()
+        assert run(["select", "--replay", str(tmp_path / "s.jsonl.run.json")]) == 0
+        assert "outputs match recorded digests" in capsys.readouterr().out
+
+
+def test_readme_walkthrough_replays(tmp_path, monkeypatch, capsys):
+    """The README's CLI walkthrough, with its own flags at small sizes, runs end to end,
+    and its project, compact-targets and select runs replay with exit 0."""
+    monkeypatch.chdir(tmp_path)
+
+    def replay(subcommand, sidecar):
+        capsys.readouterr()
+        assert run([subcommand, "--replay", sidecar]) == 0
+        assert "outputs match recorded digests" in capsys.readouterr().out
+
+    assert run(
+        [
+            "stats", "--make-fixture", "--out", "fix/corpus", "--targets-out", "fix/targets",
+            "--utterances", "600", "--views", "speaker:512,wavlm:512,sbert:384",
+            "--clusters", "10", "--target-rows", "300", "--seed", "7",
+        ]
+    ) == 0  # fmt: skip
+    assert run(["stats", "--corpus", "fix/corpus"]) == 0
+    project = ["project", "--in", "fix/corpus/speaker.emb", "--out", "fix/corpus/speaker256.emb"]
+    assert run([*project, "--dim", "256", "--seed", "11"]) == 0
+    replay("project", "fix/corpus/speaker256.emb.run.json")  # before its input is removed
+    audit = ["audit", "--hi", "fix/corpus/speaker.emb", "--lo", "fix/corpus/speaker256.emb"]
+    assert run([*audit, "--pairs", "100000", "--seed", "1"]) == 0
+    os.remove("fix/corpus/speaker.emb")
+    for d in ("fix/targets/target-0", "fix/targets/target-1"):
+        assert run(["project", "--in", f"{d}/speaker.emb", "--out", f"{d}/speaker256.emb", "--dim", "256", "--seed", "11"]) == 0
+        os.remove(f"{d}/speaker.emb")
+    compact = ["compact-targets", "--targets", "fix/targets", "--k", "40", "--seed", "3", "--out", "fix/targets-compact"]
+    assert run(compact) == 0
+    assert run(
+        [
+            "select", "--corpus", "fix/corpus", "--targets", "fix/targets-compact",
+            "--method", "mmr", "--lambda", "0.7", "--alpha", "0.05", "--rho", "0.15", "--batch", "1024",
+            "--weights", "speaker256=0.33,wavlm=0.33,sbert=0.34", "--aggregate", "max",
+            "--seed", "1", "--out", "selection.jsonl",
+        ]
+    ) == 0  # fmt: skip
+    assert run(["probe", "--corpus", "fix/corpus", "--views", "speaker256,wavlm,sbert", "--clusters", "10", "--seed", "2"]) == 0
+    replay("compact-targets", "fix/targets-compact/run.json")
+    replay("select", "selection.jsonl.run.json")
+
+
 _PATH = st.text(max_size=8)
 _NAME = st.text(st.characters(exclude_categories=("C", "Z"), exclude_characters=",="), min_size=1, max_size=4)
 _POSITIVE = st.integers(1, 2**31)
@@ -953,7 +1139,6 @@ _RUN_FLAGS = {
             "--weights": _WEIGHTS.map(lambda w: ",".join(f"{k}={v!r}" for k, v in w.items())),
             "--aggregate": st.sampled_from(["max", "mean"]),
             "--seed": _SEED,
-            "--bins": _POSITIVE,
             "--threads": _POSITIVE,
         },
     ),
@@ -962,7 +1147,6 @@ _RUN_FLAGS = {
         {
             "--views": st.lists(_NAME, min_size=1, max_size=3, unique=True).map(",".join),
             "--clusters": _POSITIVE,
-            "--train-fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
             "--seed": _SEED,
         },
     ),

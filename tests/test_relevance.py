@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -69,6 +70,9 @@ class TestFusionWeights:
     def test_uniform(self):
         w = FusionWeights.uniform(["a", "b"])
         assert w.weights == {"a": 0.5, "b": 0.5}
+
+    def test_names_in_name_order(self):
+        assert FusionWeights({"b": 1, "a": 3}).names == ["a", "b"]
 
     def test_fuse_skips_zero_weights_and_clips(self):
         """Zero-weight views are never scored; the weighted sum is clipped."""
@@ -475,6 +479,19 @@ class TestMultiDataset:
                 views, targets, FusionWeights.uniform(dims), mode
             )
             assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
+
+    @pytest.mark.parametrize("mode", list(AggregationMode))
+    def test_every_weight_order_scores_the_same_bits(self, rng, mode):
+        """Views fuse in name order, whatever order the weights list them in."""
+        dims = {"c": 8, "a": 6, "b": 5}
+        views = {name: unit_rows(rng, 300, d) for name, d in dims.items()}
+        targets = self.build_targets(rng, [7, 9], dims)
+        raw = {"c": 0.34, "a": 0.33, "b": 0.33}
+        scores = {
+            relevance_multi_dataset(views, targets, FusionWeights({name: raw[name] for name in order}), mode).tobytes()
+            for order in itertools.permutations(raw)
+        }
+        assert len(scores) == 1
 
     def test_empty_target_set(self, rng):
         with pytest.raises(EmptyTargetSet):

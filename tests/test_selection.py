@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -763,6 +765,35 @@ class TestSelectorProperties:
             results[label] = (selection_bits(batched_mmr(durations, chosen, targets, cfg)), len(calls))
         assert results["zero"] == results["alone"]
         assert results["alone"][1] > 0
+
+
+class TestViewOrder:
+    """Views fuse in name order, so the order the weights list them in changes no bit."""
+
+    @pytest.mark.parametrize("mode", list(AggregationMode))
+    @pytest.mark.parametrize("kind", ["arrays", "files"])
+    def test_every_weight_order_selects_the_same_bits(self, tmp_path, kind, mode):
+        rng = np.random.default_rng(2525)
+        n, dims = 600, {"c": 12, "a": 16, "b": 8}
+        views = {name: unit_rows(rng, n, d) for name, d in dims.items()}
+        for name, d in dims.items():
+            save_view(EmbeddingView(name, d, views[name]), tmp_path / f"{name}.emb")
+        targets = TargetSet(
+            [TargetDataset(f"t{m}", {name: unit_rows(rng, 30, d) for name, d in dims.items()}) for m in range(2)]
+        )
+        durations = rng.uniform(1.0, 10.0, size=n)
+        raw = {"c": 0.34, "a": 0.33, "b": 0.33}
+        bits = []
+        for order in itertools.permutations(raw):
+            weights = FusionWeights({name: raw[name] for name in order})
+            cfg = SelectionConfig(alpha=0.1, rho=0.3, batch_size=8, weights=weights, aggregation=mode)
+            with contextlib.ExitStack() as stack:
+                if kind == "files":
+                    given = {name: stack.enter_context(store.ViewFile(tmp_path / f"{name}.emb")) for name in order}
+                else:
+                    given = {name: views[name] for name in order}
+                bits.append(selection_bits(quiet_batched_mmr(durations, given, targets, cfg)))
+        assert all(b == bits[0] for b in bits)
 
 
 class TestRandomBaseline:
