@@ -12,7 +12,7 @@ though its per-pair distortion is identical.
 import numpy as np
 
 from corpus_select import ProjectionSpec, audit_cosine_preservation, make_projection, project_view
-from corpus_select.store import EmbeddingView, _normalize_rows
+from corpus_select.store import _normalize_rows
 
 rng = np.random.default_rng(21)
 n, d_hi, d_lo = 4000, 3072, 256
@@ -27,19 +27,19 @@ centers = _normalize_rows(rng.standard_normal((15, d_hi)).astype(np.float32))
 assign = rng.integers(0, 15, size=n)
 spread = 0.5 / np.sqrt(d_hi)
 structured = centers.astype(np.float64)[assign] + spread * rng.standard_normal((n, d_hi))
-structured_view = EmbeddingView("structured", d_hi, structured.astype(np.float32))
 
 # isotropic noise: same shape, no structure at all
-noise_view = EmbeddingView("noise", d_hi, rng.standard_normal((n, d_hi), dtype=np.float32))
+noise = rng.standard_normal((n, d_hi), dtype=np.float32)
 
-for view in (structured_view, noise_view):
-    lo = project_view(view, matrix)
-    corr = audit_cosine_preservation(view, lo, pair_count=100_000, seed=9)
-    hi_rows = _normalize_rows(view.rows)
+# projection and audit take unit rows, as a view file gives them
+for name, raw in (("structured", structured), ("noise", noise)):
+    hi = _normalize_rows(raw.astype(np.float32))
+    (lo,) = project_view([hi], matrix)  # one block: the whole matrix
+    corr = audit_cosine_preservation(hi, lo, pair_count=100_000, seed=9)
     i = rng.integers(0, n, 20_000)
     j = (i + 1 + rng.integers(0, n - 1, 20_000)) % n
-    cos_spread = np.einsum("ij,ij->i", hi_rows[i], hi_rows[j], dtype=np.float64).std()
-    print(f"{view.name:>10}: cosine spread {cos_spread:.4f} -> audit correlation {corr:.4f}")
+    cos_spread = np.einsum("ij,ij->i", hi[i], hi[j], dtype=np.float64).std()
+    print(f"{name:>10}: cosine spread {cos_spread:.4f} -> audit correlation {corr:.4f}")
 
 print(
     "\nthe per-pair projection distortion is ~1/sqrt(256) = 0.0625 either way;"

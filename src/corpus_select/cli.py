@@ -7,6 +7,10 @@ errors (naming the offending flag, also a flag of the other `stats`
 mode: a summary takes only `--corpus`, `--make-fixture` every other
 flag). Each warning is one `warning:` line on stderr. Output files are
 written to a temp file and atomically renamed.
+Neither `project` nor `audit` holds a view whole: `project` streams its
+input's blocks through the projection into its output (so its `phases`
+is `total_s` alone), and `audit` checks `--hi` and then `--lo` with one
+pass each, then gathers each block of pairs' rows by index.
 Each run that writes files gets a JSON run manifest sidecar (`run.json`
 in its `--out` directory, else `<output>.run.json`): the fully resolved
 configuration, keyed by each flag's `dest`, per-phase wall-clock times,
@@ -46,16 +50,16 @@ from corpus_select.projection import ProjectionSpec, audit_cosine_preservation, 
 from corpus_select.relevance import AggregationMode, FusionWeights, available_cpus, blas_corename, blas_thread_cap
 from corpus_select.selection import SelectionConfig, batched_mmr, duration_baseline, random_baseline
 from corpus_select.store import (
+    ViewFile,
     _atomic_bytes,
+    _write_view,
     load_corpus,
     load_manifest,
     load_target_durations,
     load_targets,
-    load_view,
     open_corpus,
     recorded_files,
     save_targets,
-    save_view,
 )
 
 
@@ -304,26 +308,28 @@ def _config_from_args(args: argparse.Namespace, required: dict[str, list[argpars
 
 def _cmd_project(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
-    view = load_view(config["input"])
-    t1 = time.perf_counter()
-    matrix = make_projection(ProjectionSpec(view.dims, config["dim"], config["seed"]))
-    projected = project_view(view, matrix)
-    t2 = time.perf_counter()
-    save_view(projected, config["out"])
-    t3 = time.perf_counter()
-    print(f"projected {view.row_count} rows: {view.dims} -> {config['dim']} dims")
-    return {"load_s": t1 - t0, "project_s": t2 - t1, "write_s": t3 - t2, "total_s": t3 - t0}
+    with ViewFile(config["input"]) as view:
+        (n, d), dim = view.shape, config["dim"]
+        matrix = make_projection(ProjectionSpec(d, dim, config["seed"]))
+        # each block is read, projected and written before the next is read
+        images = project_view((block for _, block in view.blocks()), matrix)
+        _write_view(config["out"], True, n, dim, images)
+    print(f"projected {n} rows: {d} -> {dim} dims")
+    return {"total_s": time.perf_counter() - t0}
 
 
 def _cmd_audit(config: dict) -> dict[str, float]:
     t0 = time.perf_counter()
-    hi = load_view(config["hi"])
-    lo = load_view(config["lo"])
-    t1 = time.perf_counter()
-    corr = audit_cosine_preservation(hi, lo, config["pairs"], config["seed"])
-    t2 = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        views = []
+        for path in (config["hi"], config["lo"]):
+            # one checking pass per file, --hi first, before any row is gathered
+            views.append(stack.enter_context(ViewFile(path)))
+            for _ in views[-1].blocks():
+                pass
+        corr = audit_cosine_preservation(*views, config["pairs"], config["seed"])
     print(f"{corr:.6f}")
-    return {"load_s": t1 - t0, "audit_s": t2 - t1, "total_s": t2 - t0}
+    return {"total_s": time.perf_counter() - t0}
 
 
 def _cmd_compact(config: dict) -> dict[str, float]:

@@ -11,26 +11,30 @@ kernel, its blocking or its threads: the unit input rows go onto the
 2^-26 grid of the similarity scores (`relevance.to_grid`), the matrix
 onto the same grid scaled by the power of two above its largest column
 norm, and the float64 GEMM of the two then sums integers below 2^53.
+Each row's image is its own, so `project_view` projects a block of rows
+at a time: `cli project` streams a `store.ViewFile`'s blocks through it
+into `store._write_view`, and holds neither view whole.
 
 The audit measures how well a projection preserved relative geometry: it
 samples random row pairs and reports the Pearson correlation between the
 pairwise cosines in the high-dimensional view and in the projected view.
+It reads the rows of a block of pairs at a time, by index, so a view
+file is never held whole either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from corpus_select.errors import DimensionMismatch, InvalidDims, TooFewRows
-from corpus_select.relevance import to_grid
+from corpus_select.relevance import _max_norm, _screen_eps, to_grid
 from corpus_select.rng import generator
-from corpus_select.store import EmbeddingView, _normalize_rows
 
-_ROW_BLOCK = 4096
-_PAIR_BLOCK = 16384
+_PAIR_BYTES = 1 << 24  # bytes of gathered rows per block of audit pairs
 
 
 @dataclass(frozen=True)
@@ -60,64 +64,50 @@ def make_projection(spec: ProjectionSpec) -> np.ndarray:
     return matrix
 
 
-def project_view(view: EmbeddingView, matrix: np.ndarray) -> EmbeddingView:
-    """Project rows through `matrix` and re-normalize them; the name is kept.
+def project_view(blocks: Iterable[np.ndarray], matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """The image of each block of unit float32 rows under `matrix`, re-normalized, block by block.
 
-    Rows of a view not marked normalized are normalized first, which
-    leaves the direction of each image unchanged. Zero input rows stay
-    zero (their image is zero and normalization leaves zeros alone).
+    The rows must be unit (or zero), as the kernel takes them: a block
+    with a row beyond the grid's exact range raises NonUnitRow (the
+    `_screen_eps` rule of `max_similarity`, against the matrix's columns
+    scaled to norm at most 1). Zero rows stay zero (their image is zero
+    and normalization leaves zeros alone). The grid matrix is computed
+    once per call.
     """
     matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2 or view.dims != matrix.shape[0]:
-        raise DimensionMismatch(
-            f"view {view.name!r} has {view.dims} dims but the projection "
-            f"expects {matrix.shape[0]}"
-        )
-    out_dim = matrix.shape[1]
     col_norm = float(np.sqrt(np.square(matrix, dtype=np.float64).sum(axis=0)).max(initial=0.0))
     scale = math.ldexp(1.0, math.frexp(col_norm)[1])  # power of two above col_norm
     grid_matrix = to_grid(matrix, scale)
-    out = np.empty((view.row_count, out_dim), dtype=np.float32)
-    for lo in range(0, view.row_count, _ROW_BLOCK):
-        block = view.rows[lo : lo + _ROW_BLOCK]
-        if not view.normalized:
-            block = _normalize_rows(block)
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float32)
+        if matrix.ndim != 2 or block.ndim != 2 or block.shape[1] != matrix.shape[0]:
+            raise DimensionMismatch(f"rows of shape {block.shape}, but the projection takes {matrix.shape[0]} dims")
+        _screen_eps(block.shape[1], _max_norm(block), 1.0)
         # exact, in grid units; normalizing makes the units irrelevant
         image = to_grid(block) @ grid_matrix
         norms = np.sqrt(np.einsum("ij,ij->i", image, image))[:, None]
         np.divide(image, norms, out=image, where=norms > 0.0)
-        out[lo : lo + _ROW_BLOCK] = image
-    return EmbeddingView(view.name, out_dim, out, normalized=True)
+        yield image.astype(np.float32)
 
 
-def _unit_rows(view: EmbeddingView | np.ndarray) -> np.ndarray:
-    if isinstance(view, EmbeddingView):
-        if view.normalized:
-            return view.rows
-        return _normalize_rows(view.rows)
-    return _normalize_rows(np.asarray(view, dtype=np.float32))
-
-
-def audit_cosine_preservation(
-    view_hi: EmbeddingView | np.ndarray,
-    view_lo: EmbeddingView | np.ndarray,
-    pair_count: int,
-    seed: int = 0,
-) -> float:
+def audit_cosine_preservation(view_hi, view_lo, pair_count: int, seed: int = 0) -> float:
     """Pearson correlation of pairwise cosines before and after projection.
 
-    Samples `pair_count` index pairs (i != j) from a private seeded
-    generator and correlates cosine(hi_i, hi_j) against cosine(lo_i, lo_j).
+    The views are unit float32 matrices or `store.ViewFile`s, which the
+    caller has checked with a `blocks()` pass. Samples `pair_count` index
+    pairs (i != j) from a private seeded generator and correlates
+    cosine(hi_i, hi_j) against cosine(lo_i, lo_j). The rows of a block of
+    pairs are read by index (`view[rows]`, on the block's sorted unique
+    rows), about `_PAIR_BYTES` of the wider view per block, so memory does
+    not grow with N or D.
     """
     if pair_count <= 0:
         raise ValueError(f"pair_count must be positive, got {pair_count}")
-    hi = _unit_rows(view_hi)
-    lo = _unit_rows(view_lo)
-    if hi.shape[0] != lo.shape[0]:
+    if view_hi.shape[0] != view_lo.shape[0]:
         raise DimensionMismatch(
-            f"views must have equal row counts, got {hi.shape[0]} and {lo.shape[0]}"
+            f"views must have equal row counts, got {view_hi.shape[0]} and {view_lo.shape[0]}"
         )
-    n = hi.shape[0]
+    n = view_hi.shape[0]
     if n < 2:
         raise TooFewRows(f"audit needs at least 2 rows, got {n}")
 
@@ -129,14 +119,13 @@ def audit_cosine_preservation(
         j[collide] = rng.integers(0, n, size=int(collide.sum()))
         collide = i == j
 
-    cos_hi = np.empty(pair_count, dtype=np.float64)
-    cos_lo = np.empty(pair_count, dtype=np.float64)
-    for lo_idx in range(0, pair_count, _PAIR_BLOCK):
-        sl = slice(lo_idx, min(lo_idx + _PAIR_BLOCK, pair_count))
-        cos_hi[sl] = np.einsum(
-            "ij,ij->i", hi[i[sl]], hi[j[sl]], dtype=np.float64
-        )
-        cos_lo[sl] = np.einsum(
-            "ij,ij->i", lo[i[sl]], lo[j[sl]], dtype=np.float64
-        )
-    return float(np.corrcoef(cos_hi, cos_lo)[0, 1])
+    cos = np.empty((2, pair_count), dtype=np.float64)
+    step = max(1, _PAIR_BYTES // (8 * max(view_hi.shape[1], view_lo.shape[1])))  # two float32 rows a pair
+    for start in range(0, pair_count, step):
+        pairs = slice(start, start + step)
+        rows, at = np.unique(np.stack([i[pairs], j[pairs]]), return_inverse=True)
+        at = at.reshape(2, -1)
+        for k, view in enumerate((view_hi, view_lo)):
+            mat = view[rows]
+            cos[k, pairs] = np.einsum("ij,ij->i", mat[at[0]], mat[at[1]], dtype=np.float64)
+    return float(np.corrcoef(cos[0], cos[1])[0, 1])

@@ -175,7 +175,7 @@ def _prefilter(
     cut = np.partition(lo, lo.size - pool_size)[lo.size - pool_size]
     rows = at = np.flatnonzero(hi >= cut)
     if any(isinstance(mat, ViewFile) for mat in mats.values()):
-        mats = {name: mat.take(rows) if isinstance(mat, ViewFile) else mat[rows] for name, mat in mats.items()}
+        mats = {name: mat[rows] for name, mat in mats.items()}
         at = np.arange(rows.size)
     r = relevance_multi_dataset(mats, targets, weights, mode, rows=at)
     # rows ascend, so ties still break toward the lower candidate index

@@ -20,14 +20,19 @@ buffer with `readinto` (no memory map: mapped pages count toward RSS),
 and per block updates the file's sha256, runs the finite check, and runs
 the unit check or normalizes the block. `read()` is the blocks filling
 one matrix; `take(rows)` gathers rows by offset through the same file.
+One block writer, `_write_view`, writes every view file, and runs the
+same check (`_check_block`) on each block it writes: every view file is
+checked when it is read and when it is written. `cli project` streams
+the one into the other.
 
 One opener, `open_corpus`, opens a corpus: the manifest columns and the
 views as readers, every header checked and no payload read. `stats`
 prints from the headers alone, `select` screens the views a block at a
 time, and `load_corpus` is the opener reading each view whole. In
-memory, `EmbeddingView` is one `.emb` file as `load_view` returns it,
-a loaded corpus is the manifest columns plus one unit float32 matrix per
-view, and a target dataset is one float32 matrix per view.
+memory, a view is a plain unit float32 matrix: a loaded corpus is the
+manifest columns plus one per view, and a target dataset is one per
+view. `EmbeddingView` is only the record of one `.emb` file that
+`load_view` returns and `save_view` takes.
 
 A corpus directory holds one `manifest.jsonl` plus one `<view>.emb` file
 per view. A targets directory holds one subdirectory per target dataset,
@@ -113,59 +118,44 @@ def _normalize_in_place(rows: np.ndarray, norms: np.ndarray | None = None) -> in
     return zero_count
 
 
-def _check_block(rows: np.ndarray, lo: int, name: str, normalized: bool) -> tuple[np.ndarray, str | None]:
-    """The float64 row norms of a block of a view whose first row is `lo`, and,
-    for a view flagged normalized, what is wrong with its first non-unit row.
+def _check_block(rows: np.ndarray, lo: int, path: Path, normalized: bool) -> tuple[np.ndarray, str | None]:
+    """The float64 row norms of a block of the view file at `path` whose first
+    row is `lo`, and, for a view flagged normalized, what is wrong with its
+    first non-unit row. `ViewFile.blocks()` runs it on each block read and
+    `_write_view` on each block written.
 
-    Raises NonFiniteEntry at the block's first non-finite entry.
+    Raises NonFiniteEntry at the block's first non-finite entry. Both
+    messages name the file.
     """
     # a float64 sum of squares of float32 entries cannot overflow, so
     # it is finite exactly when every entry of its row is
     norms = _row_norms(rows)
     if not np.isfinite(norms).all():
         r, c = np.argwhere(~np.isfinite(rows))[0]
-        raise NonFiniteEntry(lo + r, c, context=f"view {name!r}")
+        exc = NonFiniteEntry(lo + r, c, context=f"view {path.stem!r}")
+        exc.args = (f"{path}: {exc}",)  # corpus and target views may share a name
+        raise exc
     if normalized:
         off = np.flatnonzero((norms != 0.0) & (np.abs(norms - 1.0) > 1e-4))
         if off.size:
-            return norms, f"view {name!r} flagged normalized but row {lo + off[0]} has L2 norm {norms[off[0]]:.6f}"
+            return norms, f"{path}: view {path.stem!r} flagged normalized but row {lo + off[0]} has L2 norm {norms[off[0]]:.6f}"
     return norms, None
 
 
 @dataclass
 class EmbeddingView:
-    """A named N x D float32 matrix, one row per utterance.
+    """One `.emb` file in memory, as `load_view` returns it: a name and an
+    N x D float32 matrix, one row per utterance.
 
     `normalized` records whether rows are unit-L2; cosine similarity then
-    reduces to a dot product downstream.
+    reduces to a dot product downstream. The record checks nothing:
+    `save_view` checks what it writes, and `load_view` what it reads.
     """
 
     name: str
     dims: int
     rows: np.ndarray
     normalized: bool = False
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float32)
-        if rows.ndim != 2:
-            raise DimensionMismatch(
-                f"view {self.name!r}: rows must be 2-D, got shape {rows.shape}"
-            )
-        if self.dims <= 0 or rows.shape[1] != self.dims:
-            raise DimensionMismatch(
-                f"view {self.name!r}: dims={self.dims} but rows have {rows.shape[1]} columns"
-            )
-        _, off_unit = _check_block(rows, 0, self.name, self.normalized)
-        if off_unit:
-            raise NonUnitRow(off_unit)
-        self.rows = rows
-
-    @classmethod
-    def _from_blocks(cls, name: str, rows: np.ndarray) -> "EmbeddingView":
-        """A view of unit rows that `ViewFile.blocks` has checked: they are not checked again."""
-        view = object.__new__(cls)
-        view.name, view.dims, view.rows, view.normalized = name, rows.shape[1], rows, True
-        return view
 
     @property
     def row_count(self) -> int:
@@ -302,24 +292,38 @@ def _atomic_bytes(path: Path, chunks) -> None:
 
 
 def save_view(view: EmbeddingView, path: str | Path) -> None:
-    """Write a view in the EMB1 format. The write is atomic."""
+    """Write a view in the EMB1 format, checked by `_write_view`. The write is atomic."""
     _write_view(path, view.normalized, view.row_count, view.dims, [view.rows])
 
 
 def _write_view(path: str | Path, normalized: bool, n: int, d: int, blocks) -> None:
-    """Write N x D rows from row blocks as an atomic EMB1 file; blocks that disagree with N x D leave no file."""
+    """Write N x D rows from row blocks as an atomic EMB1 file.
+
+    Each block is cast to float32 and checked as `ViewFile.blocks()` checks
+    it when read (`_check_block`): every entry finite and, under a header
+    flagged normalized, every row unit (or zero). A block that fails, or
+    that disagrees with N x D, raises naming the path and leaves no file.
+    """
+    path = Path(path)
+
     def chunks():
         yield _HEADER.pack(MAGIC, FORMAT_VERSION, int(normalized), n, d)
         rows = 0
         for block in blocks:
+            block = np.ascontiguousarray(block, dtype="<f4")
             if block.ndim != 2 or block.shape[1] != d or rows + block.shape[0] > n:
                 raise DimensionMismatch(f"{path}: a block of shape {block.shape} overruns the header's {n}x{d}")
+            _, off_unit = _check_block(block, rows, path, normalized)
+            if off_unit:
+                raise NonUnitRow(off_unit)
             rows += block.shape[0]
-            yield np.ascontiguousarray(block, dtype="<f4")
+            yield block
         if rows != n:
             raise DimensionMismatch(f"{path}: the header declares {n} rows but the blocks hold {rows}")
 
-    _atomic_bytes(Path(path), chunks())
+    if d < 1:  # the reader refuses such a header
+        raise DimensionMismatch(f"{path}: a view needs at least one dimension, got {d}")
+    _atomic_bytes(path, chunks())
 
 
 def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
@@ -359,7 +363,7 @@ class ViewFile:
     file open until the end of a `with` block; `name`,
     `normalized` (the header flag) and `shape` come from the header.
     `blocks()` reads the payload, `read()` the whole of it, and
-    `take(rows)` gathers rows from it.
+    `take(rows)`, or `view[rows]`, gathers rows from it.
     """
 
     def __init__(self, path: str | Path):
@@ -406,11 +410,7 @@ class ViewFile:
                 raise DimensionMismatch(f"{self.path}: the file ends before row {lo + block.shape[0]}")
             if digest is not None:
                 digest.update(block)
-            try:
-                norms, off = _check_block(block, lo, self.name, self.normalized)
-            except NonFiniteEntry as exc:
-                exc.args = (f"{self.path}: {exc}",)  # corpus and target views may share a name
-                raise
+            norms, off = _check_block(block, lo, self.path, self.normalized)
             off_unit = off_unit or off
             if off_unit is None:
                 if not self.normalized:
@@ -418,7 +418,7 @@ class ViewFile:
                     zero_count += _normalize_in_place(block, norms)
                 yield lo, block
         if off_unit is not None:
-            raise NonUnitRow(f"{self.path}: {off_unit}")
+            raise NonUnitRow(off_unit)
         if digest is not None:
             _record_read(self.path, digest, _HEADER.size + n * d * 4)
         if zero_count:
@@ -451,6 +451,8 @@ class ViewFile:
             _normalize_in_place(out)
         return out
 
+    __getitem__ = take  # `view[rows]` gathers rows from a file as from a matrix
+
 
 def load_view(path: str | Path) -> EmbeddingView:
     """Load an EMB1 view file; the view is named after the file's stem.
@@ -461,7 +463,7 @@ def load_view(path: str | Path) -> EmbeddingView:
     ZeroRowWarning; their cosine with anything is 0 downstream.
     """
     with ViewFile(path) as reader:
-        return EmbeddingView._from_blocks(reader.name, reader.read())
+        return EmbeddingView(reader.name, reader.shape[1], reader.read(), normalized=True)
 
 
 _PARSE_CHUNK = 1 << 16  # bytes of whole lines per `json.loads` call in `_parse_chunks`
@@ -653,8 +655,7 @@ def save_targets(targets: TargetSet, directory: str | Path) -> None:
     directory = Path(directory)
     for ds in targets.datasets:
         for view_name, mat in ds.views.items():
-            view = EmbeddingView(view_name, mat.shape[1], mat, normalized=True)
-            save_view(view, directory / ds.name / f"{view_name}.emb")
+            _write_view(directory / ds.name / f"{view_name}.emb", True, *mat.shape, [mat])
 
 
 def load_target_durations(directory: str | Path) -> np.ndarray:

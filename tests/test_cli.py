@@ -177,11 +177,6 @@ class TestUsageErrors:
         assert run([subcommand, flag, "1"]) == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
-    def test_train_fraction_one_rejected(self, capsys):
-        """--train-fraction is no flag any more: any value of it exits 2 naming it."""
-        assert run(["probe", "--corpus", "nope", "--train-fraction", "1.0"]) == 2
-        assert "--train-fraction" in capsys.readouterr().err
-
 
 class TestDefaultThreads:
     """`--threads` defaults to the CPUs this process may run on."""
@@ -410,12 +405,15 @@ def _truncated_corpus_view(corpus, targets):
     return path, f"{path}: header declares 600x48 rows (115200 payload bytes) but the file holds 115100"
 
 
-def _target_flagged_normalized_not_unit(corpus, targets):
-    path = targets / "target-0" / "speaker.emb"
-    rows = load_view(path).rows.copy()
-    rows[5] *= 2.0
-    _raw_view(path, rows, flag=1)
-    return path, f"{path}: view 'speaker' flagged normalized but row 5 has L2 norm 2.000000"
+def _flagged_normalized_not_unit(where):
+    def corrupt(corpus, targets):
+        path = _view_path(corpus, targets, where)
+        rows = load_view(path).rows.copy()
+        rows[5] *= 2.0
+        _raw_view(path, rows, flag=1)
+        return path, f"{path}: view 'speaker' flagged normalized but row 5 has L2 norm 2.000000"
+
+    return corrupt
 
 
 def _manifest_with_a_bom(corpus, targets):
@@ -515,7 +513,8 @@ _CORRUPTIONS = [
     ("target-of-other-dims", _target_of_other_dims, ["select"]),
     ("target-without-rows", _target_without_rows, ["select", "compact-targets"]),
     ("truncated-corpus-view", _truncated_corpus_view, ["select", "probe", "project"]),
-    ("target-flagged-normalized-not-unit", _target_flagged_normalized_not_unit, ["select", "compact-targets"]),
+    ("corpus-flagged-normalized-not-unit", _flagged_normalized_not_unit("corpus"), ["select", "probe", "project", "audit"]),
+    ("target-flagged-normalized-not-unit", _flagged_normalized_not_unit("target"), ["select", "compact-targets"]),
     ("manifest-with-a-bom", _manifest_with_a_bom, ["select", "stats", "probe"]),
     ("corpus-view-is-a-directory", _directory_as_view("corpus"), ["select", "stats", "probe"]),
     ("target-view-is-a-directory", _directory_as_view("targets"), ["compact-targets"]),
@@ -535,6 +534,9 @@ _CORRUPTIONS = [
             ("line-not-an-object", 2, lambda line: "[1, 2]\n", "line 3: record must be a JSON object"),
             ("duplicate-id", 2, lambda line: line.replace("utt-000002", "utt-000000"), "duplicate utterance id 'utt-000000' on line 3"),
             ("zero-duration", 2, lambda line: json.dumps({**json.loads(line), "duration_s": 0}) + "\n", "duration_s must be > 0, got 0 on line 3"),
+            ("id-a-number", 2, lambda line: json.dumps({**json.loads(line), "id": 5}) + "\n", "line 3: field 'id' must be a nonempty string"),
+            ("duration-a-string", 2, lambda line: json.dumps({**json.loads(line), "duration_s": "3"}) + "\n", "line 3: field 'duration_s' must be a number"),
+            ("dataset-null", 2, lambda line: json.dumps({**json.loads(line), "dataset": None}) + "\n", "line 3: field 'dataset' must be a string"),
         ]
     ],
 ]
@@ -710,6 +712,49 @@ class TestProjectAndAudit:
         corr = float(capsys.readouterr().out.strip())
         assert 0.5 < corr <= 1.0  # clustered fixture data projects well
 
+    def test_fault_in_a_later_block_leaves_nothing(self, fixture_dirs, tmp_path, capsys, monkeypatch):
+        """With blocks of 10 rows, a NaN at row 437 of the input stops the streamed
+        write after 43 blocks: exit 1, one line naming the file and the row, and no
+        output, temp file or sidecar."""
+        corpus, _ = fixture_dirs
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 10 * 48 * 4)
+        path = tmp_path / "in" / "speaker.emb"
+        path.parent.mkdir()
+        rows = load_view(corpus / "speaker.emb").rows.copy()
+        rows[437, 3] = np.nan
+        _raw_view(path, rows)
+        out, written, check = tmp_path / "out", [], store._check_block
+
+        def check_and_count(rows, lo, where, normalized):
+            if where.parent == out:
+                written.append(lo)
+            return check(rows, lo, where, normalized)
+
+        monkeypatch.setattr(store, "_check_block", check_and_count)
+        assert run(["project", "--in", str(path), "--out", str(out / "p.emb"), "--dim", "16"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: non-finite value at row 437, col 3 in view 'speaker'"]
+        assert written == list(range(0, 430, 10))
+        assert list(out.iterdir()) == []
+
+    def test_in_place_writes_the_bytes_of_a_separate_output(self, fixture_dirs, tmp_path, capsys):
+        """`--in V --out V` streams from the file it replaces and writes the bytes of a
+        run to another path; its run.json replays once V holds the recorded input again."""
+        corpus, _ = fixture_dirs
+        view, apart = tmp_path / "v.emb", tmp_path / "apart.emb"
+        shutil.copyfile(corpus / "speaker.emb", view)
+        flags = ["--dim", "16", "--seed", "3"]
+        assert run(["project", "--in", str(view), "--out", str(apart), *flags]) == 0
+        assert run(["project", "--in", str(view), "--out", str(view), *flags]) == 0
+        assert view.read_bytes() == apart.read_bytes()
+        manifest = json.loads((tmp_path / "v.emb.run.json").read_text())
+        assert manifest["inputs"][str(view)]["sha256"] == sha256(corpus / "speaker.emb")
+        assert manifest["outputs"][str(view)]["sha256"] == sha256(apart)
+        shutil.copyfile(corpus / "speaker.emb", view)
+        capsys.readouterr()
+        assert run(["project", "--replay", str(tmp_path / "v.emb.run.json")]) == 0
+        assert "outputs match recorded digests" in capsys.readouterr().out
+        assert view.read_bytes() == apart.read_bytes()
+
     def test_project_dim_larger_than_input_is_data_error(self, fixture_dirs, tmp_path, capsys):
         corpus, _ = fixture_dirs
         code = run(
@@ -868,6 +913,24 @@ def test_select_peak_stays_below_the_corpus_view(tmp_path):
     view = (corpus / "v.emb").stat().st_size
     assert view == 21 + 100_000 * 512 * 4
     assert peak < view
+
+
+def test_project_and_audit_peaks_do_not_grow_with_the_view(tmp_path):
+    """`project` and `audit` at 10,000 and 40,000 rows x D 1024 (41 and 164 MB
+    views): the larger run's own peak is within 30 MB of the smaller run's, as
+    neither holds a view whole."""
+    peaks = {}
+    for n in (10_000, 40_000):
+        corpus = tmp_path / str(n)
+        fixture = ["stats", "--make-fixture", "--out", str(corpus), "--targets-out", str(tmp_path / f"t{n}")]
+        assert run([*fixture, "--utterances", str(n), "--views", "v:1024", "--target-rows", "10"]) == 0
+        hi, lo = corpus / "v.emb", corpus / "v256.emb"
+        peaks[n] = (
+            cli_own_peak(["project", "--in", str(hi), "--out", str(lo), "--dim", "256"]),
+            cli_own_peak(["audit", "--hi", str(hi), "--lo", str(lo)]),
+        )
+    for small, large in zip(peaks[10_000], peaks[40_000]):
+        assert large - small < 30 * 2**20, peaks
 
 
 class TestReplay:

@@ -73,15 +73,16 @@ def test_written_bytes_are_pinned(tmp_path, name):
     assert {path: hashlib.sha256(data).hexdigest() for path, data in files.items()} == digests
 
 
-def test_non_finite_rows_are_refused_and_leave_no_view(tmp_path, monkeypatch):
-    monkeypatch.setattr(fixture, "_BLOCK_ENTRIES", 8 * 10)
-    with pytest.raises(NonFiniteEntry) as err:
-        list(fixture._clustered_blocks(np.eye(1, 8), np.zeros(30, int), np.inf, np.random.default_rng(0)))
-    assert (err.value.row, err.value.col) == (0, 0)
-    spec = FixtureSpec(utterances=30, view_dims={"a": 8}, cluster_spread=np.nan)
-    with pytest.raises(NonFiniteEntry):
-        make_fixture(tmp_path / "corpus", tmp_path / "targets", spec)
-    assert sorted(p.name for p in (tmp_path / "corpus").iterdir()) == ["manifest.jsonl"]
+def test_non_finite_rows_are_refused_and_leave_no_view(tmp_path):
+    """`_write_view` refuses the first non-finite draw, naming the file, the row and the column."""
+    for k, spread in enumerate([np.inf, np.nan]):
+        corpus = tmp_path / str(k) / "corpus"
+        spec = FixtureSpec(utterances=30, view_dims={"a": 8}, cluster_spread=spread)
+        with pytest.raises(NonFiniteEntry) as err, np.errstate(invalid="ignore"):
+            make_fixture(corpus, tmp_path / str(k) / "targets", spec)
+        assert (err.value.row, err.value.col) == (0, 0)
+        assert str(err.value) == f"{corpus / 'a.emb'}: non-finite value at row 0, col 0 in view 'a'"
+        assert sorted(p.name for p in corpus.iterdir()) == ["manifest.jsonl"]
 
 
 def test_make_fixture_peak_stays_below_the_view_it_writes(tmp_path):

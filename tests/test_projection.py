@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from corpus_select.errors import DimensionMismatch, InvalidDims, TooFewRows
+from corpus_select import projection
+from corpus_select.errors import DimensionMismatch, InvalidDims, NonUnitRow, TooFewRows
 from corpus_select.projection import (
     ProjectionSpec,
     audit_cosine_preservation,
     make_projection,
     project_view,
 )
-from corpus_select.store import EmbeddingView
+from corpus_select.store import EmbeddingView, ViewFile, _normalize_rows, save_view
 from conftest import unit_rows
 
 
@@ -40,31 +41,48 @@ class TestMakeProjection:
         assert abs(matrix.var() - target_var) <= 0.1 * target_var
 
 
+def project(rows, matrix):
+    """`project_view` of one block: the whole matrix."""
+    (out,) = project_view([rows], matrix)
+    return out
+
+
 class TestProjectView:
     def test_zero_row_stays_zero(self, rng):
         rows = unit_rows(rng, 4, 32)
         rows[2] = 0.0
-        view = EmbeddingView("x", 32, rows)
-        out = project_view(view, make_projection(ProjectionSpec(32, 8, seed=0)))
-        np.testing.assert_array_equal(out.rows[2], np.zeros(8, dtype=np.float32))
-        assert out.dims == 8 and out.normalized
+        out = project(rows, make_projection(ProjectionSpec(32, 8, seed=0)))
+        np.testing.assert_array_equal(out[2], np.zeros(8, dtype=np.float32))
+        assert out.shape == (4, 8) and out.dtype == np.float32
 
     def test_self_cosine_one(self, rng):
-        view = EmbeddingView("x", 32, unit_rows(rng, 10, 32))
-        out = project_view(view, make_projection(ProjectionSpec(32, 8, seed=0)))
-        dots = np.einsum("ij,ij->i", out.rows, out.rows, dtype=np.float64)
+        out = project(unit_rows(rng, 10, 32), make_projection(ProjectionSpec(32, 8, seed=0)))
+        dots = np.einsum("ij,ij->i", out, out, dtype=np.float64)
         np.testing.assert_allclose(dots, 1.0, atol=1e-5)
 
     def test_identical_rows_identical_images(self, rng):
         row = unit_rows(rng, 1, 32)[0]
-        view = EmbeddingView("x", 32, np.stack([row, row]))
-        out = project_view(view, make_projection(ProjectionSpec(32, 8, seed=0)))
-        np.testing.assert_array_equal(out.rows[0], out.rows[1])
+        out = project(np.stack([row, row]), make_projection(ProjectionSpec(32, 8, seed=0)))
+        np.testing.assert_array_equal(out[0], out[1])
 
     def test_dim_mismatch(self, rng):
-        view = EmbeddingView("x", 16, unit_rows(rng, 3, 16))
         with pytest.raises(DimensionMismatch):
-            project_view(view, make_projection(ProjectionSpec(32, 8, seed=0)))
+            project(unit_rows(rng, 3, 16), make_projection(ProjectionSpec(32, 8, seed=0)))
+
+    @pytest.mark.parametrize("bad", [2.0**20, np.nan], ids=["far-from-unit", "nan"])
+    def test_rows_beyond_the_exact_range_raise(self, rng, bad):
+        """A row the grid product cannot take exactly is refused before the product."""
+        rows = unit_rows(rng, 3, 32)
+        rows[1] *= np.float32(bad)
+        with pytest.raises(NonUnitRow):
+            project(rows, make_projection(ProjectionSpec(32, 8, seed=0)))
+
+    def test_blocks_project_to_the_bytes_of_one_block(self, rng):
+        """Each row's image is its own: any split into blocks gives the same bytes."""
+        rows = unit_rows(rng, 50, 32)
+        matrix = make_projection(ProjectionSpec(32, 8, seed=0))
+        blocks = list(project_view([rows[:7], rows[7:7], rows[7:]], matrix))
+        assert np.concatenate(blocks).tobytes() == project(rows, matrix).tobytes()
 
     def test_linearity_before_renormalization(self, rng):
         """project(a*x + b*y) = a*project(x) + b*project(y) within 1e-4 relative."""
@@ -80,24 +98,22 @@ class TestProjectView:
         """1000 random unit pairs, 3072 -> 256: mean |cosine error| <= 0.08."""
         n = 2000
         hi = unit_rows(rng, n, 3072)
-        view = EmbeddingView("hi", 3072, hi, normalized=True)
-        lo = project_view(view, make_projection(ProjectionSpec(3072, 256, seed=9)))
+        lo = project(hi, make_projection(ProjectionSpec(3072, 256, seed=9)))
         i = rng.integers(0, n, size=1000)
         j = (i + 1 + rng.integers(0, n - 1, size=1000)) % n
         cos_hi = np.einsum("ij,ij->i", hi[i], hi[j], dtype=np.float64)
-        cos_lo = np.einsum("ij,ij->i", lo.rows[i], lo.rows[j], dtype=np.float64)
+        cos_lo = np.einsum("ij,ij->i", lo[i], lo[j], dtype=np.float64)
         assert np.abs(cos_hi - cos_lo).mean() <= 0.08
 
 
 class TestAudit:
     def test_identity_correlation_one(self, rng):
-        view = EmbeddingView("x", 24, unit_rows(rng, 200, 24), normalized=True)
-        corr = audit_cosine_preservation(view, view, pair_count=5000, seed=1)
+        rows = unit_rows(rng, 200, 24)
+        corr = audit_cosine_preservation(rows, rows, pair_count=5000, seed=1)
         assert abs(corr - 1.0) <= 1e-9
 
     def test_unrelated_views_uncorrelated(self, rng):
-        a = EmbeddingView("a", 24, unit_rows(rng, 3000, 24), normalized=True)
-        b = EmbeddingView("b", 24, unit_rows(rng, 3000, 24), normalized=True)
+        a, b = unit_rows(rng, 3000, 24), unit_rows(rng, 3000, 24)
         corr = audit_cosine_preservation(a, b, pair_count=100_000, seed=2)
         assert abs(corr) <= 0.05
 
@@ -114,26 +130,35 @@ class TestAudit:
         centers = unit_rows(rng, 12, d_hi).astype(np.float64)
         assign = rng.integers(0, 12, size=3000)
         spread = 0.5 / np.sqrt(d_hi)
-        hi = centers[assign] + spread * rng.standard_normal((3000, d_hi))
-        hi_view = EmbeddingView("hi", d_hi, hi.astype(np.float32))
-        lo_view = project_view(hi_view, make_projection(ProjectionSpec(d_hi, 256, seed=4)))
-        corr = audit_cosine_preservation(hi_view, lo_view, pair_count=50_000, seed=3)
+        hi = _normalize_rows((centers[assign] + spread * rng.standard_normal((3000, d_hi))).astype(np.float32))
+        lo = project(hi, make_projection(ProjectionSpec(d_hi, 256, seed=4)))
+        corr = audit_cosine_preservation(hi, lo, pair_count=50_000, seed=3)
         assert corr >= 0.9
 
     def test_deterministic_in_seed(self, rng):
-        hi = EmbeddingView("hi", 64, unit_rows(rng, 500, 64), normalized=True)
-        lo = project_view(hi, make_projection(ProjectionSpec(64, 16, seed=0)))
+        hi = unit_rows(rng, 500, 64)
+        lo = project(hi, make_projection(ProjectionSpec(64, 16, seed=0)))
         a = audit_cosine_preservation(hi, lo, pair_count=2000, seed=11)
         b = audit_cosine_preservation(hi, lo, pair_count=2000, seed=11)
         assert a == b
 
+    def test_view_files_audit_as_their_matrices(self, tmp_path, rng, monkeypatch):
+        """Two `ViewFile`s, one stored un-normalized, give the bits of their unit matrices,
+        with pair blocks small enough that every block gathers a few rows by offset."""
+        hi = 3.0 * rng.standard_normal((300, 24)).astype(np.float32)
+        lo = unit_rows(rng, 300, 8)
+        save_view(EmbeddingView("hi", 24, hi), tmp_path / "hi.emb")
+        save_view(EmbeddingView("lo", 8, lo, normalized=True), tmp_path / "lo.emb")
+        expected = audit_cosine_preservation(_normalize_rows(hi), lo, pair_count=1000, seed=5)
+        monkeypatch.setattr(projection, "_PAIR_BYTES", 8 * 24 * 7)
+        with ViewFile(tmp_path / "hi.emb") as vhi, ViewFile(tmp_path / "lo.emb") as vlo:
+            assert audit_cosine_preservation(vhi, vlo, pair_count=1000, seed=5) == expected
+
     def test_too_few_rows(self, rng):
-        view = EmbeddingView("x", 8, unit_rows(rng, 1, 8), normalized=True)
+        rows = unit_rows(rng, 1, 8)
         with pytest.raises(TooFewRows):
-            audit_cosine_preservation(view, view, pair_count=10, seed=0)
+            audit_cosine_preservation(rows, rows, pair_count=10, seed=0)
 
     def test_row_count_mismatch(self, rng):
-        a = EmbeddingView("a", 8, unit_rows(rng, 4, 8), normalized=True)
-        b = EmbeddingView("b", 8, unit_rows(rng, 5, 8), normalized=True)
         with pytest.raises(DimensionMismatch):
-            audit_cosine_preservation(a, b, pair_count=10, seed=0)
+            audit_cosine_preservation(unit_rows(rng, 4, 8), unit_rows(rng, 5, 8), pair_count=10, seed=0)

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,7 +364,8 @@ def near_tie_instances(draw):
         rows[nudged, col[nudged]] = np.nextafter(rows[nudged, col[nudged]], away)
         rows[off] = off_unit(rows[off])
         rows[kind == 3] = 0.0
-        views[name] = EmbeddingView(name, d, rows, normalized=True).rows
+        assert store._check_block(rows, 0, Path(f"{name}.emb"), True)[1] is None  # writable flagged normalized
+        views[name] = rows
     sets = []
     for m, size in enumerate(datasets):
         mats = {name: unit_rows(rng, size, d) for name in views}

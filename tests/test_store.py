@@ -124,6 +124,33 @@ class TestViewFile:
             store._write_view(path, False, 10, 3, (np.zeros(shape, np.float32) for shape in shapes))
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_dimensions_leave_no_file(self, tmp_path):
+        """A view the reader would refuse for its D of 0 is not written."""
+        with pytest.raises(DimensionMismatch, match="a view needs at least one dimension, got 0"):
+            save_view(EmbeddingView("x", 0, np.zeros((2, 0), np.float32)), tmp_path / "x.emb")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "normalized, error, message",
+        [
+            (False, NonFiniteEntry, "{path}: non-finite value at row 6, col 1 in view 'v'"),
+            (True, NonUnitRow, "{path}: view 'v' flagged normalized but row 6 has L2 norm 2.000000"),
+        ],
+        ids=["non-finite", "non-unit"],
+    )
+    def test_every_written_block_is_checked(self, tmp_path, rng, normalized, error, message):
+        """A fault in a later block raises naming the file and the row, and leaves no file."""
+        rows = _normalize_rows(rng.standard_normal((10, 3)))
+        if normalized:
+            rows[6] *= 2.0
+        else:
+            rows[6, 1] = np.nan
+        path = tmp_path / "v.emb"
+        with pytest.raises(error) as err:
+            store._write_view(path, normalized, 10, 3, [rows[:4], rows[4:]])
+        assert str(err.value) == message.format(path=path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_load_normalizes_by_default(self, tmp_path, rng):
         path = tmp_path / "v.emb"
         save_view(EmbeddingView("x", 4, 3.0 * rng.standard_normal((6, 4)).astype(np.float32)), path)
@@ -189,9 +216,12 @@ class TestViewFile:
         assert loaded.normalized
         assert peak < 1.1 * rows.nbytes
 
-    def test_normalized_flag_validated(self):
-        with pytest.raises(NonUnitRow, match="flagged normalized but row 0"):
-            EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32), normalized=True)
+    def test_normalized_flag_validated(self, tmp_path):
+        """`save_view` refuses a view flagged normalized with a non-unit row, naming the file, and leaves no file."""
+        path = tmp_path / "x.emb"
+        with pytest.raises(NonUnitRow, match=re.escape(f"{path}: view 'x' flagged normalized but row 0")):
+            save_view(EmbeddingView("x", 2, np.array([[3.0, 4.0]], dtype=np.float32), normalized=True), path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBlockReader:
