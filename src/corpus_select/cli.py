@@ -126,12 +126,11 @@ def _parsed(text: str, kind: type, noun: str):
         raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}") from None
 
 
-def _float_in(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
+def _float_in(lo: float, hi: float, lo_open: bool = False):
     def convert(text: str) -> float:
         value = _parsed(text, float, "a number")
-        ok = (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
-        if not ok:
-            bounds = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+        if not ((lo < value if lo_open else lo <= value) and value <= hi):
+            bounds = f"{'(' if lo_open else '['}{lo}, {hi}]"
             raise argparse.ArgumentTypeError(f"must be in {bounds}, got {text}")
         return value
 

@@ -31,8 +31,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from corpus_select.errors import DimensionMismatch, InvalidDims, TooFewRows
-from corpus_select.relevance import _max_norm, _screen_eps, to_grid
+from corpus_select.relevance import to_grid
 from corpus_select.rng import generator
+from corpus_select.store import ViewFile, _check_unit
 
 _PAIR_BYTES = 1 << 24  # bytes of gathered rows per block of audit pairs
 
@@ -67,22 +68,22 @@ def make_projection(spec: ProjectionSpec) -> np.ndarray:
 def project_view(blocks: Iterable[np.ndarray], matrix: np.ndarray) -> Iterator[np.ndarray]:
     """The image of each block of unit float32 rows under `matrix`, re-normalized, block by block.
 
-    The rows must be unit (or zero), as the kernel takes them: a block
-    with a row beyond the grid's exact range raises NonUnitRow (the
-    `_screen_eps` rule of `max_similarity`, against the matrix's columns
-    scaled to norm at most 1). Zero rows stay zero (their image is zero
-    and normalization leaves zeros alone). The grid matrix is computed
-    once per call.
+    The rows must be unit (or zero) as the scorer takes them, which keeps
+    the grid product exact against the matrix's columns scaled to norm at
+    most 1: a block with any other row raises NonUnitRow naming it
+    (`store._check_unit`). Zero rows stay zero (their image is zero and
+    normalization leaves zeros alone). The grid matrix is computed once
+    per call.
     """
     matrix = np.asarray(matrix, dtype=np.float32)
     col_norm = float(np.sqrt(np.square(matrix, dtype=np.float64).sum(axis=0)).max(initial=0.0))
     scale = math.ldexp(1.0, math.frexp(col_norm)[1])  # power of two above col_norm
     grid_matrix = to_grid(matrix, scale)
-    for block in blocks:
+    for k, block in enumerate(blocks):
         block = np.asarray(block, dtype=np.float32)
         if matrix.ndim != 2 or block.ndim != 2 or block.shape[1] != matrix.shape[0]:
             raise DimensionMismatch(f"rows of shape {block.shape}, but the projection takes {matrix.shape[0]} dims")
-        _screen_eps(block.shape[1], _max_norm(block), 1.0)
+        _check_unit(block, f"block {k} of the rows to project:")
         # exact, in grid units; normalizing makes the units irrelevant
         image = to_grid(block) @ grid_matrix
         norms = np.sqrt(np.einsum("ij,ij->i", image, image))[:, None]
@@ -93,13 +94,14 @@ def project_view(blocks: Iterable[np.ndarray], matrix: np.ndarray) -> Iterator[n
 def audit_cosine_preservation(view_hi, view_lo, pair_count: int, seed: int = 0) -> float:
     """Pearson correlation of pairwise cosines before and after projection.
 
-    The views are unit float32 matrices or `store.ViewFile`s, which the
-    caller has checked with a `blocks()` pass. Samples `pair_count` index
-    pairs (i != j) from a private seeded generator and correlates
-    cosine(hi_i, hi_j) against cosine(lo_i, lo_j). The rows of a block of
-    pairs are read by index (`view[rows]`, on the block's sorted unique
-    rows), about `_PAIR_BYTES` of the wider view per block, so memory does
-    not grow with N or D.
+    The views are unit float32 matrices, checked here once on entry, or
+    `store.ViewFile`s, which the caller has checked with a `blocks()` pass;
+    a matrix with a row that is not unit (or zero) raises NonUnitRow.
+    Samples `pair_count` index pairs (i != j) from a private seeded
+    generator and correlates cosine(hi_i, hi_j) against cosine(lo_i, lo_j).
+    The rows of a block of pairs are read by index (`view[rows]`, on the
+    block's sorted unique rows), about `_PAIR_BYTES` of the wider view per
+    block, so memory does not grow with N or D.
     """
     if pair_count <= 0:
         raise ValueError(f"pair_count must be positive, got {pair_count}")
@@ -110,6 +112,9 @@ def audit_cosine_preservation(view_hi, view_lo, pair_count: int, seed: int = 0) 
     n = view_hi.shape[0]
     if n < 2:
         raise TooFewRows(f"audit needs at least 2 rows, got {n}")
+    for what, view in (("high-dimensional view", view_hi), ("projected view", view_lo)):
+        if not isinstance(view, ViewFile):
+            _check_unit(np.asarray(view, np.float32), what)
 
     rng = generator(seed, "audit")
     i = rng.integers(0, n, size=pair_count)

@@ -15,21 +15,26 @@ per-dataset target matrices, and relevance, its bounds and both
 selectors take their matrices from them. A single target dataset is a
 one-dataset `TargetSet`.
 
-Rows are float32 and assumed unit-L2 (or zero), so cosine is a plain dot
-product and a zero row scores 0 against everything. Candidates are cast
-to float32 where they enter (`weighted_views`, `max_similarity`,
-`update_running_max`), as `TargetDataset` casts targets, so rows of any
-other dtype score as their float32 cast. A score is exact on a grid:
-both rows are rounded to integers at scale 2^26 (`to_grid`, a grid of
-step 2^-26), and their dot product is an integer sum. For rows of norm
-at most c and t, every product and partial sum is below
-(2^26 c + sqrt(D)/2) (2^26 t + sqrt(D)/2) (Cauchy-Schwarz), and while
-that is under 2^53 the float64 sum is exact in any order: it does not
-depend on summation order, FMA use, the BLAS kernel or the thread count.
-Unit rows are well inside that at any D (norms up to about 1.4 are);
-rows beyond it, NaN rows included, raise NonUnitRow. The price is a
-score error of about sqrt(D) * 2^-26 at most against the unrounded rows
-(2.4e-7 at D = 256).
+Rows are float32 and unit (or zero) by `store`'s one unit rule, a
+float64 norm within `_UNIT_TOL` (1e-4) of 1 or 0, so cosine is a plain
+dot product and a zero row scores 0 against everything. The rule is
+checked where rows are scored: a `store.ViewFile`'s blocks by the
+reader, an in-memory view by `relevance_bounds`, the rows
+`max_similarity` scores (at `rows=` too), the targets by
+`_checked_targets`, and the blocks `projection.project_view` takes; any
+other row, NaN rows included, raises NonUnitRow naming it. Candidates
+are cast to float32 where they enter (`weighted_views`,
+`max_similarity`, `update_running_max`), as `TargetDataset` casts
+targets, so rows of any other dtype score as their float32 cast. A score
+is exact on a grid: both rows are rounded to integers at scale 2^26
+(`to_grid`, a grid of step 2^-26), and their dot product is an integer
+sum. For rows of norm at most c and t, every product and partial sum is
+below (2^26 c + sqrt(D)/2) (2^26 t + sqrt(D)/2) (Cauchy-Schwarz), and
+while that is under 2^53 the float64 sum is exact in any order: it does
+not depend on summation order, FMA use, the BLAS kernel or the thread
+count. Unit rows, c = t = 1 + `_UNIT_TOL`, are far inside that. The
+price is a score error of about sqrt(D) * 2^-26 at most against the
+unrounded rows (2.4e-7 at D = 256).
 
 One blocked loop (`_blocked_max`) runs a float32 GEMM, the screen, in
 tiles of at most 2,048 candidate rows by 4,096 target rows; each tile is
@@ -41,23 +46,23 @@ order, blocking or FMA use, a float32 dot product of D terms is within
 gamma_D * |x| |y| of the exact one, gamma_D = D u / (1 - D u) with
 u = 2^-24 (Higham, *Accuracy and Stability of Numerical Algorithms*,
 section 3.1), and the grid rounding moves a score by at most
-2^-27 sqrt(D) (|x| + |y|) + D 2^-54. With c and t the largest candidate
-and target row norms, the exact score therefore lies within
+2^-27 sqrt(D) (|x| + |y|) + D 2^-54. Every scored row has norm at most
+c = t = 1 + `_UNIT_TOL`, so the exact score lies within
 
     eps = gamma_D c t + 2^-27 sqrt(D) (c + t) + D 2^-54
 
 of the float32 row max (plus a slack term for underflow and float64
-rounding).
+rounding, which also covers the rounding of the unit check's norms).
+eps is a constant of D (`_screen_eps`); no row norm is measured for it.
 
 `relevance_bounds` widens the screen's row max by eps: the bounds a - eps
 and a + eps are rounded outward in float64 and clipped like exact
 scores, and fusion and aggregation are monotone under round-to-nearest,
-so the fused bounds hold bit for bit. It takes eps per block of rows: a
-view given as a `store.ViewFile` is read, checked and normalized by its
-screen a block at a time and never held whole, and an in-memory matrix
-is one block. The selector scores exactly only the rows whose upper
-bound can reach its pool (Rump's filter), with
-`relevance_multi_dataset(..., rows=)`.
+so the fused bounds hold bit for bit. A view given as a `store.ViewFile`
+is read, checked and normalized by its screen a block at a time and
+never held whole, and an in-memory matrix is one block. The selector
+scores exactly only the rows whose upper bound can reach its pool
+(Rump's filter), with `relevance_multi_dataset(..., rows=)`.
 
 One rule scores exactly, `update_running_max`: a target set is folded
 into a running max tile by tile. A row whose float32 max a cannot beat
@@ -84,8 +89,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView, NonUnitRow
-from corpus_select.store import TargetSet, ViewFile
+from corpus_select.errors import DimensionMismatch, EmptyTargets, EmptyTargetSet, MissingView
+from corpus_select.store import _UNIT_TOL, TargetSet, ViewFile, _check_unit
 
 _TILE_ROWS = 2048  # candidate rows per score tile
 _TILE_TARGETS = 4096  # target rows per score tile
@@ -224,27 +229,28 @@ def max_similarity(candidates, targets, *, rows=None) -> np.ndarray:
     """Per-candidate maximum dot product against the target rows, exact on the grid.
 
     Returns a float64 vector of length N, clipped to [-1, 1]: the running
-    max folded from -inf by `update_running_max` with the pair's
-    `_screen_eps`. Relevance, the selector's seed and the exact-greedy
-    oracle score through it. Given `rows`, it scores the candidate rows at
-    those indices, read a tile at a time.
+    max folded from -inf by `update_running_max`. Relevance, the selector's
+    seed and the exact-greedy oracle score through it. Given `rows`, it scores
+    the candidate rows at those indices, read a tile at a time. A target or
+    scored row that is not unit (or zero) raises NonUnitRow.
     """
     cands = np.asarray(candidates, np.float32)
     (tgts,) = _checked_targets(cands.shape[1], [targets])
-    eps = _screen_eps(cands.shape[1], _max_norm(cands, rows), _max_norm(tgts))
+    _check_unit(cands, "candidate", rows)
     out = np.full(cands.shape[0] if rows is None else rows.size, -np.inf)
-    update_running_max(cands, tgts, out, eps=eps, rows=rows)
+    update_running_max(cands, tgts, out, rows=rows)
     return out
 
 
 def _checked_targets(d: int, target_sets) -> list[np.ndarray]:
-    """The target matrices as float32, each nonempty 2-D with the candidates' `d` columns."""
+    """The target matrices as float32, each nonempty 2-D with the candidates' `d` columns and unit (or zero) rows."""
     sets = [np.asarray(t, np.float32) for t in target_sets]
     for tgts in sets:
         if tgts.ndim != 2 or tgts.shape[0] == 0:
             raise EmptyTargets("target matrix has no rows")
         if d != tgts.shape[1]:
             raise DimensionMismatch(f"candidates have {d} dims, targets {tgts.shape[1]}")
+        _check_unit(tgts, "target")
     return sets
 
 
@@ -273,44 +279,14 @@ def _blocked_max(cands: np.ndarray, rows, sets: list[np.ndarray], reduce=None) -
     return result
 
 
-def _max_norm(mat: np.ndarray, rows=None) -> float:
-    """An upper bound on the largest norm among the float32 rows of `mat` (those at `rows`, read a tile at a time).
-
-    The rows are summed in float32: a row's squared norm is at most
-    (s + D 2^-126) / (1 - gamma_D) for its sum s (Higham, with underflow),
-    and 1 - 3 D u < 1 - gamma_D also covers the float64 rounding here.
-    NaN rows give NaN.
-    """
-    if rows is not None:
-        tiles = (mat[rows[lo : lo + _TILE_ROWS]] for lo in range(0, rows.size, _TILE_ROWS))
-        return float(np.max([0.0, *map(_max_norm, tiles)]))  # np.max keeps a NaN, max() may not
-    s, d = float(np.einsum("ij,ij->i", mat, mat).max(initial=0.0)), mat.shape[1]
-    return math.sqrt((s + d * 2.0**-126) / (1.0 - 3.0 * d * 2.0**-24))
-
-
-def _screen_eps(d: int, c: float, t: float) -> float:
-    """How far a float32 GEMM score may be from the exact one (module docstring).
-
-    c and t bound the row norms of the two float32 operands. Raises
-    NonUnitRow where grid products of such rows could reach 2^53, NaN
-    norms included.
-    """
-    half = math.sqrt(d) / 2.0
-    if not (_GRID * c + half) * (_GRID * t + half) < 2.0**53:
-        raise NonUnitRow(
-            f"rows of L2 norm up to {c:.6g} against rows of norm up to {t:.6g}: "
-            "exact scores need unit (or zero) rows"
-        )
+def _screen_eps(d: int) -> float:
+    """How far a float32 GEMM score of two unit (or zero) rows of `d` dims
+    may be from the exact one: the module docstring's eps at c = t = 1 + `_UNIT_TOL`."""
+    c = t = 1.0 + _UNIT_TOL
     gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24)
     eps = gamma * c * t + 2.0**-27 * math.sqrt(d) * (c + t) + d * 2.0**-54
-    # underflow in the float32 GEMM, and float64 rounding in the fold and in eps
+    # underflow in the float32 GEMM, and float64 rounding in the fold, in eps and in the unit check
     return eps + d * 2.0**-50 * (1.0 + c) * (1.0 + t)
-
-
-def running_max_eps(mat: np.ndarray, rows: np.ndarray | None = None) -> float:
-    """`update_running_max`'s `eps` among the float32 rows of `mat` (those at `rows`, read a tile at a time)."""
-    c = _max_norm(mat, rows)
-    return _screen_eps(mat.shape[1], c, c)
 
 
 def _floor32(a: np.ndarray, eps: float) -> np.ndarray:
@@ -332,19 +308,19 @@ def _grid_dots(x: np.ndarray, xi: np.ndarray, y: np.ndarray, yi: np.ndarray) -> 
     return out
 
 
-def update_running_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, *, eps: float, rows=None) -> None:
+def update_running_max(cands: np.ndarray, tgts: np.ndarray, running: np.ndarray, *, rows=None) -> None:
     """Fold each candidate's exact max similarity against `tgts` into `running`, in place.
 
     The candidates are the rows of `cands`, or those at `rows`, read a
-    tile at a time; both operands are cast to float32. `running` ends bit
-    for bit as `np.maximum(running, max_similarity(cands, tgts,
-    rows=rows))` would leave it: only the pairs that the float32 screen
-    cannot rule out are scored exactly (module docstring), and `eps`
-    bounds the screen's error on these operands (`running_max_eps`). The batched selector folds in each
-    commit segment with it; `max_similarity` folds from -inf.
+    tile at a time; both operands are cast to float32, and are unit (or
+    zero) as their caller checked. `running` ends bit for bit as
+    `np.maximum(running, max_similarity(cands, tgts, rows=rows))` would
+    leave it: only the pairs that the float32 screen cannot rule out by
+    `_screen_eps(D)` are scored exactly (module docstring). The batched
+    selector folds in each commit segment with it; `max_similarity` from -inf.
     """
     cands, tgts = np.asarray(cands, np.float32), np.asarray(tgts, np.float32)
-    at = (lambda k: k) if rows is None else rows.__getitem__
+    at, eps = ((lambda k: k) if rows is None else rows.__getitem__), _screen_eps(cands.shape[1])
 
     def reduce(sims, clo, tlo):
         a = sims.max(axis=1)
@@ -449,9 +425,9 @@ def relevance_bounds(
 
     Each view is screened once with a float32 GEMM per tile, a block of
     rows at a time: a `store.ViewFile`'s blocks (read, checked and
-    normalized here), or an in-memory matrix as one block. Each row's max
-    a against each target set, widened to a -/+ the `_screen_eps` of its
-    block and that set (rounded outward and clipped to [-1, 1]), goes
+    normalized here), or an in-memory matrix, checked unit here, as one
+    block. Each row's max a against each target set, widened to a -/+ the
+    `_screen_eps` of D (rounded outward and clipped to [-1, 1]), goes
     through the same fusion and aggregation as the exact scores. Only
     these bounds are kept.
     """
@@ -459,12 +435,13 @@ def relevance_bounds(
     bounds = {}
     for name, mat in mats.items():
         (n, d), tsets = mat.shape, _checked_targets(mat.shape[1], sets[name])
-        t = [_max_norm(tgts) for tgts in tsets]
+        eps = _screen_eps(d)
         b = bounds[name] = np.empty((2, len(tsets), n))
+        if not isinstance(mat, ViewFile):
+            _check_unit(mat, f"view {name!r}")
         # a file is read, checked and normalized a block at a time; a matrix is one block
         for lo, block in mat.blocks() if isinstance(mat, ViewFile) else [(0, mat)]:
-            c, part = _max_norm(block), slice(lo, lo + block.shape[0])
-            eps = np.array([[_screen_eps(d, c, tn)] for tn in t])
+            part = slice(lo, lo + block.shape[0])
             a = _blocked_max(block, None, tsets).astype(np.float64)
             np.nextafter(a - eps, -np.inf, out=b[0, :, part])
             np.nextafter(a + eps, np.inf, out=b[1, :, part])

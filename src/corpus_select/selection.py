@@ -81,7 +81,6 @@ from corpus_select.relevance import (
     max_similarity,
     relevance_bounds,
     relevance_multi_dataset,
-    running_max_eps,
     update_running_max,
     weighted_views,
 )
@@ -279,7 +278,6 @@ def batched_mmr(
                 stacklevel=2,
             )
 
-        eps = {name: running_max_eps(mat, at) for name, mat in mats.items()}
         lam_r = cfg.lam * r_pool
 
         seed_pos = 0  # pool is sorted by (-relevance, index)
@@ -316,7 +314,7 @@ def batched_mmr(
                 sub, running = mat[at[stale]], vmax[name][stale]
                 for k in ends:
                     batch = commits[name][edges[k - 1] : edges[k]]
-                    update_running_max(sub[:k], batch, running[:k], eps=eps[name])
+                    update_running_max(sub[:k], batch, running[:k])
                 vmax[name][stale] = running
             stamp[stale] = ncom
             v[stale] = weights.fuse(lambda name: vmax[name][stale])

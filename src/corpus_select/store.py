@@ -14,6 +14,11 @@ Manifests are UTF-8 JSON lines, one record per line with fields "id",
 `Manifest`). Alignment between metadata and matrices is positional: line
 i of the manifest owns row i of every view, as `CorpusManifest` checks.
 
+One unit rule (`_unit_fault`) holds for every row that is scored: its
+float64 L2 norm is within `_UNIT_TOL` (1e-4) of 1, or is 0. View files
+are held to it by `_check_block`, in-memory rows by `_check_unit` where
+they are scored; any other row, NaN rows included, raises NonUnitRow.
+
 One block reader, `ViewFile`, reads every view payload. It reads the
 rows in file order, a block of about 2 MB at a time, into one reused
 buffer with `readinto` (no memory map: mapped pages count toward RSS),
@@ -79,6 +84,7 @@ _HEADER = struct.Struct("<4sIBQI")  # magic, version, normalized flag, N, D
 # Rows whose L2 norm is already this close to 1 are left untouched by
 # normalization, which makes repeated normalization bitwise idempotent.
 _UNIT_SNAP = 2e-7
+_UNIT_TOL = 1e-4  # the unit rule: a row's float64 L2 norm is within this of 1, or is 0
 
 _NORM_BLOCK = 65536
 
@@ -118,6 +124,23 @@ def _normalize_in_place(rows: np.ndarray, norms: np.ndarray | None = None) -> in
     return zero_count
 
 
+def _unit_fault(norms: np.ndarray, what: str, rows) -> str | None:
+    """The unit rule on the float64 norms of the rows of `what` at the indices `rows`:
+    the first row that breaks it (a NaN norm does), named, or None."""
+    off = np.flatnonzero((norms != 0.0) & ~(np.abs(norms - 1.0) <= _UNIT_TOL))
+    return f"{what} row {rows[off[0]]} has L2 norm {norms[off[0]]:.6f}" if off.size else None
+
+
+def _check_unit(mat: np.ndarray, what: str, rows: np.ndarray | None = None) -> None:
+    """Raise NonUnitRow at the first row of the float32 matrix `mat` (of those at
+    the indices `rows`) that breaks the unit rule, read a block at a time."""
+    n, step = mat.shape[0] if rows is None else rows.size, _block_rows(mat.shape[1])
+    for lo in range(0, n, step):
+        at = range(lo, min(lo + step, n)) if rows is None else rows[lo : lo + step]
+        if fault := _unit_fault(_row_norms(mat[lo : lo + step] if rows is None else mat[at]), what, at):
+            raise NonUnitRow(f"{fault}, not unit within {_UNIT_TOL} (or zero)")
+
+
 def _check_block(rows: np.ndarray, lo: int, path: Path, normalized: bool) -> tuple[np.ndarray, str | None]:
     """The float64 row norms of a block of the view file at `path` whose first
     row is `lo`, and, for a view flagged normalized, what is wrong with its
@@ -135,11 +158,8 @@ def _check_block(rows: np.ndarray, lo: int, path: Path, normalized: bool) -> tup
         exc = NonFiniteEntry(lo + r, c, context=f"view {path.stem!r}")
         exc.args = (f"{path}: {exc}",)  # corpus and target views may share a name
         raise exc
-    if normalized:
-        off = np.flatnonzero((norms != 0.0) & (np.abs(norms - 1.0) > 1e-4))
-        if off.size:
-            return norms, f"{path}: view {path.stem!r} flagged normalized but row {lo + off[0]} has L2 norm {norms[off[0]]:.6f}"
-    return norms, None
+    what = f"{path}: view {path.stem!r} flagged normalized but"
+    return norms, _unit_fault(norms, what, range(lo, lo + norms.size)) if normalized else None
 
 
 @dataclass
@@ -188,15 +208,13 @@ class Manifest:
 
 @dataclass
 class CorpusManifest:
-    """Manifest columns plus at least one view aligned to them row for row:
-    float32 matrices, or `ViewFile`s (whose row-count error names the file)."""
+    """Manifest columns plus the views aligned to them row for row: float32
+    matrices, or `ViewFile`s (whose row-count error names the file)."""
 
     manifest: Manifest
     views: dict[str, np.ndarray | ViewFile]
 
     def __post_init__(self):
-        if not self.views:
-            raise DimensionMismatch("a corpus needs at least one view")
         lines = len(self.manifest)
         for name, view in self.views.items():
             if view.shape[0] != lines:
@@ -353,7 +371,7 @@ def _read_header(fh, path: Path) -> tuple[bytes, int, int, int]:
 
 
 def _block_rows(d: int) -> int:
-    return max(1, _BLOCK_BYTES // (4 * d))
+    return max(1, _BLOCK_BYTES // (4 * max(d, 1)))  # in memory, rows of D 0 are zero rows
 
 
 class ViewFile:
@@ -473,9 +491,9 @@ _WRITE_CHUNK = 1 << 14  # lines per write in `save_manifest`
 def load_manifest(path: str | Path) -> Manifest:
     """Parse a JSON-lines manifest into columns; line order defines row order.
 
-    The bytes are parsed a chunk of lines at a time (`_parse_chunks`); on any
-    fault the per-line parser reruns over the same bytes, so a file is accepted
-    or rejected, with the same error and line, as line by line, and the error names the file."""
+    The bytes are parsed a chunk of lines at a time (`_parse_chunks`); only a chunk that
+    does not parse sends the same bytes to the per-line parser, so a file is accepted or
+    rejected, with the same error and line, as line by line, and the error names the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -483,9 +501,6 @@ def load_manifest(path: str | Path) -> Manifest:
         _record_read(path, hashlib.sha256(data), len(data))
     try:
         manifest = _parse_chunks(data)
-    except (ValueError, OverflowError, RecursionError, DataError):  # JSON, UTF-8, int-size, nesting, record faults
-        manifest = None
-    try:
         return manifest if manifest is not None else _parse_lines(data)
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
@@ -498,8 +513,9 @@ def _parse_chunks(data: bytes) -> Manifest | None:
     A chunk of k lines is parsed as one array with `null` in place of each
     line break. No line of the chunk contains `null`, so 2k - 1 values with
     `None` at the k - 1 odd places mean each line held exactly one value.
-    Chunks with `null` or `\r` (a line break in text mode) are left to the
-    per-line parser, and so is a record that fails `_check_columns`."""
+    Chunks with `null` or `\r` (a line break in text mode), or that do not parse, are
+    left to the per-line parser. Once all parse, each line is the record that parser
+    reads, so a record that fails `_check_columns` raises at its line from here."""
     ids, durations, datasets = [], [], []
     start = 0
     while start < len(data):
@@ -507,9 +523,12 @@ def _parse_chunks(data: bytes) -> Manifest | None:
         chunk, start = data[start:end], end
         if b"null" in chunk or b"\r" in chunk:
             return None
-        body = chunk.decode("utf-8").removesuffix("\n")
+        try:
+            body = chunk.decode("utf-8").removesuffix("\n")
+            values = json.loads("[" + body.replace("\n", ",null,") + "]")
+        except (ValueError, RecursionError):
+            return None
         lines = body.count("\n") + 1
-        values = json.loads("[" + body.replace("\n", ",null,") + "]")
         records = values[::2]
         if len(values) != 2 * lines - 1 or values[1::2].count(None) != lines - 1 or {*map(type, records)} != {dict}:
             return None

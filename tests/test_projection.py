@@ -71,7 +71,7 @@ class TestProjectView:
 
     @pytest.mark.parametrize("bad", [2.0**20, np.nan], ids=["far-from-unit", "nan"])
     def test_rows_beyond_the_exact_range_raise(self, rng, bad):
-        """A row the grid product cannot take exactly is refused before the product."""
+        """A row that is not unit (or zero) is refused before the grid product."""
         rows = unit_rows(rng, 3, 32)
         rows[1] *= np.float32(bad)
         with pytest.raises(NonUnitRow):
@@ -153,6 +153,13 @@ class TestAudit:
         monkeypatch.setattr(projection, "_PAIR_BYTES", 8 * 24 * 7)
         with ViewFile(tmp_path / "hi.emb") as vhi, ViewFile(tmp_path / "lo.emb") as vlo:
             assert audit_cosine_preservation(vhi, vlo, pair_count=1000, seed=5) == expected
+
+    def test_refuses_a_matrix_that_is_not_unit(self, rng):
+        """A raw Gaussian matrix is refused on entry, not correlated as dot products."""
+        raw = rng.standard_normal((200, 24)).astype(np.float32)
+        for hi, lo in ((raw, unit_rows(rng, 200, 24)), (unit_rows(rng, 200, 24), raw)):
+            with pytest.raises(NonUnitRow, match="view row 0 has L2 norm"):
+                audit_cosine_preservation(hi, lo, pair_count=100, seed=0)
 
     def test_too_few_rows(self, rng):
         rows = unit_rows(rng, 1, 8)

@@ -1,6 +1,4 @@
 import itertools
-import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,10 +22,10 @@ from corpus_select.relevance import (
     max_similarity,
     relevance_bounds,
     relevance_multi_dataset,
-    running_max_eps,
     update_running_max,
 )
-from corpus_select.selection import SelectionConfig, batched_mmr
+from corpus_select.projection import ProjectionSpec, make_projection, project_view
+from corpus_select.selection import SelectionConfig, batched_mmr, greedy_mmr_exact
 from corpus_select.store import TargetDataset, TargetSet, _normalize_rows
 from conftest import unit_rows
 from oracles import EmptySelection, brute_max_sim, cosine, diversity_penalty, integer_max_sim, integer_relevance
@@ -132,8 +130,10 @@ class TestRelevanceSingle:
         )
 
     def test_empty_targets(self, rng):
-        with pytest.raises(EmptyTargets):
-            max_similarity(unit_rows(rng, 3, 4), np.zeros((0, 4), dtype=np.float32))
+        """An empty or 1-D target matrix raises EmptyTargets before its rows are checked."""
+        for shape in ((0, 4), (4,)):
+            with pytest.raises(EmptyTargets):
+                max_similarity(unit_rows(rng, 3, 4), np.zeros(shape, dtype=np.float32))
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -232,13 +232,12 @@ class TestRunningMax:
         if negative:
             assert new.max() < 0.0
         expected = np.maximum(running, new)
-        eps = running_max_eps(np.vstack([rows, batch]))
         at = np.random.default_rng(seed).permutation(n)[: max(1, n // 2)]
         subset = running[at]
         with mock.patch.object(relevance, "_TILE_ROWS", 4):
-            update_running_max(rows, batch, subset, eps=eps, rows=at)
+            update_running_max(rows, batch, subset, rows=at)
         assert subset.tobytes() == expected[at].tobytes()
-        update_running_max(rows, batch, running, eps=eps)
+        update_running_max(rows, batch, running)
         assert running.tobytes() == expected.tobytes()
 
 
@@ -316,19 +315,28 @@ class TestCertifiedRelevance:
 
 
 class TestRowRange:
-    """Scores are exact while (2^26 c + sqrt(D)/2) (2^26 t + sqrt(D)/2) < 2^53 for
-    row norms c and t; rows beyond that, NaN rows included, raise on every path."""
+    """Scored rows keep the one unit rule, a float64 norm within 1e-4 of 1 or 0, which
+    keeps grid products exact; other rows, NaN rows included, raise on every path."""
+
+    PATHS = [
+        "max_similarity", "relevance_bounds", "relevance", "relevance-rows", "batched_mmr", "greedy_mmr_exact", "project_view"
+    ]
 
     @staticmethod
     def paths(cands, targets):
-        """`max_similarity`, `relevance_bounds` and `batched_mmr` on the rows, as calls."""
+        """Every entry point that scores in-memory rows, as named calls on the rows."""
+        n, d = cands.shape
         views, tset, weights = {"v": cands}, one_dataset({"v": targets}), FusionWeights({"v": 1.0})
         cfg = SelectionConfig(alpha=0.2, rho=0.5, batch_size=4)
-        return (
-            lambda: max_similarity(cands, targets),
-            lambda: relevance_bounds(views, tset, weights),
-            lambda: batched_mmr(np.ones(cands.shape[0]), views, tset, cfg),
-        )
+        return {
+            "max_similarity": lambda: max_similarity(cands, targets),
+            "relevance_bounds": lambda: relevance_bounds(views, tset, weights),
+            "relevance": lambda: relevance_multi_dataset(views, tset, weights),
+            "relevance-rows": lambda: relevance_multi_dataset(views, tset, weights, rows=np.arange(1, n)),
+            "batched_mmr": lambda: batched_mmr(np.ones(n), views, tset, cfg),
+            "greedy_mmr_exact": lambda: greedy_mmr_exact(np.linspace(0.0, 1.0, n), views, np.ones(n), cfg),
+            "project_view": lambda: list(project_view([cands], make_projection(ProjectionSpec(d, 4)))),
+        }
 
     @pytest.mark.parametrize("bad", ["nan-row", "norm-2.5"])
     def test_rejects_rows_out_of_range(self, rng, bad):
@@ -337,29 +345,37 @@ class TestRowRange:
             cands[5, 3] = np.nan
         else:
             cands *= np.float32(2.5)
-        for path in self.paths(cands, targets):
+        for path in self.paths(cands, targets).values():
             with pytest.raises(NonUnitRow):
                 path()
+
+    @pytest.mark.parametrize("norm", [1.0 + 2e-4, 0.5])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_unit_rule_on_every_scorer(self, rng, path, norm):
+        """Rows within 1e-4 of unit norm, and zero rows, are scored; a row of norm
+        1 + 2e-4 or 0.5 among the scored rows is refused, naming it."""
+        cands, targets = unit_rows(rng, 40, 16), unit_rows(rng, 7, 16)
+        cands[3] *= np.float32(1.0 + 0.99e-4)
+        cands[5] *= np.float32(1.0 - 0.99e-4)
+        cands[9], targets[2] = 0.0, 0.0
+        targets[4] *= np.float32(1.0 - 0.99e-4)
+        self.paths(cands, targets)[path]()
+        cands[6] *= np.float32(norm)
+        with pytest.raises(NonUnitRow, match=f"row 6 has L2 norm {norm:.6f}"):
+            self.paths(cands, targets)[path]()
+
+    def test_refuses_a_non_unit_target(self, rng):
+        cands, targets = unit_rows(rng, 40, 16), unit_rows(rng, 7, 16)
+        targets[2] *= np.float32(0.5)
+        with pytest.raises(NonUnitRow, match="target row 2 has L2 norm 0.500000"):
+            max_similarity(cands, targets)
 
     def test_accepts_unit_rows_at_3072_dims_and_zero_rows(self, rng):
         cands, targets = unit_rows(rng, 40, 3072), unit_rows(rng, 7, 3072)
         cands[3], targets[2] = 0.0, 0.0
-        scores, _, result = (path() for path in self.paths(cands, targets))
-        assert scores.tobytes() == integer_max_sim(cands, targets).tobytes()
-        assert len(result.picks) > 1
-
-
-class TestMaxNorm:
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), scale=st.integers(-150, 64))
-    def test_float32_bound_holds(self, seed, d, scale):
-        """The float32 sum, rounded outward, bounds every exact row norm: unit,
-        subnormal and overflowing rows alike."""
-        rng = np.random.default_rng(seed)
-        mat = _normalize_rows(rng.standard_normal((4, d)).astype(np.float32)) * np.float32(2.0**scale)
-        bound = relevance._max_norm(mat)
-        exact = max(sum(Fraction(float(x)) ** 2 for x in row) for row in mat)
-        assert bound == math.inf or Fraction(bound) ** 2 >= exact
+        results = {name: path() for name, path in self.paths(cands, targets).items()}
+        assert results["max_similarity"].tobytes() == integer_max_sim(cands, targets).tobytes()
+        assert len(results["batched_mmr"].picks) > 1
 
 
 class TestFloat32Boundary:

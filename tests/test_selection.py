@@ -596,10 +596,10 @@ class TestSelectorProperties:
         scored = []
         fold = relevance.update_running_max
 
-        def counting(cands, tgts, running, *, eps, rows=None):
+        def counting(cands, tgts, running, *, rows=None):
             if tgts.shape[0] == 300:  # a target set's fold, not the seed's
                 scored.append(rows.size)
-            return fold(cands, tgts, running, eps=eps, rows=rows)
+            return fold(cands, tgts, running, rows=rows)
 
         monkeypatch.setattr(relevance, "update_running_max", counting)
         cfg = SelectionConfig(alpha=0.01, rho=0.15, batch_size=100, weights=FusionWeights({"v": 1.0}))

@@ -524,6 +524,21 @@ class TestManifest:
         monkeypatch.setattr(store, "_parse_lines", per_line)
         assert len(load_manifest(path)) == 5000
 
+    def test_record_fault_raises_from_the_chunked_parse(self, tmp_path, monkeypatch):
+        """A record fault in chunks that parse is raised at its line, without the per-line rerun."""
+        lines = canonical_lines(3000)
+        lines[2499] = lines[10]
+        path = self.write(tmp_path, lines)
+        assert path.stat().st_size > 2 * store._PARSE_CHUNK
+
+        def per_line(data):
+            raise AssertionError("fell back to the per-line parser")
+
+        monkeypatch.setattr(store, "_parse_lines", per_line)
+        with pytest.raises(DuplicateId, match=f"^{re.escape(str(path))}: ") as err:
+            load_manifest(path)
+        assert (err.value.utterance_id, err.value.line) == ("utt-00010", 2500)
+
     @pytest.mark.parametrize(
         "lines",
         [
@@ -686,10 +701,6 @@ class TestCorpusAssembly:
         rows = rng.standard_normal((4, 2)).astype(np.float32)
         with pytest.raises(DimensionMismatch, match="4 rows"):
             CorpusManifest(manifest, {"v": rows})
-
-    def test_at_least_one_view(self):
-        with pytest.raises(DimensionMismatch):
-            CorpusManifest(Manifest(["u"], [1.0], ["a"]), {})
 
     def test_target_dataset_rejects_empty_matrix(self):
         with pytest.raises(EmptyTargets):
