@@ -16,9 +16,10 @@ in its `--out` directory, else `<output>.run.json`): the fully resolved
 configuration, keyed by each flag's `dest`, per-phase wall-clock times,
 and the digests that `store.recorded_files` took of the bytes the run
 read and wrote. With `--replay <run.json>`, project, compact-targets and
-select re-run from the manifest, and each output's digest is checked
-before it replaces the file, so a failed replay leaves the output as it
-was; audit and probe write no file, so they leave no manifest to replay.
+select re-run from the manifest, checked by `store.recorded_files` where
+the bytes are hashed: each input as it is read, and each output before
+it replaces the file, so a failed replay leaves the output as it was;
+audit and probe write no file, so they leave no manifest to replay.
 A replay is a run whose flags come from the manifest: each recorded key
 is rendered back into its flag and parsed again, so a bad value exits 2
 naming its flag before any input is read. Any other flag given with
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import sys
@@ -68,15 +68,6 @@ _FIXTURE_SPREAD = 0.25  # `stats --make-fixture`'s noise norm around each cluste
 
 class UsageError(Exception):
     """Bad flag combination detected after parsing; exits with code 2."""
-
-
-def _file_entry(path: Path) -> dict:
-    """Digest of a file as it is on disk; replay checks its inputs with it."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return {"sha256": digest.hexdigest(), "bytes": path.stat().st_size}
 
 
 def _input_files(read: dict[str, dict]) -> dict[str, dict]:
@@ -513,23 +504,6 @@ def _replay_manifest(path: Path) -> dict:
     raise DataError(f"not a run manifest: {path}")
 
 
-def _verify_replay_inputs(manifest: dict) -> None:
-    for path_str, entry in manifest.get("inputs", {}).items():
-        path = Path(path_str)
-        if not path.is_file():
-            raise DataError(f"replay input missing: {path}")
-        if _file_entry(path)["sha256"] != entry["sha256"]:
-            raise DataError(f"replay input changed since the recorded run: {path}")
-
-
-def _verify_replay_outputs(manifest: dict, written: dict[str, dict]) -> None:
-    """Every recorded output was written; each write checked its digest (`store._atomic_bytes`)."""
-    for path_str in manifest.get("outputs", {}):
-        if path_str not in written:
-            raise DataError(f"replay did not write {path_str}, a recorded output")
-    print("replay: outputs match recorded digests")
-
-
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, and map errors to exit codes."""
     parser, (subparsers, required) = _build_parser()
@@ -553,17 +527,13 @@ def run(argv: list[str]) -> int:
                 mode = "with" if args.make_fixture else "without"
                 raise UsageError(f"stats {mode} --make-fixture does not take {', '.join(stray)}")
         config = _config_from_args(args, required)
-        if replay_manifest is not None:
-            _verify_replay_inputs(replay_manifest)
 
-        with recorded_files() as files, warnings.catch_warnings():
-            if replay_manifest is not None:
-                files["expected"] = replay_manifest.get("outputs", {})
+        with recorded_files(replay_manifest) as files, warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             phases = _HANDLERS[args.subcommand](config)
 
         if replay_manifest is not None:
-            _verify_replay_outputs(replay_manifest, files["written"])
+            print("replay: outputs match recorded digests")
         sidecar = _sidecar_path(config, files["written"])
         # a replay never writes over the manifest it replays
         if sidecar is not None and not (

@@ -18,6 +18,8 @@ One unit rule (`_unit_fault`) holds for every row that is scored: its
 float64 L2 norm is within `_UNIT_TOL` (1e-4) of 1, or is 0. View files
 are held to it by `_check_block`, in-memory rows by `_check_unit` where
 they are scored; any other row, NaN rows included, raises NonUnitRow.
+Both take the float64 norm only of the rows that a float32 sum of
+squares does not prove unit (`_screened_norms`).
 
 One block reader, `ViewFile`, reads every view payload. It reads the
 rows in file order, a block of about 2 MB at a time, into one reused
@@ -86,8 +88,6 @@ _HEADER = struct.Struct("<4sIBQI")  # magic, version, normalized flag, N, D
 _UNIT_SNAP = 2e-7
 _UNIT_TOL = 1e-4  # the unit rule: a row's float64 L2 norm is within this of 1, or is 0
 
-_NORM_BLOCK = 65536
-
 _BLOCK_BYTES = 1 << 21  # payload bytes per block of `ViewFile.blocks`
 
 
@@ -112,16 +112,12 @@ def _normalize_in_place(rows: np.ndarray, norms: np.ndarray | None = None) -> in
     already within `_UNIT_SNAP` of unit norm are left untouched, so
     normalizing twice gives the bytes of normalizing once.
     """
-    zero_count = 0
-    for lo in range(0, rows.shape[0], _NORM_BLOCK):
-        block = rows[lo : lo + _NORM_BLOCK]
-        block_norms = _row_norms(block) if norms is None else norms[lo : lo + _NORM_BLOCK]
-        zero = block_norms == 0.0
-        zero_count += int(zero.sum())
-        fix = ~zero & (np.abs(block_norms - 1.0) > _UNIT_SNAP)
-        # float64 divide, then the float32 cast on store, in place
-        np.divide(block, block_norms[:, None], out=block, where=fix[:, None], casting="unsafe")
-    return zero_count
+    norms = _row_norms(rows) if norms is None else norms
+    fix = (norms != 0.0) & (np.abs(norms - 1.0) > _UNIT_SNAP)
+    # a float64 divide (by 1.0, which keeps a row's bytes, where none is due),
+    # then the float32 cast on store, in place; numpy buffers the casts
+    np.divide(rows, np.where(fix, norms, 1.0)[:, None], out=rows, casting="unsafe")
+    return int(np.count_nonzero(norms == 0.0))
 
 
 def _unit_fault(norms: np.ndarray, what: str, rows) -> str | None:
@@ -131,13 +127,47 @@ def _unit_fault(norms: np.ndarray, what: str, rows) -> str | None:
     return f"{what} row {rows[off[0]]} has L2 norm {norms[off[0]]:.6f}" if off.size else None
 
 
+def _unit_band(d: int) -> tuple[np.float32, np.float32]:
+    """The float32 sums of squares of D entries that prove their row passes the unit rule.
+
+    In any summation order a float32 sum of squares is within gamma_D of
+    the exact sum, relatively (Higham, section 3.1). The slack covers the
+    rule's own float64 sum and square root, the rounding of these bounds,
+    and underflow. The band is rounded inward to float32; from D of about
+    3,350 it is empty.
+    """
+    gamma = d * 2.0**-24 / (1.0 - d * 2.0**-24) if d < 2**23 else math.inf
+    slack = (d + 8) * 2.0**-50
+    lo = np.float32((1.0 - _UNIT_TOL) ** 2 * (1.0 + gamma + slack))
+    hi = np.float32((1.0 + _UNIT_TOL) ** 2 * (1.0 - gamma - slack))
+    return np.nextafter(lo, np.float32(np.inf)), np.nextafter(hi, np.float32(-np.inf))
+
+
+def _screened_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the rows of a float32 matrix that their float32 sum of
+    squares does not prove unit (`_unit_band`), and their float64 norms.
+
+    A sum of 0, one not finite and one outside the band all send their
+    row to the float64 norm, so the unit rule's verdict, the row it names
+    and the norm it prints are those of float64 norms of every row.
+    """
+    lo, hi = _unit_band(rows.shape[1])
+    if lo > hi:
+        return np.arange(rows.shape[0]), _row_norms(rows)
+    with np.errstate(over="ignore"):  # a sum beyond float32 range is inf: its row is doubtful
+        sums = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]  # one float32 dot product a row
+    doubt = np.flatnonzero(~((sums >= lo) & (sums <= hi)))
+    return doubt, _row_norms(rows[doubt])
+
+
 def _check_unit(mat: np.ndarray, what: str, rows: np.ndarray | None = None) -> None:
     """Raise NonUnitRow at the first row of the float32 matrix `mat` (of those at
     the indices `rows`) that breaks the unit rule, read a block at a time."""
     n, step = mat.shape[0] if rows is None else rows.size, _block_rows(mat.shape[1])
     for lo in range(0, n, step):
-        at = range(lo, min(lo + step, n)) if rows is None else rows[lo : lo + step]
-        if fault := _unit_fault(_row_norms(mat[lo : lo + step] if rows is None else mat[at]), what, at):
+        at = np.arange(lo, min(lo + step, n)) if rows is None else rows[lo : lo + step]
+        doubt, norms = _screened_norms(mat[lo : lo + step] if rows is None else mat[at])
+        if fault := _unit_fault(norms, what, at[doubt]):
             raise NonUnitRow(f"{fault}, not unit within {_UNIT_TOL} (or zero)")
 
 
@@ -145,21 +175,23 @@ def _check_block(rows: np.ndarray, lo: int, path: Path, normalized: bool) -> tup
     """The float64 row norms of a block of the view file at `path` whose first
     row is `lo`, and, for a view flagged normalized, what is wrong with its
     first non-unit row. `ViewFile.blocks()` runs it on each block read and
-    `_write_view` on each block written.
+    `_write_view` on each block written. The rows of a view flagged
+    normalized are screened (`_screened_norms`), so only the norms of its
+    doubtful rows are taken and returned.
 
     Raises NonFiniteEntry at the block's first non-finite entry. Both
     messages name the file.
     """
-    # a float64 sum of squares of float32 entries cannot overflow, so
-    # it is finite exactly when every entry of its row is
-    norms = _row_norms(rows)
+    doubt, norms = _screened_norms(rows) if normalized else (None, _row_norms(rows))
+    # a float64 sum of squares of float32 entries cannot overflow, so it is
+    # finite exactly when every entry of its row is; such a row is doubtful
     if not np.isfinite(norms).all():
         r, c = np.argwhere(~np.isfinite(rows))[0]
         exc = NonFiniteEntry(lo + r, c, context=f"view {path.stem!r}")
         exc.args = (f"{path}: {exc}",)  # corpus and target views may share a name
         raise exc
     what = f"{path}: view {path.stem!r} flagged normalized but"
-    return norms, _unit_fault(norms, what, range(lo, lo + norms.size)) if normalized else None
+    return norms, _unit_fault(norms, what, lo + doubt) if normalized else None
 
 
 @dataclass
@@ -249,28 +281,47 @@ class TargetSet:
     datasets: list[TargetDataset]
 
 
-_recording: list[dict[str, dict]] = []  # the logs of the open recorded_files() blocks
+_recording: list[tuple[dict, dict]] = []  # (log, replayed manifest) of each open recorded_files() block
 
 
 @contextmanager
-def recorded_files():
+def recorded_files(replay: dict | None = None):
     """Record `path -> {"sha256", "bytes"}` for each file read or written in the block.
 
-    Yields `{"read": {...}, "written": {...}}`, filled as `load_view`,
+    Yields `{"read": {...}, "written": {...}}`, filled as `ViewFile.blocks()`,
     `load_manifest` and the atomic writers run. Each digest is taken from
     the bytes the call itself read or wrote; outside a block nothing is
-    hashed. A replay adds `"expected"`, the outputs its manifest records.
+    hashed.
+
+    `replay`, a replayed run manifest, is checked where the bytes are
+    hashed, each fault a DataError naming the path: on entry, that each
+    recorded input is a file; as each read ends (`_record_read`), its
+    recorded input digest; before each rename (`_atomic_bytes`), its
+    recorded output digest; on a clean exit, that each recorded output
+    was written. Reads and writes keep apart: `project --in V --out V`
+    reads and writes one path.
     """
+    replay = replay or {}
+    for path in replay.get("inputs", {}):
+        if not Path(path).is_file():
+            raise DataError(f"replay input missing: {path}")
     log: dict[str, dict] = {"read": {}, "written": {}}
-    _recording.append(log)
+    _recording.append((log, replay))
     try:
         yield log
     finally:
-        _recording.remove(log)
+        _recording.pop()
+    for path in replay.get("outputs", {}):
+        if path not in log["written"]:
+            raise DataError(f"replay did not write {path}, a recorded output")
 
 
 def _record_read(path: Path, digest, size: int) -> None:
-    _recording[-1]["read"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
+    (log, replay), sha256 = _recording[-1], digest.hexdigest()
+    recorded = replay.get("inputs", {}).get(str(path))
+    if recorded is not None and recorded["sha256"] != sha256:
+        raise DataError(f"replay input changed since the recorded run: {path}")
+    log["read"][str(path)] = {"sha256": sha256, "bytes": size}
 
 
 def _atomic_bytes(path: Path, chunks) -> None:
@@ -278,12 +329,13 @@ def _atomic_bytes(path: Path, chunks) -> None:
 
     An interrupted run leaves no partial file; inside `recorded_files()`
     the chunks are digested as they are written, and a digest that differs
-    from the path's `expected` one raises DataError, leaving the file as it was.
+    from the replay's recorded output raises DataError, leaving the file as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_name = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
-    digest = hashlib.sha256() if _recording else None
+    log, replay = _recording[-1] if _recording else (None, {})
+    digest = hashlib.sha256() if log is not None else None
     size = 0
     # mode 0o666 lets the umask set the output's mode, as for any created file
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -295,7 +347,7 @@ def _atomic_bytes(path: Path, chunks) -> None:
                     digest.update(chunk)
             fh.flush()
             os.fsync(fh.fileno())
-        recorded = _recording[-1].get("expected", {}).get(str(path), {}).get("sha256") if _recording else None
+        recorded = replay.get("outputs", {}).get(str(path), {}).get("sha256")
         if recorded is not None and recorded != (written := digest.hexdigest()):
             raise DataError(f"replay produced a different digest for {path}: {written} != recorded {recorded}")
         os.replace(tmp_name, path)
@@ -305,8 +357,8 @@ def _atomic_bytes(path: Path, chunks) -> None:
         except OSError:
             pass
         raise
-    if digest is not None:
-        _recording[-1]["written"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
+    if log is not None:
+        log["written"][str(path)] = {"sha256": digest.hexdigest(), "bytes": size}
 
 
 def save_view(view: EmbeddingView, path: str | Path) -> None:

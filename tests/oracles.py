@@ -42,7 +42,7 @@ from corpus_select.selection import (
     SelectionResult,
     _ranked,
 )
-from corpus_select.store import _NORM_BLOCK, _UNIT_SNAP, TargetSet
+from corpus_select.store import _UNIT_SNAP, TargetSet
 
 
 class EmptySelection(DataError):
@@ -133,17 +133,12 @@ def normalize_rows_gather(rows):
     Same float64 norms, divide and float32 cast as `store._normalize_rows`.
     """
     out = np.array(rows, dtype=np.float32, copy=True)
-    zero_count = 0
-    for lo in range(0, out.shape[0], _NORM_BLOCK):
-        block = out[lo : lo + _NORM_BLOCK]
-        norms = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64))
-        zero = norms == 0.0
-        zero_count += int(zero.sum())
-        fix = ~zero & (np.abs(norms - 1.0) > _UNIT_SNAP)
-        if np.any(fix):
-            block[fix] = (block[fix].astype(np.float64) / norms[fix, None]).astype(
-                np.float32
-            )
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out, dtype=np.float64))
+    zero = norms == 0.0
+    zero_count = int(zero.sum())
+    fix = ~zero & (np.abs(norms - 1.0) > _UNIT_SNAP)
+    if np.any(fix):
+        out[fix] = (out[fix].astype(np.float64) / norms[fix, None]).astype(np.float32)
     return out, zero_count
 
 

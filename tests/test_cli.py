@@ -958,6 +958,67 @@ class TestReplay:
         assert code == 1
         assert "/nowhere/gone.emb" in captured.err
 
+    def test_replay_hashes_each_input_once(self, fixture_dirs, tmp_path, monkeypatch):
+        """The digest a replay compares is the one taken as the run reads: the bytes
+        through sha256 are those of the recorded inputs and outputs, each once."""
+        corpus, targets = fixture_dirs
+        out = tmp_path / "h.jsonl"
+        assert run(TestSelect().select_args(corpus, targets, out)) == 0
+        sidecar = tmp_path / "h.jsonl.run.json"
+        recorded = json.loads(sidecar.read_text())
+        hashed, sha256_of = [], hashlib.sha256
+
+        class Counted:
+            def __init__(self, data=b""):
+                self._digest = sha256_of()
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counted)
+        assert run(["select", "--replay", str(sidecar)]) == 0
+        entries = [*recorded["inputs"].values(), *recorded["outputs"].values()]
+        assert sum(hashed) == sum(entry["bytes"] for entry in entries)
+
+    def test_input_changed_after_the_replay_started_exits_1(self, fixture_dirs, tmp_path, monkeypatch, capsys):
+        """An input is checked where the run reads it: a target view swapped after the
+        replay started fails it naming that view, and every file keeps its bytes."""
+        corpus, targets = fixture_dirs
+        copy = tmp_path / "targets"
+        shutil.copytree(targets, copy)
+        assert run(TestSelect().select_args(corpus, copy, tmp_path / "w.jsonl")) == 0
+        changed, load_targets = copy / "target-1" / "wavlm.emb", cli.load_targets
+
+        def swap_then_load(*args, **kwargs):
+            shutil.copyfile(copy / "target-0" / "wavlm.emb", changed)
+            return load_targets(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_targets", swap_then_load)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        capsys.readouterr()
+        assert run(["select", "--replay", str(tmp_path / "w.jsonl.run.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: replay input changed since the recorded run: {changed}"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+    def test_changed_project_input_leaves_no_file(self, fixture_dirs, tmp_path, capsys):
+        """`project` streams its input into the output's temp file: an input whose digest
+        changed fails the replay as its last block is read, and the temp file goes."""
+        corpus, _ = fixture_dirs
+        view, out = tmp_path / "v.emb", tmp_path / "p.emb"
+        shutil.copyfile(corpus / "speaker.emb", view)
+        assert run(["project", "--in", str(view), "--out", str(out), "--dim", "16"]) == 0
+        shutil.copyfile(corpus / "wavlm.emb", view)  # the same shape, other rows
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(["project", "--replay", str(tmp_path / "p.emb.run.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: replay input changed since the recorded run: {view}"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize(
         "kind", ["project", "compact-targets", "select-mmr", "select-random", "select-duration"]
     )
@@ -1089,7 +1150,7 @@ class TestReplay:
         corpus, targets = fixture_dirs
         assert run(TestSelect().select_args(corpus, targets, tmp_path / "s.jsonl")) == 0
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "_verify_replay_inputs", lambda manifest: pytest.fail("inputs hashed"))
+        monkeypatch.setattr(store, "_record_read", lambda *args: pytest.fail("inputs hashed"))
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
         capsys.readouterr()
         assert run(["select", "--replay", "s.jsonl.run.json", *extra]) == 2
@@ -1262,7 +1323,7 @@ class TestReplayConfig:
             manifest["config"][key] = value
         sidecar.write_text(json.dumps(manifest))
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
-        monkeypatch.setattr(cli, "_verify_replay_inputs", lambda manifest: pytest.fail("inputs hashed"))
+        monkeypatch.setattr(store, "_record_read", lambda *args: pytest.fail("inputs hashed"))
         capsys.readouterr()
         assert run(["select", "--replay", str(sidecar)]) == 2
         err = capsys.readouterr().err

@@ -31,7 +31,6 @@ from corpus_select.store import (
     recorded_files,
     save_manifest,
     save_view,
-    _NORM_BLOCK,
     _UNIT_SNAP,
     _normalize_in_place,
     _normalize_rows,
@@ -363,9 +362,9 @@ class TestNormalize:
 
 
     def test_matches_gather_formula_bitwise(self):
-        """In-place masked divide gives the gather-and-scatter bytes and zero count."""
+        """The in-place divide (by 1.0 where none is due) gives the gather-and-scatter bytes and zero count."""
         rng = np.random.default_rng(7)
-        n = _NORM_BLOCK + 1000
+        n = 66_536
         rows = rng.standard_normal((n, 4)).astype(np.float32)
         rows *= rng.uniform(1e-3, 1e3, size=(n, 1)).astype(np.float32)
         rows[::97] = 0.0
@@ -382,6 +381,57 @@ class TestNormalize:
         snapped = np.abs(np.linalg.norm(rows[near].astype(np.float64), axis=1) - 1.0) <= _UNIT_SNAP
         assert snapped.sum() > 100
         np.testing.assert_array_equal(out[near[snapped]], rows[near[snapped]])
+
+
+def boundary_rows(d, seed=0):
+    """A table of rows about the unit rule's edges at `d` dims: for each of
+    norm 1 - 1e-4 and 1 + 1e-4, the 4 float32 rows either side of where the
+    float64 rule's verdict flips (one entry moved an ulp at a time), then a
+    unit row, a zero row, a row whose float32 sum of squares underflows to 0
+    and one whose float32 sum overflows."""
+    rng = np.random.default_rng(seed)
+    table = []
+    for edge in (1.0 - 1e-4, 1.0 + 1e-4):
+        u = rng.standard_normal(d)
+        row = (u * (edge / np.linalg.norm(u))).astype(np.float32)
+        k = int(np.argmax(np.abs(row)))
+        walk = np.repeat(row[None], 401, axis=0)
+        walk.view(np.int32)[:, k] += np.arange(-200, 201, dtype=np.int32)  # |entry k| grows an ulp a row
+        norms = store._row_norms(walk)
+        flips = np.flatnonzero(np.diff(np.abs(norms - 1.0) <= 1e-4))
+        assert flips.size == 1 and 4 <= flips[0] <= 396
+        table.extend(walk[flips[0] - 3 : flips[0] + 5])
+    u = rng.standard_normal(d)
+    table.append((u / np.linalg.norm(u)).astype(np.float32))
+    table += [np.zeros(d, np.float32), np.full(d, 1e-30, np.float32), np.full(d, 1e20, np.float32)]
+    return np.array(table)
+
+
+class TestUnitRule:
+    """The float32 screen (`store._screened_norms`) leaves the float64 rule's verdicts as they were."""
+
+    @pytest.mark.parametrize("d", [2, 256, 3072])
+    def test_boundary_table_gets_the_float64_verdicts(self, tmp_path, d):
+        rows = boundary_rows(d)
+        norms = store._row_norms(rows)  # the float64 rule: norm 0, or within 1e-4 of 1
+        off = [r for r, norm in enumerate(norms) if norm != 0.0 and not abs(norm - 1.0) <= 1e-4]
+        assert off == [0, 1, 2, 3, 12, 13, 14, 15, 18, 19]
+        assert store._screened_norms(rows)[0].size < len(rows)  # the unit row passes on its float32 sum
+        path = tmp_path / "v.emb"
+        for r, norm in enumerate(norms):
+            fault = f"row {r} has L2 norm {norm:.6f}" if r in off else None
+            block_fault = store._check_block(rows[r : r + 1], r, path, True)[1]
+            assert block_fault == (fault and f"{path}: view 'v' flagged normalized but {fault}")
+            if fault is None:
+                store._check_unit(rows, "table", np.array([r]))
+            else:
+                with pytest.raises(NonUnitRow, match=re.escape(f"table {fault}, not unit within 0.0001")):
+                    store._check_unit(rows, "table", np.array([r]))
+        with pytest.raises(NonUnitRow, match=re.escape(f"table row 0 has L2 norm {norms[0]:.6f}")):
+            store._check_unit(rows, "table")
+        rows[off[:8]] = rows[4]
+        with pytest.raises(NonUnitRow, match=re.escape(f"table row 18 has L2 norm {norms[18]:.6f}")):
+            store._check_unit(rows, "table")
 
 
 def canonical_lines(n, start=0):
