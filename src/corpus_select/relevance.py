@@ -9,11 +9,11 @@ already-selected set, fused with the same weights. `FusionWeights.fuse`
 is the only place views are combined, always in view-name order, so the
 order in which a caller lists the views does not change a score bit.
 
-Views are checked once on the way to the scorer: `weighted_views` gives
-each weighted view's candidate matrix and `weighted_targets` its
-per-dataset target matrices, and relevance, its bounds and both
-selectors take their matrices from them. A single target dataset is a
-one-dataset `TargetSet`.
+Relevance, its bounds and both selectors take their matrices from
+`weighted_views` and `weighted_targets`; one call may run them more than
+once. They check that every weighted view is present and that the
+candidate views agree on their row count, and cast candidate matrices to
+float32. A single target dataset is a one-dataset `TargetSet`.
 
 Rows are float32 and unit (or zero) by `store`'s one unit rule, a
 float64 norm within `_UNIT_TOL` (1e-4) of 1 or 0, so cosine is a plain

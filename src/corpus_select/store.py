@@ -9,10 +9,10 @@ Embedding file layout (little-endian throughout):
     bytes 17..20  u32 dimension D
     bytes 21..    N*D float32 payload, row-major, no padding, no trailer
 
-Manifests are UTF-8 JSON lines, one record per line with fields "id",
-"duration_s" and "dataset"; `load_manifest` returns them as columns (a
-`Manifest`). Alignment between metadata and matrices is positional: line
-i of the manifest owns row i of every view, as `CorpusManifest` checks.
+Manifests are UTF-8 JSON lines with fields "id", "duration_s" and
+"dataset"; `load_manifest` reads one as `ViewFile` reads a view, a chunk
+of lines at a time, into columns (a `Manifest`). Line i of the manifest
+owns row i of every view, as `CorpusManifest` checks.
 
 One unit rule (`_unit_fault`) holds for every row that is scored: its
 float64 L2 norm is within `_UNIT_TOL` (1e-4) of 1, or is 0. View files
@@ -226,7 +226,7 @@ class Manifest:
         try:
             self.durations = np.asarray(self.durations, dtype=np.float64)
         except OverflowError:  # an int beyond float range: the row check raises at the first bad line
-            _check_columns(self.ids, list(self.durations), self.datasets)
+            _check_columns(self.ids, list(self.durations), self.datasets, set(), 1)
             raise
         if self.durations.ndim != 1 or not len(self.ids) == len(self.durations) == len(self.datasets):
             raise DimensionMismatch(
@@ -536,58 +536,56 @@ def load_view(path: str | Path) -> EmbeddingView:
         return EmbeddingView(reader.name, reader.shape[1], reader.read(), normalized=True)
 
 
-_PARSE_CHUNK = 1 << 16  # bytes of whole lines per `json.loads` call in `_parse_chunks`
+_PARSE_CHUNK = 1 << 16  # bytes of whole lines per chunk that `load_manifest` reads and parses
 _WRITE_CHUNK = 1 << 14  # lines per write in `save_manifest`
 
 
 def load_manifest(path: str | Path) -> Manifest:
     """Parse a JSON-lines manifest into columns; line order defines row order.
 
-    The bytes are parsed a chunk of lines at a time (`_parse_chunks`); only a chunk that
-    does not parse sends the same bytes to the per-line parser, so a file is accepted or
-    rejected, with the same error and line, as line by line, and the error names the file."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if _recording:
-        _record_read(path, hashlib.sha256(data), len(data))
+    Each chunk of whole lines (about `_PARSE_CHUNK` bytes) is read, hashed inside `recorded_files()`,
+    and parsed and checked once, against the ids of the chunks before: as one JSON array
+    (`_parse_array`) or, failing that, line by line (`_parse_lines`). So a file is accepted or
+    rejected, with the same error and line, as line by line, and the error names the file. The
+    read is recorded once the last chunk is in, as `ViewFile.blocks()` records a view."""
+    path, columns, seen, line = Path(path), ([], [], []), set(), 1
+    digest, size = hashlib.sha256() if _recording else None, 0
     try:
-        manifest = _parse_chunks(data)
-        return manifest if manifest is not None else _parse_lines(data)
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_PARSE_CHUNK) + fh.readline():  # whole lines
+                if digest is not None:
+                    digest.update(chunk)
+                size += len(chunk)
+                try:
+                    parsed = _parse_array(chunk, line, seen)
+                except (ValueError, RecursionError):  # not one object a line, or not UTF-8
+                    parsed = _parse_lines(chunk, line, seen)
+                for column, part in zip(columns, parsed):
+                    column += part
+                line += len(parsed[0])
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+    if digest is not None:
+        _record_read(path, digest, size)
+    return Manifest(*columns)
 
 
-def _parse_chunks(data: bytes) -> Manifest | None:
-    """Manifest columns from one `json.loads` per chunk of lines, or None to parse line by line.
-
-    A chunk of k lines is parsed as one array with `null` in place of each
-    line break. No line of the chunk contains `null`, so 2k - 1 values with
-    `None` at the k - 1 odd places mean each line held exactly one value.
-    Chunks with `null` or `\r` (a line break in text mode), or that do not parse, are
-    left to the per-line parser. Once all parse, each line is the record that parser
-    reads, so a record that fails `_check_columns` raises at its line from here."""
-    ids, durations, datasets = [], [], []
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start + _PARSE_CHUNK) + 1 or len(data)
-        chunk, start = data[start:end], end
-        if b"null" in chunk or b"\r" in chunk:
-            return None
-        try:
-            body = chunk.decode("utf-8").removesuffix("\n")
-            values = json.loads("[" + body.replace("\n", ",null,") + "]")
-        except (ValueError, RecursionError):
-            return None
-        lines = body.count("\n") + 1
-        records = values[::2]
-        if len(values) != 2 * lines - 1 or values[1::2].count(None) != lines - 1 or {*map(type, records)} != {dict}:
-            return None
-        ids += [r.get("id") for r in records]
-        durations += [r.get("duration_s") for r in records]
-        datasets += [r.get("dataset") for r in records]
-    return Manifest(ids, _check_columns(ids, durations, datasets), datasets)
+def _parse_array(chunk: bytes, line: int, seen: set) -> tuple[list, list, list]:
+    """The columns of a chunk of lines numbered from `line`, from one `json.loads` of an array
+    with `null` for each line break, checked by `_check_columns`. No line holds `null`, so 2k - 1
+    values with `None` at the k - 1 odd places mean each of the k lines held one value. A chunk
+    with `null` or `\r` (a line break in text mode), or a line not one object, raises ValueError."""
+    if b"null" in chunk or b"\r" in chunk:
+        raise ValueError("a chunk holding null or a carriage return")
+    body = chunk.decode("utf-8").removesuffix("\n")
+    values = json.loads("[" + body.replace("\n", ",null,") + "]")
+    lines, records = body.count("\n") + 1, values[::2]
+    if len(values) != 2 * lines - 1 or values[1::2].count(None) != lines - 1 or {*map(type, records)} != {dict}:
+        raise ValueError("a line that does not hold exactly one JSON object")
+    columns = tuple([r.get(field) for r in records] for field in ("id", "duration_s", "dataset"))
+    _check_columns(*columns, seen, line)
+    return columns
 
 
 def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
@@ -609,40 +607,42 @@ def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
     seen.add(utt_id)
 
 
-def _check_columns(ids: list, durations: list, datasets: list) -> np.ndarray:
-    """The float64 durations once each row i passes `_check_record` as line i + 1; the first bad row raises."""
+def _check_columns(ids: list, durations: list, datasets: list, seen: set, line: int) -> None:
+    """Check that each row i passes `_check_record` as line `line` + i against the ids in
+    `seen`, and add the ids to `seen`; the first bad row raises."""
     with suppress(OverflowError):  # an int beyond float range: the row check names its line
         if {*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}:
-            column, unique = np.array(durations, dtype=np.float64), set(ids)
-            if "" not in unique and len(unique) == len(ids) and np.isfinite(column).all() and (column > 0).all():
-                return column
-    seen: set[str] = set()
-    for line, record in enumerate(zip(ids, durations, datasets), start=1):
-        _check_record(line, *record, seen)
-    return np.array(durations, dtype=np.float64)
+            size = len(seen)  # a finite sum has no NaN or infinite term
+            if min(durations, default=1) > 0 and math.isfinite(sum(durations)) and seen.isdisjoint(ids):
+                seen.update(ids)
+                if "" not in seen and len(seen) == size + len(ids):
+                    return
+                seen.difference_update(ids)  # an empty or repeated id: `seen` as it was, for the row check
+    for row, record in enumerate(zip(ids, durations, datasets), start=line):
+        _check_record(row, *record, seen)
 
 
-def _parse_lines(data: bytes) -> Manifest:
-    """Parse manifest bytes line by line, raising at the first bad line."""
-    records, seen = [], set()
+def _parse_lines(data: bytes, line: int, seen: set) -> tuple[list, list, list]:
+    """The columns of manifest lines numbered from `line`, parsed one by one; the first
+    bad line raises, and so does an id already in `seen`, to which each id is added."""
+    records = []
     # `bytes.splitlines` breaks lines where text mode does: at "\n", "\r\n" and "\r"
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in enumerate(data.splitlines(), start=line):
         try:
-            line = raw.decode("utf-8").strip()
+            text = raw.decode("utf-8").strip()
         except UnicodeDecodeError:
             raise MalformedLine(lineno, "not valid UTF-8") from None
-        if not line:
+        if not text:
             raise MalformedLine(lineno, "blank line")
         try:
-            obj = json.loads(line)
+            obj = json.loads(text)
         except (ValueError, RecursionError) as exc:  # not JSON, an int of too many digits, deep nesting
             raise MalformedLine(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise MalformedLine(lineno, "record must be a JSON object")
         records.append((obj.get("id"), obj.get("duration_s"), obj.get("dataset")))
         _check_record(lineno, *records[-1], seen)
-    ids, durations, datasets = ([record[k] for record in records] for k in range(3))
-    return Manifest(ids, np.array(durations, dtype=np.float64), datasets)
+    return tuple([record[k] for record in records] for k in range(3))
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -651,7 +651,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     Each line is the bytes `json.dumps` gives its record. A manifest that `load_manifest`
     would refuse raises its DataError, naming the line, and nothing is written."""
     ids, durations, datasets = manifest.ids, manifest.durations.tolist(), manifest.datasets
-    _check_columns(ids, durations, datasets)
+    _check_columns(ids, durations, datasets, set(), 1)
     quote = json.encoder.encode_basestring_ascii
     rows = zip(ids, durations, datasets)
     lines = (f'{{"id": {quote(i)}, "duration_s": {d!r}, "dataset": {quote(t)}}}\n' for i, d, t in rows)

@@ -1020,6 +1020,33 @@ class TestReplay:
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize(
+        "edit, error",
+        [
+            pytest.param(
+                lambda text: text.replace('"duration_s": ', '"duration_s": 1', 1),
+                "replay input changed since the recorded run: {path}",
+                id="duration-edited",
+            ),
+            pytest.param(lambda text: text + "\n", "{path}: line 601: blank line", id="blank-line"),
+        ],
+    )
+    def test_changed_manifest_is_checked_as_it_is_read(self, fixture_dirs, tmp_path, capsys, edit, error):
+        """A manifest is hashed as it is parsed, like a view: a replay whose manifest changed
+        but still parses fails on its digest, one that no longer parses fails on that fault,
+        each naming the file, and no file is written."""
+        corpus, targets = fixture_dirs
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        assert run(TestSelect().select_args(copy, targets, tmp_path / "m.jsonl")) == 0
+        manifest = copy / "manifest.jsonl"
+        manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        assert run(["select", "--replay", str(tmp_path / "m.jsonl.run.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + error.format(path=manifest)]
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+    @pytest.mark.parametrize(
         "kind", ["project", "compact-targets", "select-mmr", "select-random", "select-duration"]
     )
     def test_round_trip(self, fixture_dirs, tmp_path, capsys, kind):

@@ -559,7 +559,7 @@ class TestManifest:
         """The per-line parser is the oracle: the same columns, bit for bit."""
         path = tmp_path / "manifest.jsonl"
         path.write_text(text, encoding="utf-8")
-        got, want = load_manifest(path), store._parse_lines(path.read_bytes())
+        got, want = load_manifest(path), Manifest(*store._parse_lines(path.read_bytes(), 1, set()))
         assert got.ids == want.ids and got.datasets == want.datasets
         assert got.durations.dtype == want.durations.dtype == np.float64
         assert got.durations.tobytes() == want.durations.tobytes()
@@ -568,7 +568,7 @@ class TestManifest:
         path = self.write(tmp_path, canonical_lines(5000))
         assert path.stat().st_size > 2 * store._PARSE_CHUNK
 
-        def per_line(data):
+        def per_line(data, line, seen):
             raise AssertionError("fell back to the per-line parser")
 
         monkeypatch.setattr(store, "_parse_lines", per_line)
@@ -581,13 +581,70 @@ class TestManifest:
         path = self.write(tmp_path, lines)
         assert path.stat().st_size > 2 * store._PARSE_CHUNK
 
-        def per_line(data):
+        def per_line(data, line, seen):
             raise AssertionError("fell back to the per-line parser")
 
         monkeypatch.setattr(store, "_parse_lines", per_line)
         with pytest.raises(DuplicateId, match=f"^{re.escape(str(path))}: ") as err:
             load_manifest(path)
         assert (err.value.utterance_id, err.value.line) == ("utt-00010", 2500)
+
+    def small_chunks(self, monkeypatch, lines):
+        """Chunks of about 6 of `lines`' 51-byte lines; the bytes of `lines`, one a line."""
+        monkeypatch.setattr(store, "_PARSE_CHUNK", 300)
+        return b"".join(line.encode() + b"\n" for line in lines)
+
+    def test_a_chunk_holding_null_alone_goes_line_by_line(self, tmp_path, monkeypatch):
+        """Only the chunk whose id holds `null` is parsed line by line, from its own first line."""
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
+        lines[14] = lines[14].replace("u014", "null")
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(data := self.small_chunks(monkeypatch, lines))
+        parse_lines, calls = store._parse_lines, []
+
+        def per_line(chunk, line, seen):
+            calls.append((chunk, line))
+            return parse_lines(chunk, line, seen)
+
+        monkeypatch.setattr(store, "_parse_lines", per_line)
+        got, want = load_manifest(path), Manifest(*parse_lines(data, 1, set()))
+        assert got.ids == want.ids and got.datasets == want.datasets
+        assert got.durations.tobytes() == want.durations.tobytes()
+        [(chunk, line)] = calls
+        held = chunk.splitlines()
+        assert 1 < line <= 15 < line + len(held) <= len(lines)
+        assert held == data.splitlines()[line - 1 : line - 1 + len(held)]
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    def test_line_breaks_in_a_middle_chunk_keep_the_line_numbers(self, tmp_path, monkeypatch, newline):
+        """A run of CR or CRLF breaks in one chunk counts lines as text mode does in the whole file."""
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(40)]
+        lines[30] = "not json"
+        data = self.small_chunks(monkeypatch, lines)
+        run = b"\n".join(line.encode() for line in lines[8:12])
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(data.replace(run, run.replace(b"\n", newline)))
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(path)
+        assert err.value.line == 31 == path.read_bytes().splitlines().index(b"not json") + 1
+
+    def test_a_duplicate_in_chunk_one_is_reported_before_bad_json_in_chunk_three(self, tmp_path, monkeypatch):
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
+        lines[1], lines[14] = lines[0], "not json"
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(self.small_chunks(monkeypatch, lines))
+        with pytest.raises(DuplicateId) as err:
+            load_manifest(path)
+        assert (err.value.utterance_id, err.value.line) == ("u000", 2)
+
+    def test_a_record_fault_is_reported_before_a_blank_line_after_it(self, tmp_path, monkeypatch):
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
+        lines[7:9] = [lines[7].replace("2.5", "0.0"), ""]
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(self.small_chunks(monkeypatch, lines))
+        with pytest.raises(NonPositiveDuration) as err:
+            load_manifest(path)
+        assert err.value.line == 8
 
     @pytest.mark.parametrize(
         "lines",
