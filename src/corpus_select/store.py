@@ -226,7 +226,7 @@ class Manifest:
         try:
             self.durations = np.asarray(self.durations, dtype=np.float64)
         except OverflowError:  # an int beyond float range: the row check raises at the first bad line
-            _check_columns(self.ids, list(self.durations), self.datasets, set(), 1)
+            _check_columns(self.ids, list(self.durations), self.datasets)
             raise
         if self.durations.ndim != 1 or not len(self.ids) == len(self.durations) == len(self.datasets):
             raise DimensionMismatch(
@@ -544,11 +544,12 @@ def load_manifest(path: str | Path) -> Manifest:
     """Parse a JSON-lines manifest into columns; line order defines row order.
 
     Each chunk of whole lines (about `_PARSE_CHUNK` bytes) is read, hashed inside `recorded_files()`,
-    and parsed and checked once, against the ids of the chunks before: as one JSON array
-    (`_parse_array`) or, failing that, line by line (`_parse_lines`). So a file is accepted or
+    and parsed and checked once: as one JSON array (`_parse_array`) or, failing that, line by line
+    (`_parse_lines`). Ids are checked for repeats once, on the final column, or before a chunk
+    that needs the row check, on the ids before it (`_check_ids`). So a file is accepted or
     rejected, with the same error and line, as line by line, and the error names the file. The
     read is recorded once the last chunk is in, as `ViewFile.blocks()` records a view."""
-    path, columns, seen, line = Path(path), ([], [], []), set(), 1
+    path, columns, seen = Path(path), ([], [], []), set()  # `seen`: the set of the first len(seen) ids
     digest, size = hashlib.sha256() if _recording else None, 0
     try:
         with open(path, "rb") as fh:
@@ -557,12 +558,14 @@ def load_manifest(path: str | Path) -> Manifest:
                     digest.update(chunk)
                 size += len(chunk)
                 try:
-                    parsed = _parse_array(chunk, line, seen)
+                    parsed = _parse_array(chunk)
                 except (ValueError, RecursionError):  # not one object a line, or not UTF-8
-                    parsed = _parse_lines(chunk, line, seen)
+                    parsed = _parse_lines(chunk, len(columns[0]) + 1, _check_ids(seen, columns[0]))
+                else:
+                    _check_columns(*parsed, seen, columns[0])
                 for column, part in zip(columns, parsed):
                     column += part
-                line += len(parsed[0])
+        _check_ids(seen, columns[0])
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -571,11 +574,11 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(*columns)
 
 
-def _parse_array(chunk: bytes, line: int, seen: set) -> tuple[list, list, list]:
-    """The columns of a chunk of lines numbered from `line`, from one `json.loads` of an array
-    with `null` for each line break, checked by `_check_columns`. No line holds `null`, so 2k - 1
-    values with `None` at the k - 1 odd places mean each of the k lines held one value. A chunk
-    with `null` or `\r` (a line break in text mode), or a line not one object, raises ValueError."""
+def _parse_array(chunk: bytes) -> tuple[list, list, list]:
+    """The columns of a chunk of lines, from one `json.loads` of an array with `null` for each
+    line break. No line holds `null`, so 2k - 1 values with `None` at the k - 1 odd places mean
+    each of the k lines held one value. A chunk with `null` or `\r` (a line break in text mode),
+    or a line not one object, raises ValueError."""
     if b"null" in chunk or b"\r" in chunk:
         raise ValueError("a chunk holding null or a carriage return")
     body = chunk.decode("utf-8").removesuffix("\n")
@@ -583,9 +586,7 @@ def _parse_array(chunk: bytes, line: int, seen: set) -> tuple[list, list, list]:
     lines, records = body.count("\n") + 1, values[::2]
     if len(values) != 2 * lines - 1 or values[1::2].count(None) != lines - 1 or {*map(type, records)} != {dict}:
         raise ValueError("a line that does not hold exactly one JSON object")
-    columns = tuple([r.get(field) for r in records] for field in ("id", "duration_s", "dataset"))
-    _check_columns(*columns, seen, line)
-    return columns
+    return tuple([r.get(field) for r in records] for field in ("id", "duration_s", "dataset"))
 
 
 def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
@@ -607,19 +608,28 @@ def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
     seen.add(utt_id)
 
 
-def _check_columns(ids: list, durations: list, datasets: list, seen: set, line: int) -> None:
-    """Check that each row i passes `_check_record` as line `line` + i against the ids in
-    `seen`, and add the ids to `seen`; the first bad row raises."""
+def _check_columns(ids: list, durations: list, datasets: list, seen: set | None = None, before: list = ()) -> None:
+    """Check that each row i passes `_check_record` as line len(`before`) + i + 1; the first bad row
+    raises. Where every field passes, the ids are left to `_check_ids`; else the row check takes
+    them against the ids `before`, which `seen` holds in part (as in `_check_ids`), and adds them."""
     with suppress(OverflowError):  # an int beyond float range: the row check names its line
         if {*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}:
-            size = len(seen)  # a finite sum has no NaN or infinite term
-            if min(durations, default=1) > 0 and math.isfinite(sum(durations)) and seen.isdisjoint(ids):
-                seen.update(ids)
-                if "" not in seen and len(seen) == size + len(ids):
-                    return
-                seen.difference_update(ids)  # an empty or repeated id: `seen` as it was, for the row check
-    for row, record in enumerate(zip(ids, durations, datasets), start=line):
+            if min(durations, default=1) > 0 and math.isfinite(sum(durations)):  # no NaN or infinite term
+                return
+    seen = _check_ids(set() if seen is None else seen, before)
+    for row, record in enumerate(zip(ids, durations, datasets), start=len(before) + 1):
         _check_record(row, *record, seen)
+
+
+def _check_ids(seen: set, ids: list) -> set:
+    """`seen`, the set of the first len(`seen`) `ids`, with the rest added; the first empty or
+    repeated id raises at its line (the other fields of these rows have passed)."""
+    seen.update(ids[len(seen) :])
+    if len(seen) < len(ids) or "" in seen:
+        seen.clear()
+        for line, utt_id in enumerate(ids, start=1):
+            _check_record(line, utt_id, 1, "", seen)  # a valid duration and tag: only the id can fail
+    return seen
 
 
 def _parse_lines(data: bytes, line: int, seen: set) -> tuple[list, list, list]:
@@ -651,7 +661,8 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     Each line is the bytes `json.dumps` gives its record. A manifest that `load_manifest`
     would refuse raises its DataError, naming the line, and nothing is written."""
     ids, durations, datasets = manifest.ids, manifest.durations.tolist(), manifest.datasets
-    _check_columns(ids, durations, datasets, set(), 1)
+    _check_columns(ids, durations, datasets)
+    _check_ids(set(), ids)
     quote = json.encoder.encode_basestring_ascii
     rows = zip(ids, durations, datasets)
     lines = (f'{{"id": {quote(i)}, "duration_s": {d!r}, "dataset": {quote(t)}}}\n' for i, d, t in rows)

@@ -600,20 +600,27 @@ class TestManifest:
         lines[14] = lines[14].replace("u014", "null")
         path = tmp_path / "manifest.jsonl"
         path.write_bytes(data := self.small_chunks(monkeypatch, lines))
-        parse_lines, calls = store._parse_lines, []
+        parse_lines, check_record, calls, checked = store._parse_lines, store._check_record, [], []
 
         def per_line(chunk, line, seen):
             calls.append((chunk, line))
             return parse_lines(chunk, line, seen)
 
+        def one_record(line, *record):
+            checked.append(line)
+            return check_record(line, *record)
+
         monkeypatch.setattr(store, "_parse_lines", per_line)
-        got, want = load_manifest(path), Manifest(*parse_lines(data, 1, set()))
-        assert got.ids == want.ids and got.datasets == want.datasets
-        assert got.durations.tobytes() == want.durations.tobytes()
+        monkeypatch.setattr(store, "_check_record", one_record)
+        got = load_manifest(path)
         [(chunk, line)] = calls
         held = chunk.splitlines()
         assert 1 < line <= 15 < line + len(held) <= len(lines)
         assert held == data.splitlines()[line - 1 : line - 1 + len(held)]
+        assert checked == list(range(line, line + len(held)))  # no other record is checked one by one
+        want = Manifest(*parse_lines(data, 1, set()))
+        assert got.ids == want.ids and got.datasets == want.datasets
+        assert got.durations.tobytes() == want.durations.tobytes()
 
     @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
     def test_line_breaks_in_a_middle_chunk_keep_the_line_numbers(self, tmp_path, monkeypatch, newline):
@@ -628,15 +635,6 @@ class TestManifest:
             load_manifest(path)
         assert err.value.line == 31 == path.read_bytes().splitlines().index(b"not json") + 1
 
-    def test_a_duplicate_in_chunk_one_is_reported_before_bad_json_in_chunk_three(self, tmp_path, monkeypatch):
-        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
-        lines[1], lines[14] = lines[0], "not json"
-        path = tmp_path / "manifest.jsonl"
-        path.write_bytes(self.small_chunks(monkeypatch, lines))
-        with pytest.raises(DuplicateId) as err:
-            load_manifest(path)
-        assert (err.value.utterance_id, err.value.line) == ("u000", 2)
-
     def test_a_record_fault_is_reported_before_a_blank_line_after_it(self, tmp_path, monkeypatch):
         lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
         lines[7:9] = [lines[7].replace("2.5", "0.0"), ""]
@@ -645,6 +643,55 @@ class TestManifest:
         with pytest.raises(NonPositiveDuration) as err:
             load_manifest(path)
         assert err.value.line == 8
+
+    def test_a_file_whose_chunks_all_parse_checks_its_ids_once(self, tmp_path, monkeypatch):
+        """No set of ids is kept while the chunks parse: one `_check_ids` of the final column."""
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(self.small_chunks(monkeypatch, lines))
+        check_ids, calls = store._check_ids, []
+
+        def counted(seen, ids):
+            calls.append((len(seen), list(ids)))
+            return check_ids(seen, ids)
+
+        monkeypatch.setattr(store, "_check_ids", counted)
+        assert load_manifest(path).ids == [f"u{i:03d}" for i in range(30)]
+        assert calls == [(0, [f"u{i:03d}" for i in range(30)])]
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            pytest.param("not json", MalformedLine, id="bad-json-in-chunk-three"),
+            pytest.param('{"id": "x", "duration_s": 0, "dataset": "a"}', NonPositiveDuration, id="zero-duration-in-chunk-three"),
+        ],
+    )
+    def test_an_early_repeated_or_empty_id_is_reported_before_a_later_fault(self, tmp_path, monkeypatch, fault, error):
+        """A repeated or empty id in chunk one is the first bad line, before the fault in chunk three."""
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
+        lines[14] = fault
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(self.small_chunks(monkeypatch, lines))
+        with pytest.raises(error) as err:
+            load_manifest(path)
+        assert err.value.line == 15
+        for bad_id, raised in (("u000", DuplicateId), ("", MalformedLine)):
+            path.write_bytes(self.small_chunks(monkeypatch, [lines[0], lines[1].replace("u001", bad_id), *lines[2:]]))
+            with pytest.raises(raised) as err:
+                load_manifest(path)
+            assert err.value.line == 2 and getattr(err.value, "utterance_id", "u000") == "u000"
+
+    @pytest.mark.parametrize("bad_id, error", [("u003", DuplicateId), ("", MalformedLine)], ids=["repeat", "empty"])
+    def test_an_id_after_a_chunk_read_line_by_line_keeps_its_line(self, tmp_path, monkeypatch, bad_id, error):
+        """A repeated or empty id after a chunk read line by line is reported at its own line."""
+        lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(40)]
+        lines[8] = lines[8].replace("u008", "null")
+        lines[30] = lines[30].replace("u030", bad_id)
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(self.small_chunks(monkeypatch, lines))
+        with pytest.raises(error) as err:
+            load_manifest(path)
+        assert err.value.line == 31
 
     @pytest.mark.parametrize(
         "lines",

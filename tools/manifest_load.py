@@ -9,13 +9,15 @@ The manifests are generated once, in a temporary directory, in the form
 its middle line replaced by `annulled-take-2`, an id that holds the text
 `null`. Each run is a fresh child process that imports its own
 checkout's code and times only the call; runs alternate between the
-sides, base first. A child reports its own peak memory, `VmHWM` from
-`/proc/self/status` read as the call returns (a new process image starts
-its own high-water mark, unlike `ru_maxrss`), and a SHA-256 of the
-columns it loaded.
+sides, and the side that runs first alternates from pair to pair. A
+child reports its own peak memory, `VmHWM` from `/proc/self/status` read
+as the call returns (a new process image starts its own high-water mark,
+unlike `ru_maxrss`), and a SHA-256 of the columns it loaded.
 
 It prints one line per manifest: each side's median wall and CPU seconds
-and median `VmHWM`, then every run (wall/CPU/VmHWM), and whether every run loaded the same columns. With
+and median `VmHWM`, in how many pairs the working tree took less wall
+time, then every run (wall/CPU/VmHWM), and whether every run loaded the
+same columns. With
 `--bench`, the BENCH file gains a `manifest_load` object with every run.
 It exits 1 when the two sides load different columns.
 """
@@ -91,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
                 write_manifest(path, lines, odd_id)
                 size = path.stat().st_size
                 runs: dict[str, list[dict]] = {"base": [], "change": []}
-                for _ in range(args.repeats):
-                    for side, checkout in sides.items():
+                for repeat in range(args.repeats):
+                    for side, checkout in sorted(sides.items(), reverse=repeat % 2 == 1):
                         runs[side].append(run_load(checkout, path))
                 path.unlink()
                 results[name] = {
@@ -106,6 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                         }
                         for side, side_runs in runs.items()
                     },
+                    "change_faster_pairs": sum(c["seconds"] < b["seconds"] for b, c in zip(runs["base"], runs["change"])),
                     "same_columns": len({r["columns"] for side_runs in runs.values() for r in side_runs}) == 1,
                 }
                 result = results[name]
@@ -114,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{name}: {base['median_seconds']:.3f} -> {change['median_seconds']:.3f} s, "
                     f"CPU {base['median_cpu_seconds']:.3f} -> {change['median_cpu_seconds']:.3f} s, "
                     f"VmHWM {base['median_vmhwm_mb']:.0f} -> {change['median_vmhwm_mb']:.0f} MB, "
+                    f"change faster in {result['change_faster_pairs']} of {args.repeats} pairs, "
                     f"same columns {result['same_columns']}",
                     flush=True,
                 )
