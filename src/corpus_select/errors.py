@@ -40,7 +40,8 @@ class DuplicateId(DataError):
 
 
 class NonPositiveDuration(DataError):
-    """A manifest record declares duration_s <= 0."""
+    """A duration is not positive and finite; carries the value and the manifest line (a
+    selector's, the row of its durations)."""
 
     def __init__(self, value, line: int):
         self.value = value

@@ -73,7 +73,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from corpus_select.errors import EmptyCorpus, EmptyTargets, SmallPoolWarning
+from corpus_select.errors import EmptyCorpus, EmptyTargets, NonPositiveDuration, SmallPoolWarning
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
@@ -148,6 +148,26 @@ def _ranked(indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return indices[order]
 
 
+def _budget(durations: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The durations as float64 and the budget alpha * total duration.
+
+    Each duration, and their total, must be positive and finite: else NonPositiveDuration
+    names the first row that is not, or that takes the running total past float range."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    d = np.asarray(durations, dtype=np.float64)
+    if d.shape[0] == 0:
+        raise EmptyCorpus("no candidates to select from")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (d > 0).all() or not math.isfinite(total := float(d.sum())):
+            bad = np.flatnonzero(~(d > 0) | ~np.isfinite(np.cumsum(d)))
+            row = int(bad[0]) if bad.size else d.size - 1  # the pairwise total overflowed, the running one not
+            fault = NonPositiveDuration(float(d[row]), row)
+            fault.args = (f"durations[{row}] is {d[row]}: each duration and their total must be positive and finite",)
+            raise fault
+    return d, alpha * total
+
+
 def _prefilter(
     mats: Mapping[str, np.ndarray | ViewFile],
     targets: TargetSet,
@@ -197,16 +217,13 @@ def greedy_mmr_exact(
     Stops once cumulative duration reaches alpha * total duration.
     """
     r = np.asarray(relevance, dtype=np.float64)
-    d = np.asarray(durations, dtype=np.float64)
+    d, budget = _budget(durations, cfg.alpha)
     n = r.shape[0]
-    if n == 0:
-        raise EmptyCorpus("no candidates to select from")
     if d.shape[0] != n:
         raise ValueError(f"relevance has {n} entries but durations {d.shape[0]}")
     weights = cfg.weights or FusionWeights.uniform(views)
     mats = weighted_views(views, weights, n)
 
-    budget = cfg.alpha * float(d.sum())
     all_idx = np.arange(n)
     seed_idx = int(_ranked(all_idx, r)[0])
     picks = [
@@ -258,14 +275,11 @@ def batched_mmr(
     survivors are held (module docstring).
     """
     with blas_threads(threads):
-        d = np.asarray(durations, dtype=np.float64)
+        d, budget = _budget(durations, cfg.alpha)
         n = d.shape[0]
-        if n == 0:
-            raise EmptyCorpus("no candidates to select from")
         weights = cfg.weights or FusionWeights.uniform(views)
         mats = weighted_views(views, weights, n)
 
-        budget = cfg.alpha * float(d.sum())
         pool_size = min(n, max(1, math.ceil(cfg.rho * n)))
         # mats[name][at[k]] is the row of pool[k]
         pool, r_pool, mats, at = _prefilter(mats, targets, weights, cfg.aggregation, pool_size)
@@ -365,16 +379,6 @@ def batched_mmr(
             ncom += batch_pos.size
 
         return SelectionResult(picks, budget, total, pool_size=pool_size, rounds=rounds, exhausted=exhausted)
-
-
-def _budget(durations: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """The durations as float64 and the budget alpha * total duration."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    d = np.asarray(durations, dtype=np.float64)
-    if d.shape[0] == 0:
-        raise EmptyCorpus("no candidates to select from")
-    return d, alpha * float(d.sum())
 
 
 def random_baseline(durations: np.ndarray, alpha: float, seed: int) -> SelectionResult:

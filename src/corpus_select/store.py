@@ -11,8 +11,9 @@ Embedding file layout (little-endian throughout):
 
 Manifests are UTF-8 JSON lines with fields "id", "duration_s" and
 "dataset"; `load_manifest` reads one as `ViewFile` reads a view, a chunk
-of lines at a time, into columns (a `Manifest`). Line i of the manifest
-owns row i of every view, as `CorpusManifest` checks.
+of lines at a time, into columns (a `Manifest`), whose constructor is the
+one manifest check; the parsers only parse. Line i of the manifest owns
+row i of every view, as `CorpusManifest` checks.
 
 One unit rule (`_unit_fault`) holds for every row that is scored: its
 float64 L2 norm is within `_UNIT_TOL` (1e-4) of 1, or is 0. View files
@@ -216,23 +217,26 @@ class EmbeddingView:
 
 @dataclass
 class Manifest:
-    """A manifest as columns: line i is `ids[i]`, `durations[i]` (seconds) and `datasets[i]`."""
+    """A manifest as columns: line i is `ids[i]`, `durations[i]` (seconds) and `datasets[i]`.
+
+    The one manifest check: columns of one length and 1-D durations, then the first bad line
+    raises (`_check_columns`), so a Manifest holds only lines that `load_manifest` accepts."""
 
     ids: list[str]
     durations: np.ndarray
     datasets: list[str]
 
     def __post_init__(self):
-        try:
-            self.durations = np.asarray(self.durations, dtype=np.float64)
-        except OverflowError:  # an int beyond float range: the row check raises at the first bad line
-            _check_columns(self.ids, list(self.durations), self.datasets)
-            raise
-        if self.durations.ndim != 1 or not len(self.ids) == len(self.durations) == len(self.datasets):
+        if np.ndim(self.durations) != 1 or not len(self.ids) == len(self.durations) == len(self.datasets):
             raise DimensionMismatch(
                 f"manifest columns disagree: {len(self.ids)} ids, durations of shape "
-                f"{self.durations.shape}, {len(self.datasets)} datasets"
+                f"{np.shape(self.durations)}, {len(self.datasets)} datasets"
             )
+        durations = self.durations  # an array of numbers is checked as the Python numbers a parse gives
+        if isinstance(durations, np.ndarray) and durations.dtype != object:
+            durations = durations.tolist()
+        _check_columns(self.ids, durations, self.datasets)
+        self.durations = np.asarray(self.durations, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -544,34 +548,35 @@ def load_manifest(path: str | Path) -> Manifest:
     """Parse a JSON-lines manifest into columns; line order defines row order.
 
     Each chunk of whole lines (about `_PARSE_CHUNK` bytes) is read, hashed inside `recorded_files()`,
-    and parsed and checked once: as one JSON array (`_parse_array`) or, failing that, line by line
-    (`_parse_lines`). Ids are checked for repeats once, on the final column, or before a chunk
-    that needs the row check, on the ids before it (`_check_ids`). So a file is accepted or
-    rejected, with the same error and line, as line by line, and the error names the file. The
-    read is recorded once the last chunk is in, as `ViewFile.blocks()` records a view."""
-    path, columns, seen = Path(path), ([], [], []), set()  # `seen`: the set of the first len(seen) ids
+    and parsed once: as one JSON array (`_parse_array`) or, failing that, line by line (`_parse_lines`).
+    Reading stops at the first line that is not one JSON object. The lines before it make the
+    `Manifest`, whose check raises at the first bad record among them; only then does that line's
+    MalformedLine raise. So the first bad line raises, whatever its kind, and the error names the
+    file. The read is recorded once the last chunk is in, as `ViewFile.blocks()` records a view."""
+    path, columns, fault = Path(path), ([], [], []), None
     digest, size = hashlib.sha256() if _recording else None, 0
     try:
         with open(path, "rb") as fh:
-            while chunk := fh.read(_PARSE_CHUNK) + fh.readline():  # whole lines
+            while fault is None and (chunk := fh.read(_PARSE_CHUNK) + fh.readline()):  # whole lines
                 if digest is not None:
                     digest.update(chunk)
                 size += len(chunk)
                 try:
                     parsed = _parse_array(chunk)
                 except (ValueError, RecursionError):  # not one object a line, or not UTF-8
-                    parsed = _parse_lines(chunk, len(columns[0]) + 1, _check_ids(seen, columns[0]))
-                else:
-                    _check_columns(*parsed, seen, columns[0])
+                    parsed, fault = _parse_lines(chunk, len(columns[0]) + 1)
                 for column, part in zip(columns, parsed):
                     column += part
-        _check_ids(seen, columns[0])
+        # durations as a 1-D column whatever the lines hold (a list of lists would read as 2-D)
+        manifest = Manifest(columns[0], np.fromiter(columns[1], object, len(columns[1])), columns[2])
+        if fault is not None:
+            raise fault
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
     if digest is not None:
         _record_read(path, digest, size)
-    return Manifest(*columns)
+    return manifest
 
 
 def _parse_array(chunk: bytes) -> tuple[list, list, list]:
@@ -589,84 +594,72 @@ def _parse_array(chunk: bytes) -> tuple[list, list, list]:
     return tuple([r.get(field) for r in records] for field in ("id", "duration_s", "dataset"))
 
 
-def _check_record(line: int, utt_id, duration, dataset, seen: set) -> None:
-    """Raise the DataError of a manifest record that is not valid on `line`; else add its id to `seen`."""
-    if not isinstance(utt_id, str) or not utt_id:
-        raise MalformedLine(line, "field 'id' must be a nonempty string")
-    if isinstance(duration, bool) or not isinstance(duration, (int, float)):
-        raise MalformedLine(line, "field 'duration_s' must be a number")
-    if not isinstance(dataset, str):
-        raise MalformedLine(line, "field 'dataset' must be a string")
+def _parse_lines(data: bytes, line: int) -> tuple[tuple[list, list, list], MalformedLine | None]:
+    """The columns of the manifest lines of `data`, numbered from `line` and parsed one by one, up
+    to the first line that is not one JSON object, and that line's MalformedLine (None if none)."""
+    records, fault = [], None
     try:
-        seconds = float(duration)
-    except OverflowError:  # an int beyond float range
-        raise MalformedLine(line, "field 'duration_s' is beyond float range") from None
-    if not math.isfinite(seconds) or seconds <= 0:
-        raise NonPositiveDuration(duration, line)
-    if utt_id in seen:
-        raise DuplicateId(utt_id, line)
-    seen.add(utt_id)
+        # `bytes.splitlines` breaks lines where text mode does: at "\n", "\r\n" and "\r"
+        for lineno, raw in enumerate(data.splitlines(), start=line):
+            try:
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise MalformedLine(lineno, "not valid UTF-8") from None
+            if not text:
+                raise MalformedLine(lineno, "blank line")
+            try:
+                obj = json.loads(text)
+            except (ValueError, RecursionError) as exc:  # not JSON, an int of too many digits, deep nesting
+                raise MalformedLine(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            if not isinstance(obj, dict):
+                raise MalformedLine(lineno, "record must be a JSON object")
+            records.append((obj.get("id"), obj.get("duration_s"), obj.get("dataset")))
+    except MalformedLine as exc:
+        fault = exc
+    return tuple([record[k] for record in records] for k in range(3)), fault
 
 
-def _check_columns(ids: list, durations: list, datasets: list, seen: set | None = None, before: list = ()) -> None:
-    """Check that each row i passes `_check_record` as line len(`before`) + i + 1; the first bad row
-    raises. Where every field passes, the ids are left to `_check_ids`; else the row check takes
-    them against the ids `before`, which `seen` holds in part (as in `_check_ids`), and adds them."""
-    with suppress(OverflowError):  # an int beyond float range: the row check names its line
+def _check_columns(ids: list, durations: list, datasets: list) -> None:
+    """Raise the DataError of the first bad line i + 1 of a manifest's columns (`ids[i]`, `durations[i]`,
+    `datasets[i]`): a field of the wrong type, an empty or repeated id, a duration not positive and
+    finite (an int beyond float range included), or one taking the running total of the durations,
+    in line order, past float range. Columns that pass as a whole are not checked row by row."""
+    with suppress(OverflowError):  # an int beyond float range: the row loop names its line
         if {*map(type, ids), *map(type, datasets)} <= {str} and {*map(type, durations)} <= {int, float}:
-            if min(durations, default=1) > 0 and math.isfinite(sum(durations)):  # no NaN or infinite term
-                return
-    seen = _check_ids(set() if seen is None else seen, before)
-    for row, record in enumerate(zip(ids, durations, datasets), start=len(before) + 1):
-        _check_record(row, *record, seen)
-
-
-def _check_ids(seen: set, ids: list) -> set:
-    """`seen`, the set of the first len(`seen`) `ids`, with the rest added; the first empty or
-    repeated id raises at its line (the other fields of these rows have passed)."""
-    seen.update(ids[len(seen) :])
-    if len(seen) < len(ids) or "" in seen:
-        seen.clear()
-        for line, utt_id in enumerate(ids, start=1):
-            _check_record(line, utt_id, 1, "", seen)  # a valid duration and tag: only the id can fail
-    return seen
-
-
-def _parse_lines(data: bytes, line: int, seen: set) -> tuple[list, list, list]:
-    """The columns of manifest lines numbered from `line`, parsed one by one; the first
-    bad line raises, and so does an id already in `seen`, to which each id is added."""
-    records = []
-    # `bytes.splitlines` breaks lines where text mode does: at "\n", "\r\n" and "\r"
-    for lineno, raw in enumerate(data.splitlines(), start=line):
+            if min(durations, default=1) > 0 and math.isfinite(sum(durations)):  # no NaN or inf, a total in range
+                if len(unique := set(ids)) == len(ids) and "" not in unique:
+                    return
+    seen, total = set(), 0.0
+    for line, (utt_id, duration, dataset) in enumerate(zip(ids, durations, datasets), start=1):
+        if not isinstance(utt_id, str) or not utt_id:
+            raise MalformedLine(line, "field 'id' must be a nonempty string")
+        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
+            raise MalformedLine(line, "field 'duration_s' must be a number")
+        if not isinstance(dataset, str):
+            raise MalformedLine(line, "field 'dataset' must be a string")
         try:
-            text = raw.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            raise MalformedLine(lineno, "not valid UTF-8") from None
-        if not text:
-            raise MalformedLine(lineno, "blank line")
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # not JSON, an int of too many digits, deep nesting
-            raise MalformedLine(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-        if not isinstance(obj, dict):
-            raise MalformedLine(lineno, "record must be a JSON object")
-        records.append((obj.get("id"), obj.get("duration_s"), obj.get("dataset")))
-        _check_record(lineno, *records[-1], seen)
-    return tuple([record[k] for record in records] for k in range(3))
+            seconds = float(duration)
+        except OverflowError:  # an int beyond float range
+            raise MalformedLine(line, "field 'duration_s' is beyond float range") from None
+        if not math.isfinite(seconds) or seconds <= 0:
+            raise NonPositiveDuration(duration, line)
+        if utt_id in seen:
+            raise DuplicateId(utt_id, line)
+        seen.add(utt_id)
+        total += seconds
+        if math.isinf(total):
+            raise MalformedLine(line, "the total duration_s is beyond float range")
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
     """Write a manifest as JSON lines, `_WRITE_CHUNK` lines per write. The write is atomic.
 
-    Each line is the bytes `json.dumps` gives its record. A manifest that `load_manifest`
-    would refuse raises its DataError, naming the line, and nothing is written."""
-    ids, durations, datasets = manifest.ids, manifest.durations.tolist(), manifest.datasets
-    _check_columns(ids, durations, datasets)
-    _check_ids(set(), ids)
+    Each line is the bytes `json.dumps` gives its record. A `Manifest` has passed the check
+    `load_manifest` makes, so the file written reads back as the same columns."""
     quote = json.encoder.encode_basestring_ascii
-    rows = zip(ids, durations, datasets)
+    rows = zip(manifest.ids, manifest.durations.tolist(), manifest.datasets)
     lines = (f'{{"id": {quote(i)}, "duration_s": {d!r}, "dataset": {quote(t)}}}\n' for i, d, t in rows)
-    chunks = ("".join(islice(lines, _WRITE_CHUNK)).encode("ascii") for _ in range(0, len(ids), _WRITE_CHUNK))
+    chunks = ("".join(islice(lines, _WRITE_CHUNK)).encode("ascii") for _ in range(0, len(manifest), _WRITE_CHUNK))
     _atomic_bytes(Path(path), chunks)
 
 

@@ -18,9 +18,13 @@ per-seed `((x - c) ** 2).sum(axis=1)` distances.
 `random_baseline_loop` is the random baseline's own prefix loop, from
 before it became the one-bin case of the duration baseline's fill.
 `fit_loss_history` exposes the probe fit's loss trajectory.
+`manifest_by_lines` is the manifest rule stated one line at a time, with
+no chunks and no column checks.
 """
 
+import json
 import math
+import re
 import warnings
 from typing import Mapping
 
@@ -29,8 +33,11 @@ import numpy as np
 from corpus_select.errors import (
     DataError,
     DimensionMismatch,
+    DuplicateId,
     EmptyCorpus,
+    MalformedLine,
     MissingView,
+    NonPositiveDuration,
     SmallPoolWarning,
 )
 from corpus_select.probe import _fit, _stratified_split
@@ -270,3 +277,53 @@ def fit_loss_history(source, labels, cfg) -> list[float]:
     train_idx, _ = _stratified_split(y, rng)
     _, _, history = _fit(x[train_idx], y[train_idx], int(y.max()) + 1)
     return history
+
+
+def manifest_by_lines(data: bytes):
+    """The manifest rule, one line at a time: the columns of a manifest's bytes, or its first error.
+
+    Lines break where text mode breaks them, at CRLF, CR and LF. Each line, in order, must be
+    UTF-8 and hold one JSON object (surrounding whitespace aside), whose id is a nonempty string
+    not seen before, whose duration_s is a number (not a bool) that is positive and finite as a
+    float, whose dataset is a string, and whose duration keeps the running total, summed in line
+    order, within float range. Returns (ids, float64 durations, datasets), or the DataError of
+    the first line that breaks the rule.
+    """
+    lines = re.split(rb"\r\n|\r|\n", data)
+    if lines[-1] == b"":
+        lines.pop()
+    ids, durations, datasets, total = [], [], [], 0.0
+    for line, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return MalformedLine(line, "not valid UTF-8")
+        if not text:
+            return MalformedLine(line, "blank line")
+        try:
+            record = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            return MalformedLine(line, f"invalid JSON ({getattr(exc, 'msg', exc)})")
+        if not isinstance(record, dict):
+            return MalformedLine(line, "record must be a JSON object")
+        utt_id, duration, dataset = record.get("id"), record.get("duration_s"), record.get("dataset")
+        if not isinstance(utt_id, str) or utt_id == "":
+            return MalformedLine(line, "field 'id' must be a nonempty string")
+        if type(duration) not in (int, float):
+            return MalformedLine(line, "field 'duration_s' must be a number")
+        if not isinstance(dataset, str):
+            return MalformedLine(line, "field 'dataset' must be a string")
+        if isinstance(duration, int) and abs(duration) >= 2**1024 - 2**970:  # rounds to inf
+            return MalformedLine(line, "field 'duration_s' is beyond float range")
+        seconds = float(duration)
+        if not seconds > 0 or seconds == math.inf:
+            return NonPositiveDuration(duration, line)
+        if utt_id in ids:
+            return DuplicateId(utt_id, line)
+        total += seconds
+        if total == math.inf:
+            return MalformedLine(line, "the total duration_s is beyond float range")
+        ids.append(utt_id)
+        durations.append(seconds)
+        datasets.append(dataset)
+    return ids, np.array(durations, dtype=np.float64), datasets

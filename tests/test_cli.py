@@ -422,6 +422,16 @@ def _manifest_with_a_bom(corpus, targets):
     return path, f"{path}: line 1: invalid JSON (Unexpected UTF-8 BOM"
 
 
+def _manifest_total_beyond_float(corpus, targets):
+    """Two durations of 1e308, each finite, whose running total passes float range on line 4."""
+    path = corpus / "manifest.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    for k in (1, 3):
+        lines[k] = json.dumps({**json.loads(lines[k]), "duration_s": 1e308}) + "\n"
+    path.write_text("".join(lines))
+    return path, f"{path}: line 4: the total duration_s is beyond float range"
+
+
 def _corpus_without_a_view(corpus, targets):
     for path in corpus.glob("*.emb"):
         path.unlink()
@@ -516,6 +526,7 @@ _CORRUPTIONS = [
     ("corpus-flagged-normalized-not-unit", _flagged_normalized_not_unit("corpus"), ["select", "probe", "project", "audit"]),
     ("target-flagged-normalized-not-unit", _flagged_normalized_not_unit("target"), ["select", "compact-targets"]),
     ("manifest-with-a-bom", _manifest_with_a_bom, ["select", "stats", "probe"]),
+    ("manifest-total-beyond-float", _manifest_total_beyond_float, ["select", "select-random", "stats", "probe"]),
     ("corpus-view-is-a-directory", _directory_as_view("corpus"), ["select", "stats", "probe"]),
     ("target-view-is-a-directory", _directory_as_view("targets"), ["compact-targets"]),
     ("corpus-without-a-view", _corpus_without_a_view, ["select", "stats", "probe"]),

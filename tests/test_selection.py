@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus_select import relevance, selection, store
-from corpus_select.errors import DimensionMismatch, EmptyCorpus, MissingView, SmallPoolWarning
+from corpus_select.errors import DimensionMismatch, EmptyCorpus, MissingView, NonPositiveDuration, SmallPoolWarning
 from corpus_select.relevance import (
     AggregationMode,
     FusionWeights,
@@ -905,3 +905,40 @@ class TestConfigValidation:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             SelectionConfig(**kwargs)
+
+
+_SELECTORS = {
+    "batched_mmr": lambda views, d, targets, cfg: batched_mmr(d, views, targets, cfg),
+    "greedy_mmr_exact": lambda views, d, targets, cfg: greedy_mmr_exact(
+        relevance_multi_dataset(views, targets, cfg.weights), views, d, cfg
+    ),
+    "random_baseline": lambda views, d, targets, cfg: random_baseline(d, cfg.alpha, seed=3),
+    "duration_baseline": lambda views, d, targets, cfg: duration_baseline(d, [1.0, 4.0], cfg.alpha, seed=3),
+}
+
+
+class TestDurationFaults:
+    """Every selector takes its budget from `selection._budget`: a duration that is not positive
+    and finite, or a total beyond float range, raises at its row instead of being spent."""
+
+    @pytest.mark.parametrize(
+        "rows, row",
+        [
+            pytest.param({3: float("nan")}, 3, id="nan"),
+            pytest.param({3: float("inf")}, 3, id="inf"),
+            pytest.param({3: 0.0}, 3, id="zero"),
+            pytest.param({3: -1.5}, 3, id="negative"),
+            pytest.param({3: 1e308, 7: 1e308}, 7, id="total-beyond-float"),
+        ],
+    )
+    @pytest.mark.parametrize("selector", sorted(_SELECTORS))
+    def test_a_bad_duration_raises_at_its_row(self, rng, selector, rows, row):
+        views, durations, targets = random_instance(rng, n=20)
+        for at, value in rows.items():
+            durations[at] = value
+        cfg = SelectionConfig(alpha=0.5, rho=1.0, weights=FusionWeights.uniform(views))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonPositiveDuration, match=rf"^durations\[{row}\] is ") as err:
+                _SELECTORS[selector](views, durations, targets, cfg)
+        assert err.value.line == row

@@ -4,6 +4,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from corpus_select.store import (
 import corpus_select.store as store
 from corpus_select.errors import EmptyTargets
 from conftest import load_raw_view
-from oracles import normalize_rows_gather
+from oracles import manifest_by_lines, normalize_rows_gather
 
 HEADER = struct.Struct("<4sIBQI")
 
@@ -556,10 +557,10 @@ class TestManifest:
         ],
     )
     def test_chunked_parse_matches_the_per_line_parse(self, tmp_path, text):
-        """The per-line parser is the oracle: the same columns, bit for bit."""
+        """The rule read line by line is the oracle: the same columns, bit for bit."""
         path = tmp_path / "manifest.jsonl"
         path.write_text(text, encoding="utf-8")
-        got, want = load_manifest(path), Manifest(*store._parse_lines(path.read_bytes(), 1, set()))
+        got, want = load_manifest(path), Manifest(*manifest_by_lines(path.read_bytes()))
         assert got.ids == want.ids and got.datasets == want.datasets
         assert got.durations.dtype == want.durations.dtype == np.float64
         assert got.durations.tobytes() == want.durations.tobytes()
@@ -568,7 +569,7 @@ class TestManifest:
         path = self.write(tmp_path, canonical_lines(5000))
         assert path.stat().st_size > 2 * store._PARSE_CHUNK
 
-        def per_line(data, line, seen):
+        def per_line(data, line):
             raise AssertionError("fell back to the per-line parser")
 
         monkeypatch.setattr(store, "_parse_lines", per_line)
@@ -581,7 +582,7 @@ class TestManifest:
         path = self.write(tmp_path, lines)
         assert path.stat().st_size > 2 * store._PARSE_CHUNK
 
-        def per_line(data, line, seen):
+        def per_line(data, line):
             raise AssertionError("fell back to the per-line parser")
 
         monkeypatch.setattr(store, "_parse_lines", per_line)
@@ -600,27 +601,27 @@ class TestManifest:
         lines[14] = lines[14].replace("u014", "null")
         path = tmp_path / "manifest.jsonl"
         path.write_bytes(data := self.small_chunks(monkeypatch, lines))
-        parse_lines, check_record, calls, checked = store._parse_lines, store._check_record, [], []
+        parse_lines, check_columns, calls, checked = store._parse_lines, store._check_columns, [], []
 
-        def per_line(chunk, line, seen):
+        def per_line(chunk, line):
             calls.append((chunk, line))
-            return parse_lines(chunk, line, seen)
+            return parse_lines(chunk, line)
 
-        def one_record(line, *record):
-            checked.append(line)
-            return check_record(line, *record)
+        def counted(*columns):
+            checked.append(tuple(map(list, columns)))
+            return check_columns(*columns)
 
         monkeypatch.setattr(store, "_parse_lines", per_line)
-        monkeypatch.setattr(store, "_check_record", one_record)
+        monkeypatch.setattr(store, "_check_columns", counted)
         got = load_manifest(path)
         [(chunk, line)] = calls
         held = chunk.splitlines()
         assert 1 < line <= 15 < line + len(held) <= len(lines)
         assert held == data.splitlines()[line - 1 : line - 1 + len(held)]
-        assert checked == list(range(line, line + len(held)))  # no other record is checked one by one
-        want = Manifest(*parse_lines(data, 1, set()))
-        assert got.ids == want.ids and got.datasets == want.datasets
-        assert got.durations.tobytes() == want.durations.tobytes()
+        ids, durations, datasets = manifest_by_lines(data)
+        assert checked == [(ids, durations.tolist(), datasets)]  # the parser checks no record
+        assert got.ids == ids and got.datasets == datasets
+        assert got.durations.tobytes() == durations.tobytes()
 
     @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
     def test_line_breaks_in_a_middle_chunk_keep_the_line_numbers(self, tmp_path, monkeypatch, newline):
@@ -645,19 +646,19 @@ class TestManifest:
         assert err.value.line == 8
 
     def test_a_file_whose_chunks_all_parse_checks_its_ids_once(self, tmp_path, monkeypatch):
-        """No set of ids is kept while the chunks parse: one `_check_ids` of the final column."""
+        """No set of ids is kept while the chunks parse: one `_check_columns` of the final columns."""
         lines = [f'{{"id": "u{i:03d}", "duration_s": 2.5, "dataset": "a"}}' for i in range(30)]
         path = tmp_path / "manifest.jsonl"
         path.write_bytes(self.small_chunks(monkeypatch, lines))
-        check_ids, calls = store._check_ids, []
+        check_columns, calls = store._check_columns, []
 
-        def counted(seen, ids):
-            calls.append((len(seen), list(ids)))
-            return check_ids(seen, ids)
+        def counted(*columns):
+            calls.append(tuple(map(list, columns)))
+            return check_columns(*columns)
 
-        monkeypatch.setattr(store, "_check_ids", counted)
+        monkeypatch.setattr(store, "_check_columns", counted)
         assert load_manifest(path).ids == [f"u{i:03d}" for i in range(30)]
-        assert calls == [(0, [f"u{i:03d}" for i in range(30)])]
+        assert calls == [([f"u{i:03d}" for i in range(30)], [2.5] * 30, ["a"] * 30)]
 
     @pytest.mark.parametrize(
         "fault, error",
@@ -824,6 +825,86 @@ class TestManifest:
             Manifest(["a", "b"], [1.0], ["x", "y", "z"])
         with pytest.raises(DimensionMismatch):
             Manifest(["a", "b"], [[1.0], [2.0]], ["x", "y"])
+
+    def test_a_duration_that_is_a_list_is_a_malformed_line_in_a_file(self, tmp_path):
+        """The parsed column is 1-D whatever its lines hold; an in-memory list of lists is a 2-D column."""
+        path = self.write(tmp_path, [json.dumps({"id": i, "duration_s": [1.0], "dataset": "x"}) for i in "ab"])
+        with pytest.raises(MalformedLine, match="line 1: field 'duration_s' must be a number"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("durations", [[1e308, 2.0, 1e308, 1.0], [10**308, 2, 10**308, 1]], ids=["floats", "ints"])
+    def test_a_total_beyond_float_range_is_refused_where_it_overflows(self, tmp_path, durations):
+        """Each duration is finite, but the total, summed in line order, overflows on line 3."""
+        records = [{"id": f"u{i}", "duration_s": d, "dataset": "a"} for i, d in enumerate(durations)]
+        path = self.write(tmp_path, [json.dumps(record) for record in records])
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: line 3: the total duration_s is beyond float range"
+        with pytest.raises(MalformedLine, match="^line 3: the total"):
+            Manifest([f"u{i}" for i in range(4)], np.array(durations, dtype=np.float64), ["a"] * 4)
+
+    _LINES = {
+        "repeat": lambda i: {"id": "u000"},
+        "empty-id": lambda i: {"id": ""},
+        "id-a-number": lambda i: {"id": i},
+        "no-id": lambda i: {"id": None},
+        "duration-a-string": lambda i: {"duration_s": "3"},
+        "duration-a-bool": lambda i: {"duration_s": True},
+        "duration-a-list": lambda i: {"duration_s": [1.0]},
+        "zero-duration": lambda i: {"duration_s": 0},
+        "negative-duration": lambda i: {"duration_s": -1.5},
+        "nan-duration": lambda i: {"duration_s": float("nan")},
+        "inf-duration": lambda i: {"duration_s": float("inf")},
+        "int-beyond-float": lambda i: {"duration_s": 10**400},
+        "dataset-null": lambda i: {"dataset": None},
+        "null-holding-id": lambda i: {"id": f"null-{i}"},
+    }
+    _TEXTS = {"blank": b"", "not-json": b"not json", "not-an-object": b"[1, 2]", "not-utf8": b'{"id": "\xff"}'}
+    _BREAKS = {"cr": b"\r", "crlf": b"\r\n"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(64, 512),
+        st.integers(0, 60),
+        st.lists(
+            st.tuples(st.integers(0, 59), st.sampled_from(sorted({**_LINES, **_TEXTS, **_BREAKS, "total-beyond-float": 0}))),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_load_follows_the_rule_read_line_by_line(self, tmp_path_factory, chunk, n, faults, last_break):
+        """In chunks of 64-512 bytes, a mix of valid lines, record faults and parse faults loads as
+        the oracle reads it line by line: the same columns bit for bit, or the same error and line."""
+        records = [{"id": f"u{i:03d}", "duration_s": i + 1 if i % 4 == 0 else i + 0.5, "dataset": "ab"[i % 2]} for i in range(n)]
+        texts, breaks = {}, [b"\n"] * n
+        for i, fault in (fault for fault in faults if fault[0] < n):
+            if fault == "total-beyond-float":  # 1e308 on this line and the next: the running total overflows
+                for record in records[i : i + 2]:
+                    record["duration_s"] = 1e308
+            elif fault in self._LINES:
+                records[i].update(self._LINES[fault](i))
+            elif fault in self._TEXTS:
+                texts[i] = self._TEXTS[fault]
+            else:
+                breaks[i] = self._BREAKS[fault]
+        lines = [texts.get(i, json.dumps(record).encode()) for i, record in enumerate(records)]
+        data = b"".join(line + end for line, end in zip(lines, breaks))
+        if n and not last_break:
+            data = data.removesuffix(breaks[-1])
+        path = tmp_path_factory.mktemp("oracle") / "manifest.jsonl"
+        path.write_bytes(data)
+        want = manifest_by_lines(data)
+        with mock.patch.object(store, "_PARSE_CHUNK", chunk):
+            if isinstance(want, DataError):
+                with pytest.raises(DataError) as err:
+                    load_manifest(path)
+                assert type(err.value) is type(want) and err.value.line == want.line
+                assert str(err.value) == f"{path}: {want}"
+            else:
+                got = load_manifest(path)
+                assert (got.ids, got.datasets) == (want[0], want[2])
+                assert got.durations.tobytes() == want[1].tobytes()
 
 
 class TestRecordedFiles:

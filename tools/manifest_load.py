@@ -1,4 +1,4 @@
-"""Time `store.load_manifest` alone in a base commit and the working tree, and read its memory.
+"""Time `store.load_manifest` and the fixture's manifest write in a base commit and the working tree.
 
     python3 tools/manifest_load.py --base HEAD --repeats 5 --bench BENCH_one_manifest_pass.json
 
@@ -7,19 +7,23 @@ The manifests are generated once, in a temporary directory, in the form
 1,000,000), ids `utt-NNNNNNN`, durations drawn uniform in [2, 15) s (seed
 29) and five dataset tags. Each size is timed plain and with the id of
 its middle line replaced by `annulled-take-2`, an id that holds the text
-`null`. Each run is a fresh child process that imports its own
-checkout's code and times only the call; runs alternate between the
+`null`. Each size is also written the way `fixture.make_fixture` writes
+a manifest, `save_manifest(Manifest(ids, durations, tags))` with the
+durations a float64 array (seed 29); the timed call includes the column
+check, wherever the checkout makes it. Each run is a fresh child process that imports its
+own checkout's code and times only the call; runs alternate between the
 sides, and the side that runs first alternates from pair to pair. A
 child reports its own peak memory, `VmHWM` from `/proc/self/status` read
 as the call returns (a new process image starts its own high-water mark,
-unlike `ru_maxrss`), and a SHA-256 of the columns it loaded.
+unlike `ru_maxrss`), and a SHA-256 of the columns it loaded or of the
+file it wrote.
 
 It prints one line per manifest: each side's median wall and CPU seconds
 and median `VmHWM`, in how many pairs the working tree took less wall
 time, then every run (wall/CPU/VmHWM), and whether every run loaded the
-same columns. With
+same columns (or wrote the same bytes). With
 `--bench`, the BENCH file gains a `manifest_load` object with every run.
-It exits 1 when the two sides load different columns.
+It exits 1 when the two sides load different columns or write different bytes.
 """
 
 from __future__ import annotations
@@ -37,22 +41,34 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_compare import ROOT, export_commit  # noqa: E402
 
+_TAGS = ("podcast", "audiobook", "broadcast", "meeting", "read-speech")
+
 _CHILD = """
 import hashlib, json, re, sys, time
-from corpus_select.store import load_manifest
+import numpy as np
+from corpus_select.store import Manifest, load_manifest, save_manifest
 
-start, cpu = time.perf_counter(), time.process_time()
-manifest = load_manifest(sys.argv[1])
-seconds, cpu_seconds = time.perf_counter() - start, time.process_time() - cpu
+if sys.argv[1] == "load":
+    start, cpu = time.perf_counter(), time.process_time()
+    manifest = load_manifest(sys.argv[2])
+    seconds, cpu_seconds = time.perf_counter() - start, time.process_time() - cpu
+    digest = hashlib.sha256("\\0".join(manifest.ids).encode())
+    digest.update(manifest.durations.tobytes())
+    digest.update("\\0".join(manifest.datasets).encode())
+else:
+    lines = int(sys.argv[3])
+    ids = [f"utt-{i:07d}" for i in range(lines)]
+    durations = np.random.default_rng(29).uniform(2.0, 15.0, size=lines)
+    tags = [TAGS[i % len(TAGS)] for i in range(lines)]
+    start, cpu = time.perf_counter(), time.process_time()
+    save_manifest(Manifest(ids, durations, tags), sys.argv[2])
+    seconds, cpu_seconds = time.perf_counter() - start, time.process_time() - cpu
+    with open(sys.argv[2], "rb") as fh:
+        digest = hashlib.sha256(fh.read())
 with open("/proc/self/status") as fh:
     hwm_kb = int(re.search(r"^VmHWM:\\s+(\\d+) kB", fh.read(), re.M).group(1))
-digest = hashlib.sha256("\\0".join(manifest.ids).encode())
-digest.update(manifest.durations.tobytes())
-digest.update("\\0".join(manifest.datasets).encode())
-print(json.dumps({"seconds": seconds, "cpu_seconds": cpu_seconds, "vmhwm_mb": hwm_kb / 1024, "rows": len(manifest), "columns": digest.hexdigest()}))
-"""
-
-_TAGS = ("podcast", "audiobook", "broadcast", "meeting", "read-speech")
+print(json.dumps({"seconds": seconds, "cpu_seconds": cpu_seconds, "vmhwm_mb": hwm_kb / 1024, "columns": digest.hexdigest()}))
+""".replace("TAGS", repr(_TAGS))
 
 
 def write_manifest(path: Path, lines: int, odd_id: str | None) -> None:
@@ -65,10 +81,10 @@ def write_manifest(path: Path, lines: int, odd_id: str | None) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def run_load(checkout: Path, manifest: Path) -> dict:
+def run_child(checkout: Path, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(manifest)], cwd=checkout, env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _CHILD, *args], cwd=checkout, env=env, capture_output=True, text=True, check=True
     )
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -87,15 +103,19 @@ def main(argv: list[str] | None = None) -> int:
         base_commit = export_commit(args.base, Path(scratch) / "base")
         sides = {"base": Path(scratch) / "base", "change": ROOT}
         for lines in args.lines:
-            for odd_id in (None, "annulled-take-2"):
-                name = f"{lines}-lines" + ("-null-id" if odd_id else "")
+            for suffix, odd_id in (("", None), ("-null-id", "annulled-take-2"), ("-save", None)):
+                name = f"{lines}-lines{suffix}"
                 path = Path(scratch) / f"{name}.jsonl"
-                write_manifest(path, lines, odd_id)
-                size = path.stat().st_size
+                if suffix == "-save":  # each child writes the file
+                    child = ("save", str(path), str(lines))
+                else:
+                    write_manifest(path, lines, odd_id)
+                    child = ("load", str(path))
                 runs: dict[str, list[dict]] = {"base": [], "change": []}
                 for repeat in range(args.repeats):
                     for side, checkout in sorted(sides.items(), reverse=repeat % 2 == 1):
-                        runs[side].append(run_load(checkout, path))
+                        runs[side].append(run_child(checkout, *child))
+                size = path.stat().st_size
                 path.unlink()
                 results[name] = {
                     "bytes": size,
