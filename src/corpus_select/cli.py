@@ -171,7 +171,11 @@ def _views_arg(text: str) -> list[str]:
 
 
 def _view_dims_arg(text: str) -> dict[str, int]:
-    return {name: _positive_int(raw) for name, raw in _named(text, ":").items()}
+    dims = {name: _positive_int(raw) for name, raw in _named(text, ":").items()}
+    for name in dims:  # each name becomes a file NAME.emb in the corpus and a --weights key
+        if name.startswith(".") or any(c in name for c in "/\\="):
+            raise argparse.ArgumentTypeError(f"view name {name!r} must be a file stem: no '/', '\\', '=' or leading '.'")
+    return dims
 
 
 def _build_parser() -> tuple[

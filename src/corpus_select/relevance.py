@@ -137,6 +137,8 @@ class FusionWeights:
         total = sum(items.values())
         if total <= 0:
             raise ValueError("at least one fusion weight must be positive")
+        if not np.isfinite(total):  # each share w / inf would be 0 and dropped
+            raise ValueError(f"the fusion weights must sum to a finite number, got {total}")
         shares = ((name, w / total) for name, w in items.items())
         object.__setattr__(self, "weights", {name: s for name, s in shares if s > 0.0})
 

@@ -1,11 +1,15 @@
-"""Seeded, platform-stable random number streams.
+"""Seeded random number streams, reproducible per numpy version.
 
 All randomness in the package flows through Philox, a counter-based
-generator whose output depends only on its 128-bit key, so identical seeds
-reproduce identical streams across platforms and numpy builds. Independent
-stages (projection, clustering init, pair sampling, baseline shuffles)
-derive separate keys by hashing a context label into the seed, which keeps
-them from sharing state when a user reuses one seed everywhere.
+generator whose raw bits depend only on its 128-bit key, on every
+platform. The values that `Generator` methods draw from those bits
+(`standard_normal`, `choice`, `permutation`, `integers`) are fixed only
+per numpy version (NEP 19 lets a release change them). That version is
+recorded in run.json's `environment`, and the golden digest test fails
+if a numpy release moves them. Independent stages (projection,
+clustering init, pair sampling, baseline shuffles) derive separate keys
+by hashing a context label into the seed, which keeps them from sharing
+state when a user reuses one seed everywhere.
 """
 
 from __future__ import annotations

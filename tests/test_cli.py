@@ -62,6 +62,9 @@ def fixture_dirs(tmp_path_factory):
     return corpus, targets
 
 
+# a fixture run that would write under the current directory, were its --views accepted
+_FIXTURE_OUT = ["stats", "--make-fixture", "--out", "o", "--targets-out", "t", "--utterances", "20"]
+
 # every flag with a numeric type: (subcommand, flag, a value whose number is 'a', what the flag takes)
 _NUMERIC_FLAGS = [
     ("project", "--dim", "a", "an integer"),
@@ -114,11 +117,14 @@ class TestUsageErrors:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "1e308"])
     def test_non_finite_weight_names_flag(self, capsys, weight):
-        code = run(["select", "--corpus", "nope", "--targets", "x", "--weights", f"a={weight}", "--out", "z"])
+        """Two weights of 1e308 are each finite, but their total is not."""
+        weights = f"speaker={weight},wavlm={weight}"
+        code = run(["select", "--corpus", "nope", "--targets", "x", "--weights", weights, "--out", "z"])
         assert code == 2
-        assert "--weights" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--weights" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -129,12 +135,18 @@ class TestUsageErrors:
             (["stats", "--make-fixture", "--views", ":4"], "argument --views: empty name in ':4'"),
             (["probe", "--views", "speaker,speaker"], "argument --views: repeated name 'speaker'"),
             (["probe", "--views", "a,,b"], "argument --views: empty name in 'a,,b'"),
+            ([*_FIXTURE_OUT, "--views", "../x:4"], "argument --views: view name '../x' must be a file stem"),
+            ([*_FIXTURE_OUT, "--views", "a/b:4"], "argument --views: view name 'a/b' must be a file stem"),
+            ([*_FIXTURE_OUT, "--views", "a=b:4"], "argument --views: view name 'a=b' must be a file stem"),
+            ([*_FIXTURE_OUT, "--views", ".a:4"], "argument --views: view name '.a' must be a file stem"),
         ],
     )
-    def test_empty_or_repeated_name_exits_2_naming_it(self, capsys, argv, message):
-        """Name lists are checked as they are parsed, before any file is read."""
+    def test_empty_or_repeated_name_exits_2_naming_it(self, capsys, tmp_path, monkeypatch, argv, message):
+        """Name lists are checked as they are parsed, before any file is read or written."""
+        monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
         assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("subcommand, flag, value, kind", _NUMERIC_FLAGS)
     def test_non_number_says_what_the_flag_takes(self, capsys, subcommand, flag, value, kind):

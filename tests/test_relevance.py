@@ -61,6 +61,11 @@ class TestFusionWeights:
         with pytest.raises(ValueError):
             FusionWeights({"a": 0.0, "b": 0.0})
 
+    def test_rejects_total_beyond_float_range(self):
+        """Each weight is finite, but the shares w / inf would all be 0 and leave no view."""
+        with pytest.raises(ValueError, match="sum to a finite number"):
+            FusionWeights({"a": 1e308, "b": 1e308})
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             FusionWeights({"a": -0.1, "b": 1.0})
